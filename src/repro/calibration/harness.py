@@ -45,7 +45,6 @@ from ..counting.survival import (
     ground_survival_mus1,
 )
 from ..engine import CacheStore, EstimationSession
-from ..sampling.rng import HAVE_NUMPY
 from ..workloads import (
     block_membership_query,
     figure2_database,
@@ -276,7 +275,6 @@ class AuditReport:
     base_seed: int
     horizon: int
     backends: tuple[str, ...]
-    skipped_backends: tuple[str, ...]
     cells: tuple[CellResult, ...]
     anytime: tuple[AnytimeResult, ...]
 
@@ -346,8 +344,7 @@ def run_audit(
 ) -> AuditReport:
     """Run the full audit grid and return its report.
 
-    ``backends`` defaults to both planes, dropping ``vector`` (recorded in
-    ``skipped_backends``) when numpy is absent.  ``cells`` filters the
+    ``backends`` defaults to both planes.  ``cells`` filters the
     grid by substring match against ``target/mode/backend/warmth`` ids.
     ``cache_dir`` hosts the warm-replay store (a temporary directory, torn
     down afterwards, when ``None``).  The anytime audit replays each
@@ -358,11 +355,7 @@ def run_audit(
         targets = default_targets()
     if replications < 1:
         raise ValueError("replications must be positive")
-    requested = tuple(backends) if backends is not None else ("scalar", "vector")
-    skipped = tuple(b for b in requested if b == "vector" and not HAVE_NUMPY)
-    active_backends = tuple(b for b in requested if b not in skipped)
-    if not active_backends:
-        raise ValueError("no usable backend: numpy is required for vector-only audits")
+    active_backends = tuple(backends) if backends is not None else ("scalar", "vector")
 
     def wanted(cell_id: str) -> bool:
         return cells is None or any(pattern in cell_id for pattern in cells)
@@ -521,7 +514,6 @@ def run_audit(
         base_seed=base_seed,
         horizon=horizon,
         backends=active_backends,
-        skipped_backends=skipped,
         cells=tuple(cell_results),
         anytime=tuple(anytime_results),
     )

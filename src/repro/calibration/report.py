@@ -29,7 +29,6 @@ def report_to_dict(report: AuditReport) -> dict:
             "base_seed": report.base_seed,
             "horizon": report.horizon,
             "backends": list(report.backends),
-            "skipped_backends": list(report.skipped_backends),
         },
         "cells": [
             {
@@ -79,14 +78,7 @@ def render_report(report: AuditReport) -> str:
             f"calibration audit: ε={report.epsilon} δ={report.delta} "
             f"replications={report.replications} seed={report.base_seed}"
         ),
-        (
-            f"backends: {', '.join(report.backends)}"
-            + (
-                f" (skipped: {', '.join(report.skipped_backends)} — no numpy)"
-                if report.skipped_backends
-                else ""
-            )
-        ),
+        f"backends: {', '.join(report.backends)}",
         "",
         (
             f"{'cell':<38} {'truth':>8} {'miscoverage [CP band]':>24} "

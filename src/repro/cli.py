@@ -26,8 +26,8 @@ pool — optionally fanning groups out over worker processes.  With
 ``--mode adaptive`` every group runs sequential early-stopping estimators
 instead of fixed budgets, ``--cache-dir DIR`` (with ``--seed``) persists
 decompositions, bounds and sample batches across runs, ``--backend``
-picks the sample plane (``auto`` prefers the vectorized numpy plane and
-falls back to the scalar kernel), and ``--allow-errors`` exits 0 even
+picks the sample plane (``auto`` uses the vectorized numpy plane for
+``M_ur``/``M_us`` and the scalar kernel for ``M_uo``), and ``--allow-errors`` exits 0 even
 when some rows report out-of-scope errors (the rows still carry them).
 
 ``serve`` starts the estimation service (:mod:`repro.service`): a warm
@@ -342,9 +342,8 @@ def _arguments_batch(subparser: argparse.ArgumentParser) -> None:
         choices=("auto", "vector", "scalar"),
         default=None,
         help="sample plane per group (default: the workload's 'backend' field, "
-        "else auto): 'auto' uses the vectorized numpy plane when available and "
-        "falls back to the scalar kernel; pin 'vector' or 'scalar' for "
-        "cross-environment reproducibility",
+        "else auto): 'auto' uses the vectorized numpy plane for M_ur/M_us and "
+        "the scalar kernel for M_uo",
     )
     subparser.add_argument(
         "--allow-errors",

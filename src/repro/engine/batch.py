@@ -32,10 +32,10 @@ Two orthogonal switches extend the planner:
   warm-start (requires a workload ``seed``; unseeded runs are not
   reproducible and bypass the cache).
 * ``backend="auto"|"vector"|"scalar"`` — the sample plane per group:
-  ``auto`` (default) draws pools on the vectorized numpy plane when
-  available (whole ``uint64``-packed batches, fixed-mode prefixes
-  pre-drawn in one chunked pass) and falls back to the scalar interned
-  kernel otherwise.
+  ``auto`` (default) draws ``M_ur``/``M_us`` pools on the vectorized
+  numpy plane (whole ``uint64``-packed batches, fixed-mode prefixes
+  pre-drawn in one chunked pass) and ``M_uo`` pools on the scalar
+  interned kernel.
 """
 
 from __future__ import annotations
@@ -115,7 +115,6 @@ def batch_estimate(
     workers: int | None = None,
     mode: str = "fixed",
     cache_dir: str | None = None,
-    use_kernel: bool = True,
     backend: str = "auto",
     start_method: str | None = None,
 ) -> list[BatchResult]:
@@ -129,20 +128,17 @@ def batch_estimate(
 
     ``mode="adaptive"`` switches every group to the early-stopping
     scheduler; ``cache_dir`` persists per-group state across processes and
-    runs (see the module docstring).  ``use_kernel=False`` forces the
-    object-path samplers instead of the interned id kernel — results are
-    bit-for-bit identical either way (the parity tests assert it); the
-    switch exists for benchmarking and as a safety valve.
+    runs (see the module docstring).
 
     ``backend`` picks the sample plane per group (see
     :meth:`~repro.engine.session.EstimationSession.resolved_backend`):
-    ``"auto"`` (default) draws each group's pool on the vectorized numpy
-    plane when available — workers then draw in whole batches, and fixed
-    mode pre-draws a group's longest fixed prefix in one chunked pass —
-    falling back to the scalar kernel otherwise.  Runs are reproducible
-    per ``(seed, backend)``: both planes are deterministic, but they are
-    *different* deterministic streams, so pin ``backend`` explicitly when
-    comparing runs across machines with and without numpy.
+    ``"auto"`` (default) draws ``M_ur``/``M_us`` groups on the vectorized
+    numpy plane — workers then draw in whole batches, and fixed mode
+    pre-draws a group's longest fixed prefix in one chunked pass — and
+    ``M_uo`` groups on the scalar plane.  Runs are reproducible per
+    ``(seed, backend)``: both planes are deterministic, but they are
+    *different* deterministic streams.  The plane never depends on what
+    ``cache_dir`` holds.
 
     ``start_method`` pins the ``multiprocessing`` start method for the
     worker fan-out (``"fork"`` / ``"spawn"`` / ``"forkserver"``); the
@@ -178,7 +174,6 @@ def batch_estimate(
             group_seed_for(seed, *group_key),
             mode,
             cache_dir,
-            use_kernel,
             backend,
         )
         for group_key, members in groups.items()
@@ -244,13 +239,13 @@ def _pool_context(start_method: str | None = None):
 
 def _estimate_group(
     payload: tuple[
-        Sequence[tuple[int, BatchRequest]], int | None, str, str | None, bool, str
+        Sequence[tuple[int, BatchRequest]], int | None, str, str | None, str
     ],
 ) -> list[tuple[int, BatchResult]]:
     """Run one group's requests against a shared session + pool (picklable)."""
     from ..approx.fpras import FPRASUnavailable
 
-    members, group_seed, mode, cache_dir, use_kernel, backend = payload
+    members, group_seed, mode, cache_dir, backend = payload
     first = members[0][1]
     cache = None
     if cache_dir is not None and group_seed is not None:
@@ -262,7 +257,6 @@ def _estimate_group(
         first.constraints,
         first.generator,
         cache=cache,
-        use_kernel=use_kernel,
         backend=backend,
     )
     try:
@@ -327,9 +321,8 @@ def _prefetch_fixed_prefix(
     anyway; drawing it up front lets vector pools fill whole batches
     back-to-back (and leaves the final pool length — hence the persisted
     cache entry — exactly what the per-request loop would produce).
-    Requests that will error, are certified impossible, carry an empty
-    witness (entailed by every sample — evaluated without touching the
-    pool), or resolve to the stopping rule contribute nothing.
+    Requests that will error, are certified impossible, or resolve to
+    the stopping rule contribute nothing.
     """
     from ..approx.fpras import FPRASUnavailable
 
@@ -337,10 +330,6 @@ def _prefetch_fixed_prefix(
     for _, request in members:
         try:
             if not session.is_possible(request.query, request.answer):
-                continue
-            if session._witness_eval(request.query, request.answer)[2]:
-                # Empty witness: hits are known without evaluating, so
-                # this request adds nothing a prefetch should pre-draw.
                 continue
             resolved, budget, _ = session._resolve_method(
                 request.query, request.epsilon, request.delta, request.method, None

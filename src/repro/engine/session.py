@@ -20,23 +20,22 @@ share the same database.  :class:`EstimationSession` binds one
   draw survivor *id bitmasks* without constructing ``Operation`` or
   ``Database`` objects, and the minimal witness images become bitmasks too
   — "repair entails answer" is the integer subset test
-  ``w & s == w``.  ``use_kernel=False`` falls back to object-path draws
-  (identical results, slower; the kernel is a pure speedup).
+  ``w & s == w``.
 * **shared sample pools** — :class:`SamplePool` materializes one seeded
   stream of sampled repairs lazily; every request evaluates against the
   prefix it needs, so ``N`` requests cost one sampling pass plus ``N``
   cheap evaluations instead of ``N`` independent Monte-Carlo runs.
-* **the vectorized sample plane** — with numpy available (the
-  ``repro-uocqa[fast]`` extra), seed-driven pools
+  Every pool holds its samples one way: a packed ``(S, ceil(n/64))``
+  little-endian ``uint64`` bitset matrix, and witness hits are counted
+  with array reductions over it.
+* **the vectorized sample plane** — seed-driven pools
   (:meth:`EstimationSession.pool_for_seed`, i.e. everything
   :func:`~repro.engine.batch.batch_estimate` builds) draw whole batches
-  at once through :mod:`repro.sampling.vectorized`: samples live in a
-  packed ``(S, ceil(n/64)) uint64`` bitset matrix and witness hits are
-  counted with array reductions instead of per-sample Python tests.  The
-  ``backend`` switch (``"auto"``/``"vector"``/``"scalar"``) controls the
-  plane; ``"auto"`` resolves to the vector plane whenever numpy is
-  importable, the kernel is on, and the generator is block-structured
-  (``M_ur``/``M_us`` families), and falls back to the scalar kernel
+  at once through :mod:`repro.sampling.vectorized` instead of one
+  ``random.Random`` draw at a time.  The ``backend`` switch
+  (``"auto"``/``"vector"``/``"scalar"``) controls the plane; ``"auto"``
+  resolves to the vector plane whenever the generator is
+  block-structured (``M_ur``/``M_us`` families) and to the scalar plane
   otherwise — the plane never changes *what* is computed, only how fast.
 
 Determinism contracts, one per plane:
@@ -110,7 +109,7 @@ from ..exact.possibility import image_is_consistent
 from ..sampling import vectorized as vectorized_plane
 from ..sampling.operations_sampler import UniformOperationsSampler
 from ..sampling.repair_sampler import RepairSampler
-from ..sampling.rng import HAVE_NUMPY, resolve_rng
+from ..sampling.rng import resolve_rng
 from ..sampling.sequence_sampler import SequenceSampler
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (store imports session's pool)
@@ -123,6 +122,20 @@ def _unavailable(message: str) -> RuntimeError:
     from ..approx.fpras import FPRASUnavailable
 
     return FPRASUnavailable(message)
+
+
+def _resumed_rng(seed: int, state: tuple | None) -> random.Random | None:
+    """A ``random.Random`` restored to a persisted state (``None`` if unusable)."""
+    if state is None:
+        return None
+    rng = random.Random(seed)
+    try:
+        rng.setstate(state)
+    except (TypeError, ValueError, OverflowError):
+        # Shape-valid but meaningless state vectors (tampering) raise any
+        # of these from the C implementation.
+        return None
+    return rng
 
 
 #: Samples per vector-plane batch: each batch is one seeded substream
@@ -146,37 +159,35 @@ class SamplePool:
     ``max_samples`` to bound the prefix — an unbounded stopping-rule run
     would grow the pool without limit.
 
-    ``preloaded`` warm-starts the stream with samples persisted by a
-    :class:`~repro.engine.store.CacheEntry`; new draws then continue past
-    the preloaded prefix (for scalar pools the caller must hand ``draw``
-    an RNG restored to the state recorded after the last persisted draw;
-    vector pools resume by batch index — their substreams need no state).
+    **One representation.**  Every sample is a row of a capacity-doubling
+    packed ``(S, ceil(n/64))`` little-endian ``uint64`` matrix over the
+    pool's :class:`~repro.core.interning.InstanceIndex` (bit ``i`` of a
+    row = fact ``i`` survives) — the row the cache store persists and a
+    :class:`~repro.sampling.vectorized.SharedSampleSegment` shares
+    (``shared=True``).  :meth:`packed_prefix` is the zero-copy view hit
+    counting reduces over; :meth:`mask_at` decodes one row to an
+    arbitrary-precision bitmask.
 
-    **Interned pools.**  Pools a session builds carry its
-    :class:`~repro.core.interning.InstanceIndex`: samples are id
-    *bitmasks* (one ``int`` per sample, bit ``i`` = fact ``i`` survives),
-    :meth:`mask_at` is the hot-path accessor, and :meth:`sample_at`
-    reconstructs fact-set objects on demand — so holding ``n`` samples
-    costs ``n`` ints, not ``n`` databases.  A pool constructed without an
-    index (``SamplePool(draw)``) keeps the historical contract: ``draw``
-    returns fact sets and :meth:`sample_at` hands them back verbatim.
+    **Two planes draw into it.**  A *scalar* pool (``draw=``, a thunk
+    returning one id bitmask) draws one sample at a time and packs it as
+    drawn; it never draws past the position asked for, so a pool driven
+    by a caller's ``random.Random`` consumes exactly the draws a per-call
+    run would.  A *vector* pool (``plane=``, :mod:`repro.sampling.vectorized`)
+    draws whole batches of ``batch_size`` samples.
 
-    **Vector pools.**  Constructed with a ``plane``
-    (:mod:`repro.sampling.vectorized`) instead of a ``draw`` callable,
-    the pool materializes whole batches of ``batch_size`` samples at a
-    time and additionally keeps the plane's packed ``uint64`` bitset
-    rows (:meth:`packed_prefix`), which the session's batched witness
-    evaluation reduces with array ops.  All scalar accessors
-    (:meth:`mask_at`, :meth:`mask_prefix`, :meth:`sample_at`,
-    :meth:`prefix`) keep working unchanged — a vector pool is a drop-in
-    backing, not a new interface.
+    ``preloaded_rows`` warm-starts the stream with packed rows persisted
+    by a :class:`~repro.engine.store.CacheEntry`; new draws then continue
+    past the preloaded prefix (for scalar pools the caller must hand
+    ``draw`` an RNG restored to the state recorded after the last
+    persisted draw; vector pools resume by batch index — their substreams
+    need no state).
     """
 
     def __init__(
         self,
-        draw: Callable[[], frozenset[Fact] | int] | None = None,
-        preloaded: Iterable[frozenset[Fact] | int] | None = None,
-        index: InstanceIndex | None = None,
+        index: InstanceIndex,
+        draw: Callable[[], int] | None = None,
+        *,
         plane=None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         preloaded_rows=None,
@@ -184,58 +195,31 @@ class SamplePool:
     ):
         if (draw is None) == (plane is None):
             raise TypeError("exactly one of draw= and plane= is required")
-        if plane is not None and index is None:
-            raise TypeError("vector pools require an InstanceIndex")
-        if shared and plane is None:
-            raise TypeError("shared= requires a vector plane")
-        if preloaded_rows is not None and (plane is None or preloaded is not None):
-            raise TypeError(
-                "preloaded_rows= is the vector-pool fast path (exclusive "
-                "with preloaded=)"
-            )
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         self._draw = draw
         self._plane = plane
-        self._batch_size = batch_size
+        self._batch_size = batch_size if plane is not None else 1
         self._index = index
-        self._samples: list[frozenset[Fact] | int] = list(preloaded or ())
-        self._rows = None  # capacity-doubling packed matrix (vector pools)
+        self._words = vectorized_plane.words_for(len(index))
+        self._rows = None  # capacity-doubling packed matrix
         self._rows_length = 0  # valid rows in ``_rows``
         self._shared = shared
         self._segment = None  # SharedSampleSegment backing ``_rows`` when shared
-        self._mask_prefix_cache: tuple[int, tuple[int, ...]] = (0, ())
-        self._facts_prefix_cache: tuple[int, tuple[frozenset[Fact], ...]] = (0, ())
-        if plane is not None:
-            if preloaded_rows is not None:
-                # Packed rows preload directly (the warm-cache fast path):
-                # masks stay lazy placeholders like live-drawn batches.
-                count = preloaded_rows.shape[0]
-                if count % batch_size:
-                    raise ValueError(
-                        "a vector pool's preloaded prefix must be whole batches"
-                    )
-                if count:
-                    self._append_rows(preloaded_rows)
-                    self._samples = [None] * count
-            elif self._samples:
-                if len(self._samples) % batch_size:
-                    raise ValueError(
-                        "a vector pool's preloaded prefix must be whole batches"
-                    )
-                self._append_rows(
-                    vectorized_plane.pack_masks(self._samples, plane.words)
-                )
+        if preloaded_rows is not None and preloaded_rows.shape[0]:
+            if preloaded_rows.shape[0] % self._batch_size:
+                raise ValueError("a vector pool's preloaded prefix must be whole batches")
+            self._append_rows(preloaded_rows)
 
     @property
-    def interned(self) -> bool:
-        """Whether samples are stored as id bitmasks over an instance index."""
-        return self._index is not None
-
-    @property
-    def index(self) -> InstanceIndex | None:
-        """The interning the masks refer to (``None`` for plain pools)."""
+    def index(self) -> InstanceIndex:
+        """The interning the sample rows refer to."""
         return self._index
+
+    @property
+    def words(self) -> int:
+        """Packed ``uint64`` words per sample row."""
+        return self._words
 
     @property
     def backend(self) -> str:
@@ -250,24 +234,11 @@ class SamplePool:
     @property
     def batch_size(self) -> int:
         """Samples per materialization step (1-at-a-time for scalar pools)."""
-        return self._batch_size if self._plane is not None else 1
+        return self._batch_size
 
     def __len__(self) -> int:
         """Number of samples materialized so far (not a limit)."""
-        return len(self._samples)
-
-    def _materialize(self, index: int) -> None:
-        if self._plane is None:
-            while len(self._samples) <= index:
-                self._samples.append(self._draw())
-            return
-        while len(self._samples) <= index:
-            batch_index = len(self._samples) // self._batch_size
-            _, rows = self._plane.draw_batch(batch_index, self._batch_size)
-            self._append_rows(rows)
-            # Masks are decoded from the packed rows lazily (the batched
-            # hot path never needs them): placeholders keep positions.
-            self._samples.extend([None] * self._batch_size)
+        return self._rows_length
 
     def _append_rows(self, rows) -> None:
         """Grow the packed matrix amortized-linearly (capacity doubling).
@@ -278,19 +249,18 @@ class SamplePool:
         unlinks its OS object — only the current capacity ever lives in
         ``/dev/shm``).
         """
-        numpy = vectorized_plane.np
         count = rows.shape[0]
         needed = self._rows_length + count
         if self._rows is None or needed > self._rows.shape[0]:
             capacity = max(needed, 2 * (self._rows.shape[0] if self._rows is not None else 0))
             if self._shared:
                 segment = vectorized_plane.SharedSampleSegment.create(
-                    capacity, self._plane.words
+                    capacity, self._words
                 )
                 grown = segment.rows()
             else:
                 segment = None
-                grown = numpy.empty((capacity, self._plane.words), dtype="<u8")
+                grown = vectorized_plane.np.empty((capacity, self._words), dtype="<u8")
             if self._rows_length:
                 grown[: self._rows_length] = self._rows[: self._rows_length]
             self._rows = grown
@@ -325,114 +295,42 @@ class SamplePool:
         segment.release()
         return name
 
-    def _mask(self, position: int) -> int:
-        """The ``position``-th mask, decoding a packed row on first touch."""
-        value = self._samples[position]
-        if value is None:
-            row = self.packed_prefix(position + 1)[position]
-            value = int.from_bytes(row.tobytes(), "little")
-            self._samples[position] = value
-        return value
-
-    def _decode_region(self, start: int, stop: int) -> None:
-        """Bulk-decode ``[start, stop)`` placeholder masks from packed rows."""
-        if self._plane is None or all(
-            value is not None for value in self._samples[start:stop]
-        ):
-            return
-        rows = self.packed_prefix(stop)[start:stop]
-        self._samples[start:stop] = vectorized_plane.unpack_rows(rows)
-
     def ensure(self, length: int) -> None:
-        """Materialize the first ``length`` samples (chunk-wise on vector
-        pools) — the batch planner pre-draws a group's longest fixed
-        prefix through this in one pass."""
-        if length > 0:
-            self._materialize(length - 1)
-
-    def mask_at(self, index: int) -> int:
-        """The ``index``-th sample as an id bitmask (interned pools only)."""
-        if self._index is None:
-            raise TypeError("mask_at() requires a pool built over an InstanceIndex")
-        self._materialize(index)
-        return self._mask(index)
-
-    def mask_prefix(self, length: int) -> Sequence[int]:
-        """The first ``length`` samples as bitmasks (interned pools only).
-
-        The bulk accessor for fixed-length evaluation loops.  The returned
-        view is an immutable tuple, cached across calls: asking for the
-        same (or a shorter) prefix again re-materializes nothing and
-        copies nothing new — only genuine growth appends to the cache.
-        """
-        if self._index is None:
-            raise TypeError("mask_prefix() requires a pool built over an InstanceIndex")
-        cached_length, cached = self._mask_prefix_cache
-        if cached_length == length:
-            return cached
-        if length < cached_length:
-            return cached[:length]
-        self.ensure(length)
-        self._decode_region(cached_length, length)
-        cached = cached + tuple(self._samples[cached_length:length])
-        self._mask_prefix_cache = (length, cached)
-        return cached
+        """Materialize the first ``length`` samples (batch-wise on vector
+        pools, exactly ``length`` on scalar ones) — the batch planner
+        pre-draws a group's longest fixed prefix through this in one pass."""
+        missing = length - self._rows_length
+        if missing <= 0:
+            return
+        if self._plane is None:
+            masks = [self._draw() for _ in range(missing)]
+            self._append_rows(vectorized_plane.pack_masks(masks, self._words))
+            return
+        while self._rows_length < length:
+            batch_index = self._rows_length // self._batch_size
+            _, rows = self._plane.draw_batch(batch_index, self._batch_size)
+            self._append_rows(rows)
 
     def packed_prefix(self, length: int):
         """The first ``length`` samples as packed ``uint64`` rows.
 
-        Vector pools only (``None`` otherwise): the zero-copy view the
-        batched witness evaluation reduces over.  Rows beyond ``length``
-        from the final batch are drawn but not returned.
+        The zero-copy view the batched witness evaluation reduces over
+        (drawing as needed).  Rows beyond ``length`` from a vector pool's
+        final batch are drawn but not returned.
         """
-        if self._plane is None:
-            return None
         self.ensure(length)
         if self._rows is None:
-            return vectorized_plane.np.zeros((0, self._plane.words), dtype="<u8")
+            return vectorized_plane.np.zeros((0, self._words), dtype="<u8")
         view = self._rows[:length]
-        # Read-only like every other prefix view: a caller mutating the
-        # backing matrix would silently corrupt samples, hit counts, and
-        # the persisted cache.
+        # Read-only: a caller mutating the backing matrix would silently
+        # corrupt samples, hit counts, and the persisted cache.
         view.flags.writeable = False
         return view
 
-    def sample_at(self, index: int) -> frozenset[Fact]:
-        """The ``index``-th sample of the stream as a fact set, drawing as
-        needed (on interned pools the facts are reconstructed on demand)."""
-        self._materialize(index)
-        if self._index is not None:
-            return self._index.facts_of_mask(self._mask(index))
-        return self._samples[index]
-
-    def prefix(self, length: int) -> Sequence[frozenset[Fact]]:
-        """The first ``length`` samples as fact sets (materializing them).
-
-        Cached like :meth:`mask_prefix`: repeated calls for a prefix that
-        has not grown return the same immutable view instead of
-        re-reconstructing every fact set.
-        """
-        cached_length, cached = self._facts_prefix_cache
-        if cached_length == length:
-            return cached
-        if length < cached_length:
-            return cached[:length]
-        self.ensure(length)
-        self._decode_region(cached_length, length)
-        fresh = self._samples[cached_length:length]
-        if self._index is not None:
-            facts_of = self._index.facts_of_mask
-            cached = cached + tuple(facts_of(mask) for mask in fresh)
-        else:
-            cached = cached + tuple(fresh)
-        self._facts_prefix_cache = (length, cached)
-        return cached
-
-    def materialized_samples(self) -> Sequence[frozenset[Fact] | int]:
-        """Every sample drawn so far, in storage form (masks on interned
-        pools, fact sets otherwise) — used by the cache store to persist."""
-        self._decode_region(0, len(self._samples))
-        return self._samples
+    def mask_at(self, position: int) -> int:
+        """The ``position``-th sample as an id bitmask (decoded from its row)."""
+        row = self.packed_prefix(position + 1)[position]
+        return int.from_bytes(row.tobytes(), "little")
 
 
 class EstimationSession:
@@ -448,7 +346,6 @@ class EstimationSession:
         constraints: FDSet,
         generator: MarkovChainGenerator,
         cache: "CacheEntry | None" = None,
-        use_kernel: bool = True,
         backend: str = "auto",
     ):
         if backend not in ("auto", "vector", "scalar"):
@@ -459,11 +356,6 @@ class EstimationSession:
         self.constraints = constraints
         self.generator = generator
         self.cache = cache
-        #: ``False`` forces object-path draws (Operation/Database per
-        #: sample).  Results are bit-for-bit identical either way — the
-        #: interned kernel is a pure speedup, and the flag exists so the
-        #: parity tests and benches can prove exactly that.
-        self.use_kernel = use_kernel
         #: Which sample plane seed-driven pools use (``"auto"``/``"vector"``/
         #: ``"scalar"``); see :meth:`resolved_backend`.  ``random.Random``-
         #: driven pools (:meth:`pool`) always stay on the scalar plane —
@@ -573,73 +465,47 @@ class EstimationSession:
             )
         return UniformOperationsSampler(self.database, self.constraints, singleton, rng)
 
-    def _draw_facts(self, rng: random.Random | None) -> Callable[[], frozenset[Fact]]:
-        """A thunk drawing one sampled repair as a fact set (object path)."""
-        sampler = self.sampler(rng)
-        if isinstance(sampler, SequenceSampler):
-            return lambda: sampler.sample_result().facts
-        return lambda: sampler.sample().facts
-
     def _draw_mask(self, rng: random.Random | None) -> Callable[[], int]:
         """A thunk drawing one sampled repair as an id bitmask.
 
-        With the kernel on, the block-structured samplers draw masks
-        natively (no ``Operation``/``Database`` objects per draw); the
-        ``M_uo`` walk — and every sampler when ``use_kernel=False`` — draws
-        objects and interns the result, which consumes the RNG identically
-        and therefore yields the *same* stream, just slower.
+        The block-structured samplers draw masks natively (no
+        ``Operation``/``Database`` objects per draw); the ``M_uo`` walk
+        draws objects and interns the result.
         """
         sampler = self.sampler(rng)
-        if self.use_kernel and isinstance(sampler, (RepairSampler, SequenceSampler)):
+        if isinstance(sampler, (RepairSampler, SequenceSampler)):
             return sampler.sample_mask
         index = self.index()
-        if isinstance(sampler, SequenceSampler):
-            return lambda: index.mask_of(sampler.sample_result().facts)
         return lambda: index.mask_of(sampler.sample().facts)
 
     def pool(self, rng: random.Random | None = None) -> SamplePool:
-        """One shared, lazily grown sample stream for this session.
+        """One shared, lazily grown scalar-plane sample stream.
 
-        The pool stores compact id bitmasks (one ``int`` per sample) over
-        the session's :meth:`index`; fact-set views are reconstructed on
-        demand by :meth:`SamplePool.sample_at`.  ``random.Random``-driven
-        pools always run on the *scalar* plane — they carry the
-        bit-for-bit per-call parity contract; seed-driven callers wanting
-        the vector plane go through :meth:`pool_for_seed` or
-        :meth:`vector_pool`.
+        ``random.Random``-driven pools always run on the *scalar* plane —
+        they carry the bit-for-bit per-call parity contract; seed-driven
+        callers wanting the vector plane go through :meth:`pool_for_seed`
+        or :meth:`vector_pool`.
         """
-        return SamplePool(self._draw_mask(resolve_rng(rng)), index=self.index())
+        return SamplePool(self.index(), self._draw_mask(rng))
 
     def resolved_backend(self) -> str:
         """The plane (``"vector"``/``"scalar"``) seed-driven pools will use.
 
-        ``backend="auto"`` resolves to the vector plane when numpy is
-        importable, the interned kernel is on, and the generator is
-        block-structured (the ``M_ur``/``M_us`` families — the ``M_uo``
-        walk has no vector plane); anything else falls back to
-        ``"scalar"``.  An explicit ``backend="vector"`` raises instead of
-        silently degrading when those prerequisites are missing.
+        ``backend="auto"`` resolves to the vector plane when the generator
+        is block-structured (the ``M_ur``/``M_us`` families — the ``M_uo``
+        walk has no vector plane) and to ``"scalar"`` otherwise.  An
+        explicit ``backend="vector"`` raises instead of silently degrading
+        for a walk generator.
         """
         if self.backend == "scalar":
             return "scalar"
-        vectorizable = (
-            HAVE_NUMPY
-            and self.use_kernel
-            and isinstance(self.generator, (UniformRepairs, UniformSequences))
-        )
-        if self.backend == "vector":
-            if not HAVE_NUMPY:
-                raise ValueError(
-                    "backend='vector' requires numpy — install the "
-                    "'repro-uocqa[fast]' extra or use backend='scalar'"
-                )
-            if not vectorizable:
-                raise ValueError(
-                    f"backend='vector' is unavailable here (generator "
-                    f"{self.generator.name!r} with use_kernel={self.use_kernel}); "
-                    "the vector plane covers the kernel-backed M_ur/M_us families"
-                )
-            return "vector"
+        vectorizable = isinstance(self.generator, (UniformRepairs, UniformSequences))
+        if self.backend == "vector" and not vectorizable:
+            raise ValueError(
+                f"backend='vector' is unavailable for generator "
+                f"{self.generator.name!r}; the vector plane covers the "
+                "M_ur/M_us families"
+            )
         return "vector" if vectorizable else "scalar"
 
     def vector_plane(self, seed: int | None = None):
@@ -667,15 +533,15 @@ class EstimationSession:
         batch_size: int = DEFAULT_BATCH_SIZE,
         shared: bool = False,
     ) -> SamplePool:
-        """A vector-plane pool drawing in packed batches (requires numpy).
+        """A vector-plane pool drawing in packed batches.
 
         ``shared=True`` backs the packed matrix with a
         :class:`~repro.sampling.vectorized.SharedSampleSegment` so other
         processes (and the cache store) can read the rows zero-copy.
         """
         return SamplePool(
+            self.index(),
             plane=self.vector_plane(seed),
-            index=self.index(),
             batch_size=batch_size,
             shared=shared,
         )
@@ -686,17 +552,18 @@ class EstimationSession:
         The entry point :func:`~repro.engine.batch.batch_estimate` uses:
         the vector plane when :meth:`resolved_backend` says so, otherwise
         a scalar pool seeded ``random.Random(seed)`` (the exact PR-3
-        stream).  ``shared=`` applies to vector pools only — scalar pools
-        have no packed matrix to share and silently ignore it.
+        stream).  ``shared=True`` backs either plane's packed matrix with
+        shared memory.
         """
         if self.resolved_backend() == "vector":
             return self.vector_pool(seed, shared=shared)
-        return self.pool(random.Random(seed) if seed is not None else None)
+        rng = random.Random(seed) if seed is not None else None
+        return SamplePool(self.index(), self._draw_mask(rng), shared=shared)
 
     def cached_pool(self, seed: int | None, shared: bool = False) -> SamplePool:
         """A pool warm-started from the session's cache entry (if possible).
 
-        Persisted samples preload the stream and drawing resumes where the
+        Persisted rows preload the stream and drawing resumes where the
         cold run stopped — scalar pools restore the recorded
         ``random.Random`` state, vector pools resume by batch index (their
         substreams need no state) — so warm draws continue the cold run's
@@ -704,77 +571,51 @@ class EstimationSession:
         to a plain :meth:`pool_for_seed` (an unseeded stream is not
         reproducible, so persisting it would be meaningless).
 
-        A persisted prefix from the *other* plane cannot be extended: with
-        ``backend="auto"`` a warm scalar prefix (e.g. a transparently
-        upgraded v2 entry) keeps the entry on the scalar plane; under an
-        explicitly requested plane a mismatched prefix is discarded and
-        redrawn instead.
+        The plane comes from :meth:`resolved_backend` alone, never from
+        what the entry holds: a persisted prefix from the *other* plane
+        cannot be extended, so it is discarded and redrawn — as are rows
+        whose resume state is unusable (a scalar prefix without a valid
+        RNG state; a vector prefix of a foreign batch size or a torn
+        batch).
         """
         if self.cache is None or seed is None:
             return self.pool_for_seed(seed, shared=shared)
-        backend = self.resolved_backend()
-        if (
-            self.backend == "auto"
-            and backend == "vector"
-            and self.cache.sample_backend() == "scalar"
-        ):
-            backend = "scalar"
-        if backend == "vector":
-            return self._cached_vector_pool(seed, shared=shared)
-        return self._cached_scalar_pool(seed)
-
-    def _cached_scalar_pool(self, seed: int) -> SamplePool:
-        rng = random.Random(seed)
-        if self.cache.sample_backend() == "vector":
-            # A vector-plane prefix cannot be extended by random.Random
-            # draws; drop it so the entry is rewritten on this plane.
-            self.cache.discard_samples()
-        preloaded = self.cache.preload_sample_masks()
-        state = self.cache.rng_state() if preloaded else None
-        if state is not None:
-            try:
-                rng.setstate(state)
-            except (TypeError, ValueError, OverflowError):
-                # Shape-valid but meaningless state vectors (tampering)
-                # raise any of these from the C implementation.
-                state = None
-                rng = random.Random(seed)
-        if preloaded and state is None:
-            # Samples without a usable post-draw RNG state cannot be
-            # extended consistently: drop them so the entry is rewritten.
-            self.cache.discard_samples()
-            preloaded = []
-        shared = SamplePool(
-            self._draw_mask(rng), preloaded=preloaded, index=self.index()
-        )
-        self.cache.attach_pool(shared, rng)
-        return shared
-
-    def _cached_vector_pool(self, seed: int, shared: bool = False) -> SamplePool:
-        rows = self.cache.sample_word_rows()
+        cache = self.cache
+        vector = self.resolved_backend() == "vector"
+        rows = cache.sample_word_rows()
+        rng = None if vector else random.Random(seed)
         if rows:
-            if (
-                self.cache.sample_backend() != "vector"
-                or self.cache.sample_batch() != DEFAULT_BATCH_SIZE
-                or len(rows) % DEFAULT_BATCH_SIZE
-            ):
-                # A scalar prefix, a foreign batch size, or a torn batch:
-                # none of them resume a substream — redraw cleanly.
-                self.cache.discard_samples()
+            if vector:
+                usable = (
+                    cache.sample_backend() == "vector"
+                    and cache.sample_batch() == DEFAULT_BATCH_SIZE
+                    and len(rows) % DEFAULT_BATCH_SIZE == 0
+                )
+            else:
+                restored = _resumed_rng(seed, cache.rng_state())
+                usable = cache.sample_backend() == "scalar" and restored is not None
+                if usable:
+                    rng = restored
+            if not usable:
+                cache.discard_samples()
                 rows = []
-        preloaded_rows = None
-        if rows:
-            # The on-disk word row IS the matrix row: load it without any
-            # bignum round trip (masks decode lazily if ever needed).
-            preloaded_rows = vectorized_plane.np.array(rows, dtype="<u8")
-        pool = SamplePool(
-            plane=self.vector_plane(seed),
-            preloaded_rows=preloaded_rows,
-            index=self.index(),
-            batch_size=DEFAULT_BATCH_SIZE,
-            shared=shared,
-        )
-        self.cache.attach_pool(pool, None)
+        # The on-disk word row IS the matrix row: no bignum round trip.
+        preloaded_rows = vectorized_plane.np.array(rows, dtype="<u8") if rows else None
+        if vector:
+            pool = SamplePool(
+                self.index(),
+                plane=self.vector_plane(seed),
+                preloaded_rows=preloaded_rows,
+                shared=shared,
+            )
+        else:
+            pool = SamplePool(
+                self.index(),
+                self._draw_mask(rng),
+                preloaded_rows=preloaded_rows,
+                shared=shared,
+            )
+        cache.attach_pool(pool, rng)
         return pool
 
     # -- per-(query, answer) caches --------------------------------------------------
@@ -897,12 +738,6 @@ class EstimationSession:
         return cached
 
     @staticmethod
-    def _entails_sample(
-        witnesses: tuple[frozenset[Fact], ...], facts: frozenset[Fact]
-    ) -> bool:
-        return any(witness <= facts for witness in witnesses)
-
-    @staticmethod
     def _entails_mask(witness_masks: tuple[int, ...], sample_mask: int) -> bool:
         return any(witness & sample_mask == witness for witness in witness_masks)
 
@@ -917,8 +752,8 @@ class EstimationSession:
         common case for per-fact survival workloads), the remaining
         multi-fact witness masks (each needing its own subset test), and
         whether an *empty* witness exists (the query is entailed by every
-        sample).  Both the scalar per-position tests and the batched
-        column reductions consume this one classification.
+        sample) — the classification the batched column reductions of
+        :func:`~repro.sampling.vectorized.batch_hit_flags` consume.
         """
         key = (query, answer)
         plan = self._witness_plans.get(key)
@@ -940,7 +775,7 @@ class EstimationSession:
     def _evaluator(
         self, pool: SamplePool, query: ConjunctiveQuery, answer: tuple
     ) -> "_PoolEvaluator":
-        """Hit evaluation of one request against one pool, plane-aware."""
+        """Hit evaluation of one request against one pool."""
         return _PoolEvaluator(self, pool, query, answer)
 
     # -- estimation ------------------------------------------------------------------
@@ -1000,15 +835,16 @@ class EstimationSession:
         if not self.is_possible(query, answer):
             return self._certified_zero(epsilon, delta)
         evaluator = self._evaluator(pool, query, answer)
-        resolved, budget, bound = self._resolve_method(
+        resolved, budget, _ = self._resolve_method(
             query, epsilon, delta, method, p_lower
         )
-        if resolved == "fixed" and pool.backend == "vector":
-            # The batched fixed path: one packed-prefix reduction instead
-            # of ``budget`` per-position tests.  The hit count is the
-            # exact float total ``fixed_sample_estimate`` would accumulate
-            # from the same indicator stream, built into a result by the
-            # same constructor.
+        if resolved == "fixed":
+            # One packed-prefix reduction instead of ``budget``
+            # per-position tests.  The hit count is the exact float total
+            # ``fixed_sample_estimate`` would accumulate from the same
+            # indicator stream, built into a result by the same
+            # constructor — and the prefix drawn is exactly ``budget``
+            # long on a scalar pool, as the per-call loop draws.
             return fixed_estimate_from_total(
                 evaluator.count(budget), budget, epsilon, delta
             )
@@ -1020,8 +856,6 @@ class EstimationSession:
             position += 1
             return 1.0 if entailed else 0.0
 
-        if resolved == "fixed":
-            return fixed_sample_estimate(draw, epsilon, delta, bound)
         return stopping_rule_estimate(draw, epsilon, delta, max_samples=max_samples)
 
     def estimate_many(
@@ -1299,16 +1133,16 @@ class EstimationSession:
 class _PoolEvaluator:
     """Hit evaluation of one ``(query, answer)`` against one pool's prefix.
 
-    The plane-aware replacement for the old per-position hit closures:
-
-    * **vector pools** — hits are computed in whole batches with packed
-      column reductions (:func:`repro.sampling.vectorized.batch_hit_flags`)
-      and cached; :meth:`flag` serves positions out of the evaluated
-      prefix, growing it one pool batch at a time, and :meth:`count` folds
-      a known-length prefix in one reduction.
-    * **scalar pools** — every accessor reproduces the pre-vector code
-      paths *exactly* (same tests, same pool materialization pattern), so
-      scalar results and cache contents stay bit-for-bit what they were.
+    Hits are computed with packed column reductions
+    (:func:`repro.sampling.vectorized.batch_hit_flags`) over the pool's
+    rows and cached: :meth:`count` folds a known-length prefix in one
+    reduction, and :meth:`flag` serves positions out of the evaluated
+    prefix.  Growth follows the pool's batch size — a vector pool grows a
+    batch at a time, a scalar pool exactly to the position asked for, so
+    a pool driven by a caller's ``random.Random`` draws what a per-call
+    run would.  Rows the pool already holds are evaluated ahead
+    geometrically, so a warm prefix costs one reduction per doubling,
+    not one per position.
     """
 
     __slots__ = (
@@ -1316,7 +1150,6 @@ class _PoolEvaluator:
         "_always",
         "_singles",
         "_complexes",
-        "_witnesses",
         "_witness_rows",
         "_flags",
         "_evaluated",
@@ -1330,31 +1163,21 @@ class _PoolEvaluator:
         answer: tuple,
     ):
         self._pool = pool
-        self._flags = None
-        self._witness_rows = None
+        self._singles, self._complexes, self._always = session._witness_eval(
+            query, answer
+        )
+        # Packed once per evaluator: the witness rows are fixed for its
+        # lifetime, so growth pays only the reductions.
+        self._witness_rows = vectorized_plane.pack_witnesses(
+            self._singles, self._complexes, pool.words
+        )
+        self._flags = vectorized_plane.np.zeros(0, dtype=bool)
         self._evaluated = 0
-        if pool.interned:
-            self._singles, self._complexes, self._always = session._witness_eval(
-                query, answer
-            )
-            self._witnesses = None
-        else:
-            self._witnesses = session.witnesses(query, answer)
-            self._singles, self._complexes, self._always = 0, (), False
-
-    # -- batched path (vector pools) ---------------------------------------------------
 
     def _ensure_flags(self, length: int) -> None:
         if self._evaluated >= length:
             return
-        numpy = vectorized_plane.np
         rows = self._pool.packed_prefix(length)
-        if self._witness_rows is None:
-            # Packed once per evaluator: the witness rows are fixed for
-            # its lifetime, so chunked growth pays only the reductions.
-            self._witness_rows = vectorized_plane.pack_witnesses(
-                self._singles, self._complexes, rows.shape[1]
-            )
         fresh = vectorized_plane.batch_hit_flags(
             rows[self._evaluated :],
             self._singles,
@@ -1362,71 +1185,27 @@ class _PoolEvaluator:
             self._always,
             packed=self._witness_rows,
         )
-        if self._flags is None or length > self._flags.shape[0]:
+        if length > self._flags.shape[0]:
             # Capacity doubling: chunked dklr/adaptive growth stays
             # amortized-linear instead of re-concatenating per chunk.
-            capacity = max(
-                length, 2 * (self._flags.shape[0] if self._flags is not None else 0)
+            grown = vectorized_plane.np.zeros(
+                max(length, 2 * self._flags.shape[0]), dtype=bool
             )
-            grown = numpy.zeros(capacity, dtype=bool)
-            if self._evaluated:
-                grown[: self._evaluated] = self._flags[: self._evaluated]
+            grown[: self._evaluated] = self._flags[: self._evaluated]
             self._flags = grown
         self._flags[self._evaluated : length] = fresh
         self._evaluated = length
 
-    # -- scalar path (bit-for-bit the pre-vector behaviour) ----------------------------
-
-    def _scalar_flag(self, position: int) -> bool:
-        pool = self._pool
-        if self._witnesses is not None:
-            return EstimationSession._entails_sample(
-                self._witnesses, pool.sample_at(position)
-            )
-        if self._always:
-            return True
-        mask = pool.mask_at(position)
-        if mask & self._singles:
-            return True
-        return EstimationSession._entails_mask(self._complexes, mask)
-
-    # -- public accessors --------------------------------------------------------------
-
     def flag(self, position: int) -> bool:
         """Whether sample ``position`` entails the answer."""
-        if self._witnesses is None and self._always:
-            # Mirrors the scalar closures: an empty witness answers
-            # without touching the pool on either plane.
-            return True
-        if self._pool.backend == "vector":
-            if position >= self._evaluated:
-                chunk = self._pool.batch_size
-                self._ensure_flags(((position // chunk) + 1) * chunk)
-            return bool(self._flags[position])
-        return self._scalar_flag(position)
+        if position >= self._evaluated:
+            chunk = self._pool.batch_size
+            drawn = ((position // chunk) + 1) * chunk
+            ahead = min(len(self._pool), 2 * self._evaluated)
+            self._ensure_flags(max(drawn, ahead))
+        return bool(self._flags[position])
 
     def count(self, length: int) -> int:
-        """Hits among the first ``length`` samples (batched when possible)."""
-        if self._witnesses is None and self._always:
-            # Empty witness: every sample hits, so nothing needs drawing.
-            # The scalar plane still materializes (the PR 3 fixed-budget
-            # path always did — preserved bit-for-bit); the vector plane
-            # has no such history and skips the wasted batches.
-            if self._pool.backend != "vector":
-                self._pool.ensure(length)
-            return length
-        if self._pool.backend == "vector":
-            self._ensure_flags(length)
-            return int(self._flags[:length].sum())
-        if self._witnesses is not None:
-            return sum(1 for position in range(length) if self._scalar_flag(position))
-        prefix = self._pool.mask_prefix(length)
-        singles = self._singles
-        complexes = self._complexes
-        if not complexes:
-            return sum(1 for mask in prefix if mask & singles)
-        return sum(
-            1
-            for mask in prefix
-            if mask & singles or EstimationSession._entails_mask(complexes, mask)
-        )
+        """Hits among the first ``length`` samples."""
+        self._ensure_flags(length)
+        return int(self._flags[:length].sum())

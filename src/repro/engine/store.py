@@ -14,8 +14,7 @@ of the key because the sample stream depends on it; the seed-independent
 structural fields are deliberately duplicated across seeds — one key must
 cover everything any persisted field could depend on.)  Each entry holds:
 
-* ``version`` — the store format version; a mismatch invalidates the entry
-  (except the documented v2 upgrade below);
+* ``version`` — the store format version; a mismatch invalidates the entry;
 * ``decomposition`` — the block decomposition (Lemma 5.2), as
   ``[{relation, group, facts}]`` rows;
 * ``possibility`` — the cached polynomial zero-test verdicts, keyed by
@@ -25,16 +24,16 @@ cover everything any persisted field could depend on.)  Each entry holds:
   prefix of the shared :class:`~repro.engine.session.SamplePool` as
   **packed word rows**: each sample is a list of
   ``ceil(n_facts / 64)`` unsigned 64-bit words, word ``w`` holding fact
-  ids ``64w .. 64w + 63`` of the sample's id bitmask (the vector plane's
-  on-disk row *is* its in-memory ``uint64`` matrix row, and a scalar
-  mask packs to the same words).  ``backend`` records which plane drew
+  ids ``64w .. 64w + 63`` of the sample's id bitmask (the on-disk row
+  *is* the pool's in-memory ``uint64`` matrix row, on either plane).
+  ``backend`` records which plane drew
   the prefix: ``"scalar"`` rows resume through the persisted
   ``random.Random`` state *after* the last draw; ``"vector"`` rows
   resume by batch index (``batch`` is the plane's batch size — part of
   its substream contract — and ``rng_state`` is ``null``).  Replayed
   estimates are identical to cold-run estimates on the same plane.
 
-Version 4 adds the durability envelope: ``digest`` is the SHA-256 hex
+The durability envelope: ``digest`` is the SHA-256 hex
 digest of the entry's canonical serialization (sorted keys, compact
 separators, the ``digest`` field itself excluded) — covering the packed
 word rows, not just the key — and ``words`` records the packed row
@@ -43,12 +42,9 @@ The digest is verified on every load, so a torn write, a truncation, or
 a single flipped bit anywhere in the file is *detected* and the entry
 degrades to recomputation instead of replaying damaged samples.
 
-Entries written at older versions are **transparently upgraded** on
-load: v3 entries (packed words, no digest) load warm as-is and the next
-save rewrites them at v4 with a digest; v2 entries (id-array rows + RNG
-state) decode to the same masks and re-encode as packed words with
-``backend: "scalar"``.  A v2/v3 cache keeps its warm stream.  Version 1
-entries (and any other mismatch) are recomputed.
+Only ``version == 4`` is read.  An entry at any other version is a plain
+miss (not damage): it is recomputed and the next save overwrites it at
+the current version.
 
 Failure policy: the cache is an accelerator, never an authority.  Any
 read problem — missing file, truncated/corrupt JSON, digest mismatch,
@@ -103,14 +99,13 @@ from ..core.blocks import Block, BlockDecomposition
 from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.facts import Fact
-from ..core.interning import mask_ids
 from ..core.queries import ConjunctiveQuery
 from . import fsfault as _fsfault
 
-# The packed-word geometry is owned by the vector plane: the v3 format's
-# core invariant is "the on-disk word row IS the plane's uint64 matrix
+# The packed-word geometry is owned by the vector plane: the format's
+# core invariant is "the on-disk word row IS the pool's uint64 matrix
 # row", so the store reads the constants from the one place that defines
-# them (the module imports cleanly without numpy).
+# them.
 from ..sampling.vectorized import WORD_BITS as _WORD_BITS
 from ..sampling.vectorized import words_for as _words_for
 
@@ -118,16 +113,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session imports stor
     from .session import SamplePool
 
 #: Bump when the on-disk schema changes; old entries are then recomputed.
-#: v2: sample rows are the interned kernel's id arrays (ids into the
-#: canonical fact order — byte-compatible with v1's index rows, but the
-#: decode contract is now "ids of the session's InstanceIndex", and warm
-#: pools preload them as bitmasks without reconstructing facts).
-#: v3: sample rows are packed uint64 word lists (the vector plane's
-#: bitset-matrix rows) plus ``backend``/``batch`` metadata; v2 entries
-#: upgrade in place on load instead of being recomputed.
-#: v4: the durability envelope — ``digest`` (SHA-256 over the canonical
-#: serialization, verified on every load) and ``words`` (packed row
-#: width, for database-free fsck); v2/v3 entries upgrade in place.
+#: v4: packed uint64 word rows plus ``backend``/``batch`` resume metadata,
+#: inside the durability envelope — ``digest`` (SHA-256 over the
+#: canonical serialization, verified on every load) and ``words`` (packed
+#: row width, for database-free fsck).
 STORE_VERSION = 4
 
 #: Orphaned ``*.tmp`` files older than this are swept when a
@@ -153,14 +142,6 @@ def _decode_fact(row: Any) -> Fact:
         raise CacheFormatError(f"malformed fact row {row!r}")
     relation, *values = row
     return Fact(str(relation), tuple(_freeze(v) for v in values))
-
-
-def _mask_to_words(mask: int, words: int) -> list[int]:
-    """An id bitmask as its packed word row (little-endian word order)."""
-    return [
-        (mask >> (_WORD_BITS * position)) & ((1 << _WORD_BITS) - 1)
-        for position in range(words)
-    ]
 
 
 class CacheFormatError(ValueError):
@@ -272,7 +253,7 @@ def _document_digest(document: dict[str, Any]) -> str:
     Canonical = sorted keys, compact separators, the ``digest`` field
     itself excluded.  Computed over the parsed values (not the file
     bytes), so the verification is byte-layout independent — and because
-    v4 files are *written* in this same compact form, every byte of the
+    entry files are *written* in this same compact form, every byte of the
     file is semantic: any single-bit flip either breaks the JSON parse
     or changes a value the digest covers.
     """
@@ -403,15 +384,12 @@ class CacheEntry:
         if not isinstance(document, dict):
             self.load_error = "corrupt"
             return empty
-        version = document.get("version")
-        if version not in (2, 3, STORE_VERSION):
+        if document.get("version") != STORE_VERSION:
             return empty  # a legitimately old/new format, not damage
         for field, kind in (("possibility", dict), ("bounds", dict), ("samples", list)):
             if not isinstance(document.get(field), kind):
                 self.load_error = "corrupt"
                 return empty
-        if version == 2:
-            return self._upgrade_v2(document, empty)
         if document.get("backend") not in (None, "scalar", "vector"):
             self.load_error = "corrupt"
             return empty
@@ -421,13 +399,6 @@ class CacheEntry:
         ):
             self.load_error = "corrupt"
             return empty
-        if version == 3:
-            # Digestless v3 entries load warm as-is; the dirty mark makes
-            # the next save rewrite them inside the v4 envelope.
-            document["version"] = STORE_VERSION
-            document["words"] = self._sample_words()
-            self._dirty = True
-            return document
         if document.get("words") != self._sample_words():
             self.load_error = "corrupt"
             return empty
@@ -436,53 +407,6 @@ class CacheEntry:
             self.load_error = "corrupt"
             return empty
         return document
-
-    def _upgrade_v2(self, document: dict[str, Any], empty: dict[str, Any]) -> dict[str, Any]:
-        """Re-encode a v2 entry in place (id rows → packed words, scalar plane).
-
-        The structural fields carry over unchanged; sample rows decode
-        with the v2 validation rules and re-encode as packed words, so the
-        warm stream survives the format bump.  Undecodable rows degrade to
-        an empty stream (never to a wrong one).  The entry is marked dirty
-        so the next save rewrites it at the current version.
-        """
-        masks = self._decode_v2_rows(document["samples"])
-        upgraded = dict(empty)
-        upgraded["decomposition"] = document.get("decomposition")
-        upgraded["possibility"] = document["possibility"]
-        upgraded["bounds"] = document["bounds"]
-        if masks:
-            words = self._sample_words()
-            upgraded["samples"] = [_mask_to_words(mask, words) for mask in masks]
-            upgraded["rng_state"] = document.get("rng_state")
-            upgraded["backend"] = "scalar"
-        self._dirty = True
-        return upgraded
-
-    def _decode_v2_rows(self, rows: Any) -> list[int]:
-        """v2 id rows → masks, with the v2 validation rules (empty on damage)."""
-        size = len(self._fact_order())
-        decoded: list[int] = []
-        try:
-            for row in rows:
-                mask = 0
-                for identifier in row:
-                    if (
-                        # bool is an int subclass: true/false would silently
-                        # decode as fact 1/0, altering the replayed stream.
-                        isinstance(identifier, bool)
-                        or not isinstance(identifier, int)
-                        or not 0 <= identifier < size
-                    ):
-                        raise CacheFormatError("malformed sample id row")
-                    bit = 1 << identifier
-                    if mask & bit:
-                        raise CacheFormatError("duplicate sample ids")
-                    mask |= bit
-                decoded.append(mask)
-        except (CacheFormatError, TypeError):
-            return []
-        return decoded
 
     def save(self) -> bool:
         """Crash-consistently persist the entry if anything changed.
@@ -503,7 +427,7 @@ class CacheEntry:
         entry untouched, a crash after it leaves the new entry complete
         (the temp file's contents are durable *before* the rename makes
         them visible), and the directory fsync makes the rename itself
-        durable.  The v4 envelope (``digest`` over the canonical
+        durable.  The envelope (``digest`` over the canonical
         serialization, ``words``) is stamped here.  Raises
         :class:`CacheSerializationError` when the document holds
         non-JSON-native values, ``OSError`` on filesystem failure.
@@ -592,9 +516,9 @@ class CacheEntry:
                 same_plane and len(theirs["samples"]) > len(document["samples"])
             )
             if adopt:
-                # .get(): a minimally valid v3 file may omit the resume
-                # fields entirely — absent must merge like null, never
-                # crash the save (the accelerator-not-authority policy).
+                # .get(): a digest-valid file may still omit the resume
+                # fields — absent must merge like null, never crash the
+                # save (the accelerator-not-authority policy).
                 for field in ("samples", "rng_state", "backend", "batch"):
                     document[field] = theirs.get(field)
 
@@ -751,8 +675,8 @@ class CacheEntry:
                     raise CacheFormatError("malformed sample word row")
                 for word in row:
                     if (
-                        # bool is an int subclass: reject it here like the
-                        # v2 id decoder always did.
+                        # bool is an int subclass: true/false would
+                        # silently decode as words 1/0.
                         isinstance(word, bool)
                         or not isinstance(word, int)
                         or not 0 <= word < (1 << _WORD_BITS)
@@ -765,23 +689,6 @@ class CacheEntry:
             self.discard_samples()
             return []
         return rows
-
-    def preload_sample_masks(self) -> list[int]:
-        """The persisted sample prefix as id bitmasks (empty on any decode
-        problem) — :meth:`sample_word_rows` shift-OR'ed together, pure
-        integer work with no fact reconstruction."""
-        return [
-            sum(word << (_WORD_BITS * position) for position, word in enumerate(row))
-            for row in self.sample_word_rows()
-        ]
-
-    def preload_samples(self) -> list[frozenset[Fact]]:
-        """The persisted sample prefix as fact sets (compatibility view)."""
-        order = self._fact_order()
-        return [
-            frozenset(order[identifier] for identifier in mask_ids(mask))
-            for mask in self.preload_sample_masks()
-        ]
 
     def discard_samples(self) -> None:
         """Drop the persisted sample prefix (and its resume metadata)."""
@@ -815,7 +722,7 @@ class CacheEntry:
         their prefix without its post-draw state would be unreplayable —
         so the omission fails here, not deep inside :meth:`save`.
         """
-        if rng is None and getattr(pool, "backend", "scalar") != "vector":
+        if rng is None and pool.backend != "vector":
             raise ValueError("attach_pool() needs the drawing RNG for scalar pools")
         self._pool = pool
         self._rng = rng
@@ -825,49 +732,32 @@ class CacheEntry:
 
         Sharded workers back their vector pools with
         :class:`~repro.sampling.vectorized.SharedSampleSegment` matrices;
-        the store's v3 word row is that very matrix row, so
+        the store's word row is that very matrix row, so
         :meth:`_sync_pool` already reads the shared bytes zero-copy.
         This accessor exposes the segment name for cross-process
         attachment and for eviction tests; ``None`` for private pools.
         """
-        segment = getattr(self._pool, "shared_segment", None) if self._pool else None
+        segment = self._pool.shared_segment if self._pool else None
         return segment.name if segment is not None else None
 
     def _sync_pool(self) -> None:
         drawn = len(self._pool)
         if drawn <= len(self._document["samples"]):
             return
-        backend = getattr(self._pool, "backend", "scalar")
-        if backend == "vector":
-            # The on-disk row IS the pool's packed uint64 matrix row:
-            # serialize it directly, never round-tripping through the
-            # pool's (lazily decoded) arbitrary-precision masks.  Vector
-            # prefixes resume by batch index — the substream contract
-            # replaces the RNG state (the batch size is part of it).
-            self._document["samples"] = self._pool.packed_prefix(drawn).tolist()
+        # The on-disk row IS the pool's packed uint64 matrix row on either
+        # plane: serialize it directly.  Vector prefixes resume by batch
+        # index — the substream contract replaces the RNG state (the batch
+        # size is part of it); scalar prefixes resume from the RNG state
+        # after the last draw.
+        self._document["samples"] = self._pool.packed_prefix(drawn).tolist()
+        if self._pool.backend == "vector":
             self._document["batch"] = self._pool.batch_size
             self._document["rng_state"] = None
         else:
-            words = self._sample_words()
-            materialized = self._pool.materialized_samples()
-            if getattr(self._pool, "interned", False):
-                # Interned pools hold id bitmasks (the index order equals
-                # the canonical fact order): encoding never touches a Fact.
-                masks = materialized
-            else:
-                index_of = {
-                    fact: index for index, fact in enumerate(self._fact_order())
-                }
-                masks = [
-                    sum(1 << index_of[f] for f in sample) for sample in materialized
-                ]
-            self._document["samples"] = [
-                _mask_to_words(mask, words) for mask in masks
-            ]
             self._document["batch"] = None
             state = self._rng.getstate()
             self._document["rng_state"] = [state[0], list(state[1]), state[2]]
-        self._document["backend"] = backend
+        self._document["backend"] = self._pool.backend
         self._dirty = True
 
 
@@ -994,13 +884,11 @@ def _fsck_document(document: Any) -> str | None:
     if not isinstance(document, dict):
         return "not a JSON object"
     version = document.get("version")
-    if version not in (2, 3, STORE_VERSION):
+    if version != STORE_VERSION:
         return f"unknown store version {version!r}"
     for field, kind in (("possibility", dict), ("bounds", dict), ("samples", list)):
         if not isinstance(document.get(field), kind):
             return f"malformed {field!r} field"
-    if version == 2:
-        return None  # digestless legacy; loads upgrade or recompute it
     if document.get("backend") not in (None, "scalar", "vector"):
         return f"unknown sample backend {document.get('backend')!r}"
     widths = set()
@@ -1017,8 +905,6 @@ def _fsck_document(document: Any) -> str | None:
                 return f"sample word {word!r} outside uint64"
     if len(widths) > 1:
         return f"inconsistent sample row widths {sorted(widths)}"
-    if version == 3:
-        return None  # digestless; structural checks are all we have
     words = document.get("words")
     if isinstance(words, bool) or not isinstance(words, int) or words < 0:
         return f"malformed 'words' field {words!r}"
@@ -1036,14 +922,14 @@ def _fsck_document(document: Any) -> str | None:
 def fsck_store(directory: str, *, repair: bool = False) -> FsckReport:
     """Scan a cache directory; verify every entry's digest and structure.
 
-    Checks each ``*.json`` entry for valid JSON, a known store version,
-    field structure, packed-row shape, and — for v4 entries — the
-    SHA-256 content digest (which catches any torn write, truncation or
+    Checks each ``*.json`` entry for valid JSON, the current store
+    version, field structure, packed-row shape, and the SHA-256 content
+    digest (which catches any torn write, truncation or
     bit flip).  Orphaned ``*.tmp`` files are reported informationally.
     With ``repair=True``, damaged entries are **quarantined** (renamed
     to ``<name>.quarantined``, preserving the bytes for forensics) so
     the next warm run recomputes cleanly, and orphan temp files are
-    removed regardless of age.  The scan needs no database: v4 entries
+    removed regardless of age.  The scan needs no database: entries
     carry their row width in ``words``.
     """
     report = FsckReport(str(directory))

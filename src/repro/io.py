@@ -129,8 +129,7 @@ class WorkloadSpec:
     estimators, ``"adaptive"`` sequential early stopping), ``cache_dir``
     names a persistent :class:`~repro.engine.store.CacheStore` directory,
     and ``backend`` pins the sample plane (``"auto"`` | ``"vector"`` |
-    ``"scalar"`` — pin one for reproducibility across machines with and
-    without numpy); all default to CLI-flag overridable values.
+    ``"scalar"``); all default to CLI-flag overridable values.
     """
 
     requests: list = field(default_factory=list)

@@ -2,8 +2,7 @@
 
 Scalar draw paths live in the per-sampler modules; the batched numpy
 plane (packed bitset matrices, Lemma 5.2/6.2 in whole batches) lives in
-:mod:`repro.sampling.vectorized` and is optional — :data:`HAVE_NUMPY`
-reports whether it can run here.
+:mod:`repro.sampling.vectorized`.
 """
 
 from .operations_sampler import (
@@ -13,7 +12,6 @@ from .operations_sampler import (
 )
 from .repair_sampler import RepairSampler, sample_candidate_repair
 from .rng import (
-    HAVE_NUMPY,
     CumulativeWeights,
     numpy_substream,
     resolve_rng,
@@ -24,7 +22,6 @@ from .sequence_sampler import SequenceSampler, sample_complete_sequence
 
 __all__ = [
     "CumulativeWeights",
-    "HAVE_NUMPY",
     "RepairSampler",
     "SequenceSampler",
     "UniformOperationsSampler",

@@ -20,10 +20,7 @@ and the stream is a pure function of ``(seed, batch index, batch
 size)``: independent of request order, of how far previous requests grew
 the pool, and of the process that draws it.  (Counter-based keying is
 why batch construction is a few microseconds — no per-batch seed
-hashing.)  ``numpy`` is optional (the ``repro-uocqa[fast]`` extra);
-:data:`HAVE_NUMPY` reports availability, and setting the environment
-variable ``REPRO_UOCQA_NO_NUMPY`` forces the scalar fallback even when
-numpy is installed (used by CI to exercise the fallback matrix).
+hashing.)
 """
 
 from __future__ import annotations
@@ -34,15 +31,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Sequence, TypeVar
 
-try:  # pragma: no cover - exercised via the CI fallback matrix
-    if os.environ.get("REPRO_UOCQA_NO_NUMPY"):
-        raise ImportError("numpy disabled via REPRO_UOCQA_NO_NUMPY")
-    import numpy as _numpy
-except ImportError:  # pragma: no cover
-    _numpy = None
-
-#: Whether the vectorized sample plane can run in this interpreter.
-HAVE_NUMPY = _numpy is not None
+import numpy as np
 
 T = TypeVar("T")
 
@@ -124,15 +113,8 @@ def philox_key(seed: int | None):
     should draw one value via :func:`fresh_entropy` and treat it as the
     seed for every batch.
     """
-    if _numpy is None:  # pragma: no cover - guarded by HAVE_NUMPY at call sites
-        raise RuntimeError(
-            "the vectorized sample plane requires numpy; "
-            "install the 'repro-uocqa[fast]' extra"
-        )
     entropy = fresh_entropy() if seed is None else seed % (1 << 128)
-    return _numpy.random.SeedSequence(entropy=entropy).generate_state(
-        2, dtype=_numpy.uint64
-    )
+    return np.random.SeedSequence(entropy=entropy).generate_state(2, dtype=np.uint64)
 
 
 def numpy_substream(seed: int | None, stream: int, key=None):
@@ -146,8 +128,8 @@ def numpy_substream(seed: int | None, stream: int, key=None):
     """
     if key is None:
         key = philox_key(seed)
-    bit_generator = _numpy.random.Philox(key=key, counter=stream << 192)
-    return _numpy.random.Generator(bit_generator)
+    bit_generator = np.random.Philox(key=key, counter=stream << 192)
+    return np.random.Generator(bit_generator)
 
 
 def fresh_entropy() -> int:

@@ -48,12 +48,9 @@ scalar plane's ``random.Random`` stream: the two planes agree in
 distribution (and bit-for-bit on how outcomes become masks — the decode
 parity asserted by ``tests/test_vectorized.py``), not sample-for-sample.
 
-numpy is optional (``pip install 'repro-uocqa[fast]'``); without it the
-engine falls back to the scalar kernel (:data:`HAVE_NUMPY`).
-
 **Shared segments.**  :class:`SharedSampleSegment` backs the same packed
 ``(capacity, words)`` matrix with a ``multiprocessing.shared_memory``
-block instead of private heap memory.  Because the store's v3 on-disk
+block instead of private heap memory.  Because the store's on-disk
 word row *is* the in-memory matrix row, a segment can be read zero-copy
 by both a serving worker and the :class:`~repro.engine.store.CacheEntry`
 that persists it.  Segments are reference-counted within the owning
@@ -69,14 +66,11 @@ import threading
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..core.interning import InstanceIndex
 from ..counting.crs_count import aggregated_step_weights
-from .rng import HAVE_NUMPY, fresh_entropy, numpy_substream, philox_key
-
-if HAVE_NUMPY:
-    import numpy as np
-else:  # pragma: no cover - exercised via the CI fallback matrix
-    np = None
+from .rng import fresh_entropy, numpy_substream, philox_key
 
 #: Bits per packed word (the dtype of every bitset matrix is ``uint64``).
 WORD_BITS = 64
@@ -90,22 +84,12 @@ def words_for(n_facts: int) -> int:
     return (n_facts + WORD_BITS - 1) // WORD_BITS
 
 
-def require_numpy() -> None:
-    """Raise a uniform, actionable error when numpy is unavailable."""
-    if not HAVE_NUMPY:
-        raise RuntimeError(
-            "the vectorized sample plane requires numpy; "
-            "install the 'repro-uocqa[fast]' extra or use backend='scalar'"
-        )
-
-
 def pack_masks(masks: Iterable[int], words: int):
     """Pack arbitrary-precision id bitmasks into a ``(len, words)`` matrix.
 
     The inverse of :func:`unpack_rows`: word ``w`` of row ``i`` holds bits
     ``64w .. 64w + 63`` of ``masks[i]`` (little-endian word order).
     """
-    require_numpy()
     materialized = list(masks)
     if words == 0:
         return np.zeros((len(materialized), 0), dtype="<u8")
@@ -115,7 +99,6 @@ def pack_masks(masks: Iterable[int], words: int):
 
 def unpack_rows(rows) -> list[int]:
     """Packed rows back to arbitrary-precision masks (one ``int`` per row)."""
-    require_numpy()
     rows = np.ascontiguousarray(rows, dtype="<u8")
     width = rows.shape[1] * 8
     data = rows.tobytes()
@@ -132,7 +115,6 @@ def pack_witnesses(singles_mask: int, complex_masks: Sequence[int], words: int):
     hold one per request so chunked prefix growth pays only reductions,
     never re-packing.
     """
-    require_numpy()
     singles_row = pack_masks([singles_mask], words)[0] if singles_mask else None
     complex_rows = pack_masks(complex_masks, words) if complex_masks else None
     return singles_row, complex_rows
@@ -144,7 +126,7 @@ class SharedSampleSegment:
     The segment holds exactly the bitset layout described in the module
     docstring — ``capacity`` rows of ``words`` little-endian ``uint64``
     words, row-major — so the same bytes can back a ``SamplePool`` in a
-    sharded worker *and* be read zero-copy by the cache store (store v3
+    sharded worker *and* be read zero-copy by the cache store (the store
     persists these very word rows).
 
     Lifecycle: the creating process owns the OS object.  Handles are
@@ -167,7 +149,6 @@ class SharedSampleSegment:
     @classmethod
     def create(cls, capacity: int, words: int) -> "SharedSampleSegment":
         """Allocate a fresh segment sized for ``capacity`` sample rows."""
-        require_numpy()
         from multiprocessing import shared_memory
 
         size = max(int(capacity) * int(words) * 8, 1)
@@ -177,7 +158,6 @@ class SharedSampleSegment:
     @classmethod
     def attach(cls, name: str, capacity: int, words: int) -> "SharedSampleSegment":
         """Map an existing segment by name (raises ``FileNotFoundError``)."""
-        require_numpy()
         from multiprocessing import shared_memory
 
         shm = shared_memory.SharedMemory(name=name)
@@ -237,7 +217,6 @@ def batch_hit_flags(
     is the one hit-counting implementation, shared by the engine's
     evaluators and the parity tests.
     """
-    require_numpy()
     count, words = rows.shape
     if always:
         return np.ones(count, dtype=bool)
@@ -267,7 +246,6 @@ class _BlockPlane:
         singleton_only: bool = False,
         seed: int | None = None,
     ):
-        require_numpy()
         self.index = index
         self.singleton_only = singleton_only
         #: The entropy every batch substream derives from (the pool seed,

@@ -4,7 +4,8 @@ A tiny instrumentation kernel — counters, gauges, histograms and a
 registry that renders the `Prometheus text exposition format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_ —
 so the server can expose ``GET /metrics`` without taking on the
-``prometheus_client`` dependency (the library is stdlib-only by design).
+``prometheus_client`` dependency (numpy is the library's only runtime
+dependency, by design).
 
 Three deliberate simplifications versus the full client library:
 

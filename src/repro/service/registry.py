@@ -185,13 +185,13 @@ class SessionRegistry:
     reproducible and the cache store is bypassed, mirroring
     ``batch_estimate``).  ``cache_dir`` attaches a persistent
     :class:`~repro.engine.store.CacheStore` for warm-start/spill;
-    ``backend`` / ``use_kernel`` are forwarded to every session.
+    ``backend`` is forwarded to every session.
 
-    ``shared_pools=True`` backs every vector pool with a
+    ``shared_pools=True`` backs every pool with a
     :class:`~repro.sampling.vectorized.SharedSampleSegment` (sharded
     workers use this so the cache store and siblings can read sample
     matrices zero-copy); eviction and :meth:`close` release the segments
-    after spilling.  Scalar pools ignore the flag.
+    after spilling.
     """
 
     def __init__(
@@ -200,7 +200,6 @@ class SessionRegistry:
         seed: int | None = None,
         cache_dir: str | None = None,
         backend: str = "auto",
-        use_kernel: bool = True,
         max_sessions: int = DEFAULT_MAX_SESSIONS,
         shared_pools: bool = False,
     ):
@@ -212,7 +211,6 @@ class SessionRegistry:
             )
         self.seed = seed
         self.backend = backend
-        self.use_kernel = use_kernel
         self.max_sessions = max_sessions
         self.shared_pools = shared_pools
         #: Per-registry store-failure accounting; drives degraded mode.
@@ -344,7 +342,6 @@ class SessionRegistry:
             constraints,
             generator,
             cache=cache,
-            use_kernel=self.use_kernel,
             backend=self.backend,
         )
         # Raises FPRASUnavailable for out-of-scope groups before admission.
@@ -359,7 +356,6 @@ class SessionRegistry:
                     constraints,
                     generator,
                     cache=None,
-                    use_kernel=self.use_kernel,
                     backend=self.backend,
                 )
                 pool = session.pool_for_seed(seed, shared=shared)

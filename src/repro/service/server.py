@@ -548,7 +548,6 @@ class EstimationServer:
             seed=registry.seed,
             cache_dir=None if registry.store is None else registry.store.directory,
             backend=registry.backend,
-            use_kernel=registry.use_kernel,
             max_sessions=registry.max_sessions,
             max_queue=self.batcher.max_queue,
             max_pending=self.batcher.max_pending,
@@ -1165,7 +1164,6 @@ def serve(
     cache_dir: str | None = None,
     backend: str = "auto",
     max_sessions: int | None = None,
-    use_kernel: bool = True,
     max_queue: int | None = None,
     max_pending: int | None = None,
     max_inflight: int | None = None,
@@ -1196,7 +1194,6 @@ def serve(
         seed=seed,
         cache_dir=cache_dir,
         backend=backend,
-        use_kernel=use_kernel,
         max_sessions=DEFAULT_MAX_SESSIONS if max_sessions is None else max_sessions,
     )
 

@@ -155,7 +155,7 @@ class WorkerConfig:
     """Everything a worker needs to build its registry + batcher.
 
     Plain picklable fields only — the config crosses the spawn boundary.
-    ``shared_pools`` defaults on: worker vector pools live in
+    ``shared_pools`` defaults on: worker pools live in
     :class:`~repro.sampling.vectorized.SharedSampleSegment` matrices so
     the store (and future readers) see sample rows zero-copy.
     """
@@ -163,7 +163,6 @@ class WorkerConfig:
     seed: int | None = None
     cache_dir: str | None = None
     backend: str = "auto"
-    use_kernel: bool = True
     max_sessions: int = DEFAULT_MAX_SESSIONS
     max_queue: int | None = None
     max_pending: int | None = None
@@ -201,7 +200,6 @@ async def _worker_loop(shard: int, conn, config: WorkerConfig) -> None:
         seed=config.seed,
         cache_dir=config.cache_dir,
         backend=config.backend,
-        use_kernel=config.use_kernel,
         max_sessions=config.max_sessions,
         shared_pools=config.shared_pools,
     )

@@ -32,10 +32,7 @@ from repro.calibration import (
 )
 from repro.chains.generators import M_UO, M_UR, M_US
 from repro.core.facts import fact
-from repro.sampling.rng import HAVE_NUMPY
 from repro.workloads import block_membership_query, figure2_database
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 
 class TestClopperPearson:
@@ -253,7 +250,6 @@ class TestMicroAudit:
         with pytest.raises(ValueError):
             run_audit(default_targets("small"), replications=0)
 
-    @needs_numpy
     def test_vector_backend_joins_the_grid(self):
         report = run_audit(
             default_targets("small")[:1],
@@ -262,7 +258,6 @@ class TestMicroAudit:
             horizon=8,
         )
         assert {c.backend for c in report.cells} == {"scalar", "vector"}
-        assert report.skipped_backends == ()
 
 
 @pytest.mark.tier2
@@ -297,7 +292,7 @@ class TestReducedReplicationAudit:
         assert not failing, f"confidence sequence overshoots δ/2 for {failing}"
 
     def test_grid_is_complete(self, report):
-        expected_backends = {"scalar", "vector"} if HAVE_NUMPY else {"scalar"}
+        expected_backends = {"scalar", "vector"}
         seen = {(c.mode, c.backend, c.warmth) for c in report.cells}
         assert seen == {
             (mode, backend, warmth)

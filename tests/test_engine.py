@@ -12,6 +12,7 @@ import pytest
 
 from repro.approx.fpras import FPRASUnavailable, fixed_budget_estimate, fpras_ocqa
 from repro.chains.generators import M_UO, M_UO1, M_UR, M_UR1, M_US, M_US1
+from repro.core.interning import InstanceIndex
 from repro.core.queries import QueryError, atom, boolean_cq, cq, var
 from repro.engine import EstimationSession, SamplePool
 from repro.workloads import figure2_database
@@ -181,8 +182,8 @@ class TestCaching:
             repair = sampler.sample()
             for candidate in candidates:
                 witnesses = session.witnesses(query, candidate)
-                assert EstimationSession._entails_sample(
-                    witnesses, repair.facts
+                assert any(
+                    witness <= repair.facts for witness in witnesses
                 ) == query.entails(repair, candidate)
 
     def test_witnesses_are_inclusion_minimal_subsets_of_d(self, fig2):
@@ -237,21 +238,25 @@ class TestSamplePool:
         session = EstimationSession(database, constraints, M_UR)
         pool = session.pool(random.Random(73))
         assert len(pool) == 0
-        first = pool.sample_at(0)
+        first = pool.mask_at(0)
         assert len(pool) == 1
-        assert pool.sample_at(0) == first  # replay, not redraw
-        assert len(pool.prefix(5)) == 5 and len(pool) == 5
+        assert pool.mask_at(0) == first  # replay, not redraw
+        assert pool.packed_prefix(5).shape == (5, pool.words) and len(pool) == 5
 
     def test_pool_prefix_equals_fresh_sampler_stream(self, fig2):
         database, constraints = fig2
         session = EstimationSession(database, constraints, M_UR)
         pool = session.pool(random.Random(79))
         sampler = session.sampler(random.Random(79))
-        for index in range(20):
-            assert pool.sample_at(index) == sampler.sample().facts
+        index = session.index()
+        for position in range(20):
+            assert pool.mask_at(position) == index.mask_of(sampler.sample().facts)
 
-    def test_standalone_pool_wraps_any_draw(self):
+    def test_standalone_pool_wraps_any_draw(self, fig2):
+        database, _ = fig2
+        index = InstanceIndex.of(database)
         counter = iter(range(100))
-        pool = SamplePool(lambda: frozenset({next(counter)}))
-        assert pool.sample_at(2) == frozenset({2})
-        assert pool.sample_at(0) == frozenset({0})
+        pool = SamplePool(index, lambda: 1 << (next(counter) % len(index)))
+        assert pool.mask_at(2) == 1 << 2
+        assert pool.mask_at(0) == 1 << 0
+        assert len(pool) == 3  # drawn exactly to the position asked for

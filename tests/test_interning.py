@@ -3,9 +3,10 @@
 The kernel's contract is that it is *purely* a speedup: id-based draws
 consume the RNG exactly like the object path (so seeded streams are
 interchangeable), mask evaluation agrees with frozenset evaluation, and
-``batch_estimate`` produces identical results with the kernel on and off —
-including through a warm :class:`~repro.engine.store.CacheStore`.  The
-parity properties are hypothesis-driven over random primary-key instances.
+the engine's results equal an object-path reference loop (object draws,
+frozenset witness tests) kept in this file — including through a warm
+:class:`~repro.engine.store.CacheStore`.  The parity properties are
+hypothesis-driven over random primary-key instances.
 """
 
 import random
@@ -19,7 +20,9 @@ from repro.chains.generators import M_UO, M_UO1, M_UR, M_UR1, M_US, M_US1
 from repro.core import Database, FDSet, Schema, fact, fd
 from repro.core.blocks import block_decomposition
 from repro.core.interning import InstanceIndex, InterningError
+from repro.approx.montecarlo import fixed_sample_estimate, stopping_rule_estimate
 from repro.engine import BatchRequest, EstimationSession, batch_estimate
+from repro.engine.batch import group_seed_for
 from repro.core.queries import atom, boolean_cq, cq, var
 from repro.sampling.repair_sampler import RepairSampler
 from repro.sampling.sequence_sampler import SequenceSampler
@@ -182,12 +185,41 @@ class TestSamplerDrawParity:
                 if isinstance(sampler, SequenceSampler)
                 else sampler.sample()
             )
-            assert pool.sample_at(position) == drawn.facts
-            assert pool.mask_at(position) == session.index().mask_of(drawn.facts)
+            mask = pool.mask_at(position)
+            assert session.index().facts_of_mask(mask) == drawn.facts
+            assert mask == session.index().mask_of(drawn.facts)
+
+
+def object_draws(session, rng):
+    """The object path: one ``Operation``/``Database`` structure per draw."""
+    sampler = session.sampler(rng)
+    draw = sampler.sample_result if isinstance(sampler, SequenceSampler) else sampler.sample
+    return lambda: draw().facts
+
+
+def object_hit(session, query, answer):
+    """Frozenset witness containment — no masks anywhere."""
+    witnesses = session.witnesses(query, answer)
+    return lambda facts: 1.0 if any(w <= facts for w in witnesses) else 0.0
+
+
+def object_path_estimate(session, query, answer, rng, method="auto"):
+    """The pre-kernel (ε, δ) loop over object draws, seeded like the engine."""
+    if not session.is_possible(query, answer):
+        return session._certified_zero(EPSILON, DELTA)
+    draw, hit = object_draws(session, rng), object_hit(session, query, answer)
+    resolved, _, bound = session._resolve_method(query, EPSILON, DELTA, method, None)
+    if resolved == "fixed":
+        return fixed_sample_estimate(lambda: hit(draw()), EPSILON, DELTA, bound)
+    return stopping_rule_estimate(lambda: hit(draw()), EPSILON, DELTA)
 
 
 class TestKernelOnOffParity:
-    """Property (b): identical results with the kernel on and off."""
+    """Property (b): the kernel's results equal the object path's.
+
+    "Kernel off" is :func:`object_path_estimate` and friends above: object
+    samplers and frozenset witness tests, seeded exactly like the engine.
+    """
 
     def batch_requests(self, database, constraints, generator=M_UR):
         query = cq((x,), (atom("R", x, y),))
@@ -204,49 +236,46 @@ class TestKernelOnOffParity:
             for candidate in sorted(query.answers(database), key=repr)
         ]
 
+    def object_path_rows(self, database, constraints, requests, seed):
+        # Every request of a scalar batch group reads the pool seeded with
+        # the group seed from position zero: one fresh object stream each.
+        session = EstimationSession(database, constraints, M_UR)
+        group_seed = group_seed_for(seed, database, constraints, M_UR)
+        return [
+            object_path_estimate(
+                session, r.query, r.answer, random.Random(group_seed)
+            )
+            for r in requests
+        ]
+
     @given(instance=instances, seed=seeds)
     @settings(max_examples=10, deadline=None)
     def test_batch_estimate_matches_with_kernel_on_and_off(self, instance, seed):
-        # Pinned to the scalar plane: use_kernel=False has no vector path,
-        # so the kernel on/off contract is a statement about one plane
-        # (the vector plane's own parity lives in tests/test_vectorized.py).
+        # Pinned to the scalar plane: the object path draws random.Random
+        # streams (the vector plane's own parity lives in
+        # tests/test_vectorized.py).
         database, constraints = instance
         requests = self.batch_requests(database, constraints)
-        on = batch_estimate(requests, seed=seed, use_kernel=True, backend="scalar")
-        off = batch_estimate(requests, seed=seed, use_kernel=False, backend="scalar")
-        assert [r.result for r in on] == [r.result for r in off]
-        assert [r.error for r in on] == [r.error for r in off]
+        on = batch_estimate(requests, seed=seed, backend="scalar")
+        assert all(r.ok for r in on)
+        off = self.object_path_rows(database, constraints, requests, seed)
+        assert [r.result for r in on] == off
 
     @given(instance=instances, seed=seeds)
     @settings(max_examples=8, deadline=None)
     def test_kernel_parity_through_a_warm_cache_store(self, instance, seed):
         database, constraints = instance
         requests = self.batch_requests(database, constraints)
-        plain = batch_estimate(requests, seed=seed, backend="scalar")
+        off = self.object_path_rows(database, constraints, requests, seed)
         with tempfile.TemporaryDirectory() as cache_dir:
-            cold_on = batch_estimate(
-                requests,
-                seed=seed,
-                cache_dir=cache_dir,
-                use_kernel=True,
-                backend="scalar",
+            cold = batch_estimate(
+                requests, seed=seed, cache_dir=cache_dir, backend="scalar"
             )
-            warm_off = batch_estimate(
-                requests,
-                seed=seed,
-                cache_dir=cache_dir,
-                use_kernel=False,
-                backend="scalar",
+            warm = batch_estimate(
+                requests, seed=seed, cache_dir=cache_dir, backend="scalar"
             )
-            warm_on = batch_estimate(
-                requests,
-                seed=seed,
-                cache_dir=cache_dir,
-                use_kernel=True,
-                backend="scalar",
-            )
-        for results in (cold_on, warm_off, warm_on):
-            assert [r.result for r in results] == [r.result for r in plain]
+        for results in (cold, warm):
+            assert [r.result for r in results] == off
 
     @pytest.mark.parametrize(
         "generator", [M_UR, M_UR1, M_US, M_US1, M_UO, M_UO1], ids=lambda g: g.name
@@ -254,38 +283,48 @@ class TestKernelOnOffParity:
     def test_session_estimates_match_with_kernel_on_and_off(self, generator):
         database, constraints = figure2_database()
         query = boolean_cq(atom("R", "a1", "b1"))
-        on = EstimationSession(database, constraints, generator, use_kernel=True)
-        off = EstimationSession(database, constraints, generator, use_kernel=False)
-        assert on.estimate(
+        session = EstimationSession(database, constraints, generator)
+        assert session.estimate(
             query, epsilon=EPSILON, delta=DELTA, rng=random.Random(3)
-        ) == off.estimate(query, epsilon=EPSILON, delta=DELTA, rng=random.Random(3))
-        budget_on = on.fixed_budget(query, samples=200, rng=random.Random(5))
-        budget_off = off.fixed_budget(query, samples=200, rng=random.Random(5))
+        ) == object_path_estimate(session, query, (), random.Random(3))
+        budget = session.fixed_budget(query, samples=200, rng=random.Random(5))
+        draw, hit = object_draws(session, random.Random(5)), object_hit(session, query, ())
+        hits = sum(hit(draw()) for _ in range(200))
         # ε/δ are NaN on fixed-budget results (and NaN != NaN): compare the
         # meaningful fields.
         assert (
-            budget_on.estimate,
-            budget_on.samples_used,
-            budget_on.method,
-            budget_on.certified_zero,
-        ) == (
-            budget_off.estimate,
-            budget_off.samples_used,
-            budget_off.method,
-            budget_off.certified_zero,
-        )
+            budget.estimate,
+            budget.samples_used,
+            budget.method,
+            budget.certified_zero,
+        ) == (hits / 200, 200, "fixed-budget", hits == 0)
 
     def test_adaptive_estimates_match_with_kernel_on_and_off(self):
         database, constraints = figure2_database()
         query = cq((x,), (atom("R", x, y),))
-        requests = [(query, candidate) for candidate in sorted(query.answers(database), key=repr)]
-        on = EstimationSession(database, constraints, M_UR, use_kernel=True)
-        off = EstimationSession(database, constraints, M_UR, use_kernel=False)
-        assert on.estimate_many(
-            requests, epsilon=EPSILON, delta=DELTA, rng=random.Random(7), mode="adaptive"
-        ) == off.estimate_many(
-            requests, epsilon=EPSILON, delta=DELTA, rng=random.Random(7), mode="adaptive"
+        candidates = sorted(query.answers(database), key=repr)
+        session = EstimationSession(database, constraints, M_UR)
+        on = session.estimate_many(
+            [(query, c) for c in candidates],
+            epsilon=EPSILON,
+            delta=DELTA,
+            rng=random.Random(7),
+            mode="adaptive",
         )
+        # Each request reads one shared object stream from position zero.
+        draw, stream = object_draws(session, random.Random(7)), []
+        off = []
+        for candidate in candidates:
+            hit = object_hit(session, query, candidate)
+            estimator = session.adaptive_estimator(query, EPSILON, DELTA)
+            position = 0
+            while not estimator.decided:
+                while len(stream) <= position:
+                    stream.append(draw())
+                estimator.offer(hit(stream[position]))
+                position += 1
+            off.append(estimator.result())
+        assert on == off
 
     def test_witness_masks_agree_with_witness_sets(self):
         database, constraints = figure2_database()

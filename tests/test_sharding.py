@@ -31,7 +31,6 @@ from hypothesis import strategies as st
 
 from repro.chains.generators import M_UR, M_US
 from repro.engine import batch_estimate
-from repro.sampling.rng import HAVE_NUMPY
 from repro.service import (
     BackgroundServer,
     MicroBatcher,
@@ -45,8 +44,6 @@ from repro.service.loadtest import ServerProcess
 from repro.workloads import figure2_database
 
 from test_service import EPSILON, DELTA, QUERY_TEXT, fig2_requests
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -146,7 +143,6 @@ class TestAggregateShardStats:
 # -- shared-memory sample pools ------------------------------------------------------------
 
 
-@needs_numpy
 class TestSharedSegments:
     def test_segment_roundtrip_attach_and_unlink(self):
         from multiprocessing import shared_memory

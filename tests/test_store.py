@@ -30,7 +30,7 @@ from repro.io import (
     load_workload_spec,
     workload_spec_from_dict,
 )
-from repro.core.queries import atom, cq, var
+from repro.core.queries import atom, boolean_cq, cq, var
 from repro.workloads import figure2_database
 
 x, y = var("x"), var("y")
@@ -556,8 +556,6 @@ class TestWorkloadSpecAndCli:
             workload_spec_from_dict(self.workload_document(backend="turbo"))
 
     def test_cli_backend_flag_overrides_workload_field(self, tmp_path, capsys):
-        from repro.sampling.rng import HAVE_NUMPY
-
         workload = tmp_path / "workload.json"
         workload.write_text(json.dumps(self.workload_document(backend="scalar")))
         # The workload's field applies when no flag is given ...
@@ -565,15 +563,11 @@ class TestWorkloadSpecAndCli:
         pinned_scalar = capsys.readouterr().out
         assert main(["batch", str(workload), "--seed", "7", "--backend", "scalar"]) == 0
         assert capsys.readouterr().out == pinned_scalar
-        if HAVE_NUMPY:
-            # ... and the flag overrides it: a vector-pinned workload run
-            # with --backend scalar reproduces the scalar stream exactly.
-            workload.write_text(json.dumps(self.workload_document(backend="vector")))
-            assert (
-                main(["batch", str(workload), "--seed", "7", "--backend", "scalar"])
-                == 0
-            )
-            assert capsys.readouterr().out == pinned_scalar
+        # ... and the flag overrides it: a vector-pinned workload run with
+        # --backend scalar reproduces the scalar stream exactly.
+        workload.write_text(json.dumps(self.workload_document(backend="vector")))
+        assert main(["batch", str(workload), "--seed", "7", "--backend", "scalar"]) == 0
+        assert capsys.readouterr().out == pinned_scalar
 
     def test_spec_fields_parsed_and_cache_dir_resolved(self, tmp_path):
         document = self.workload_document(mode="adaptive", cache_dir="cache")
@@ -652,7 +646,7 @@ class TestWorkloadSpecAndCli:
 
 
 class TestDurabilityEnvelope:
-    """The v4 envelope: digests on every load, upgrades, temp hygiene."""
+    """The v4 envelope: digests on every load, old versions miss, temp hygiene."""
 
     @pytest.fixture
     def populated(self, tmp_path):
@@ -686,29 +680,33 @@ class TestDurabilityEnvelope:
         damaged = batch_estimate(requests, seed=7, cache_dir=cache_dir)
         assert [r.result for r in damaged] == [r.result for r in baseline]
 
-    def test_v3_entry_upgrades_warm_in_place(self, populated):
+    def test_v3_entry_loads_as_a_clean_miss(self, populated):
         requests, baseline, path, cache_dir = populated
-        document = json.load(open(path))
-        document.pop("digest")
-        document.pop("words")
-        document["version"] = 3
-        json.dump(document, open(path, "w"))
         database, constraints = figure2_database()
+        from repro.engine import STORE_VERSION, fsck_store
         from repro.engine.batch import group_seed_for
 
         seed = group_seed_for(7, database, constraints, M_UR)
+        current = json.load(open(path))
+        v3 = {k: v for k, v in current.items() if k not in ("digest", "words")}
+        v3["version"] = 3
+        with open(path, "w") as handle:
+            json.dump(v3, handle)
+        report = fsck_store(cache_dir)
+        assert [row["detail"] for row in report.entries] == [
+            "unknown store version 3"
+        ]
+        # An old entry is neither damage nor a warm start: a plain miss.
         entry = CacheStore(cache_dir).entry(database, constraints, "M_ur", seed)
-        # Warm (not a recompute): the digestless v3 rows loaded intact...
+        assert entry.path == path
         assert entry.load_error is None
-        assert entry.sample_word_rows() == document["samples"]
-        # ...and the upgrade is flushed to disk on the next save.
-        entry.save()
-        upgraded = json.load(open(path))
-        from repro.engine import STORE_VERSION
-
-        assert upgraded["version"] == STORE_VERSION and "digest" in upgraded
-        warm = batch_estimate(requests, seed=7, cache_dir=cache_dir)
-        assert [r.result for r in warm] == [r.result for r in baseline]
+        assert entry.sample_word_rows() == []
+        assert entry.get_decomposition() is None
+        rerun = batch_estimate(requests, seed=7, cache_dir=cache_dir)
+        assert [r.result for r in rerun] == [r.result for r in baseline]
+        # The next save rewrites the entry at the current version.
+        assert json.load(open(path))["version"] == STORE_VERSION
+        assert fsck_store(cache_dir).ok
 
     def test_stale_temp_files_are_swept_on_open(self, tmp_path):
         stale = tmp_path / "stale-writer.tmp"
@@ -750,3 +748,105 @@ class TestDurabilityEnvelope:
         assert STORE_ERRORS.total() > before   # ... but *accounted*
         snapshot = STORE_ERRORS.snapshot()
         assert snapshot["errors"].get("save:enospc")
+
+
+def golden_instance():
+    """79 facts (two packed words per row): key ``k{i}`` has ``1 + i % 3`` facts."""
+    from repro.core import Database, Schema, fact, fd
+
+    schema = Schema.from_spec({"R": ["A", "B"]})
+    facts = [fact("R", f"k{i}", f"v{j}") for i in range(40) for j in range(1 + i % 3)]
+    return Database(facts, schema=schema), FDSet(schema, [fd("R", "A", "B")])
+
+
+def golden_requests():
+    database, constraints = golden_instance()
+    requests = [
+        BatchRequest(
+            database,
+            constraints,
+            M_UR,
+            boolean_cq(atom("R", key, "v0")),
+            epsilon=0.9,
+            delta=0.5,
+            method="fixed",
+        )
+        for key in ("k1", "k2")
+    ]
+    query = cq((x,), (atom("R", x, y),))
+    requests += [
+        BatchRequest(
+            database,
+            constraints,
+            M_UR,
+            query,
+            answer=(key,),
+            epsilon=0.3,
+            delta=0.1,
+            method="dklr",
+        )
+        for key in ("k4", "k5")
+    ]
+    return requests
+
+
+class TestGoldenV4Entries:
+    """v4 entries written before pools held one packed representation.
+
+    ``tests/data/golden_v4_{plane}.json`` were written by a cold
+    ``batch_estimate(golden_requests(), seed, cache_dir, backend=plane)``
+    at that earlier commit; the expected rows below are what it returned.
+    A warm run must load them, draw nothing, and return the same rows —
+    so the on-disk v4 format is unchanged.
+    """
+
+    EXPECTED = {
+        "vector": (
+            11,
+            [
+                (0.33004926108374383, 812),
+                (0.2315270935960591, 812),
+                (0.5967860468843963, 210),
+                (0.7688654591762161, 163),
+            ],
+        ),
+        "scalar": (
+            12,
+            [
+                (0.3411330049261084, 812),
+                (0.229064039408867, 812),
+                (0.6737906980952861, 186),
+                (0.7641772551568489, 164),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("backend", ["vector", "scalar"])
+    def test_golden_entry_warm_loads_without_drawing(
+        self, backend, tmp_path, monkeypatch
+    ):
+        from repro.engine.batch import group_seed_for
+        from repro.sampling import vectorized
+        from repro.sampling.repair_sampler import RepairSampler
+
+        seed, expected = self.EXPECTED[backend]
+        database, constraints = golden_instance()
+        group_seed = group_seed_for(seed, database, constraints, M_UR)
+        entry = CacheStore(str(tmp_path)).entry(database, constraints, "M_ur", group_seed)
+        golden = os.path.join(os.path.dirname(__file__), "data", f"golden_v4_{backend}.json")
+        with open(golden, "rb") as handle:
+            written = handle.read()
+        with open(entry.path, "wb") as handle:
+            handle.write(written)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a warm golden entry must not draw")
+
+        monkeypatch.setattr(vectorized._BlockPlane, "draw_batch", no_draw)
+        monkeypatch.setattr(RepairSampler, "sample_mask", no_draw)
+        results = batch_estimate(
+            golden_requests(), seed=seed, cache_dir=str(tmp_path), backend=backend
+        )
+        assert [(r.result.estimate, r.result.samples_used) for r in results] == expected
+        with open(entry.path, "rb") as handle:
+            assert handle.read() == written  # nothing new to persist

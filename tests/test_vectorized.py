@@ -1,12 +1,11 @@
-"""Vectorized sample plane: decode parity, store v3 round trips, fallback.
+"""Vectorized sample plane: decode parity, packed pools, store round trips.
 
 The vector plane's contract is *plane-internal determinism plus exactness
 of everything downstream of the draw*: outcome matrices decoded through
 the scalar mask construction must equal the packed rows bit-for-bit, hit
-counting over packed rows must equal scalar hit counting, store v3
-entries must replay vector runs exactly (and v2 entries must upgrade
-without losing their scalar stream), and everything must degrade to the
-scalar kernel when numpy is absent.
+counting over packed rows must equal scalar hit counting, and store
+entries must replay vector runs exactly — while the plane a run uses is
+the session's choice, never the cache's.
 """
 
 import json
@@ -34,15 +33,13 @@ from repro.engine import (
     SamplePool,
     batch_estimate,
 )
-from repro.sampling.rng import HAVE_NUMPY, CumulativeWeights, weighted_choice
+from repro.sampling.rng import CumulativeWeights, weighted_choice
 from repro.sampling import vectorized
 from repro.workloads import figure2_database
 
 x, y = var("x"), var("y")
 
 EPSILON, DELTA = 0.5, 0.2
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 BLOCK_GENERATORS = [M_UR, M_UR1, M_US, M_US1]
 
@@ -141,7 +138,6 @@ class TestAggregatedWeights:
                     for size, _, count in agg_categories
                 )
 
-    @needs_numpy
     def test_float_cumulative_probabilities_are_correctly_rounded(self):
         from fractions import Fraction
 
@@ -159,7 +155,6 @@ class TestAggregatedWeights:
         assert probabilities[-1] == 1.0
 
 
-@needs_numpy
 class TestDecodeParity:
     """Packed rows, outcome decode, and hit flags all agree bit-for-bit."""
 
@@ -291,32 +286,31 @@ class TestDecodeParity:
         assert vector_estimates == decoded_estimates
 
 
-@needs_numpy
 class TestVectorPools:
     def test_accessors_agree_with_packed_rows(self):
         database, constraints = figure2_database()
         session = EstimationSession(database, constraints, M_UR)
         pool = session.vector_pool(3, batch_size=8)
-        prefix = pool.mask_prefix(20)
+        prefix = vectorized.unpack_rows(pool.packed_prefix(20))
         assert len(pool) == 24  # whole batches
-        assert vectorized.unpack_rows(pool.packed_prefix(20)) == list(prefix)
-        assert [pool.mask_at(i) for i in range(20)] == list(prefix)
-        index = session.index()
-        assert [pool.sample_at(i) for i in range(5)] == [
-            index.facts_of_mask(mask) for mask in prefix[:5]
-        ]
+        assert [pool.mask_at(i) for i in range(20)] == prefix
+        replay = session.vector_plane(3)
+        redrawn = [replay.draw_batch(b, 8)[1] for b in range(3)]
+        assert prefix == [m for rows in redrawn for m in vectorized.unpack_rows(rows)][:20]
 
     def test_prefix_views_are_cached_until_growth(self):
         database, constraints = figure2_database()
         session = EstimationSession(database, constraints, M_UR)
         for pool in (session.vector_pool(3), session.pool(random.Random(3))):
-            first = pool.mask_prefix(10)
-            assert pool.mask_prefix(10) is first  # no rebuild, no redraw
-            assert pool.mask_prefix(4) == first[:4]
-            longer = pool.mask_prefix(12)
-            assert longer[:10] == first
-            facts_view = pool.prefix(6)
-            assert pool.prefix(6) is facts_view
+            first = pool.packed_prefix(10)
+            drawn = len(pool)
+            again = pool.packed_prefix(10)
+            # No rebuild, no redraw: both views read the same matrix.
+            assert len(pool) == drawn and (again == first).all()
+            assert vectorized.np.shares_memory(first, again)
+            assert not first.flags.writeable
+            longer = pool.packed_prefix(12)
+            assert (longer[:10] == first).all()
 
     def test_same_seed_same_stream_regardless_of_growth_pattern(self):
         database, constraints = figure2_database()
@@ -331,14 +325,13 @@ class TestVectorPools:
         database, constraints = figure2_database()
         session = EstimationSession(database, constraints, M_UR)
         with pytest.raises(TypeError):
-            SamplePool()
+            SamplePool(session.index())
         with pytest.raises(TypeError):
-            SamplePool(draw=lambda: 0, plane=session.vector_plane(1), index=session.index())
+            SamplePool(session.index(), lambda: 0, plane=session.vector_plane(1))
         with pytest.raises(TypeError):
             SamplePool(plane=session.vector_plane(1))
 
 
-@needs_numpy
 class TestBackendResolution:
     def test_auto_prefers_vector_for_block_generators(self):
         database, constraints = figure2_database()
@@ -346,12 +339,10 @@ class TestBackendResolution:
         assert session.resolved_backend() == "vector"
         assert session.pool_for_seed(5).backend == "vector"
 
-    def test_kernel_off_and_walk_generators_stay_scalar(self):
+    def test_walk_generators_stay_scalar(self):
         from repro.chains.generators import M_UO
 
         database, constraints = figure2_database()
-        no_kernel = EstimationSession(database, constraints, M_UR, use_kernel=False)
-        assert no_kernel.resolved_backend() == "scalar"
         walk = EstimationSession(database, constraints, M_UO)
         assert walk.resolved_backend() == "scalar"
         with pytest.raises(ValueError, match="vector"):
@@ -372,26 +363,6 @@ class TestBackendResolution:
         assert session.pool(random.Random(1)).backend == "scalar"
 
 
-class TestScalarFallback:
-    """Behaviour with numpy unavailable (simulated)."""
-
-    def test_auto_degrades_to_scalar_without_numpy(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.session.HAVE_NUMPY", False)
-        database, constraints = figure2_database()
-        session = EstimationSession(database, constraints, M_UR)
-        assert session.resolved_backend() == "scalar"
-        results = batch_estimate(fig2_requests(), seed=7)
-        reference = batch_estimate(fig2_requests(), seed=7, backend="scalar")
-        assert [r.result for r in results] == [r.result for r in reference]
-
-    def test_explicit_vector_backend_reports_actionable_error(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.session.HAVE_NUMPY", False)
-        results = batch_estimate(fig2_requests(), seed=7, backend="vector")
-        assert all(not r.ok for r in results)
-        assert all("repro-uocqa[fast]" in r.error for r in results)
-
-
-@needs_numpy
 class TestStoreV3:
     def entry_document(self, cache_dir):
         (name,) = [n for n in os.listdir(cache_dir) if n.endswith(".json")]
@@ -438,37 +409,10 @@ class TestStoreV3:
         rewritten, _ = self.entry_document(str(tmp_path))
         assert rewritten["batch"] == DEFAULT_BATCH_SIZE
 
-    def test_v2_entries_upgrade_keeping_the_scalar_stream(self, tmp_path):
-        requests = fig2_requests()
-        scalar = batch_estimate(
-            requests, seed=7, cache_dir=str(tmp_path), backend="scalar"
-        )
-        document, path = self.entry_document(str(tmp_path))
-        assert document["backend"] == "scalar"
-        # Rewrite the entry in the v2 format: id rows + rng_state.
-        v2 = {
-            "version": 2,
-            "decomposition": document["decomposition"],
-            "possibility": document["possibility"],
-            "bounds": document["bounds"],
-            "samples": [
-                [i for i in range(6) if row[0] >> i & 1]
-                for row in document["samples"]
-            ],
-            "rng_state": document["rng_state"],
-        }
-        json.dump(v2, open(path, "w"))
-        # An auto-backend warm run honors the upgraded scalar stream
-        # (numpy present notwithstanding) and replays it bit-for-bit.
-        warm = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
-        assert [r.result for r in warm] == [r.result for r in scalar]
-        upgraded, _ = self.entry_document(str(tmp_path))
-        assert upgraded["version"] == STORE_VERSION
-        assert upgraded["backend"] == "scalar"
-        assert upgraded["samples"] == document["samples"]
-        assert upgraded["rng_state"] is not None
+    def test_v2_entry_with_corrupt_rows_loads_as_a_clean_miss(self, tmp_path):
+        from repro.engine import CacheStore, fsck_store
+        from repro.engine.batch import group_seed_for
 
-    def test_v2_upgrade_with_corrupt_rows_degrades_to_empty(self, tmp_path):
         requests = fig2_requests()
         baseline = batch_estimate(
             requests, seed=7, cache_dir=str(tmp_path), backend="scalar"
@@ -482,11 +426,53 @@ class TestStoreV3:
             "samples": [[0, 999999]],  # out-of-range v2 id
             "rng_state": document["rng_state"],
         }
-        json.dump(v2, open(path, "w"))
+        with open(path, "w") as handle:
+            json.dump(v2, handle)
+        report = fsck_store(str(tmp_path))
+        assert [row["detail"] for row in report.entries] == [
+            "unknown store version 2"
+        ]
+        # The bad rows are never decoded: the entry is a plain miss.
+        database, constraints = figure2_database()
+        seed = group_seed_for(7, database, constraints, M_UR)
+        entry = CacheStore(str(tmp_path)).entry(database, constraints, "M_ur", seed)
+        assert entry.path == path
+        assert entry.load_error is None
+        assert entry.sample_word_rows() == []
         recovered = batch_estimate(
             requests, seed=7, cache_dir=str(tmp_path), backend="scalar"
         )
         assert [r.result for r in recovered] == [r.result for r in baseline]
+        rewritten, _ = self.entry_document(str(tmp_path))
+        assert rewritten["version"] == STORE_VERSION
+        assert fsck_store(str(tmp_path)).ok
+
+    def test_auto_plane_ignores_a_scalar_written_cache(self, tmp_path):
+        # The plane is the session's choice, never the cache's: an auto
+        # run over a scalar-written cache_dir equals a cache-less run.
+        requests = fig2_requests()
+        plain = batch_estimate(requests, seed=5)
+        scalar = batch_estimate(
+            requests, seed=5, cache_dir=str(tmp_path), backend="scalar"
+        )
+        assert [r.result for r in scalar] != [r.result for r in plain]
+        auto = batch_estimate(requests, seed=5, cache_dir=str(tmp_path))
+        assert [r.result for r in auto] == [r.result for r in plain]
+        rewritten, _ = self.entry_document(str(tmp_path))
+        assert rewritten["backend"] == "vector"
+
+    def test_served_auto_plane_ignores_a_scalar_written_cache(self, tmp_path):
+        from repro.service import SessionRegistry
+
+        requests = fig2_requests()
+        plain = batch_estimate(requests, seed=5)
+        batch_estimate(requests, seed=5, cache_dir=str(tmp_path), backend="scalar")
+        registry = SessionRegistry(seed=5, cache_dir=str(tmp_path))
+        try:
+            served = registry.estimate(requests)
+        finally:
+            registry.close()
+        assert [r.result for r in served] == [r.result for r in plain]
 
     def test_explicit_vector_discards_a_scalar_prefix(self, tmp_path):
         requests = fig2_requests()
@@ -509,7 +495,6 @@ class TestStoreV3:
         assert [r.result for r in scalar] == [r.result for r in plain]
 
 
-@needs_numpy
 class TestVectorEstimationParity:
     """Fixed, dklr, adaptive: batched evaluation equals per-position logic."""
 
@@ -593,7 +578,6 @@ class TestPhiloxSubstreamIndependence:
         keys = [tuple(philox_key(seed)) for seed in seed_values]
         assert len(set(keys)) == len(keys)
 
-    @needs_numpy
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -612,7 +596,6 @@ class TestPhiloxSubstreamIndependence:
         }
         assert len(set(draws.values())) == len(streams)
 
-    @needs_numpy
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -637,7 +620,6 @@ class TestPhiloxSubstreamIndependence:
         permutation.shuffle(shuffled)
         assert draw_all(shuffled) == in_order
 
-    @needs_numpy
     def test_key_reuse_matches_fresh_key(self):
         from repro.sampling.rng import numpy_substream, philox_key
 
