@@ -28,13 +28,14 @@ engine warm in a long-running process:
   ``/metrics``), started from the command line as
   ``python -m repro serve``, with admission control and per-request
   deadline budgets.
-* :class:`WorkerPool` / :class:`WorkerConfig` / :func:`shard_for_key` /
-  :func:`aggregate_shard_stats` (:mod:`repro.service.sharding`) — the
-  sharded multi-process plane (``serve --workers N``): one warm
-  registry per core behind the asyncio router, rendezvous-hashed
-  placement over the registry key, shared-memory sample pools,
-  SIGTERM drains, and respawn + re-warm of dead workers — with served
-  rows bit-identical at any worker count.
+* :class:`LocalShard` / :class:`WorkerPool` / :class:`WorkerConfig` /
+  :func:`shard_for_key` / :func:`aggregate_shard_stats`
+  (:mod:`repro.service.sharding`) — the shards the server submits to:
+  one in-process :class:`LocalShard` by default, or (``serve --workers
+  N``) a pool of warm worker processes, each running a local shard,
+  with rendezvous-hashed placement over the registry key, shared-memory
+  sample pools, SIGTERM drains, and respawn + re-warm of dead workers —
+  with served rows bit-identical at any worker count.
 * :class:`ServiceClient` (:mod:`repro.service.client`) — a small
   ``urllib``-based client for the HTTP API; every failure mode
   surfaces as :class:`ServiceClientError`.
@@ -69,7 +70,13 @@ from .loadtest import (
 from .metrics import MetricsRegistry, parse_metrics_text
 from .registry import DEFAULT_MAX_SESSIONS, SessionHandle, SessionRegistry
 from .server import DEFAULT_HOST, DEFAULT_PORT, BackgroundServer, EstimationServer, serve
-from .sharding import WorkerConfig, WorkerPool, aggregate_shard_stats, shard_for_key
+from .sharding import (
+    LocalShard,
+    WorkerConfig,
+    WorkerPool,
+    aggregate_shard_stats,
+    shard_for_key,
+)
 
 __all__ = [
     "AnswerCache",
@@ -80,6 +87,7 @@ __all__ = [
     "DEFAULT_PORT",
     "EstimationServer",
     "LoadTestConfig",
+    "LocalShard",
     "LoadTestReport",
     "MetricsRegistry",
     "MicroBatcher",

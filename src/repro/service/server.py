@@ -75,11 +75,11 @@ from typing import Any, Callable, Mapping
 from ..engine import fsfault as _fsfault
 from ..engine.batch import BatchRequest, BatchResult
 from ..io import InstanceFormatError, batch_result_to_row, workload_from_dict
-from .batching import MODES, MicroBatcher, QueueFull
+from .batching import MODES, QueueFull
 from .cache import DEFAULT_ANSWER_CACHE_SIZE, AnswerCache
 from .metrics import LATENCY_BUCKETS, WIDTH_BUCKETS, MetricsRegistry
 from .registry import DEFAULT_MAX_SESSIONS, SessionRegistry
-from .sharding import WorkerConfig, WorkerPool, aggregate_shard_stats
+from .sharding import LocalShard, WorkerConfig, WorkerPool, aggregate_shard_stats
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
@@ -242,27 +242,31 @@ def _single_request(
 
 
 class EstimationServer:
-    """The asyncio HTTP server over one registry + micro-batcher.
+    """The asyncio HTTP server in front of a pool of shards.
 
     Hardening knobs (all optional; ``None``/default = pre-hardening
-    behavior): ``max_queue`` / ``max_pending`` bound the micro-batcher's
-    queued requests per group / in total, ``default_budget`` is the
-    server-wide deadline (seconds) applied to requests that bring no
-    ``budget_seconds`` of their own, ``answer_cache_size`` sizes the
-    memoized answer cache (0 disables it), and ``fault_injection``
-    enables the ``POST /_fault`` test surface.
+    behavior): ``max_queue`` / ``max_pending`` bound each shard
+    micro-batcher's queued requests per group / in total,
+    ``default_budget`` is the server-wide deadline (seconds) applied to
+    requests that bring no ``budget_seconds`` of their own,
+    ``answer_cache_size`` sizes the memoized answer cache (0 disables
+    it), and ``fault_injection`` enables the ``POST /_fault`` test
+    surface.
 
-    ``workers=N`` (``serve --workers N``) switches the server into
-    **sharded router mode**: estimation no longer runs in this process —
-    a :class:`~repro.service.sharding.WorkerPool` of ``N`` warm worker
-    processes (each with its own registry + micro-batcher, built from
-    this server's configuration) executes groups routed by
+    Estimation always goes through :attr:`shards` — ``submit`` per
+    instance group, ``stats`` for ``/stats`` and ``/metrics``,
+    ``drain`` / ``stop`` at shutdown.  By default that is one
+    :class:`~repro.service.sharding.LocalShard` over ``registry``.
+    ``workers=N`` (``serve --workers N``) makes it a
+    :class:`~repro.service.sharding.WorkerPool` of ``N`` warm worker
+    processes, each running a local shard built from this server's
+    configuration, with groups routed by
     :func:`~repro.service.sharding.shard_for_key` over the registry key.
-    The local registry then only derives keys and seeds (it never admits
-    sessions), the answer cache and admission bounds stay router-side,
-    and ``/stats`` / ``/metrics`` aggregate per-shard breakdowns under a
-    ``shard`` label.  Results are bit-identical at any worker count —
-    placement cannot matter because group seeds are content-derived.
+    The server's registry then only derives keys and seeds (it never
+    admits sessions).  The answer cache and the ``max_inflight`` bound
+    stay in the server either way.  Results are bit-identical at any
+    worker count — placement cannot matter because group seeds are
+    content-derived.
     """
 
     def __init__(
@@ -288,19 +292,33 @@ class EstimationServer:
             raise ValueError("max_inflight must be positive (or None)")
         if workers is not None and workers < 1:
             raise ValueError("workers must be positive (or None for in-process)")
+        for name, bound in (("max_queue", max_queue), ("max_pending", max_pending)):
+            if bound is not None and bound < 0:
+                raise ValueError(f"{name} must be >= 0")
         self.workers = workers or 0
-        self.worker_pool: WorkerPool | None = None
+        self.max_queue = max_queue
+        self.max_pending = max_pending
         self._shard_snapshot: list[dict | None] = []
         self.registry = registry if registry is not None else SessionRegistry()
         self.metrics = MetricsRegistry()
         self._build_metrics()
-        self.batcher = MicroBatcher(
-            self.registry,
-            executor=executor,
-            max_queue=max_queue,
-            max_pending=max_pending,
-            on_batch=self._observe_batch,
-        )
+        self.shards: LocalShard | WorkerPool
+        if self.workers:
+            self.shards = WorkerPool(
+                self._worker_config(),
+                self.workers,
+                on_restart=lambda shard: self._m_worker_restarts.labels(
+                    str(shard)
+                ).inc(),
+            )
+        else:
+            self.shards = LocalShard(
+                self.registry,
+                executor=executor,
+                max_queue=max_queue,
+                max_pending=max_pending,
+                on_batch=self._observe_batch,
+            )
         self.default_budget = default_budget
         self.max_inflight = max_inflight
         self._inflight = 0
@@ -363,8 +381,8 @@ class EstimationServer:
         )
         metrics.gauge(
             "repro_sessions",
-            "Warm sessions currently held by the registry.",
-            callback=lambda: len(self.registry.handles()),
+            "Warm sessions currently held by the shards' registries.",
+            callback=self._shard_total("registry", "sessions"),
         )
         metrics.counter(
             "repro_registry_hits_total",
@@ -427,8 +445,8 @@ class EstimationServer:
         )
         metrics.gauge(
             "repro_pending_requests",
-            "Estimation requests queued in the micro-batcher.",
-            callback=lambda: self.batcher._pending_total,
+            "Estimation requests queued in the shards' micro-batchers.",
+            callback=self._shard_total("batching", "pending_requests"),
         )
         # The loadtest harness uses this as the server-lifetime marker: a
         # decrease between scrapes means a restart, which legitimately
@@ -442,66 +460,66 @@ class EstimationServer:
                 else time.monotonic() - self._started_at
             ),
         )
-        if self.workers:
-            # Per-shard breakdowns.  The restart counter is router-owned
-            # (monotone across respawns); the per-shard registry/batcher
-            # series are *gauges* because a respawned worker's counters
-            # restart from zero — a labeled counter would violate the
-            # monotonicity invariant the loadtest asserts.
-            self._m_worker_restarts = metrics.counter(
-                "repro_worker_restarts_total",
-                "Worker processes respawned after dying, by shard.",
-                ("shard",),
-            )
+        # Per-shard breakdowns (one shard, "0", in-process).  The restart
+        # counter is server-owned (monotone across respawns); the
+        # per-shard registry/batcher series are *gauges* because a
+        # respawned worker's counters restart from zero — a labeled
+        # counter would violate the monotonicity invariant the loadtest
+        # asserts.
+        self._m_worker_restarts = metrics.counter(
+            "repro_worker_restarts_total",
+            "Worker processes respawned after dying, by shard.",
+            ("shard",),
+        )
+        metrics.gauge(
+            "repro_shard_workers",
+            "Shard count (1 when serving in-process).",
+            callback=lambda: self.shards.workers,
+        )
+        for name, help_text, section, field in (
+            (
+                "repro_shard_sessions",
+                "Warm sessions held per shard registry.",
+                "registry",
+                "sessions",
+            ),
+            (
+                "repro_shard_registry_hits",
+                "Registry hits per shard (resets on respawn).",
+                "registry",
+                "hits",
+            ),
+            (
+                "repro_shard_registry_misses",
+                "Registry misses per shard (resets on respawn).",
+                "registry",
+                "misses",
+            ),
+            (
+                "repro_shard_store_errors",
+                "Cache-store failures per shard registry (resets on respawn).",
+                "registry",
+                "store_errors",
+            ),
+            (
+                "repro_shard_pending_requests",
+                "Micro-batcher queued requests per shard.",
+                "batching",
+                "pending_requests",
+            ),
+            (
+                "repro_shard_batches_run",
+                "Coalesced batches executed per shard (resets on respawn).",
+                "batching",
+                "batches_run",
+            ),
+        ):
             metrics.gauge(
-                "repro_shard_workers",
-                "Configured worker shard count.",
-                callback=lambda: self.workers,
+                name,
+                help_text,
+                callback=self._shard_gauge(section, field),
+                labelnames=("shard",),
             )
-            for name, help_text, section, field in (
-                (
-                    "repro_shard_sessions",
-                    "Warm sessions held per shard registry.",
-                    "registry",
-                    "sessions",
-                ),
-                (
-                    "repro_shard_registry_hits",
-                    "Registry hits per shard (resets on respawn).",
-                    "registry",
-                    "hits",
-                ),
-                (
-                    "repro_shard_registry_misses",
-                    "Registry misses per shard (resets on respawn).",
-                    "registry",
-                    "misses",
-                ),
-                (
-                    "repro_shard_store_errors",
-                    "Cache-store failures per shard registry (resets on respawn).",
-                    "registry",
-                    "store_errors",
-                ),
-                (
-                    "repro_shard_pending_requests",
-                    "Micro-batcher queued requests per shard.",
-                    "batching",
-                    "pending_requests",
-                ),
-                (
-                    "repro_shard_batches_run",
-                    "Coalesced batches executed per shard (resets on respawn).",
-                    "batching",
-                    "batches_run",
-                ),
-            ):
-                metrics.gauge(
-                    name,
-                    help_text,
-                    callback=self._shard_gauge(section, field),
-                    labelnames=("shard",),
-                )
 
     def _shard_gauge(self, section: str, field: str):
         """A labeled-gauge callback reading the latest shard snapshot.
@@ -521,12 +539,16 @@ class EstimationServer:
 
         return read
 
+    def _shard_total(self, section: str, field: str):
+        """A gauge callback summing ``field`` over the latest shard snapshot."""
+        return lambda: aggregate_shard_stats(self._shard_snapshot)[section][field]
+
     def _storage_degraded(self) -> int:
         """1 while any registry's last store interaction failed.
 
-        Covers the in-process registry and — in sharded mode — the most
-        recent shard snapshot (refreshed on every ``/stats`` and
-        ``/metrics`` request, so scraping keeps it current).
+        Covers the server's registry (read live) and the most recent
+        shard snapshot (refreshed on every ``/stats`` and ``/metrics``
+        request, so scraping keeps it current).
         """
         if self.registry.storage.degraded:
             return 1
@@ -549,22 +571,14 @@ class EstimationServer:
             cache_dir=None if registry.store is None else registry.store.directory,
             backend=registry.backend,
             max_sessions=registry.max_sessions,
-            max_queue=self.batcher.max_queue,
-            max_pending=self.batcher.max_pending,
+            max_queue=self.max_queue,
+            max_pending=self.max_pending,
         )
 
     async def start(self) -> tuple[str, int]:
-        """Bind and start serving; returns ``(host, port)`` actually bound
-        (``port=0`` picks an ephemeral port)."""
-        if self.workers and self.worker_pool is None:
-            self.worker_pool = WorkerPool(
-                self._worker_config(),
-                self.workers,
-                on_restart=lambda shard: self._m_worker_restarts.labels(
-                    str(shard)
-                ).inc(),
-            )
-            await self.worker_pool.start()
+        """Start the shards, bind and start serving; returns ``(host,
+        port)`` actually bound (``port=0`` picks an ephemeral port)."""
+        await self.shards.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -578,36 +592,30 @@ class EstimationServer:
         await self._server.serve_forever()
 
     async def stop(self, drain_timeout: float = 10.0) -> None:
-        """Stop accepting, drain queued work, then spill warm sessions.
+        """Stop accepting, drain queued work, then stop the shards.
 
         The graceful-shutdown order: close the listener (no new
-        requests), give queued micro-batcher rounds ``drain_timeout``
-        seconds to complete, fail whatever remains with a clean 503
-        (never a silent drop), stop the worker pool (which SIGTERM-drains
-        each shard), and finally spill the registry to the cache store.
+        requests), give the shards ``drain_timeout`` seconds to finish
+        queued work, fail whatever remains with a clean 503 (never a
+        silent drop), and stop the shards — a local shard spills its
+        registry to the cache store, a worker pool SIGTERM-drains each
+        worker, which spills its own.
         """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        try:
-            await asyncio.wait_for(self.batcher.drain(), drain_timeout)
-        except asyncio.TimeoutError:
-            pass
-        self.batcher.fail_pending(
-            _ShuttingDown("server shutting down; request was not executed")
+        await self.shards.drain(
+            drain_timeout,
+            _ShuttingDown("server shutting down; request was not executed"),
         )
         # Connection handlers may still be mid-request (e.g. a handler
-        # that had not reached the batcher when it drained); let them
+        # that had not reached a shard when it drained); let them
         # finish writing their responses before the engine goes away.
         pending = {task for task in self._connections if not task.done()}
         if pending:
             await asyncio.wait(pending, timeout=drain_timeout)
-        if self.worker_pool is not None:
-            await self.worker_pool.stop()
-            self.worker_pool = None
-        # Spilling walks session locks — keep it off the event loop.
-        await asyncio.get_running_loop().run_in_executor(None, self.registry.close)
+        await self.shards.stop()
 
     @property
     def url(self) -> str:
@@ -752,10 +760,7 @@ class EstimationServer:
             return _json_response(405, {"error": f"{path} expects {expected}"})
         try:
             if expected == "GET":
-                result = endpoint()
-                if asyncio.iscoroutine(result):
-                    # Sharded monitoring endpoints poll the workers.
-                    result = await result
+                result = await endpoint()
             elif path in ("/estimate", "/answers"):
                 result = await self._admit_request(endpoint, body)
             else:
@@ -797,7 +802,7 @@ class EstimationServer:
                 "inflight",
                 self._inflight,
                 self.max_inflight,
-                self.batcher.retry_after_hint(self._inflight),
+                self.shards.retry_after_hint(self._inflight),
             )
         self._inflight += 1
         try:
@@ -807,12 +812,12 @@ class EstimationServer:
 
     # -- monitoring endpoints ----------------------------------------------------------
 
-    def _healthz(self) -> dict:
+    async def _healthz(self) -> dict:
         # Degraded storage does not fail liveness: the whole point of
         # degraded mode is that the service keeps answering (by
         # recomputing) while the disk is broken.
         storage = self.registry.storage.snapshot()
-        document = {
+        return {
             "status": "ok",
             "sessions": len(self.registry.handles()),
             "uptime_seconds": round(time.monotonic() - self._started_at, 3),
@@ -821,46 +826,32 @@ class EstimationServer:
                 "store_errors": storage["total"],
                 "last_error": storage["last_error"],
             },
+            "workers": self._workers_document(),
         }
-        if self.workers:
-            document["workers"] = self._workers_document()
-        return document
 
     def _workers_document(self) -> dict:
-        """Pool size + per-shard liveness (no IPC: ``Process.is_alive``)."""
-        document = {"count": self.workers}
-        if self.worker_pool is not None:
-            document["alive"] = [
-                self.worker_pool.alive(shard) for shard in range(self.workers)
-            ]
-        return document
+        """Shard count + per-shard liveness (no IPC: ``Process.is_alive``)."""
+        count = self.shards.workers
+        return {
+            "count": count,
+            "alive": [self.shards.alive(shard) for shard in range(count)],
+        }
 
     async def _refresh_shards(self) -> list[dict | None]:
-        """Poll the worker pool and cache the per-shard stat documents
-        (the cached snapshot also feeds the labeled shard gauges)."""
-        self._shard_snapshot = await self.worker_pool.stats()
+        """Poll the shards and cache their stat documents (the cached
+        snapshot also feeds the labeled shard gauges)."""
+        self._shard_snapshot = await self.shards.stats()
         return self._shard_snapshot
 
-    def _stats(self):
-        if self.worker_pool is not None:
-            return self._stats_sharded()
-        return self._stats_document(None)
-
-    async def _stats_sharded(self) -> dict:
-        return self._stats_document(await self._refresh_shards())
-
-    def _stats_document(self, per_shard: list[dict | None] | None) -> dict:
-        registry_stats = self.registry.stats()
-        batching_stats = self.batcher.stats()
-        if per_shard is not None:
-            # Router mode: the local registry/batcher never execute, so
-            # the meaningful totals are the shard aggregates (the sum
-            # contract is pinned by tests over aggregate_shard_stats).
-            aggregated = aggregate_shard_stats(per_shard)
-            registry_stats = {**registry_stats, **aggregated["registry"]}
-            batching_stats = {**batching_stats, **aggregated["batching"]}
-            # "degraded" is a level, not a counter — fold with OR, not sum.
-            registry_stats["degraded"] = bool(self._storage_degraded())
+    async def _stats(self) -> dict:
+        per_shard = await self._refresh_shards()
+        # The sum contract is pinned by tests over aggregate_shard_stats;
+        # the server's registry supplies configuration and, in-process,
+        # its per-group rows.
+        totals = aggregate_shard_stats(per_shard)
+        registry_stats = {**self.registry.stats(), **totals["registry"]}
+        # "degraded" is a level, not a counter — fold with OR, not sum.
+        registry_stats["degraded"] = bool(self._storage_degraded())
         document = {
             "requests_served": self.requests_served,
             "uptime_seconds": round(time.monotonic() - self._started_at, 3),
@@ -868,28 +859,26 @@ class EstimationServer:
             "max_inflight": self.max_inflight,
             "inflight": self._inflight,
             "registry": registry_stats,
-            "batching": batching_stats,
+            "batching": {
+                "max_queue": self.max_queue,
+                "max_pending": self.max_pending,
+                **totals["batching"],
+            },
             "answer_cache": (
                 self.answer_cache.stats() if self.answer_cache else None
             ),
+            "workers": self._workers_document(),
         }
-        if per_shard is not None:
-            document["workers"] = self._workers_document()
+        if self.workers:
+            # Per-process breakdown; a local shard's document is the
+            # top-level sections themselves.
             document["shards"] = [entry or {} for entry in per_shard]
         if self.fault_injection:
             document["faults"] = dict(self._faults)
         return document
 
-    def _metrics_endpoint(self):
-        if self.worker_pool is not None:
-            return self._metrics_sharded()
-        return self._metrics_response()
-
-    async def _metrics_sharded(self) -> _Response:
+    async def _metrics_endpoint(self) -> _Response:
         await self._refresh_shards()
-        return self._metrics_response()
-
-    def _metrics_response(self) -> _Response:
         return _Response(
             200,
             self.metrics.render().encode("utf-8"),
@@ -934,9 +923,9 @@ class EstimationServer:
                 raise _BadRequest("'slow_seconds' must be a non-negative number")
             self._faults["slow_seconds"] = float(value)
         if "disk_enospc" in document or "disk_bitflip" in document:
-            if self.worker_pool is not None:
-                # The shim is process-local; in sharded mode the store
-                # lives in the workers, where it would silently miss.
+            if self.workers:
+                # The shim is process-local; with worker processes the
+                # store lives in the workers, where it would silently miss.
                 raise _BadRequest(
                     "disk faults require in-process mode (no --workers)"
                 )
@@ -967,18 +956,13 @@ class EstimationServer:
             report["poisoned_entries"] = self.answer_cache.poison(count)
         if "kill_worker" in document:
             shard = document["kill_worker"]
-            if self.worker_pool is None:
-                raise _BadRequest("'kill_worker' requires sharded mode (--workers)")
-            if (
-                not isinstance(shard, int)
-                or isinstance(shard, bool)
-                or not 0 <= shard < self.workers
-            ):
-                raise _BadRequest(
-                    f"'kill_worker' must be a shard index in [0, {self.workers})"
-                )
+            if not isinstance(shard, int) or isinstance(shard, bool):
+                raise _BadRequest("'kill_worker' must be a shard index")
+            try:
+                report["killed_pid"] = self.shards.kill(shard)
+            except ValueError as error:
+                raise _BadRequest(f"'kill_worker': {error}") from None
             report["killed_worker"] = shard
-            report["killed_pid"] = self.worker_pool.kill(shard)
         if document.get("spill_sessions"):
             # Exercise the store now (after any disk-fault change above),
             # so injected failures — and recovery — surface immediately
@@ -1113,41 +1097,25 @@ class EstimationServer:
     ) -> list[BatchResult]:
         """Fan one parsed request list out per group and reassemble.
 
-        In-process mode submits each group to the local micro-batcher;
-        sharded mode routes each group to its worker (one ``estimate``
-        frame per group — coalescing then happens inside the shard's own
-        batcher).  Either way results come back in request order.
+        Each group is one ``submit`` to the shards, keyed by its registry
+        key (coalescing happens in the owning shard's micro-batcher);
+        results come back in request order.
         """
         groups: dict[tuple, list[tuple[int, BatchRequest]]] = {}
         for position, request in enumerate(requests):
             groups.setdefault(request.group_key(), []).append((position, request))
-        if self.worker_pool is not None:
-            submissions = [
-                self.worker_pool.submit(
-                    self.registry.key_for(
-                        members[0][1].database,
-                        members[0][1].constraints,
-                        members[0][1].generator,
-                    ),
-                    members[0][1].database,
-                    members[0][1].constraints,
-                    members[0][1].generator,
+        submissions = []
+        for members in groups.values():
+            first = members[0][1]
+            group = (first.database, first.constraints, first.generator)
+            submissions.append(
+                self.shards.submit(
+                    self.registry.key_for(*group),
+                    *group,
                     [request for _, request in members],
                     mode,
                 )
-                for members in groups.values()
-            ]
-        else:
-            submissions = [
-                self.batcher.submit(
-                    members[0][1].database,
-                    members[0][1].constraints,
-                    members[0][1].generator,
-                    [request for _, request in members],
-                    mode,
-                )
-                for members in groups.values()
-            ]
+            )
         chunks = await asyncio.gather(*submissions)
         results: list[BatchResult | None] = [None] * len(requests)
         for members, chunk in zip(groups.values(), chunks):

@@ -15,13 +15,18 @@ This module supplies the pieces:
   the keys that land on the *new* shard, and removing a shard remaps
   only that shard's keys — every other placement is untouched, so warm
   sessions survive resizes.
-* :class:`WorkerConfig` — the picklable recipe for one worker's
+* :class:`LocalShard` — one shard served in the calling process: a
   :class:`~repro.service.registry.SessionRegistry` +
-  :class:`~repro.service.batching.MicroBatcher`.
+  :class:`~repro.service.batching.MicroBatcher` behind the same
+  ``submit`` / ``stats`` / ``drain`` / ``stop`` calls as
+  :class:`WorkerPool`.  The in-process server talks to one directly;
+  every worker process runs one behind its frame loop.
+* :class:`WorkerConfig` — the picklable recipe for one worker's
+  local shard.
 * :class:`WorkerPool` — the router half: spawns one warm worker process
   per shard, speaks a length-prefixed frame protocol over duplex pipes,
   respawns dead workers (re-warming their keys from the shared cache
-  store and transparently retrying in-flight frames), and aggregates
+  store and transparently retrying in-flight frames), and collects
   per-shard stats.
 * :func:`aggregate_shard_stats` — the pure sum/max fold the server uses
   for ``GET /stats`` totals (unit-tested: sum over shards == totals).
@@ -65,6 +70,7 @@ from .batching import MicroBatcher, QueueFull
 from .registry import DEFAULT_MAX_SESSIONS, SessionRegistry
 
 __all__ = [
+    "LocalShard",
     "WorkerConfig",
     "WorkerPool",
     "aggregate_shard_stats",
@@ -81,8 +87,8 @@ _BATCHING_SUM_KEYS = (
     "rejected",
     "cancelled_waiters",
 )
-#: Batcher stat keys folded with ``max`` (a width is not additive).
-_BATCHING_MAX_KEYS = ("widest_batch",)
+#: Batcher stat keys folded with ``max`` (a width or a duration is not additive).
+_BATCHING_MAX_KEYS = ("widest_batch", "batch_seconds_ewma")
 
 #: In-flight frames are retried at most this many times across respawns
 #: before failing the caller (a worker that dies twice on the same frame
@@ -174,6 +180,74 @@ class WorkerDied(RuntimeError):
     """An estimate could not be completed: its worker kept dying."""
 
 
+class LocalShard:
+    """One shard served in this process: a registry + micro-batcher.
+
+    It answers every call the server makes on a :class:`WorkerPool`, so
+    in-process serving is a pool of one shard, not a second code path;
+    each worker process runs one behind its frame loop.  The keyword
+    options other than ``index`` go to the :class:`MicroBatcher`.
+    """
+
+    #: A local shard is always exactly one shard.
+    workers = 1
+
+    def __init__(self, registry: SessionRegistry, *, index: int = 0, **batcher_options):
+        self.index = index
+        self.registry = registry
+        self.batcher = MicroBatcher(registry, **batcher_options)
+
+    async def start(self) -> None:
+        """Nothing to spawn: the registry admits groups on first use."""
+
+    async def submit(self, key: str, database, constraints, generator, requests, mode):
+        """Score one group's requests on the local batcher (``key``, the
+        pool's routing key, is re-derived there from the registry memo)."""
+        return await self.batcher.submit(
+            database, constraints, generator, requests, mode
+        )
+
+    def document(self) -> dict:
+        """This shard's stat document (a worker's ``stats`` frame reply)."""
+        return {
+            "shard": self.index,
+            "pid": os.getpid(),
+            "registry": self.registry.stats(),
+            "batching": self.batcher.stats(),
+        }
+
+    async def stats(self) -> list[dict]:
+        """The one per-shard document, shaped like :meth:`WorkerPool.stats`."""
+        return [{**self.document(), "alive": True, "restarts": 0}]
+
+    def alive(self, shard: int) -> bool:
+        """A local shard lives as long as the process does."""
+        return True
+
+    def kill(self, shard: int) -> int:
+        """Refused: killing the local shard would kill the server."""
+        raise ValueError("the in-process shard cannot be killed; run with --workers")
+
+    def retry_after_hint(self, depth: int) -> int:
+        """The batcher's ``Retry-After`` estimate for ``depth`` queued requests."""
+        return self.batcher.retry_after_hint(depth)
+
+    async def drain(self, timeout: float, error: BaseException) -> None:
+        """Serve queued batch rounds for up to ``timeout`` seconds, then
+        fail whatever is still queued with ``error``."""
+        try:
+            await asyncio.wait_for(self.batcher.drain(), timeout)
+        except asyncio.TimeoutError:
+            pass
+        self.batcher.fail_pending(error)
+
+    async def stop(self) -> None:
+        """Spill warm sessions to the cache store and unlink shared
+        segments (after :meth:`drain`; spilling walks session locks, so
+        it runs off the event loop)."""
+        await asyncio.get_running_loop().run_in_executor(None, self.registry.close)
+
+
 # --------------------------------------------------------------------------------------
 # Worker side (runs in the spawned child process)
 # --------------------------------------------------------------------------------------
@@ -196,15 +270,17 @@ def _worker_main(shard: int, conn, config: WorkerConfig) -> None:
 
 async def _worker_loop(shard: int, conn, config: WorkerConfig) -> None:
     loop = asyncio.get_running_loop()
-    registry = SessionRegistry(
-        seed=config.seed,
-        cache_dir=config.cache_dir,
-        backend=config.backend,
-        max_sessions=config.max_sessions,
-        shared_pools=config.shared_pools,
-    )
-    batcher = MicroBatcher(
-        registry, max_queue=config.max_queue, max_pending=config.max_pending
+    local = LocalShard(
+        SessionRegistry(
+            seed=config.seed,
+            cache_dir=config.cache_dir,
+            backend=config.backend,
+            max_sessions=config.max_sessions,
+            shared_pools=config.shared_pools,
+        ),
+        index=shard,
+        max_queue=config.max_queue,
+        max_pending=config.max_pending,
     )
     frames: asyncio.Queue = asyncio.Queue()
     send_lock = threading.Lock()
@@ -241,28 +317,12 @@ async def _worker_loop(shard: int, conn, config: WorkerConfig) -> None:
         request_id, kind, payload = pickle.loads(blob)
         try:
             if kind == "estimate":
-                database, constraints, generator, requests, mode = payload
-                rows = await batcher.submit(
-                    database, constraints, generator, requests, mode
-                )
-                reply = (request_id, "result", rows)
+                reply = (request_id, "result", await local.batcher.submit(*payload))
             elif kind == "warm":
-                database, constraints, generator = payload
-                await loop.run_in_executor(
-                    None, registry.handle, database, constraints, generator
-                )
+                await loop.run_in_executor(None, local.registry.handle, *payload)
                 reply = (request_id, "ok", None)
             elif kind == "stats":
-                reply = (
-                    request_id,
-                    "stats",
-                    {
-                        "shard": shard,
-                        "pid": os.getpid(),
-                        "registry": registry.stats(),
-                        "batching": batcher.stats(),
-                    },
-                )
+                reply = (request_id, "stats", local.document())
             elif kind == "shutdown":
                 frames.put_nowait(_SHUTDOWN_SENTINEL)
                 reply = (request_id, "ok", None)
@@ -289,12 +349,11 @@ async def _worker_loop(shard: int, conn, config: WorkerConfig) -> None:
         tasks.add(task)
         task.add_done_callback(tasks.discard)
 
-    # Graceful drain: finish accepted frames, then queued batch rounds,
-    # then spill warm sessions (and unlink shared segments) on the way out.
+    # Graceful drain: finish accepted frames (each estimate frame waits
+    # for its batch), then spill warm sessions and unlink shared segments.
     if tasks:
         await asyncio.gather(*tasks, return_exceptions=True)
-    await batcher.drain()
-    await loop.run_in_executor(None, registry.close)
+    await local.stop()
     try:
         conn.close()
     except OSError:  # pragma: no cover
@@ -426,9 +485,28 @@ class WorkerPool:
         worker.reader.start()
         return worker
 
+    async def drain(self, timeout: float, error: BaseException) -> None:
+        """Wait up to ``timeout`` seconds for in-flight frames, then fail
+        the ones still waiting with ``error``."""
+        waiting = [
+            entry[0] for worker in self._shards for entry in worker.inflight.values()
+        ]
+        if waiting:
+            await asyncio.wait(waiting, timeout=timeout)
+        self._fail_inflight(error)
+
+    def _fail_inflight(self, error: BaseException) -> None:
+        """Fail every unresolved in-flight frame with ``error`` and forget
+        them (a late reply then finds no entry and is dropped)."""
+        for worker in self._shards:
+            for future, *_ in worker.inflight.values():
+                if not future.done():
+                    future.set_exception(error)
+            worker.inflight.clear()
+
     async def stop(self, timeout: float = 10.0) -> None:
         """Drain and terminate every worker (graceful, then forceful)."""
-        if self._loop is None:
+        if self._loop is None or self._stopping:
             return
         self._stopping = True
         goodbyes = []
@@ -444,11 +522,7 @@ class WorkerPool:
                 future.exception()  # consume, ignore
         for worker in self._shards:
             await self._loop.run_in_executor(None, self._reap, worker, timeout)
-        for worker in self._shards:
-            for future, *_ in list(worker.inflight.values()):
-                if not future.done():
-                    future.set_exception(WorkerDied("worker pool stopped"))
-            worker.inflight.clear()
+        self._fail_inflight(WorkerDied("worker pool stopped"))
 
     @staticmethod
     def _reap(worker: _Shard, timeout: float) -> None:
@@ -468,6 +542,14 @@ class WorkerPool:
         """Whether ``shard``'s current process is running."""
         worker = self._shards[shard]
         return not worker.dead and worker.process.is_alive()
+
+    def retry_after_hint(self, depth: int) -> int:
+        """The router's ``Retry-After`` hint: the minimum, one second.
+
+        Batch timings live in the workers; a shard that refuses work
+        sends its own batcher's hint back with the ``queue_full`` reply.
+        """
+        return 1
 
     def kill(self, shard: int) -> int:
         """SIGKILL ``shard``'s worker (fault injection); returns its pid.

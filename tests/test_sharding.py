@@ -16,6 +16,9 @@ The promises under test, in rough dependency order:
   and a SIGTERM'd ``serve`` subprocess exits cleanly (code 0).
 * Served rows are **bit-identical** to offline ``batch_estimate`` at
   any worker count, and across a SIGKILL + respawn of a shard worker.
+* In-process serving is one :class:`~repro.service.LocalShard` behind
+  the same submit / stats / drain / stop calls as the worker pool, so
+  ``/stats``, ``/healthz`` and ``/metrics`` have one shape in both modes.
 """
 
 import asyncio
@@ -33,6 +36,7 @@ from repro.chains.generators import M_UR, M_US
 from repro.engine import batch_estimate
 from repro.service import (
     BackgroundServer,
+    LocalShard,
     MicroBatcher,
     ServiceClient,
     ServiceClientError,
@@ -253,13 +257,22 @@ class TestShutdownDrain:
         """A request in flight when the server stops is either served
         bit-identically (drained) or failed with a clean 503 — never a
         hang, never a dropped connection."""
+        self.stop_mid_request(workers=None)
+
+    def test_stop_mid_request_serves_or_503s_with_workers(self):
+        """The same shutdown contract through the worker pool's drain."""
+        self.stop_mid_request(workers=1)
+
+    def stop_mid_request(self, workers):
         database, constraints = figure2_database()
         requests = fig2_requests(generators=(M_UR,))
         offline = batch_estimate(requests, seed=7)
         expected = offline[0].result
         outcome = {}
 
-        background = BackgroundServer(seed=7, server_options={"fault_injection": True})
+        background = BackgroundServer(
+            seed=7, server_options={"fault_injection": True, "workers": workers}
+        )
         with background as server:
             client = ServiceClient(server.url, timeout=30.0, max_retries=0)
             client._call("POST", "/_fault", {"slow_seconds": 0.5})
@@ -392,3 +405,69 @@ class TestShardedHttp:
             health = ServiceClient(server.url).healthz()
             assert health["workers"]["count"] == 2
             assert health["workers"]["alive"] == [True, True]
+
+
+# -- one serving path ----------------------------------------------------------------------
+
+
+class TestOneServingPath:
+    def test_local_shard_serves_reports_drains_and_stops(self):
+        database, constraints = figure2_database()
+        requests = fig2_requests(generators=(M_UR,))
+        offline = batch_estimate(requests, seed=7)
+
+        async def scenario():
+            local = LocalShard(SessionRegistry(seed=7))
+            await local.start()
+            key = local.registry.key_for(database, constraints, M_UR)
+            rows = await local.submit(key, database, constraints, M_UR, requests, "fixed")
+            (document,) = await local.stats()
+            assert document["shard"] == 0
+            assert document["alive"] and document["restarts"] == 0
+            assert document["registry"]["sessions"] == 1
+            assert document["batching"]["batches_run"] == 1
+            assert local.workers == 1 and local.alive(0)
+            with pytest.raises(ValueError, match="--workers"):
+                local.kill(0)
+            # Drain serves a round queued before it within the budget.
+            queued = asyncio.ensure_future(
+                local.submit(key, database, constraints, M_UR, requests, "fixed")
+            )
+            await asyncio.sleep(0)
+            await local.drain(30, RuntimeError("shutting down"))
+            assert queued.done()
+            await local.stop()
+            assert local.registry.stats()["sessions"] == 0
+            return rows, await queued
+
+        rows, drained = asyncio.run(scenario())
+        assert [row.result for row in rows] == [r.result for r in offline]
+        assert [row.result for row in drained] == [r.result for r in offline]
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_stats_healthz_and_metrics_share_one_shape(self, workers):
+        database, constraints = figure2_database()
+        requests = fig2_requests()
+        options = {"workers": workers, "fault_injection": True}
+        with BackgroundServer(seed=7, server_options=options) as server:
+            client = ServiceClient(server.url)
+            serve_rows(client, database, constraints, requests)
+            assert client.healthz()["workers"] == {"count": 1, "alive": [True]}
+            stats = client.stats()
+            assert stats["workers"] == {"count": 1, "alive": [True]}
+            assert stats["registry"]["sessions"] == 2  # M_ur and M_us groups
+            assert stats["batching"]["batches_run"] >= 2
+            assert stats["batching"]["pending_requests"] == 0
+            # Only worker processes get a per-shard breakdown; a local
+            # shard's document is the top-level sections themselves.
+            assert ("shards" in stats) == bool(workers)
+            series = client.metrics()
+            assert series['repro_shard_sessions{shard="0"}'] == 2
+            assert series["repro_shard_workers"] == 1
+            assert series["repro_pending_requests"] == 0
+            assert series["repro_sessions"] == 2
+            if not workers:
+                with pytest.raises(ServiceClientError) as caught:
+                    client._call("POST", "/_fault", {"kill_worker": 0})
+                assert caught.value.status == 400
+                assert "--workers" in str(caught.value)
