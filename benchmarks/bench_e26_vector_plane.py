@@ -7,11 +7,12 @@ reductions instead of per-sample subset tests.  This bench reuses the E21
 inconsistency-sweep instance shape and scores the same all-candidates
 workload on both planes:
 
-* **interned scalar** — PR 3's kernel, pinned via ``backend="scalar"``:
-  mask draws one sample at a time, integer subset tests per (candidate,
-  sample);
-* **vector** — ``backend="vector"``: the same witness semantics over the
-  packed sample matrix.
+* **interned scalar** — the interned kernel over a caller-driven
+  ``session.pool(random.Random(seed))``: mask draws one sample at a time,
+  integer subset tests per (candidate, sample);
+* **vector** — ``session.pool_for_seed(seed)``, the plane the generator
+  picks for ``M_ur``/``M_us``: the same witness semantics over the packed
+  sample matrix.
 
 The two planes are *different deterministic streams* (each reproducible
 under its own seed contract), so the cross-plane estimates agree
@@ -20,8 +21,9 @@ statistically, not bit-for-bit.  The bit-for-bit assertion here is the
 the plane's outcome matrices through the scalar mask construction and
 re-counting hits in pure Python — those recomputed estimates must equal
 the packed-plane estimates exactly.  Speedup is asserted at ≥ 3× per
-sample for both generators, and an end-to-end ``batch_estimate`` run is
-timed on both planes (vector reruns asserted identical).
+sample for both generators, and an end-to-end all-candidates group run
+is timed over both pools (the vector rows asserted identical to a
+``batch_estimate`` rerun).
 """
 
 import random
@@ -30,6 +32,7 @@ import time
 from repro.chains.generators import M_UR, M_US
 from repro.core.queries import atom, cq, var
 from repro.engine import DEFAULT_BATCH_SIZE, BatchRequest, EstimationSession, batch_estimate
+from repro.engine.batch import group_seed_for, run_group
 from repro.workloads.inconsistency import database_with_inconsistency
 
 from bench_utils import emit
@@ -54,14 +57,14 @@ def build_workload():
     return database, constraints, query, candidates
 
 
-def prepare_session(database, constraints, generator, backend, query, candidates):
+def prepare_session(database, constraints, generator, query, candidates):
     """A session with structure + witnesses warm.
 
     Witness enumeration (homomorphism search) is identical on both planes
     and cached per session; keeping it outside the timed region makes the
     measurement about the draw-and-evaluate plane itself.
     """
-    session = EstimationSession(database, constraints, generator, backend=backend)
+    session = EstimationSession(database, constraints, generator)
     session.index()
     for candidate in candidates:
         session.witness_masks(query, candidate)
@@ -69,7 +72,7 @@ def prepare_session(database, constraints, generator, backend, query, candidates
 
 
 def run_scalar(session, query, candidates):
-    """PR 3's interned kernel, pinned explicitly."""
+    """The interned scalar kernel: a pool driven by the caller's RNG."""
     pool = session.pool(random.Random(SEED))
     return [
         session.fixed_budget_pooled(pool, query, candidate, samples=SAMPLES).estimate
@@ -78,7 +81,7 @@ def run_scalar(session, query, candidates):
 
 
 def run_vector(session, query, candidates):
-    pool = session.vector_pool(SEED)
+    pool = session.pool_for_seed(SEED)
     return [
         session.fixed_budget_pooled(pool, query, candidate, samples=SAMPLES).estimate
         for candidate in candidates
@@ -107,7 +110,12 @@ def decode_parity_estimates(database, constraints, generator, query, candidates)
 
 
 def end_to_end(database, constraints, query, candidates):
-    """Wall-clock ``batch_estimate`` on both planes (vector rerun asserted)."""
+    """Wall-clock all-candidates group runs over both pools.
+
+    Each generator's group runs once over ``session.pool(random.Random(seed))``
+    and once over ``session.pool_for_seed(seed)``; the seeded rows must
+    equal a ``batch_estimate`` rerun bit for bit.
+    """
     requests = [
         BatchRequest(
             database,
@@ -121,15 +129,29 @@ def end_to_end(database, constraints, query, candidates):
         for generator in GENERATORS
         for candidate in candidates
     ]
-    timings = {}
-    for backend in ("scalar", "vector"):
-        started = time.perf_counter()
-        results = batch_estimate(requests, seed=SEED, backend=backend)
-        timings[backend] = time.perf_counter() - started
-        assert all(r.ok for r in results)
-        if backend == "vector":
-            rerun = batch_estimate(requests, seed=SEED, backend=backend)
-            assert [r.result for r in rerun] == [r.result for r in results]
+    timings = {"scalar": 0.0, "vector": 0.0}
+    seeded = []
+    for generator in GENERATORS:
+        members = [
+            (index, request)
+            for index, request in enumerate(requests)
+            if request.generator is generator
+        ]
+        group_seed = group_seed_for(SEED, database, constraints, generator)
+        for plane in ("scalar", "vector"):
+            session = EstimationSession(database, constraints, generator)
+            started = time.perf_counter()
+            if plane == "scalar":
+                pool = session.pool(random.Random(group_seed))
+            else:
+                pool = session.pool_for_seed(group_seed)
+            results = [result for _, result in run_group(session, pool, members)]
+            timings[plane] += time.perf_counter() - started
+            assert all(r.ok for r in results)
+            if plane == "vector":
+                seeded.extend(r.result for r in results)
+    rerun = batch_estimate(requests, seed=SEED)
+    assert [r.result for r in rerun] == seeded
     return timings
 
 
@@ -137,17 +159,12 @@ def compare():
     database, constraints, query, candidates = build_workload()
     rows = []
     for generator in GENERATORS:
-        scalar_session = prepare_session(
-            database, constraints, generator, "scalar", query, candidates
-        )
-        vector_session = prepare_session(
-            database, constraints, generator, "vector", query, candidates
-        )
+        session = prepare_session(database, constraints, generator, query, candidates)
         started = time.perf_counter()
-        scalar_estimates = run_scalar(scalar_session, query, candidates)
+        scalar_estimates = run_scalar(session, query, candidates)
         scalar_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        vector_estimates = run_vector(vector_session, query, candidates)
+        vector_estimates = run_vector(session, query, candidates)
         vector_seconds = time.perf_counter() - started
         decoded = decode_parity_estimates(
             database, constraints, generator, query, candidates

@@ -3,7 +3,11 @@
 One audit = a grid of **cells**, each a claim the engine makes, measured
 by thousands of independently seeded replications:
 
-    (target) × (fixed | adaptive) × (scalar | vector) × (cold | warm)
+    (target) × (fixed | adaptive) × (cold | warm)
+
+Each cell also names the sample plane (``scalar`` | ``vector``) its pools
+were drawn on, which the target's generator decides: ``M_ur``/``M_us``
+targets audit the vector plane, the ``M_uo`` target the scalar one.
 
 *Targets* pair an instance/query with its truth — exact rationals from
 the polynomial ground-survival formulas on small instances, or a pinned
@@ -34,7 +38,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ..chains.generators import M_UR, M_US, MarkovChainGenerator
+from ..chains.generators import M_UO, M_UR, M_US, MarkovChainGenerator
 from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.facts import fact
@@ -45,6 +49,7 @@ from ..counting.survival import (
     ground_survival_mus1,
 )
 from ..engine import CacheStore, EstimationSession
+from ..exact import exact_ocqa
 from ..workloads import (
     block_membership_query,
     figure2_database,
@@ -182,7 +187,10 @@ def default_targets(profile: str = "small") -> list[AuditTarget]:
     truths are exact textbook rationals, across three probability regimes:
     a conflicted fact under ``M_ur`` (p = 1/4), the same fact under
     ``M_us`` (p = 8/33 — the non-product semantics), and a conflict-free
-    fact (p = 1, the early-stop regime).  ``full`` (the cron profile) adds
+    fact (p = 1, the early-stop regime) — all on the vector plane — plus
+    the conflicted fact under the ``M_uo`` walk (p = 5/18, exact by
+    state-space enumeration), the scalar-plane target that keeps the
+    scalar warm-replay path audited.  ``full`` (the cron profile) adds
     a larger random block instance with an exact joint-survival truth and
     a reference-truth membership query exercising non-ground answers.
     """
@@ -200,6 +208,19 @@ def default_targets(profile: str = "small") -> list[AuditTarget]:
             "fig2-sure", database, constraints, M_UR, [fact("R", "a2", "b1")]
         ),
     ]
+    walk_query = boolean_cq(Atom("R", ("a1", "b1")))
+    targets.append(
+        AuditTarget(
+            name="fig2-muo",
+            database=database,
+            constraints=constraints,
+            generator=M_UO,
+            query=walk_query,
+            answer=(),
+            truth=float(exact_ocqa(database, constraints, M_UO, walk_query)),
+            truth_kind="exact",
+        )
+    )
     if profile == "full":
         big_db, big_constraints = random_block_database(
             6, 3, rng=random.Random(2022)
@@ -234,7 +255,7 @@ class CellResult:
     truth: float
     truth_kind: str
     mode: str  # "fixed" | "adaptive"
-    backend: str  # "scalar" | "vector"
+    backend: str  # the plane the pools were drawn on: "scalar" | "vector"
     warmth: str  # "cold" | "warm"
     miscoverage: MiscoverageSummary
     mean_samples: float
@@ -334,7 +355,6 @@ def run_audit(
     delta: float = 0.1,
     replications: int = 200,
     base_seed: int = 0,
-    backends: Sequence[str] | None = None,
     cells: Sequence[str] | None = None,
     cache_dir: str | None = None,
     horizon: int = 512,
@@ -344,8 +364,9 @@ def run_audit(
 ) -> AuditReport:
     """Run the full audit grid and return its report.
 
-    ``backends`` defaults to both planes.  ``cells`` filters the
-    grid by substring match against ``target/mode/backend/warmth`` ids.
+    ``cells`` filters the grid by substring match against
+    ``target/mode/backend/warmth`` ids, where ``backend`` is the plane the
+    target's generator draws on.
     ``cache_dir`` hosts the warm-replay store (a temporary directory, torn
     down afterwards, when ``None``).  The anytime audit replays each
     distinct truth once per ``(target, truth)`` at ``anytime_replications``
@@ -355,8 +376,6 @@ def run_audit(
         targets = default_targets()
     if replications < 1:
         raise ValueError("replications must be positive")
-    active_backends = tuple(backends) if backends is not None else ("scalar", "vector")
-
     def wanted(cell_id: str) -> bool:
         return cells is None or any(pattern in cell_id for pattern in cells)
 
@@ -372,107 +391,100 @@ def run_audit(
             )
         store = CacheStore(cache_dir)
         for target in targets:
-            for backend in active_backends:
-                grid_ids = [
-                    f"{target.name}/{mode}/{backend}/{warmth}"
-                    for mode in MODES
-                    for warmth in WARMTHS
-                ]
-                if not any(wanted(cell_id) for cell_id in grid_ids):
+            session = EstimationSession(
+                target.database, target.constraints, target.generator
+            )
+            plane = session.seeded_plane
+            grid_ids = [
+                f"{target.name}/{mode}/{plane}/{warmth}"
+                for mode in MODES
+                for warmth in WARMTHS
+            ]
+            if not any(wanted(cell_id) for cell_id in grid_ids):
+                continue
+            note(
+                f"{target.name}/{plane}: {replications} replications "
+                f"(truth={target.truth:.6g}, {target.truth_kind})"
+            )
+            tallies = {
+                (mode, warmth): _CellTally() for mode in MODES for warmth in WARMTHS
+            }
+            for index in range(replications):
+                seed = replication_seed(base_seed, f"{target.name}/{plane}", index)
+                passes = {}
+                for warmth in WARMTHS:
+                    # Both passes open the entry through a *fresh* handle:
+                    # the cold one draws and saves, the warm one must
+                    # replay that stream bit-for-bit.
+                    session.cache = store.entry(
+                        target.database,
+                        target.constraints,
+                        target.generator.name,
+                        seed,
+                    )
+                    pool = session.cached_pool(seed)
+                    fixed = session.estimate_pooled(
+                        pool,
+                        target.query,
+                        target.answer,
+                        epsilon=epsilon,
+                        delta=delta,
+                        method="fixed",
+                    )
+                    adaptive = session.estimate_adaptive(
+                        target.query,
+                        target.answer,
+                        epsilon=epsilon,
+                        delta=delta,
+                        pool=pool,
+                    )
+                    if warmth == "cold":
+                        session.cache.save()
+                    passes[warmth] = (fixed, adaptive)
+                    tallies[("fixed", warmth)].record(
+                        fixed.estimate, fixed.samples_used, target.truth, epsilon
+                    )
+                    tallies[("adaptive", warmth)].record(
+                        adaptive.estimate,
+                        adaptive.samples_used,
+                        target.truth,
+                        epsilon,
+                    )
+                    tallies[("adaptive", warmth)].sharpness.append(
+                        _adaptive_sharpness(adaptive)
+                    )
+                if not _results_match(passes["cold"][0], passes["warm"][0]):
+                    tallies[("fixed", "warm")].replay_mismatches += 1
+                if not _results_match(passes["cold"][1], passes["warm"][1]):
+                    tallies[("adaptive", "warm")].replay_mismatches += 1
+            session.cache = None
+            for (mode, warmth), tally in tallies.items():
+                cell_id = f"{target.name}/{mode}/{plane}/{warmth}"
+                if not wanted(cell_id):
                     continue
-                note(
-                    f"{target.name}/{backend}: {replications} replications "
-                    f"(truth={target.truth:.6g}, {target.truth_kind})"
-                )
-                tallies = {
-                    (mode, warmth): _CellTally()
-                    for mode in MODES
-                    for warmth in WARMTHS
-                }
-                session = EstimationSession(
-                    target.database,
-                    target.constraints,
-                    target.generator,
-                    backend=backend,
-                )
-                for index in range(replications):
-                    seed = replication_seed(
-                        base_seed, f"{target.name}/{backend}", index
+                cell_results.append(
+                    CellResult(
+                        target=target.name,
+                        truth=target.truth,
+                        truth_kind=target.truth_kind,
+                        mode=mode,
+                        backend=plane,
+                        warmth=warmth,
+                        miscoverage=miscoverage_summary(
+                            tally.failures,
+                            replications,
+                            delta,
+                            band_confidence,
+                        ),
+                        mean_samples=tally.samples / replications,
+                        sharpness=(
+                            sharpness_summary(tally.sharpness, delta)
+                            if mode == "adaptive"
+                            else None
+                        ),
+                        replay_mismatches=tally.replay_mismatches,
                     )
-                    passes = {}
-                    for warmth in WARMTHS:
-                        # Both passes open the entry through a *fresh*
-                        # handle: the cold one draws and saves, the warm
-                        # one must replay that stream bit-for-bit.
-                        session.cache = store.entry(
-                            target.database,
-                            target.constraints,
-                            target.generator.name,
-                            seed,
-                        )
-                        pool = session.cached_pool(seed)
-                        fixed = session.estimate_pooled(
-                            pool,
-                            target.query,
-                            target.answer,
-                            epsilon=epsilon,
-                            delta=delta,
-                            method="fixed",
-                        )
-                        adaptive = session.estimate_adaptive(
-                            target.query,
-                            target.answer,
-                            epsilon=epsilon,
-                            delta=delta,
-                            pool=pool,
-                        )
-                        if warmth == "cold":
-                            session.cache.save()
-                        passes[warmth] = (fixed, adaptive)
-                        tallies[("fixed", warmth)].record(
-                            fixed.estimate, fixed.samples_used, target.truth, epsilon
-                        )
-                        tallies[("adaptive", warmth)].record(
-                            adaptive.estimate,
-                            adaptive.samples_used,
-                            target.truth,
-                            epsilon,
-                        )
-                        tallies[("adaptive", warmth)].sharpness.append(
-                            _adaptive_sharpness(adaptive)
-                        )
-                    if not _results_match(passes["cold"][0], passes["warm"][0]):
-                        tallies[("fixed", "warm")].replay_mismatches += 1
-                    if not _results_match(passes["cold"][1], passes["warm"][1]):
-                        tallies[("adaptive", "warm")].replay_mismatches += 1
-                session.cache = None
-                for (mode, warmth), tally in tallies.items():
-                    cell_id = f"{target.name}/{mode}/{backend}/{warmth}"
-                    if not wanted(cell_id):
-                        continue
-                    cell_results.append(
-                        CellResult(
-                            target=target.name,
-                            truth=target.truth,
-                            truth_kind=target.truth_kind,
-                            mode=mode,
-                            backend=backend,
-                            warmth=warmth,
-                            miscoverage=miscoverage_summary(
-                                tally.failures,
-                                replications,
-                                delta,
-                                band_confidence,
-                            ),
-                            mean_samples=tally.samples / replications,
-                            sharpness=(
-                                sharpness_summary(tally.sharpness, delta)
-                                if mode == "adaptive"
-                                else None
-                            ),
-                            replay_mismatches=tally.replay_mismatches,
-                        )
-                    )
+                )
     anytime_results: list[AnytimeResult] = []
     anytime_count = (
         anytime_replications if anytime_replications is not None else replications
@@ -513,7 +525,7 @@ def run_audit(
         replications=replications,
         base_seed=base_seed,
         horizon=horizon,
-        backends=active_backends,
+        backends=tuple(sorted({cell.backend for cell in cell_results})),
         cells=tuple(cell_results),
         anytime=tuple(anytime_results),
     )

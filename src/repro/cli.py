@@ -25,10 +25,11 @@ by (instance, generator), and scores each group against one shared sample
 pool — optionally fanning groups out over worker processes.  With
 ``--mode adaptive`` every group runs sequential early-stopping estimators
 instead of fixed budgets, ``--cache-dir DIR`` (with ``--seed``) persists
-decompositions, bounds and sample batches across runs, ``--backend``
-picks the sample plane (``auto`` uses the vectorized numpy plane for
-``M_ur``/``M_us`` and the scalar kernel for ``M_uo``), and ``--allow-errors`` exits 0 even
-when some rows report out-of-scope errors (the rows still carry them).
+decompositions, bounds and sample batches across runs, and
+``--allow-errors`` exits 0 even when some rows report out-of-scope errors
+(the rows still carry them).  The sample plane follows the generator:
+the vectorized numpy plane for ``M_ur``/``M_us``, the scalar kernel for
+``M_uo``.
 
 ``serve`` starts the estimation service (:mod:`repro.service`): a warm
 session registry behind a micro-batching HTTP JSON API sharing the
@@ -338,14 +339,6 @@ def _arguments_batch(subparser: argparse.ArgumentParser) -> None:
         "(default: the workload's 'cache_dir' field; needs --seed to be effective)",
     )
     subparser.add_argument(
-        "--backend",
-        choices=("auto", "vector", "scalar"),
-        default=None,
-        help="sample plane per group (default: the workload's 'backend' field, "
-        "else auto): 'auto' uses the vectorized numpy plane for M_ur/M_us and "
-        "the scalar kernel for M_uo",
-    )
-    subparser.add_argument(
         "--allow-errors",
         action="store_true",
         help="exit 0 even when some requests report scope errors (the rows "
@@ -357,7 +350,6 @@ def command_batch(args: argparse.Namespace) -> int:
     spec = load_workload_spec(args.workload)
     mode = args.mode if args.mode is not None else spec.mode
     cache_dir = args.cache_dir if args.cache_dir is not None else spec.cache_dir
-    backend = args.backend if args.backend is not None else spec.backend
     if cache_dir is not None and args.seed is None:
         print(
             "note: --cache-dir has no effect without --seed "
@@ -370,7 +362,6 @@ def command_batch(args: argparse.Namespace) -> int:
         workers=args.workers,
         mode=mode,
         cache_dir=cache_dir,
-        backend=backend,
     )
     rows = batch_results_to_rows(results)
     failures = sum(1 for row in rows if "error" in row)
@@ -414,12 +405,6 @@ def _arguments_serve(subparser: argparse.ArgumentParser) -> None:
         default=None,
         help="CacheStore directory for admission warm-starts and eviction "
         "spills (needs --seed to be effective)",
-    )
-    subparser.add_argument(
-        "--backend",
-        choices=("auto", "vector", "scalar"),
-        default="auto",
-        help="sample plane for every session (see `batch --backend`)",
     )
     subparser.add_argument(
         "--max-sessions",
@@ -490,7 +475,6 @@ def command_serve(args: argparse.Namespace) -> int:
         args.port,
         seed=args.seed,
         cache_dir=args.cache_dir,
-        backend=args.backend,
         max_sessions=args.max_sessions,
         max_queue=args.max_queue,
         max_pending=args.max_pending,

@@ -31,11 +31,11 @@ Two orthogonal switches extend the planner:
   :class:`~repro.engine.store.CacheStore`, so reruns of the same workload
   warm-start (requires a workload ``seed``; unseeded runs are not
   reproducible and bypass the cache).
-* ``backend="auto"|"vector"|"scalar"`` — the sample plane per group:
-  ``auto`` (default) draws ``M_ur``/``M_us`` pools on the vectorized
-  numpy plane (whole ``uint64``-packed batches, fixed-mode prefixes
-  pre-drawn in one chunked pass) and ``M_uo`` pools on the scalar
-  interned kernel.
+
+The sample plane follows the generator: ``M_ur``/``M_us`` groups draw on
+the vectorized numpy plane (whole ``uint64``-packed batches, fixed-mode
+prefixes pre-drawn in one chunked pass) and ``M_uo`` groups on the scalar
+interned kernel.
 """
 
 from __future__ import annotations
@@ -115,7 +115,6 @@ def batch_estimate(
     workers: int | None = None,
     mode: str = "fixed",
     cache_dir: str | None = None,
-    backend: str = "auto",
     start_method: str | None = None,
 ) -> list[BatchResult]:
     """Estimate every request, sharing one sample pool per instance group.
@@ -130,15 +129,11 @@ def batch_estimate(
     scheduler; ``cache_dir`` persists per-group state across processes and
     runs (see the module docstring).
 
-    ``backend`` picks the sample plane per group (see
-    :meth:`~repro.engine.session.EstimationSession.resolved_backend`):
-    ``"auto"`` (default) draws ``M_ur``/``M_us`` groups on the vectorized
-    numpy plane — workers then draw in whole batches, and fixed mode
-    pre-draws a group's longest fixed prefix in one chunked pass — and
-    ``M_uo`` groups on the scalar plane.  Runs are reproducible per
-    ``(seed, backend)``: both planes are deterministic, but they are
-    *different* deterministic streams.  The plane never depends on what
-    ``cache_dir`` holds.
+    Each group's generator picks its sample plane: ``M_ur``/``M_us``
+    groups draw on the vectorized numpy plane — workers then draw in
+    whole batches, and fixed mode pre-draws a group's longest fixed
+    prefix in one chunked pass — and ``M_uo`` groups on the scalar plane.
+    The plane never depends on what ``cache_dir`` holds.
 
     ``start_method`` pins the ``multiprocessing`` start method for the
     worker fan-out (``"fork"`` / ``"spawn"`` / ``"forkserver"``); the
@@ -150,10 +145,6 @@ def batch_estimate(
     """
     if mode not in ("fixed", "adaptive"):
         raise ValueError(f"unknown mode {mode!r} (use 'fixed' or 'adaptive')")
-    if backend not in ("auto", "vector", "scalar"):
-        raise ValueError(
-            f"unknown backend {backend!r} (use 'auto', 'vector' or 'scalar')"
-        )
     if (
         start_method is not None
         and start_method not in multiprocessing.get_all_start_methods()
@@ -174,7 +165,6 @@ def batch_estimate(
             group_seed_for(seed, *group_key),
             mode,
             cache_dir,
-            backend,
         )
         for group_key, members in groups.items()
     ]
@@ -239,13 +229,13 @@ def _pool_context(start_method: str | None = None):
 
 def _estimate_group(
     payload: tuple[
-        Sequence[tuple[int, BatchRequest]], int | None, str, str | None, str
+        Sequence[tuple[int, BatchRequest]], int | None, str, str | None
     ],
 ) -> list[tuple[int, BatchResult]]:
     """Run one group's requests against a shared session + pool (picklable)."""
     from ..approx.fpras import FPRASUnavailable
 
-    members, group_seed, mode, cache_dir, backend = payload
+    members, group_seed, mode, cache_dir = payload
     first = members[0][1]
     cache = None
     if cache_dir is not None and group_seed is not None:
@@ -253,11 +243,7 @@ def _estimate_group(
             first.database, first.constraints, first.generator.name, group_seed
         )
     session = EstimationSession(
-        first.database,
-        first.constraints,
-        first.generator,
-        cache=cache,
-        backend=backend,
+        first.database, first.constraints, first.generator, cache=cache
     )
     try:
         if cache is not None:

@@ -32,11 +32,10 @@ share the same database.  :class:`EstimationSession` binds one
   (:meth:`EstimationSession.pool_for_seed`, i.e. everything
   :func:`~repro.engine.batch.batch_estimate` builds) draw whole batches
   at once through :mod:`repro.sampling.vectorized` instead of one
-  ``random.Random`` draw at a time.  The ``backend`` switch
-  (``"auto"``/``"vector"``/``"scalar"``) controls the plane; ``"auto"``
-  resolves to the vector plane whenever the generator is
-  block-structured (``M_ur``/``M_us`` families) and to the scalar plane
-  otherwise — the plane never changes *what* is computed, only how fast.
+  ``random.Random`` draw at a time.  The generator alone decides the
+  plane: the block-structured ``M_ur``/``M_us`` families draw on the
+  vector plane, the ``M_uo`` walk (which has none) on the scalar one —
+  the plane never changes *what* is computed, only how fast.
 
 Determinism contracts, one per plane:
 
@@ -346,21 +345,11 @@ class EstimationSession:
         constraints: FDSet,
         generator: MarkovChainGenerator,
         cache: "CacheEntry | None" = None,
-        backend: str = "auto",
     ):
-        if backend not in ("auto", "vector", "scalar"):
-            raise ValueError(
-                f"unknown backend {backend!r} (use 'auto', 'vector' or 'scalar')"
-            )
         self.database = database
         self.constraints = constraints
         self.generator = generator
         self.cache = cache
-        #: Which sample plane seed-driven pools use (``"auto"``/``"vector"``/
-        #: ``"scalar"``); see :meth:`resolved_backend`.  ``random.Random``-
-        #: driven pools (:meth:`pool`) always stay on the scalar plane —
-        #: that is the bit-for-bit per-call parity contract.
-        self.backend = backend
         self._decomposition: BlockDecomposition | None = None
         self._index: InstanceIndex | None = None
         self._witnesses: dict[
@@ -488,25 +477,18 @@ class EstimationSession:
         """
         return SamplePool(self.index(), self._draw_mask(rng))
 
-    def resolved_backend(self) -> str:
-        """The plane (``"vector"``/``"scalar"``) seed-driven pools will use.
+    @property
+    def seeded_plane(self) -> str:
+        """The plane seed-driven pools draw on: ``"vector"`` | ``"scalar"``.
 
-        ``backend="auto"`` resolves to the vector plane when the generator
-        is block-structured (the ``M_ur``/``M_us`` families — the ``M_uo``
-        walk has no vector plane) and to ``"scalar"`` otherwise.  An
-        explicit ``backend="vector"`` raises instead of silently degrading
-        for a walk generator.
+        The one place the plane is decided: the block-structured
+        ``M_ur``/``M_us`` families have a vector plane, the ``M_uo`` walk
+        does not.  ``random.Random``-driven pools (:meth:`pool`) stay on
+        the scalar plane regardless — that is the per-call parity contract.
         """
-        if self.backend == "scalar":
-            return "scalar"
-        vectorizable = isinstance(self.generator, (UniformRepairs, UniformSequences))
-        if self.backend == "vector" and not vectorizable:
-            raise ValueError(
-                f"backend='vector' is unavailable for generator "
-                f"{self.generator.name!r}; the vector plane covers the "
-                "M_ur/M_us families"
-            )
-        return "vector" if vectorizable else "scalar"
+        if isinstance(self.generator, (UniformRepairs, UniformSequences)):
+            return "vector"
+        return "scalar"
 
     def vector_plane(self, seed: int | None = None):
         """A vectorized sample plane for this session's generator.
@@ -547,15 +529,14 @@ class EstimationSession:
         )
 
     def pool_for_seed(self, seed: int | None, shared: bool = False) -> SamplePool:
-        """A pool for an integer seed, on the session's resolved backend.
+        """A pool for an integer seed, on the generator's plane.
 
         The entry point :func:`~repro.engine.batch.batch_estimate` uses:
-        the vector plane when :meth:`resolved_backend` says so, otherwise
-        a scalar pool seeded ``random.Random(seed)`` (the exact PR-3
-        stream).  ``shared=True`` backs either plane's packed matrix with
-        shared memory.
+        the vector plane for the ``M_ur``/``M_us`` families, otherwise a
+        scalar pool seeded ``random.Random(seed)``.  ``shared=True`` backs
+        either plane's packed matrix with shared memory.
         """
-        if self.resolved_backend() == "vector":
+        if self.seeded_plane == "vector":
             return self.vector_pool(seed, shared=shared)
         rng = random.Random(seed) if seed is not None else None
         return SamplePool(self.index(), self._draw_mask(rng), shared=shared)
@@ -571,8 +552,8 @@ class EstimationSession:
         to a plain :meth:`pool_for_seed` (an unseeded stream is not
         reproducible, so persisting it would be meaningless).
 
-        The plane comes from :meth:`resolved_backend` alone, never from
-        what the entry holds: a persisted prefix from the *other* plane
+        The plane comes from the generator alone, never from what the
+        entry holds: a persisted prefix from the *other* plane
         cannot be extended, so it is discarded and redrawn — as are rows
         whose resume state is unusable (a scalar prefix without a valid
         RNG state; a vector prefix of a foreign batch size or a torn
@@ -581,7 +562,7 @@ class EstimationSession:
         if self.cache is None or seed is None:
             return self.pool_for_seed(seed, shared=shared)
         cache = self.cache
-        vector = self.resolved_backend() == "vector"
+        vector = self.seeded_plane == "vector"
         rows = cache.sample_word_rows()
         rng = None if vector else random.Random(seed)
         if rows:

@@ -118,7 +118,6 @@ def _freeze(value: Any) -> Constant:
 _GENERATORS_BY_NAME = {generator.name: generator for generator in ALL_GENERATORS}
 _WORKLOAD_METHODS = ("auto", "fixed", "dklr")
 _WORKLOAD_MODES = ("fixed", "adaptive")
-_WORKLOAD_BACKENDS = ("auto", "vector", "scalar")
 
 
 @dataclass(frozen=True)
@@ -126,16 +125,14 @@ class WorkloadSpec:
     """A parsed workload: the request rows plus execution options.
 
     ``mode`` selects the estimation strategy (``"fixed"`` classical
-    estimators, ``"adaptive"`` sequential early stopping), ``cache_dir``
-    names a persistent :class:`~repro.engine.store.CacheStore` directory,
-    and ``backend`` pins the sample plane (``"auto"`` | ``"vector"`` |
-    ``"scalar"``); all default to CLI-flag overridable values.
+    estimators, ``"adaptive"`` sequential early stopping) and ``cache_dir``
+    names a persistent :class:`~repro.engine.store.CacheStore` directory;
+    both default to CLI-flag overridable values.
     """
 
     requests: list = field(default_factory=list)
     mode: str = "fixed"
     cache_dir: str | None = None
-    backend: str = "auto"
 
 
 def workload_spec_from_dict(
@@ -159,14 +156,7 @@ def workload_spec_from_dict(
             raise InstanceFormatError("'cache_dir' must be a path string")
         if base_dir is not None and not os.path.isabs(cache_dir):
             cache_dir = os.path.join(base_dir, cache_dir)
-    backend = document.get("backend", "auto")
-    if backend not in _WORKLOAD_BACKENDS:
-        raise InstanceFormatError(
-            f"unknown backend {backend!r}; choose from {_WORKLOAD_BACKENDS}"
-        )
-    return WorkloadSpec(
-        requests=requests, mode=mode, cache_dir=cache_dir, backend=backend
-    )
+    return WorkloadSpec(requests=requests, mode=mode, cache_dir=cache_dir)
 
 
 def load_workload_spec(path: str) -> WorkloadSpec:
@@ -189,7 +179,8 @@ def workload_from_dict(
     tuple or ``"answers": "all"``, which expands to every candidate tuple of
     ``Q(D)`` in deterministic order.  ``defaults`` supplies fallback values
     for ``generator``, ``epsilon``, ``delta``, ``method`` and
-    ``max_samples``.
+    ``max_samples``.  There is no sample-plane field: a document carrying
+    ``backend`` is rejected, because the plane follows the generator.
     """
     try:
         instance_specs = document["instances"]
@@ -198,6 +189,11 @@ def workload_from_dict(
         raise InstanceFormatError(
             "workload document needs 'instances' and 'requests' keys"
         ) from None
+    if "backend" in document:
+        raise InstanceFormatError(
+            "'backend' is not a workload field: the sample plane follows the "
+            "generator (vector for M_ur/M_us, scalar for M_uo)"
+        )
     defaults = document.get("defaults", {})
     if not isinstance(defaults, Mapping):
         raise InstanceFormatError("workload 'defaults' must be an object")

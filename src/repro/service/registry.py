@@ -184,8 +184,7 @@ class SessionRegistry:
     (``None`` = fresh entropy per group — estimates are then not
     reproducible and the cache store is bypassed, mirroring
     ``batch_estimate``).  ``cache_dir`` attaches a persistent
-    :class:`~repro.engine.store.CacheStore` for warm-start/spill;
-    ``backend`` is forwarded to every session.
+    :class:`~repro.engine.store.CacheStore` for warm-start/spill.
 
     ``shared_pools=True`` backs every pool with a
     :class:`~repro.sampling.vectorized.SharedSampleSegment` (sharded
@@ -199,18 +198,12 @@ class SessionRegistry:
         *,
         seed: int | None = None,
         cache_dir: str | None = None,
-        backend: str = "auto",
         max_sessions: int = DEFAULT_MAX_SESSIONS,
         shared_pools: bool = False,
     ):
         if max_sessions < 1:
             raise ValueError("max_sessions must be positive")
-        if backend not in ("auto", "vector", "scalar"):
-            raise ValueError(
-                f"unknown backend {backend!r} (use 'auto', 'vector' or 'scalar')"
-            )
         self.seed = seed
-        self.backend = backend
         self.max_sessions = max_sessions
         self.shared_pools = shared_pools
         #: Per-registry store-failure accounting; drives degraded mode.
@@ -275,9 +268,8 @@ class SessionRegistry:
         """The warm handle for this group, admitting (and possibly
         evicting) as needed.
 
-        Raises :class:`~repro.approx.fpras.FPRASUnavailable` (or
-        ``ValueError`` for backend misconfiguration) when the group is
-        outside the paper's positive results — unsupported groups are
+        Raises :class:`~repro.approx.fpras.FPRASUnavailable` when the
+        group is outside the paper's positive results — unsupported groups are
         never admitted, so they cannot flush warm sessions out of the
         LRU.
         """
@@ -337,13 +329,7 @@ class SessionRegistry:
                     self.storage.record("load", cache.load_error)
                 else:
                     self.storage.mark_ok()
-        session = EstimationSession(
-            database,
-            constraints,
-            generator,
-            cache=cache,
-            backend=self.backend,
-        )
+        session = EstimationSession(database, constraints, generator, cache=cache)
         # Raises FPRASUnavailable for out-of-scope groups before admission.
         shared = self.shared_pools
         if cache is not None:
@@ -351,13 +337,7 @@ class SessionRegistry:
                 pool = session.cached_pool(seed, shared=shared)
             except OSError as error:
                 self.storage.record("warm", error)
-                session = EstimationSession(
-                    database,
-                    constraints,
-                    generator,
-                    cache=None,
-                    backend=self.backend,
-                )
+                session = EstimationSession(database, constraints, generator)
                 pool = session.pool_for_seed(seed, shared=shared)
         else:
             pool = session.pool_for_seed(seed, shared=shared)
@@ -437,7 +417,6 @@ class SessionRegistry:
             "sessions": len(handles),
             "max_sessions": self.max_sessions,
             "seed": self.seed,
-            "backend": self.backend,
             "cache_dir": None if self.store is None else self.store.directory,
             "hits": self.hits,
             "misses": self.misses,

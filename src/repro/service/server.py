@@ -120,6 +120,16 @@ _SINGLE_REQUEST_FIELDS = (
 )
 
 
+#: ``POST /_fault`` keys that act on the store or the warm sessions of
+#: this process — refused under ``--workers``, where both live in the
+#: worker processes.
+_DISK_FAULTS = ("disk_enospc", "disk_bitflip", "spill_sessions", "drop_sessions")
+
+
+#: Per-shard wait for the ``/healthz`` session count.
+_HEALTHZ_POLL_SECONDS = 0.25
+
+
 class _BadRequest(Exception):
     """A client error carried to the HTTP layer as a 400 row."""
 
@@ -232,10 +242,11 @@ def _single_request(
         row.pop("answer", None)
         row["answers"] = "all"
     row["instance"] = label
+    wrapped = {"instances": {label: instance}, "requests": [row]}
+    if "backend" in document:
+        wrapped["backend"] = document["backend"]  # rejected by the parser
     try:
-        requests = workload_from_dict(
-            {"instances": {label: instance}, "requests": [row]}
-        )
+        requests = workload_from_dict(wrapped)
     except InstanceFormatError as error:
         raise _BadRequest(str(error)) from None
     return requests, _parse_mode(document)
@@ -569,7 +580,6 @@ class EstimationServer:
         return WorkerConfig(
             seed=registry.seed,
             cache_dir=None if registry.store is None else registry.store.directory,
-            backend=registry.backend,
             max_sessions=registry.max_sessions,
             max_queue=self.max_queue,
             max_pending=self.max_pending,
@@ -815,11 +825,17 @@ class EstimationServer:
     async def _healthz(self) -> dict:
         # Degraded storage does not fail liveness: the whole point of
         # degraded mode is that the service keeps answering (by
-        # recomputing) while the disk is broken.
+        # recomputing) while the disk is broken.  Sessions live in the
+        # shards; a short poll keeps the probe fast while a worker
+        # restarts (its sessions go unreported) and leaves the gauges'
+        # snapshot alone.
+        totals = aggregate_shard_stats(
+            await self.shards.stats(timeout=_HEALTHZ_POLL_SECONDS)
+        )
         storage = self.registry.storage.snapshot()
         return {
             "status": "ok",
-            "sessions": len(self.registry.handles()),
+            "sessions": totals["registry"]["sessions"],
             "uptime_seconds": round(time.monotonic() - self._started_at, 3),
             "storage": {
                 "degraded": bool(self._storage_degraded()),
@@ -922,13 +938,16 @@ class EstimationServer:
             if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
                 raise _BadRequest("'slow_seconds' must be a non-negative number")
             self._faults["slow_seconds"] = float(value)
+        disk_faults = [key for key in _DISK_FAULTS if key in document]
+        if disk_faults and self.workers:
+            # The shim and the spill/drop hooks act on this process; with
+            # worker processes the store and the warm sessions live in the
+            # workers, where they would silently miss.
+            raise _BadRequest(
+                f"disk faults ({', '.join(disk_faults)}) require in-process "
+                "mode (no --workers)"
+            )
         if "disk_enospc" in document or "disk_bitflip" in document:
-            if self.workers:
-                # The shim is process-local; with worker processes the
-                # store lives in the workers, where it would silently miss.
-                raise _BadRequest(
-                    "disk faults require in-process mode (no --workers)"
-                )
             if "disk_enospc" in document:
                 value = document["disk_enospc"]
                 if not isinstance(value, bool):
@@ -1061,7 +1080,6 @@ class EstimationServer:
             request.max_samples,
             request.label,
             mode,
-            self.registry.backend,
         )
 
     async def _run_rows(
@@ -1130,7 +1148,6 @@ def serve(
     *,
     seed: int | None = None,
     cache_dir: str | None = None,
-    backend: str = "auto",
     max_sessions: int | None = None,
     max_queue: int | None = None,
     max_pending: int | None = None,
@@ -1161,7 +1178,6 @@ def serve(
     registry = SessionRegistry(
         seed=seed,
         cache_dir=cache_dir,
-        backend=backend,
         max_sessions=DEFAULT_MAX_SESSIONS if max_sessions is None else max_sessions,
     )
 
@@ -1185,7 +1201,7 @@ def serve(
         bound_host, bound_port = await server.start()
         print(
             f"repro estimation service on http://{bound_host}:{bound_port} "
-            f"(seed={seed}, backend={backend}, "
+            f"(seed={seed}, "
             f"cache_dir={cache_dir}, max_sessions={registry.max_sessions}, "
             f"workers={server.workers or 1})",
             file=sys.stderr,

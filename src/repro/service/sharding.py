@@ -168,7 +168,6 @@ class WorkerConfig:
 
     seed: int | None = None
     cache_dir: str | None = None
-    backend: str = "auto"
     max_sessions: int = DEFAULT_MAX_SESSIONS
     max_queue: int | None = None
     max_pending: int | None = None
@@ -216,8 +215,9 @@ class LocalShard:
             "batching": self.batcher.stats(),
         }
 
-    async def stats(self) -> list[dict]:
-        """The one per-shard document, shaped like :meth:`WorkerPool.stats`."""
+    async def stats(self, timeout: float | None = None) -> list[dict]:
+        """The one per-shard document, shaped like :meth:`WorkerPool.stats`
+        (``timeout`` is accepted for that parity; no wait happens here)."""
         return [{**self.document(), "alive": True, "restarts": 0}]
 
     def alive(self, shard: int) -> bool:
@@ -274,7 +274,6 @@ async def _worker_loop(shard: int, conn, config: WorkerConfig) -> None:
         SessionRegistry(
             seed=config.seed,
             cache_dir=config.cache_dir,
-            backend=config.backend,
             max_sessions=config.max_sessions,
             shared_pools=config.shared_pools,
         ),

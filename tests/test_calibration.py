@@ -144,6 +144,7 @@ class TestTargets:
         assert targets["fig2-mur"].truth == pytest.approx(0.25)
         assert targets["fig2-mus"].truth == pytest.approx(8 / 33)
         assert targets["fig2-sure"].truth == 1.0
+        assert targets["fig2-muo"].truth == pytest.approx(5 / 18)
         assert all(t.truth_kind == "exact" for t in targets.values())
 
     def test_full_profile_extends_small(self):
@@ -190,20 +191,22 @@ class TestMicroAudit:
             default_targets("small"),
             replications=3,
             base_seed=9,
-            backends=("scalar",),
             horizon=16,
         )
 
     def test_grid_shape(self, report):
         assert isinstance(report, AuditReport)
-        # 3 targets × 1 backend × 2 modes × 2 warmths.
-        assert len(report.cells) == 12
-        assert len(report.anytime) == 3
-        assert {c.backend for c in report.cells} == {"scalar"}
+        # 4 targets × 2 modes × 2 warmths, each on its generator's plane.
+        assert len(report.cells) == 16
+        assert len(report.anytime) == 4
+        assert report.backends == ("scalar", "vector")
+        for cell in report.cells:
+            expected = "scalar" if cell.target == "fig2-muo" else "vector"
+            assert cell.backend == expected, cell.cell_id
 
     def test_warm_cells_replay_cold(self, report):
         warm = [c for c in report.cells if c.warmth == "warm"]
-        assert len(warm) == 6
+        assert len(warm) == 8
         assert all(c.replay_mismatches == 0 for c in warm)
 
     def test_adaptive_cells_carry_sharpness(self, report):
@@ -218,7 +221,7 @@ class TestMicroAudit:
         document = report_to_dict(report)
         json.dumps(document)  # must be JSON-serializable as-is
         assert document["kind"] == "repro-calibration-audit"
-        assert len(document["cells"]) == 12
+        assert len(document["cells"]) == 16
         text = render_report(report)
         assert "calibration audit" in text
         assert ("PASS" in text) or ("FAIL" in text)
@@ -227,7 +230,6 @@ class TestMicroAudit:
         filtered = run_audit(
             default_targets("small")[:1],
             replications=2,
-            backends=("scalar",),
             cells=["fixed"],
             anytime_replications=0,
             horizon=8,
@@ -240,7 +242,6 @@ class TestMicroAudit:
             run_audit(
                 default_targets("small")[:1],
                 replications=2,
-                backends=("scalar",),
                 cells=["fig2-mur/*"],
                 anytime_replications=0,
                 horizon=8,
@@ -251,13 +252,15 @@ class TestMicroAudit:
             run_audit(default_targets("small"), replications=0)
 
     def test_vector_backend_joins_the_grid(self):
+        # An M_ur target audits the vector plane and only that plane.
         report = run_audit(
             default_targets("small")[:1],
             replications=2,
             anytime_replications=0,
             horizon=8,
         )
-        assert {c.backend for c in report.cells} == {"scalar", "vector"}
+        assert {c.backend for c in report.cells} == {"vector"}
+        assert report.backends == ("vector",)
 
 
 @pytest.mark.tier2

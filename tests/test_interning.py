@@ -22,7 +22,7 @@ from repro.core.blocks import block_decomposition
 from repro.core.interning import InstanceIndex, InterningError
 from repro.approx.montecarlo import fixed_sample_estimate, stopping_rule_estimate
 from repro.engine import BatchRequest, EstimationSession, batch_estimate
-from repro.engine.batch import group_seed_for
+from repro.engine.batch import group_seed_for, run_group
 from repro.core.queries import atom, boolean_cq, cq, var
 from repro.sampling.repair_sampler import RepairSampler
 from repro.sampling.sequence_sampler import SequenceSampler
@@ -236,11 +236,11 @@ class TestKernelOnOffParity:
             for candidate in sorted(query.answers(database), key=repr)
         ]
 
-    def object_path_rows(self, database, constraints, requests, seed):
-        # Every request of a scalar batch group reads the pool seeded with
-        # the group seed from position zero: one fresh object stream each.
-        session = EstimationSession(database, constraints, M_UR)
-        group_seed = group_seed_for(seed, database, constraints, M_UR)
+    def object_path_rows(self, database, constraints, requests, seed, generator=M_UR):
+        # Every request of a scalar group reads the pool seeded with the
+        # group seed from position zero: one fresh object stream each.
+        session = EstimationSession(database, constraints, generator)
+        group_seed = group_seed_for(seed, database, constraints, generator)
         return [
             object_path_estimate(
                 session, r.query, r.answer, random.Random(group_seed)
@@ -251,12 +251,15 @@ class TestKernelOnOffParity:
     @given(instance=instances, seed=seeds)
     @settings(max_examples=10, deadline=None)
     def test_batch_estimate_matches_with_kernel_on_and_off(self, instance, seed):
-        # Pinned to the scalar plane: the object path draws random.Random
-        # streams (the vector plane's own parity lives in
-        # tests/test_vectorized.py).
+        # The batch group path over a random.Random-driven (scalar) pool:
+        # the object path draws the same streams (the vector plane's own
+        # parity lives in tests/test_vectorized.py).
         database, constraints = instance
         requests = self.batch_requests(database, constraints)
-        on = batch_estimate(requests, seed=seed, backend="scalar")
+        session = EstimationSession(database, constraints, M_UR)
+        group_seed = group_seed_for(seed, database, constraints, M_UR)
+        pool = session.pool(random.Random(group_seed))
+        on = [result for _, result in run_group(session, pool, list(enumerate(requests)))]
         assert all(r.ok for r in on)
         off = self.object_path_rows(database, constraints, requests, seed)
         assert [r.result for r in on] == off
@@ -264,16 +267,14 @@ class TestKernelOnOffParity:
     @given(instance=instances, seed=seeds)
     @settings(max_examples=8, deadline=None)
     def test_kernel_parity_through_a_warm_cache_store(self, instance, seed):
+        # M_uo groups draw on the scalar plane, so a cold-then-warm batch
+        # replays a persisted random.Random prefix.
         database, constraints = instance
-        requests = self.batch_requests(database, constraints)
-        off = self.object_path_rows(database, constraints, requests, seed)
+        requests = self.batch_requests(database, constraints, M_UO)
+        off = self.object_path_rows(database, constraints, requests, seed, M_UO)
         with tempfile.TemporaryDirectory() as cache_dir:
-            cold = batch_estimate(
-                requests, seed=seed, cache_dir=cache_dir, backend="scalar"
-            )
-            warm = batch_estimate(
-                requests, seed=seed, cache_dir=cache_dir, backend="scalar"
-            )
+            cold = batch_estimate(requests, seed=seed, cache_dir=cache_dir)
+            warm = batch_estimate(requests, seed=seed, cache_dir=cache_dir)
         for results in (cold, warm):
             assert [r.result for r in results] == off
 

@@ -172,8 +172,9 @@ class TestSessionRegistry:
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError, match="max_sessions"):
             SessionRegistry(max_sessions=0)
-        with pytest.raises(ValueError, match="backend"):
-            SessionRegistry(backend="simd")
+        # The sample plane follows the generator: no registry-wide knob.
+        with pytest.raises(TypeError, match="backend"):
+            SessionRegistry(backend="scalar")
 
 
 class TestMicroBatcher:
@@ -409,6 +410,21 @@ class TestHttpErrors:
             client.estimate_workload({"instance": "nope", "query": "Ans() :- R(a)"})
         assert caught.value.status == 400
 
+    def test_backend_field_is_400_in_both_body_shapes(self, client):
+        # The sample plane follows the generator; no body may pick it.
+        database, constraints = figure2_database()
+        instance = instance_to_dict(database, constraints)
+        single = {"instance": instance, "query": QUERY_TEXT, "answer": ["a1"]}
+        workload = {
+            "instances": {"fig2": instance},
+            "requests": [{"instance": "fig2", "query": QUERY_TEXT, "answer": ["a1"]}],
+        }
+        for document in (single, workload):
+            with pytest.raises(ServiceClientError) as caught:
+                client.estimate_workload({**document, "backend": "scalar"})
+            assert caught.value.status == 400
+            assert "follows the generator" in str(caught.value)
+
     def test_answers_rejects_fixed_answer(self, server):
         database, constraints = figure2_database()
         body = json.dumps(
@@ -459,15 +475,17 @@ class TestCliServeParser:
                 "--port", "9000",
                 "--seed", "7",
                 "--cache-dir", "/tmp/cache",
-                "--backend", "scalar",
                 "--max-sessions", "4",
                 "--workers", "2",
             ]
         )
         assert args.command == "serve"
         assert (args.host, args.port, args.seed) == ("0.0.0.0", 9000, 7)
-        assert args.backend == "scalar" and args.max_sessions == 4
-        assert args.workers == 2
+        assert args.max_sessions == 4 and args.workers == 2
+        assert not hasattr(args, "backend")
+        # The plane follows the generator: --backend is an unknown flag.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--backend", "scalar"])
 
     def test_loadtest_arguments_parse(self):
         from repro.cli import build_parser

@@ -41,6 +41,7 @@ from repro.service import (
     ServiceClient,
     ServiceClientError,
     SessionRegistry,
+    WorkerPool,
     aggregate_shard_stats,
     shard_for_key,
 )
@@ -405,6 +406,53 @@ class TestShardedHttp:
             health = ServiceClient(server.url).healthz()
             assert health["workers"]["count"] == 2
             assert health["workers"]["alive"] == [True, True]
+
+    def test_healthz_sessions_count_worker_sessions(self):
+        # Sessions live in the workers; the router's registry never admits.
+        database, constraints = figure2_database()
+        requests = fig2_requests(generators=(M_UR,))
+        with BackgroundServer(seed=7, server_options={"workers": 1}) as server:
+            client = ServiceClient(server.url)
+            serve_rows(client, database, constraints, requests[:1])
+            # /healthz first: its count must not lean on a /stats refresh.
+            health = client.healthz()["sessions"]
+            assert health == client.stats()["registry"]["sessions"] == 1
+
+    def test_healthz_stays_fast_while_a_worker_restarts(self, monkeypatch):
+        # The probe polls the shards briefly; a respawning shard is only
+        # missing from the count, never a stall.
+        options = {"workers": 1, "fault_injection": True}
+        with BackgroundServer(seed=7, server_options=options) as server:
+            client = ServiceClient(server.url)
+            spawn = WorkerPool._spawn
+
+            def slow_spawn(pool, shard):
+                time.sleep(3.0)
+                return spawn(pool, shard)
+
+            monkeypatch.setattr(WorkerPool, "_spawn", slow_spawn)
+            client._call("POST", "/_fault", {"kill_worker": 0})
+            started = time.monotonic()
+            health = client.healthz()
+            assert time.monotonic() - started < 1.0
+            assert health["status"] == "ok"
+            # Let the respawn finish before the server stops.
+            deadline = time.monotonic() + 30
+            while not client.healthz()["workers"]["alive"][0]:
+                assert time.monotonic() < deadline
+                time.sleep(0.1)
+
+    def test_session_faults_rejected_with_workers(self):
+        # spill/drop would act on the router's empty registry and report 0.
+        options = {"workers": 1, "fault_injection": True}
+        with BackgroundServer(seed=7, server_options=options) as server:
+            client = ServiceClient(server.url, max_retries=0)
+            for fault in ("spill_sessions", "drop_sessions"):
+                with pytest.raises(ServiceClientError) as caught:
+                    client._call("POST", "/_fault", {fault: True})
+                assert caught.value.status == 400
+                assert fault in str(caught.value)
+                assert "--workers" in str(caught.value)
 
 
 # -- one serving path ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.chains.generators import M_UR, M_US
+from repro.chains.generators import M_UO, M_UR, M_US
 from repro.cli import main
 from repro.core import FDSet
 from repro.core.blocks import block_decomposition
@@ -44,14 +44,14 @@ def _lockdep(lockdep_state):
     return lockdep_state
 
 
-def fig2_requests():
+def fig2_requests(generator=M_UR):
     database, constraints = figure2_database()
     query = cq((x,), (atom("R", x, y),))
     return [
         BatchRequest(
             database,
             constraints,
-            M_UR,
+            generator,
             query,
             answer=c,
             epsilon=EPSILON,
@@ -59,6 +59,26 @@ def fig2_requests():
         )
         for c in sorted(query.answers(database), key=repr)
     ]
+
+
+def write_scalar_entry(cache_dir, seed, length):
+    """Persist a scalar-plane Figure 2 ``M_ur`` prefix of ``length`` samples.
+
+    The entry sits under the key a ``batch_estimate(seed=seed)`` run uses,
+    but holds the ``random.Random`` stream :meth:`EstimationSession.pool`
+    draws — a foreign plane for ``M_ur``, whose seeded pools are vector.
+    """
+    from repro.engine.batch import group_seed_for
+
+    database, constraints = figure2_database()
+    group_seed = group_seed_for(seed, database, constraints, M_UR)
+    entry = CacheStore(str(cache_dir)).entry(database, constraints, "M_ur", group_seed)
+    session = EstimationSession(database, constraints, M_UR, cache=entry)
+    rng = random.Random(group_seed)
+    pool = session.pool(rng)
+    entry.attach_pool(pool, rng)
+    pool.ensure(length)
+    return entry
 
 
 def entry_path(cache_dir):
@@ -132,7 +152,16 @@ class TestWarmStart:
         assert calls == []  # decomposition came from disk, not recomputation
 
     def test_longer_warm_run_extends_the_persisted_stream(self, tmp_path):
-        requests = fig2_requests()
+        # A vector prefix (M_ur) resumes by batch index.
+        self.assert_warm_run_extends(tmp_path, M_UR)
+
+    def test_longer_warm_scalar_run_extends_the_persisted_rng_state(self, tmp_path):
+        # A scalar prefix (M_uo) resumes from its persisted rng_state.
+        self.assert_warm_run_extends(tmp_path, M_UO)
+
+    @staticmethod
+    def assert_warm_run_extends(tmp_path, generator):
+        requests = fig2_requests(generator)
         # Cold run with loose accuracy persists a short prefix ...
         batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
         with open(entry_path(tmp_path)) as handle:
@@ -216,17 +245,14 @@ class TestCorruption:
     @pytest.fixture
     def populated_scalar(self, tmp_path):
         # The rng_state damage modes are scalar-plane concerns (vector
-        # entries resume by batch index and persist no RNG state at all).
-        requests = fig2_requests()
-        baseline = batch_estimate(
-            requests, seed=7, cache_dir=str(tmp_path), backend="scalar"
-        )
+        # entries resume by batch index and persist no RNG state at all):
+        # M_uo groups draw on the scalar plane.
+        requests = fig2_requests(M_UO)
+        baseline = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
         return requests, baseline, entry_path(tmp_path), str(tmp_path)
 
-    def rerun_and_compare(self, requests, baseline, cache_dir, backend="auto"):
-        damaged = batch_estimate(
-            requests, seed=7, cache_dir=cache_dir, backend=backend
-        )
+    def rerun_and_compare(self, requests, baseline, cache_dir):
+        damaged = batch_estimate(requests, seed=7, cache_dir=cache_dir)
         assert [r.result for r in damaged] == [r.result for r in baseline]
 
     def test_truncated_file(self, populated):
@@ -305,7 +331,7 @@ class TestCorruption:
         document = json.load(open(path))
         document["rng_state"] = ["bogus"]
         json.dump(document, open(path, "w"))
-        self.rerun_and_compare(requests, baseline, cache_dir, backend="scalar")
+        self.rerun_and_compare(requests, baseline, cache_dir)
 
     def test_wrong_field_types(self, populated):
         requests, baseline, path, cache_dir = populated
@@ -362,7 +388,7 @@ class TestCorruption:
         document = json.load(open(path))
         document["rng_state"][1] = [2**64] * len(document["rng_state"][1])
         json.dump(document, open(path, "w"))
-        self.rerun_and_compare(requests, baseline, cache_dir, backend="scalar")
+        self.rerun_and_compare(requests, baseline, cache_dir)
 
     def test_non_json_constants_never_discard_results(self, tmp_path):
         # Fact constants are any hashable; Decimal values make the entry
@@ -413,7 +439,7 @@ class TestCorruption:
         document = json.load(open(path))
         document["rng_state"] = None  # state lost, samples left behind
         json.dump(document, open(path, "w"))
-        self.rerun_and_compare(requests, baseline, cache_dir, backend="scalar")
+        self.rerun_and_compare(requests, baseline, cache_dir)
         rewritten = json.load(open(entry_path(cache_dir)))
         assert rewritten["rng_state"] is not None
 
@@ -506,15 +532,11 @@ class TestTwoWriters:
 
         vector_entry = store.entry(database, constraints, "M_ur", group_seed)
         vector_session = EstimationSession(
-            database, constraints, M_UR, cache=vector_entry, backend="vector"
+            database, constraints, M_UR, cache=vector_entry
         )
         vector_session.cached_pool(group_seed).ensure(10)
 
-        scalar_entry = store.entry(database, constraints, "M_ur", group_seed)
-        scalar_session = EstimationSession(
-            database, constraints, M_UR, cache=scalar_entry, backend="scalar"
-        )
-        scalar_session.cached_pool(group_seed).ensure(40)
+        scalar_entry = write_scalar_entry(tmp_path, 7, 40)
 
         vector_entry.save()
         scalar_entry.save()  # other plane on disk: ours wins outright
@@ -522,12 +544,12 @@ class TestTwoWriters:
             document = json.load(handle)
         assert document["backend"] == "scalar"
         assert len(document["samples"]) == 40
-        # The surviving scalar prefix extends cleanly.
-        warm = batch_estimate(
-            fig2_requests(), seed=7, cache_dir=str(tmp_path), backend="scalar"
-        )
-        plain = batch_estimate(fig2_requests(), seed=7, backend="scalar")
+        # The M_ur run discards the foreign-plane prefix, never extends it.
+        warm = batch_estimate(fig2_requests(), seed=7, cache_dir=str(tmp_path))
+        plain = batch_estimate(fig2_requests(), seed=7)
         assert [r.result for r in warm] == [r.result for r in plain]
+        with open(entry_path(tmp_path)) as handle:
+            assert json.load(handle)["backend"] == "vector"
 
 
 class TestWorkloadSpecAndCli:
@@ -546,28 +568,22 @@ class TestWorkloadSpecAndCli:
     def test_spec_defaults(self):
         spec = workload_spec_from_dict(self.workload_document())
         assert spec.mode == "fixed" and spec.cache_dir is None
-        assert spec.backend == "auto"
+        assert not hasattr(spec, "backend")
         assert len(spec.requests) == 3
 
-    def test_spec_backend_parsed_and_validated(self):
-        spec = workload_spec_from_dict(self.workload_document(backend="scalar"))
-        assert spec.backend == "scalar"
-        with pytest.raises(InstanceFormatError, match="unknown backend"):
-            workload_spec_from_dict(self.workload_document(backend="turbo"))
+    def test_spec_backend_field_rejected(self):
+        # The sample plane follows the generator; the field is gone.
+        for value in ("auto", "vector", "scalar"):
+            with pytest.raises(InstanceFormatError, match="follows the generator"):
+                workload_spec_from_dict(self.workload_document(backend=value))
 
-    def test_cli_backend_flag_overrides_workload_field(self, tmp_path, capsys):
+    def test_cli_backend_flag_rejected(self, tmp_path, capsys):
         workload = tmp_path / "workload.json"
-        workload.write_text(json.dumps(self.workload_document(backend="scalar")))
-        # The workload's field applies when no flag is given ...
-        assert main(["batch", str(workload), "--seed", "7"]) == 0
-        pinned_scalar = capsys.readouterr().out
-        assert main(["batch", str(workload), "--seed", "7", "--backend", "scalar"]) == 0
-        assert capsys.readouterr().out == pinned_scalar
-        # ... and the flag overrides it: a vector-pinned workload run with
-        # --backend scalar reproduces the scalar stream exactly.
-        workload.write_text(json.dumps(self.workload_document(backend="vector")))
-        assert main(["batch", str(workload), "--seed", "7", "--backend", "scalar"]) == 0
-        assert capsys.readouterr().out == pinned_scalar
+        workload.write_text(json.dumps(self.workload_document()))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", str(workload), "--seed", "7", "--backend", "scalar"])
+        assert exit_info.value.code == 2  # argparse: unrecognized arguments
+        assert "--backend" in capsys.readouterr().err
 
     def test_spec_fields_parsed_and_cache_dir_resolved(self, tmp_path):
         document = self.workload_document(mode="adaptive", cache_dir="cache")
@@ -759,13 +775,13 @@ def golden_instance():
     return Database(facts, schema=schema), FDSet(schema, [fd("R", "A", "B")])
 
 
-def golden_requests():
+def golden_requests(generator=M_UR):
     database, constraints = golden_instance()
     requests = [
         BatchRequest(
             database,
             constraints,
-            M_UR,
+            generator,
             boolean_cq(atom("R", key, "v0")),
             epsilon=0.9,
             delta=0.5,
@@ -778,7 +794,7 @@ def golden_requests():
         BatchRequest(
             database,
             constraints,
-            M_UR,
+            generator,
             query,
             answer=(key,),
             epsilon=0.3,
@@ -790,18 +806,39 @@ def golden_requests():
     return requests
 
 
-class TestGoldenV4Entries:
-    """v4 entries written before pools held one packed representation.
+def install_golden(tmp_path, name, generator, seed):
+    """Copy ``tests/data/<name>`` to the entry path of ``golden_requests``."""
+    from repro.engine.batch import group_seed_for
 
-    ``tests/data/golden_v4_{plane}.json`` were written by a cold
-    ``batch_estimate(golden_requests(), seed, cache_dir, backend=plane)``
-    at that earlier commit; the expected rows below are what it returned.
-    A warm run must load them, draw nothing, and return the same rows —
-    so the on-disk v4 format is unchanged.
+    database, constraints = golden_instance()
+    group_seed = group_seed_for(seed, database, constraints, generator)
+    entry = CacheStore(str(tmp_path)).entry(
+        database, constraints, generator.name, group_seed
+    )
+    with open(os.path.join(os.path.dirname(__file__), "data", name), "rb") as handle:
+        written = handle.read()
+    with open(entry.path, "wb") as handle:
+        handle.write(written)
+    return entry.path, written
+
+
+class TestGoldenV4Entries:
+    """v4 entries written by earlier commits, one per plane.
+
+    Each ``tests/data/golden_v4_*.json`` was written by a cold
+    ``batch_estimate(golden_requests(generator), seed, cache_dir)``; the
+    expected rows below are what it returned.  ``golden_v4_vector.json``
+    is an ``M_ur`` entry and ``golden_v4_muo.json`` an ``M_uo`` one, the
+    scalar plane.  A warm run must load them, draw nothing, and return
+    the same rows — so the on-disk v4 format is unchanged.
+    ``golden_v4_scalar.json`` is an ``M_ur`` entry drawn on the scalar
+    plane, which ``M_ur`` no longer uses: a foreign-plane prefix.
     """
 
     EXPECTED = {
         "vector": (
+            "golden_v4_vector.json",
+            M_UR,
             11,
             [
                 (0.33004926108374383, 812),
@@ -811,42 +848,62 @@ class TestGoldenV4Entries:
             ],
         ),
         "scalar": (
-            12,
+            "golden_v4_muo.json",
+            M_UO,
+            13,
             [
                 (0.3411330049261084, 812),
-                (0.229064039408867, 812),
-                (0.6737906980952861, 186),
-                (0.7641772551568489, 164),
+                (0.30049261083743845, 812),
+                (0.6054351200276484, 207),
+                (0.8411078513135787, 149),
             ],
         ),
     }
 
-    @pytest.mark.parametrize("backend", ["vector", "scalar"])
+    @pytest.mark.parametrize("plane", ["vector", "scalar"])
     def test_golden_entry_warm_loads_without_drawing(
-        self, backend, tmp_path, monkeypatch
+        self, plane, tmp_path, monkeypatch
     ):
-        from repro.engine.batch import group_seed_for
         from repro.sampling import vectorized
-        from repro.sampling.repair_sampler import RepairSampler
+        from repro.sampling.operations_sampler import UniformOperationsSampler
 
-        seed, expected = self.EXPECTED[backend]
-        database, constraints = golden_instance()
-        group_seed = group_seed_for(seed, database, constraints, M_UR)
-        entry = CacheStore(str(tmp_path)).entry(database, constraints, "M_ur", group_seed)
-        golden = os.path.join(os.path.dirname(__file__), "data", f"golden_v4_{backend}.json")
-        with open(golden, "rb") as handle:
-            written = handle.read()
-        with open(entry.path, "wb") as handle:
-            handle.write(written)
+        name, generator, seed, expected = self.EXPECTED[plane]
+        path, written = install_golden(tmp_path, name, generator, seed)
 
         def no_draw(*args, **kwargs):
             raise AssertionError("a warm golden entry must not draw")
 
         monkeypatch.setattr(vectorized._BlockPlane, "draw_batch", no_draw)
-        monkeypatch.setattr(RepairSampler, "sample_mask", no_draw)
+        monkeypatch.setattr(UniformOperationsSampler, "sample", no_draw)
         results = batch_estimate(
-            golden_requests(), seed=seed, cache_dir=str(tmp_path), backend=backend
+            golden_requests(generator), seed=seed, cache_dir=str(tmp_path)
         )
         assert [(r.result.estimate, r.result.samples_used) for r in results] == expected
-        with open(entry.path, "rb") as handle:
+        with open(path, "rb") as handle:
             assert handle.read() == written  # nothing new to persist
+
+    def test_foreign_plane_golden_entry_is_discarded_not_extended(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.sampling import vectorized
+
+        seed = 12
+        path, _ = install_golden(tmp_path, "golden_v4_scalar.json", M_UR, seed)
+        with open(path) as handle:
+            assert json.load(handle)["backend"] == "scalar"
+        cold = batch_estimate(golden_requests(), seed=seed)
+        draws = []
+        original = vectorized._BlockPlane.draw_batch
+
+        def counting(self, batch_index, size):
+            draws.append(batch_index)
+            return original(self, batch_index, size)
+
+        monkeypatch.setattr(vectorized._BlockPlane, "draw_batch", counting)
+        warm = batch_estimate(golden_requests(), seed=seed, cache_dir=str(tmp_path))
+        assert draws and draws[0] == 0  # fresh rows from the stream's start
+        assert [r.result for r in warm] == [r.result for r in cold]
+        with open(path) as handle:
+            rewritten = json.load(handle)
+        assert rewritten["backend"] == "vector"
+        assert rewritten["rng_state"] is None

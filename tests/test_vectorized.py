@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chains.generators import M_UR, M_UR1, M_US, M_US1
+from repro.chains.generators import M_UO, M_UR, M_UR1, M_US, M_US1
 from repro.core import Database, FDSet, Schema, fact, fd
 from repro.core.queries import atom, cq, var
 from repro.counting.crs_count import (
@@ -36,6 +36,7 @@ from repro.engine import (
 from repro.sampling.rng import CumulativeWeights, weighted_choice
 from repro.sampling import vectorized
 from repro.workloads import figure2_database
+from test_store import write_scalar_entry
 
 x, y = var("x"), var("y")
 
@@ -335,27 +336,26 @@ class TestVectorPools:
 class TestBackendResolution:
     def test_auto_prefers_vector_for_block_generators(self):
         database, constraints = figure2_database()
-        session = EstimationSession(database, constraints, M_UR)
-        assert session.resolved_backend() == "vector"
-        assert session.pool_for_seed(5).backend == "vector"
+        for generator in (M_UR, M_UR1, M_US, M_US1):
+            session = EstimationSession(database, constraints, generator)
+            assert session.seeded_plane == "vector"
+            assert session.pool_for_seed(5).backend == "vector"
 
     def test_walk_generators_stay_scalar(self):
-        from repro.chains.generators import M_UO
-
         database, constraints = figure2_database()
         walk = EstimationSession(database, constraints, M_UO)
-        assert walk.resolved_backend() == "scalar"
+        assert walk.seeded_plane == "scalar"
+        assert walk.pool_for_seed(5).backend == "scalar"
         with pytest.raises(ValueError, match="vector"):
-            EstimationSession(
-                database, constraints, M_UO, backend="vector"
-            ).resolved_backend()
+            walk.vector_plane(5)
 
     def test_unknown_backend_rejected_everywhere(self):
+        # The generator alone picks the plane: there is no knob to pass.
         database, constraints = figure2_database()
-        with pytest.raises(ValueError, match="backend"):
-            EstimationSession(database, constraints, M_UR, backend="turbo")
-        with pytest.raises(ValueError, match="backend"):
-            batch_estimate(fig2_requests(), seed=1, backend="turbo")
+        with pytest.raises(TypeError, match="backend"):
+            EstimationSession(database, constraints, M_UR, backend="vector")
+        with pytest.raises(TypeError, match="backend"):
+            batch_estimate(fig2_requests(), seed=1, backend="scalar")
 
     def test_rng_driven_pools_keep_the_scalar_plane(self):
         database, constraints = figure2_database()
@@ -413,10 +413,9 @@ class TestStoreV3:
         from repro.engine import CacheStore, fsck_store
         from repro.engine.batch import group_seed_for
 
-        requests = fig2_requests()
-        baseline = batch_estimate(
-            requests, seed=7, cache_dir=str(tmp_path), backend="scalar"
-        )
+        # An M_uo (scalar-plane) entry: v2 entries persisted an RNG state.
+        requests = fig2_requests(M_UO)
+        baseline = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
         document, path = self.entry_document(str(tmp_path))
         v2 = {
             "version": 2,
@@ -434,28 +433,23 @@ class TestStoreV3:
         ]
         # The bad rows are never decoded: the entry is a plain miss.
         database, constraints = figure2_database()
-        seed = group_seed_for(7, database, constraints, M_UR)
-        entry = CacheStore(str(tmp_path)).entry(database, constraints, "M_ur", seed)
+        seed = group_seed_for(7, database, constraints, M_UO)
+        entry = CacheStore(str(tmp_path)).entry(database, constraints, "M_uo", seed)
         assert entry.path == path
         assert entry.load_error is None
         assert entry.sample_word_rows() == []
-        recovered = batch_estimate(
-            requests, seed=7, cache_dir=str(tmp_path), backend="scalar"
-        )
+        recovered = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
         assert [r.result for r in recovered] == [r.result for r in baseline]
         rewritten, _ = self.entry_document(str(tmp_path))
         assert rewritten["version"] == STORE_VERSION
         assert fsck_store(str(tmp_path)).ok
 
     def test_auto_plane_ignores_a_scalar_written_cache(self, tmp_path):
-        # The plane is the session's choice, never the cache's: an auto
+        # The plane is the generator's choice, never the cache's: an M_ur
         # run over a scalar-written cache_dir equals a cache-less run.
         requests = fig2_requests()
         plain = batch_estimate(requests, seed=5)
-        scalar = batch_estimate(
-            requests, seed=5, cache_dir=str(tmp_path), backend="scalar"
-        )
-        assert [r.result for r in scalar] != [r.result for r in plain]
+        write_scalar_entry(tmp_path, 5, 40).save()
         auto = batch_estimate(requests, seed=5, cache_dir=str(tmp_path))
         assert [r.result for r in auto] == [r.result for r in plain]
         rewritten, _ = self.entry_document(str(tmp_path))
@@ -466,7 +460,7 @@ class TestStoreV3:
 
         requests = fig2_requests()
         plain = batch_estimate(requests, seed=5)
-        batch_estimate(requests, seed=5, cache_dir=str(tmp_path), backend="scalar")
+        write_scalar_entry(tmp_path, 5, 40).save()
         registry = SessionRegistry(seed=5, cache_dir=str(tmp_path))
         try:
             served = registry.estimate(requests)
@@ -474,25 +468,25 @@ class TestStoreV3:
             registry.close()
         assert [r.result for r in served] == [r.result for r in plain]
 
-    def test_explicit_vector_discards_a_scalar_prefix(self, tmp_path):
-        requests = fig2_requests()
-        batch_estimate(requests, seed=7, cache_dir=str(tmp_path), backend="scalar")
-        vector = batch_estimate(
-            requests, seed=7, cache_dir=str(tmp_path), backend="vector"
-        )
-        plain = batch_estimate(requests, seed=7, backend="vector")
-        assert [r.result for r in vector] == [r.result for r in plain]
-        rewritten, _ = self.entry_document(str(tmp_path))
-        assert rewritten["backend"] == "vector"
+    def test_scalar_plane_discards_a_vector_prefix(self, tmp_path):
+        from repro.engine import CacheStore
+        from repro.engine.batch import group_seed_for
 
-    def test_explicit_scalar_discards_a_vector_prefix(self, tmp_path):
-        requests = fig2_requests()
-        batch_estimate(requests, seed=7, cache_dir=str(tmp_path), backend="vector")
-        scalar = batch_estimate(
-            requests, seed=7, cache_dir=str(tmp_path), backend="scalar"
-        )
-        plain = batch_estimate(requests, seed=7, backend="scalar")
+        # A vector-drawn prefix under the M_uo key (only reachable by a
+        # foreign writer): the scalar M_uo pool must redraw, not extend.
+        database, constraints = figure2_database()
+        seed = group_seed_for(7, database, constraints, M_UO)
+        entry = CacheStore(str(tmp_path)).entry(database, constraints, "M_uo", seed)
+        pool = EstimationSession(database, constraints, M_UR).vector_pool(seed)
+        entry.attach_pool(pool)
+        pool.ensure(DEFAULT_BATCH_SIZE)
+        entry.save()
+        requests = fig2_requests(M_UO)
+        scalar = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
+        plain = batch_estimate(requests, seed=7)
         assert [r.result for r in scalar] == [r.result for r in plain]
+        rewritten, _ = self.entry_document(str(tmp_path))
+        assert rewritten["backend"] == "scalar"
 
 
 class TestVectorEstimationParity:
