@@ -28,8 +28,8 @@ instead of fixed budgets, ``--cache-dir DIR`` (with ``--seed``) persists
 decompositions, bounds and sample batches across runs, and
 ``--allow-errors`` exits 0 even when some rows report out-of-scope errors
 (the rows still carry them).  The sample plane follows the generator:
-the vectorized numpy plane for ``M_ur``/``M_us``, the scalar kernel for
-``M_uo``.
+the vectorized numpy plane for ``M_ur``/``M_us``, the scalar walk plane
+for ``M_uo``.
 
 ``serve`` starts the estimation service (:mod:`repro.service`): a warm
 session registry behind a micro-batching HTTP JSON API sharing the

@@ -28,31 +28,32 @@ share the same database.  :class:`EstimationSession` binds one
   Every pool holds its samples one way: a packed ``(S, ceil(n/64))``
   little-endian ``uint64`` bitset matrix, and witness hits are counted
   with array reductions over it.
-* **the vectorized sample plane** — seed-driven pools
+* **two sample planes** — every pool draws through a plane with one
+  ``draw_batch(batch_index, size)`` shape: the block-structured
+  ``M_ur``/``M_us`` families through the vector plane
+  (:mod:`repro.sampling.vectorized`, whole batches at once), the ``M_uo``
+  walk (which has no block structure) through the walk plane
+  (``_WalkPlane``), one sample per batch.  The generator alone decides
+  the plane — the plane never changes *what* is computed, only how fast.
+
+Determinism contracts:
+
+* **seeded** — a seed-driven pool's batch ``b``
   (:meth:`EstimationSession.pool_for_seed`, i.e. everything
-  :func:`~repro.engine.batch.batch_estimate` builds) draw whole batches
-  at once through :mod:`repro.sampling.vectorized` instead of one
-  ``random.Random`` draw at a time.  The generator alone decides the
-  plane: the block-structured ``M_ur``/``M_us`` families draw on the
-  vector plane, the ``M_uo`` walk (which has none) on the scalar one —
-  the plane never changes *what* is computed, only how fast.
-
-Determinism contracts, one per plane:
-
-* **scalar** — a pool driven by a ``random.Random`` (``session.pool(rng)``)
-  draws the exact stream a per-call run seeded identically would, so
-  pooled estimates are *bit-for-bit identical* to per-call
-  :func:`~repro.approx.fpras.fpras_ocqa` results under the same seed
-  (``tests/test_engine.py`` asserts this).
-* **vector** — a vector pool's batch ``b`` is a pure function of
-  ``(instance structure, seed, b, batch size)`` via seeded
-  ``numpy.random.SeedSequence`` substreams (contract spelled out in
-  :mod:`repro.sampling.rng`); the stream is deliberately distinct from
-  the scalar one — equal in distribution, reproducible per seed, and
-  decode-parity-checked against the scalar mask construction
-  (``tests/test_vectorized.py``) — so vector runs replay vector runs
-  bit-for-bit, while cross-plane runs agree statistically, not
-  sample-for-sample.
+  :func:`~repro.engine.batch.batch_estimate` builds) is a pure function of
+  ``(instance structure, seed, b, batch size)``: vector batches come from
+  counter-based ``numpy`` substreams, walk batches from a ``random.Random``
+  reseeded per batch (both spelled out in :mod:`repro.sampling.rng`).  So
+  a pool resumes from any persisted prefix by batch index, in any
+  process, with no RNG state to carry; the vector stream is equal in
+  distribution to the scalar samplers' and decode-parity-checked against
+  their mask construction (``tests/test_vectorized.py``).
+* **caller RNG** — a pool driven by a caller's ``random.Random``
+  (``session.pool(rng)``) wraps that RNG in a walk plane that is never
+  reseeded, so it draws the exact stream a per-call run seeded
+  identically would, and pooled estimates are *bit-for-bit identical* to
+  per-call :func:`~repro.approx.fpras.fpras_ocqa` results under the same
+  seed (``tests/test_engine.py`` asserts this).
 
 Two layers sit on top of the fixed estimators:
 
@@ -65,7 +66,8 @@ Two layers sit on top of the fixed estimators:
 * **persistence** — an attached :class:`~repro.engine.store.CacheEntry`
   makes decompositions, possibility verdicts, positivity bounds and the
   pool's sample prefix survive the process
-  (:meth:`EstimationSession.cached_pool` resumes the stream bit-for-bit).
+  (:meth:`EstimationSession.cached_pool` resumes the stream bit-for-bit
+  by batch index).
 
 Scope enforcement is unchanged: combinations outside the paper's positive
 results raise :class:`~repro.approx.fpras.FPRASUnavailable` with the same
@@ -108,7 +110,7 @@ from ..exact.possibility import image_is_consistent
 from ..sampling import vectorized as vectorized_plane
 from ..sampling.operations_sampler import UniformOperationsSampler
 from ..sampling.repair_sampler import RepairSampler
-from ..sampling.rng import resolve_rng
+from ..sampling.rng import fresh_entropy, resolve_rng, walk_seed
 from ..sampling.sequence_sampler import SequenceSampler
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (store imports session's pool)
@@ -123,24 +125,43 @@ def _unavailable(message: str) -> RuntimeError:
     return FPRASUnavailable(message)
 
 
-def _resumed_rng(seed: int, state: tuple | None) -> random.Random | None:
-    """A ``random.Random`` restored to a persisted state (``None`` if unusable)."""
-    if state is None:
-        return None
-    rng = random.Random(seed)
-    try:
-        rng.setstate(state)
-    except (TypeError, ValueError, OverflowError):
-        # Shape-valid but meaningless state vectors (tampering) raise any
-        # of these from the C implementation.
-        return None
-    return rng
-
-
 #: Samples per vector-plane batch: each batch is one seeded substream
 #: (and one store row group); the value is part of the vector stream's
 #: reproducibility contract, so changing it re-keys warm vector pools.
 DEFAULT_BATCH_SIZE = 512
+
+
+class _WalkPlane:
+    """The walk plane: one mask-drawing sampler around one ``random.Random``.
+
+    Same ``draw_batch(batch_index, size)`` shape as the vector planes.
+    Seeded, the RNG is reseeded in place with
+    :func:`~repro.sampling.rng.walk_seed` ``(seed, b)`` before batch ``b``
+    is drawn, so every batch is a pure function of ``(seed, b, size)``
+    and seeded ``M_uo`` pools (batch size 1) resume by position like
+    vector ones.  Around a caller's RNG (``seed=None``) it is never
+    reseeded: batches continue the caller's stream in the order they are
+    drawn — the order :class:`SamplePool` draws them, from batch 0 up.
+    """
+
+    def __init__(
+        self,
+        draw: Callable[[], int],
+        rng: random.Random,
+        index: InstanceIndex,
+        seed: int | None = None,
+    ):
+        self._draw = draw
+        self._rng = rng
+        self._words = vectorized_plane.words_for(len(index))
+        self.seed = seed
+
+    def draw_batch(self, batch_index: int, size: int):
+        """Draw batch ``batch_index`` of ``size`` samples as ``(None, rows)``."""
+        if self.seed is not None:
+            self._rng.seed(walk_seed(self.seed, batch_index))
+        masks = [self._draw() for _ in range(size)]
+        return None, vectorized_plane.pack_masks(masks, self._words)
 
 
 class SamplePool:
@@ -167,38 +188,27 @@ class SamplePool:
     counting reduces over; :meth:`mask_at` decodes one row to an
     arbitrary-precision bitmask.
 
-    **Two planes draw into it.**  A *scalar* pool (``draw=``, a thunk
-    returning one id bitmask) draws one sample at a time and packs it as
-    drawn; it never draws past the position asked for, so a pool driven
-    by a caller's ``random.Random`` consumes exactly the draws a per-call
-    run would.  A *vector* pool (``plane=``, :mod:`repro.sampling.vectorized`)
-    draws whole batches of ``batch_size`` samples.
-
-    ``preloaded_rows`` warm-starts the stream with packed rows persisted
-    by a :class:`~repro.engine.store.CacheEntry`; new draws then continue
-    past the preloaded prefix (for scalar pools the caller must hand
-    ``draw`` an RNG restored to the state recorded after the last
-    persisted draw; vector pools resume by batch index — their substreams
-    need no state).
+    **One contract.**  ``plane`` draws batch ``b`` of ``batch_size``
+    samples (a vector plane, or the one-sample-per-batch walk plane,
+    which never draws past the position asked for).  ``preloaded_rows``
+    warm-starts the stream with whole batches persisted by a
+    :class:`~repro.engine.store.CacheEntry`; new draws continue past them
+    by batch index — no RNG state is needed to resume.
     """
 
     def __init__(
         self,
         index: InstanceIndex,
-        draw: Callable[[], int] | None = None,
+        plane,
         *,
-        plane=None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         preloaded_rows=None,
         shared: bool = False,
     ):
-        if (draw is None) == (plane is None):
-            raise TypeError("exactly one of draw= and plane= is required")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        self._draw = draw
         self._plane = plane
-        self._batch_size = batch_size if plane is not None else 1
+        self._batch_size = batch_size
         self._index = index
         self._words = vectorized_plane.words_for(len(index))
         self._rows = None  # capacity-doubling packed matrix
@@ -206,8 +216,8 @@ class SamplePool:
         self._shared = shared
         self._segment = None  # SharedSampleSegment backing ``_rows`` when shared
         if preloaded_rows is not None and preloaded_rows.shape[0]:
-            if preloaded_rows.shape[0] % self._batch_size:
-                raise ValueError("a vector pool's preloaded prefix must be whole batches")
+            if preloaded_rows.shape[0] % batch_size:
+                raise ValueError("a preloaded prefix must be whole batches")
             self._append_rows(preloaded_rows)
 
     @property
@@ -221,18 +231,13 @@ class SamplePool:
         return self._words
 
     @property
-    def backend(self) -> str:
-        """``"vector"`` for plane-backed pools, ``"scalar"`` otherwise."""
-        return "scalar" if self._plane is None else "vector"
-
-    @property
     def plane(self):
-        """The vector plane drawing this pool (``None`` for scalar pools)."""
+        """The plane drawing this pool."""
         return self._plane
 
     @property
     def batch_size(self) -> int:
-        """Samples per materialization step (1-at-a-time for scalar pools)."""
+        """Samples per materialization step (1 on the walk plane)."""
         return self._batch_size
 
     def __len__(self) -> int:
@@ -295,16 +300,9 @@ class SamplePool:
         return name
 
     def ensure(self, length: int) -> None:
-        """Materialize the first ``length`` samples (batch-wise on vector
-        pools, exactly ``length`` on scalar ones) — the batch planner
-        pre-draws a group's longest fixed prefix through this in one pass."""
-        missing = length - self._rows_length
-        if missing <= 0:
-            return
-        if self._plane is None:
-            masks = [self._draw() for _ in range(missing)]
-            self._append_rows(vectorized_plane.pack_masks(masks, self._words))
-            return
+        """Materialize the first ``length`` samples, a whole batch at a
+        time — the batch planner pre-draws a group's longest fixed prefix
+        through this in one pass."""
         while self._rows_length < length:
             batch_index = self._rows_length // self._batch_size
             _, rows = self._plane.draw_batch(batch_index, self._batch_size)
@@ -314,8 +312,8 @@ class SamplePool:
         """The first ``length`` samples as packed ``uint64`` rows.
 
         The zero-copy view the batched witness evaluation reduces over
-        (drawing as needed).  Rows beyond ``length`` from a vector pool's
-        final batch are drawn but not returned.
+        (drawing as needed).  Rows beyond ``length`` from the final batch
+        are drawn but not returned.
         """
         self.ensure(length)
         if self._rows is None:
@@ -468,14 +466,16 @@ class EstimationSession:
         return lambda: index.mask_of(sampler.sample().facts)
 
     def pool(self, rng: random.Random | None = None) -> SamplePool:
-        """One shared, lazily grown scalar-plane sample stream.
+        """One shared, lazily grown sample stream driven by a caller's RNG.
 
-        ``random.Random``-driven pools always run on the *scalar* plane —
-        they carry the bit-for-bit per-call parity contract; seed-driven
-        callers wanting the vector plane go through :meth:`pool_for_seed`
-        or :meth:`vector_pool`.
+        A walk plane around ``rng``, never reseeded, one sample per
+        batch — so the pool draws exactly what a per-call run seeded
+        identically draws (the caller-RNG parity contract), on every
+        generator.  Seed-driven callers go through :meth:`pool_for_seed`.
         """
-        return SamplePool(self.index(), self._draw_mask(rng))
+        rng = resolve_rng(rng)
+        plane = _WalkPlane(self._draw_mask(rng), rng, self.index())
+        return SamplePool(self.index(), plane, batch_size=1)
 
     @property
     def seeded_plane(self) -> str:
@@ -483,8 +483,7 @@ class EstimationSession:
 
         The one place the plane is decided: the block-structured
         ``M_ur``/``M_us`` families have a vector plane, the ``M_uo`` walk
-        does not.  ``random.Random``-driven pools (:meth:`pool`) stay on
-        the scalar plane regardless — that is the per-call parity contract.
+        does not and draws on the (scalar) walk plane.
         """
         if isinstance(self.generator, (UniformRepairs, UniformSequences)):
             return "vector"
@@ -509,94 +508,68 @@ class EstimationSession:
             f"no vector plane for generator {self.generator.name!r}"
         )
 
-    def vector_pool(
-        self,
-        seed: int | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        shared: bool = False,
+    def pool_for_seed(
+        self, seed: int | None, *, shared: bool = False, batch_size: int | None = None
     ) -> SamplePool:
-        """A vector-plane pool drawing in packed batches.
-
-        ``shared=True`` backs the packed matrix with a
-        :class:`~repro.sampling.vectorized.SharedSampleSegment` so other
-        processes (and the cache store) can read the rows zero-copy.
-        """
-        return SamplePool(
-            self.index(),
-            plane=self.vector_plane(seed),
-            batch_size=batch_size,
-            shared=shared,
-        )
-
-    def pool_for_seed(self, seed: int | None, shared: bool = False) -> SamplePool:
         """A pool for an integer seed, on the generator's plane.
 
         The entry point :func:`~repro.engine.batch.batch_estimate` uses:
-        the vector plane for the ``M_ur``/``M_us`` families, otherwise a
-        scalar pool seeded ``random.Random(seed)``.  ``shared=True`` backs
-        either plane's packed matrix with shared memory.
+        the vector plane for the ``M_ur``/``M_us`` families (batches of
+        :data:`DEFAULT_BATCH_SIZE`), the walk plane reseeded per sample
+        otherwise.  ``seed=None`` draws one fresh entropy value and uses it
+        as the seed of every batch.  ``shared=True`` backs the packed
+        matrix with a :class:`~repro.sampling.vectorized.SharedSampleSegment`
+        so other processes (and the cache store) can read the rows
+        zero-copy.
         """
+        if batch_size is None:
+            batch_size = self._seeded_batch_size()
+        return self._seeded_pool(seed, shared, batch_size)
+
+    def _seeded_batch_size(self) -> int:
+        return DEFAULT_BATCH_SIZE if self.seeded_plane == "vector" else 1
+
+    def _seeded_pool(self, seed, shared, batch_size, preloaded_rows=None) -> SamplePool:
         if self.seeded_plane == "vector":
-            return self.vector_pool(seed, shared=shared)
-        rng = random.Random(seed) if seed is not None else None
-        return SamplePool(self.index(), self._draw_mask(rng), shared=shared)
+            plane = self.vector_plane(seed)
+        else:
+            seed = fresh_entropy() if seed is None else seed
+            rng = random.Random(walk_seed(seed, 0))  # reseeded before every batch
+            plane = _WalkPlane(self._draw_mask(rng), rng, self.index(), seed)
+        return SamplePool(
+            self.index(),
+            plane,
+            batch_size=batch_size,
+            preloaded_rows=preloaded_rows,
+            shared=shared,
+        )
 
     def cached_pool(self, seed: int | None, shared: bool = False) -> SamplePool:
         """A pool warm-started from the session's cache entry (if possible).
 
-        Persisted rows preload the stream and drawing resumes where the
-        cold run stopped — scalar pools restore the recorded
-        ``random.Random`` state, vector pools resume by batch index (their
-        substreams need no state) — so warm draws continue the cold run's
-        stream bit-for-bit.  Without a cache entry or a seed this degrades
-        to a plain :meth:`pool_for_seed` (an unseeded stream is not
-        reproducible, so persisting it would be meaningless).
+        Persisted rows preload the stream and drawing resumes by batch
+        index where the cold run stopped, so warm draws continue the cold
+        run's stream bit-for-bit.  Without a cache entry or a seed this
+        degrades to a plain :meth:`pool_for_seed` (an unseeded stream is
+        not reproducible, so persisting it would be meaningless).
 
         The plane comes from the generator alone, never from what the
-        entry holds: a persisted prefix from the *other* plane
-        cannot be extended, so it is discarded and redrawn — as are rows
-        whose resume state is unusable (a scalar prefix without a valid
-        RNG state; a vector prefix of a foreign batch size or a torn
-        batch).
+        entry holds: a prefix drawn with another batch size (a foreign
+        stream) or ending in a torn batch cannot be extended, so it is
+        discarded and redrawn.
         """
         if self.cache is None or seed is None:
             return self.pool_for_seed(seed, shared=shared)
         cache = self.cache
-        vector = self.seeded_plane == "vector"
+        batch_size = self._seeded_batch_size()
         rows = cache.sample_word_rows()
-        rng = None if vector else random.Random(seed)
-        if rows:
-            if vector:
-                usable = (
-                    cache.sample_backend() == "vector"
-                    and cache.sample_batch() == DEFAULT_BATCH_SIZE
-                    and len(rows) % DEFAULT_BATCH_SIZE == 0
-                )
-            else:
-                restored = _resumed_rng(seed, cache.rng_state())
-                usable = cache.sample_backend() == "scalar" and restored is not None
-                if usable:
-                    rng = restored
-            if not usable:
-                cache.discard_samples()
-                rows = []
+        if rows and (cache.sample_batch() != batch_size or len(rows) % batch_size):
+            cache.discard_samples()
+            rows = []
         # The on-disk word row IS the matrix row: no bignum round trip.
         preloaded_rows = vectorized_plane.np.array(rows, dtype="<u8") if rows else None
-        if vector:
-            pool = SamplePool(
-                self.index(),
-                plane=self.vector_plane(seed),
-                preloaded_rows=preloaded_rows,
-                shared=shared,
-            )
-        else:
-            pool = SamplePool(
-                self.index(),
-                self._draw_mask(rng),
-                preloaded_rows=preloaded_rows,
-                shared=shared,
-            )
-        cache.attach_pool(pool, rng)
+        pool = self._seeded_pool(seed, shared, batch_size, preloaded_rows)
+        cache.attach_pool(pool)
         return pool
 
     # -- per-(query, answer) caches --------------------------------------------------
@@ -806,11 +779,11 @@ class EstimationSession:
 
         Each request reads the pool from position zero, so ``N`` pooled
         requests share one sampling pass instead of performing ``N``.  For
-        a *scalar* pool built from a ``random.Random`` (:meth:`pool`) the
+        a pool built from a caller's ``random.Random`` (:meth:`pool`) the
         result equals ``estimate(..., rng=random.Random(seed))`` under the
-        same seed; vector pools are equally deterministic but follow their
-        own substream contract (module docstring), so their results replay
-        vector runs, not ``random.Random`` ones.
+        same seed; seeded pools are equally deterministic but follow the
+        seeded contract (module docstring), so their results replay seeded
+        runs, not ``random.Random`` ones.
         """
         self.ensure_supported()
         if not self.is_possible(query, answer):
@@ -825,7 +798,8 @@ class EstimationSession:
             # ``fixed_sample_estimate`` would accumulate from the same
             # indicator stream, built into a result by the same
             # constructor — and the prefix drawn is exactly ``budget``
-            # long on a scalar pool, as the per-call loop draws.
+            # long on a one-sample-per-batch pool, as the per-call loop
+            # draws.
             return fixed_estimate_from_total(
                 evaluator.count(budget), budget, epsilon, delta
             )
@@ -1119,8 +1093,8 @@ class _PoolEvaluator:
     rows and cached: :meth:`count` folds a known-length prefix in one
     reduction, and :meth:`flag` serves positions out of the evaluated
     prefix.  Growth follows the pool's batch size — a vector pool grows a
-    batch at a time, a scalar pool exactly to the position asked for, so
-    a pool driven by a caller's ``random.Random`` draws what a per-call
+    batch at a time, a walk-plane pool exactly to the position asked for,
+    so a pool driven by a caller's ``random.Random`` draws what a per-call
     run would.  Rows the pool already holds are evaluated ahead
     geometrically, so a warm prefix costs one reduction per doubling,
     not one per position.

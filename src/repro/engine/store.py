@@ -20,18 +20,17 @@ cover everything any persisted field could depend on.)  Each entry holds:
 * ``possibility`` — the cached polynomial zero-test verdicts, keyed by
   ``"<query>|<answer JSON>"``;
 * ``bounds`` — positivity lower bounds, keyed by the query text;
-* ``samples`` + ``backend`` + ``batch`` + ``rng_state`` — the materialized
-  prefix of the shared :class:`~repro.engine.session.SamplePool` as
-  **packed word rows**: each sample is a list of
-  ``ceil(n_facts / 64)`` unsigned 64-bit words, word ``w`` holding fact
-  ids ``64w .. 64w + 63`` of the sample's id bitmask (the on-disk row
-  *is* the pool's in-memory ``uint64`` matrix row, on either plane).
-  ``backend`` records which plane drew
-  the prefix: ``"scalar"`` rows resume through the persisted
-  ``random.Random`` state *after* the last draw; ``"vector"`` rows
-  resume by batch index (``batch`` is the plane's batch size — part of
-  its substream contract — and ``rng_state`` is ``null``).  Replayed
-  estimates are identical to cold-run estimates on the same plane.
+* ``samples`` + ``batch`` — the materialized prefix of the shared
+  :class:`~repro.engine.session.SamplePool` as **packed word rows**:
+  each sample is a list of ``ceil(n_facts / 64)`` unsigned 64-bit
+  words, word ``w`` holding fact ids ``64w .. 64w + 63`` of the sample's
+  id bitmask (the on-disk row *is* the pool's in-memory ``uint64``
+  matrix row).  Every seeded pool's batch ``b`` is a pure function of
+  ``(seed, b)``, so the prefix resumes by batch index with no RNG
+  state; ``batch`` is the pool's batch size (512 on the vector plane,
+  1 on the walk plane) — part of the stream's contract, so a prefix of
+  another batch size is a foreign stream and is redrawn, never
+  extended.  Replayed estimates are identical to cold-run estimates.
 
 The durability envelope: ``digest`` is the SHA-256 hex
 digest of the entry's canonical serialization (sorted keys, compact
@@ -42,7 +41,7 @@ The digest is verified on every load, so a torn write, a truncation, or
 a single flipped bit anywhere in the file is *detected* and the entry
 degrades to recomputation instead of replaying damaged samples.
 
-Only ``version == 4`` is read.  An entry at any other version is a plain
+Only ``version == 5`` is read.  An entry at any other version is a plain
 miss (not damage): it is recomputed and the next save overwrites it at
 the current version.
 
@@ -70,12 +69,12 @@ whatever the other process appended in between (last writer wins).
 :meth:`CacheEntry.save` therefore **reloads and merges** the on-disk
 document before writing: structural fields union (both writers computed
 them from the same instance, so values agree), and of two sample
-prefixes on the same plane the *longer* wins — both are prefixes of the
-same deterministic stream, so the longer one extends the shorter.  On
-platforms with ``fcntl`` the reload-merge-write runs under an advisory
-``flock`` on the store directory, making it atomic against other
-writers; elsewhere it degrades to best-effort (the merge still closes
-almost all of the window).
+prefixes with the same ``batch`` the *longer* wins — both are prefixes
+of the same deterministic stream, so the longer one extends the
+shorter.  On platforms with ``fcntl`` the reload-merge-write runs under
+an advisory ``flock`` on the store directory, making it atomic against
+other writers; elsewhere it degrades to best-effort (the merge still
+closes almost all of the window).
 """
 
 from __future__ import annotations
@@ -113,11 +112,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session imports stor
     from .session import SamplePool
 
 #: Bump when the on-disk schema changes; old entries are then recomputed.
-#: v4: packed uint64 word rows plus ``backend``/``batch`` resume metadata,
-#: inside the durability envelope — ``digest`` (SHA-256 over the
-#: canonical serialization, verified on every load) and ``words`` (packed
-#: row width, for database-free fsck).
-STORE_VERSION = 4
+#: v5: packed uint64 word rows plus their ``batch`` size (every seeded
+#: pool resumes by batch index, with no RNG state), inside the
+#: durability envelope — ``digest`` (SHA-256 over the canonical
+#: serialization, verified on every load) and ``words`` (packed row
+#: width, for database-free fsck).
+STORE_VERSION = 5
 
 #: Orphaned ``*.tmp`` files older than this are swept when a
 #: :class:`CacheStore` opens a directory (long enough that a live
@@ -354,7 +354,6 @@ class CacheEntry:
         self.load_error: str | None = None
         self._document = self._load()
         self._pool: "SamplePool | None" = None
-        self._rng = None
 
     # -- load / save -----------------------------------------------------------------
 
@@ -365,8 +364,6 @@ class CacheEntry:
             "possibility": {},
             "bounds": {},
             "samples": [],
-            "rng_state": None,
-            "backend": None,
             "batch": None,
         }
         try:
@@ -390,9 +387,6 @@ class CacheEntry:
             if not isinstance(document.get(field), kind):
                 self.load_error = "corrupt"
                 return empty
-        if document.get("backend") not in (None, "scalar", "vector"):
-            self.load_error = "corrupt"
-            return empty
         batch = document.get("batch")
         if batch is not None and (
             isinstance(batch, bool) or not isinstance(batch, int) or batch < 1
@@ -489,9 +483,9 @@ class CacheEntry:
           overlap;
         * decomposition: ours, theirs only when we never computed one;
         * samples: prefixes of the same seeded stream extend each other,
-          so of two same-plane prefixes the longer survives together with
-          its resume state (RNG state / batch size).  A prefix from the
-          *other* plane is a different stream — ours wins outright.
+          so theirs is adopted (with its ``batch``) when we hold none, or
+          when it has our batch size and is longer.  A prefix of another
+          batch size is a different stream — ours wins outright.
 
         A missing, corrupt, or stale-version file contributes nothing
         (the load path already validates and degrades to empty).
@@ -505,22 +499,19 @@ class CacheEntry:
             document[field] = merged
         if document.get("decomposition") is None:
             document["decomposition"] = theirs.get("decomposition")
-        ours_backend = document.get("backend")
-        theirs_backend = disk.sample_backend()
-        if theirs_backend is not None and disk.sample_word_rows():
-            same_plane = ours_backend == theirs_backend and (
-                theirs_backend != "vector"
-                or document.get("batch") == theirs.get("batch")
+        ours = document["samples"]
+        if disk.sample_word_rows() and (
+            not ours
+            or (
+                # .get(): a digest-valid file may still omit ``batch`` —
+                # absent must merge like null, never crash the save (the
+                # accelerator-not-authority policy).
+                theirs.get("batch") == document.get("batch")
+                and len(theirs["samples"]) > len(ours)
             )
-            adopt = ours_backend is None or (
-                same_plane and len(theirs["samples"]) > len(document["samples"])
-            )
-            if adopt:
-                # .get(): a digest-valid file may still omit the resume
-                # fields — absent must merge like null, never crash the
-                # save (the accelerator-not-authority policy).
-                for field in ("samples", "rng_state", "backend", "batch"):
-                    document[field] = theirs.get(field)
+        ):
+            document["samples"] = theirs["samples"]
+            document["batch"] = theirs.get("batch")
 
     # -- decomposition ---------------------------------------------------------------
 
@@ -643,13 +634,8 @@ class CacheEntry:
         """Packed words per sample row for this entry's database."""
         return _words_for(len(self._fact_order()))
 
-    def sample_backend(self) -> str | None:
-        """Which plane drew the persisted prefix (``None`` when unknown/empty)."""
-        value = self._document.get("backend")
-        return value if value in ("scalar", "vector") else None
-
     def sample_batch(self) -> int | None:
-        """The vector plane's batch size the prefix was drawn with, if any."""
+        """The batch size the persisted prefix was drawn with, if any."""
         value = self._document.get("batch")
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             return None
@@ -658,13 +644,13 @@ class CacheEntry:
     def sample_word_rows(self) -> list[list[int]]:
         """The persisted sample prefix as validated packed word rows.
 
-        The zero-conversion view for vector pools (their in-memory matrix
-        row is the on-disk row).  A row of the wrong width, a non-integer
+        The zero-conversion view for pools (their in-memory matrix row is
+        the on-disk row).  A row of the wrong width, a non-integer
         or out-of-range word, or set bits beyond the instance's fact
         count marks the entry corrupt and the whole batch is
-        **discarded** (resume state would be meaningless for a different
-        stream), so the next :meth:`save` rewrites a clean entry instead
-        of preserving the damage.
+        **discarded** (a damaged prefix cannot be resumed), so the next
+        :meth:`save` rewrites a clean entry instead of preserving the
+        damage.
         """
         size = len(self._fact_order())
         words = self._sample_words()
@@ -691,46 +677,20 @@ class CacheEntry:
         return rows
 
     def discard_samples(self) -> None:
-        """Drop the persisted sample prefix (and its resume metadata)."""
-        if (
-            self._document["samples"]
-            or self._document.get("rng_state") is not None
-            or self._document.get("backend") is not None
-            or self._document.get("batch") is not None
-        ):
+        """Drop the persisted sample prefix (and its batch size)."""
+        if self._document["samples"] or self._document.get("batch") is not None:
             self._document["samples"] = []
-            self._document["rng_state"] = None
-            self._document["backend"] = None
             self._document["batch"] = None
             self._dirty = True
 
-    def rng_state(self) -> tuple | None:
-        """The persisted ``random.Random`` state, decoded for ``setstate``."""
-        raw = self._document.get("rng_state")
-        if not isinstance(raw, list) or len(raw) != 3 or not isinstance(raw[1], list):
-            return None
-        try:
-            return (raw[0], tuple(raw[1]), raw[2])
-        except TypeError:
-            return None
-
-    def attach_pool(self, pool: "SamplePool", rng=None) -> None:
-        """Track a live pool (+ RNG for scalar pools) so :meth:`save`
-        persists newly drawn samples.
-
-        Scalar pools must come with the RNG that draws them — persisting
-        their prefix without its post-draw state would be unreplayable —
-        so the omission fails here, not deep inside :meth:`save`.
-        """
-        if rng is None and pool.backend != "vector":
-            raise ValueError("attach_pool() needs the drawing RNG for scalar pools")
+    def attach_pool(self, pool: "SamplePool") -> None:
+        """Track a live pool so :meth:`save` persists newly drawn samples."""
         self._pool = pool
-        self._rng = rng
 
     def pool_segment_name(self) -> str | None:
         """The shared-memory segment backing the attached pool, if any.
 
-        Sharded workers back their vector pools with
+        Sharded workers back their pools with
         :class:`~repro.sampling.vectorized.SharedSampleSegment` matrices;
         the store's word row is that very matrix row, so
         :meth:`_sync_pool` already reads the shared bytes zero-copy.
@@ -744,20 +704,11 @@ class CacheEntry:
         drawn = len(self._pool)
         if drawn <= len(self._document["samples"]):
             return
-        # The on-disk row IS the pool's packed uint64 matrix row on either
-        # plane: serialize it directly.  Vector prefixes resume by batch
-        # index — the substream contract replaces the RNG state (the batch
-        # size is part of it); scalar prefixes resume from the RNG state
-        # after the last draw.
+        # The on-disk row IS the pool's packed uint64 matrix row: serialize
+        # it directly.  The prefix resumes by batch index, so the batch
+        # size (part of the stream's contract) is all it needs besides.
         self._document["samples"] = self._pool.packed_prefix(drawn).tolist()
-        if self._pool.backend == "vector":
-            self._document["batch"] = self._pool.batch_size
-            self._document["rng_state"] = None
-        else:
-            self._document["batch"] = None
-            state = self._rng.getstate()
-            self._document["rng_state"] = [state[0], list(state[1]), state[2]]
-        self._document["backend"] = self._pool.backend
+        self._document["batch"] = self._pool.batch_size
         self._dirty = True
 
 
@@ -889,8 +840,6 @@ def _fsck_document(document: Any) -> str | None:
     for field, kind in (("possibility", dict), ("bounds", dict), ("samples", list)):
         if not isinstance(document.get(field), kind):
             return f"malformed {field!r} field"
-    if document.get("backend") not in (None, "scalar", "vector"):
-        return f"unknown sample backend {document.get('backend')!r}"
     widths = set()
     for row in document["samples"]:
         if not isinstance(row, list):

@@ -20,7 +20,9 @@ and the stream is a pure function of ``(seed, batch index, batch
 size)``: independent of request order, of how far previous requests grew
 the pool, and of the process that draws it.  (Counter-based keying is
 why batch construction is a few microseconds — no per-batch seed
-hashing.)
+hashing.)  The ``M_uo`` walk plane, which draws with ``random.Random``,
+keeps the same pure-function contract by reseeding its one RNG with
+:func:`walk_seed` ``= (seed mod 2**128) · 2**64 + b`` before batch ``b``.
 """
 
 from __future__ import annotations
@@ -130,6 +132,16 @@ def numpy_substream(seed: int | None, stream: int, key=None):
         key = philox_key(seed)
     bit_generator = np.random.Philox(key=key, counter=stream << 192)
     return np.random.Generator(bit_generator)
+
+
+def walk_seed(seed: int, batch_index: int) -> int:
+    """The ``random.Random`` seed of walk-plane batch ``batch_index``.
+
+    ``(seed mod 2**128) · 2**64 + batch_index``: distinct batches of one
+    pool, and equal batches of distinct pool seeds (mod ``2**128``, as
+    :func:`philox_key` reduces them), never share a seed.
+    """
+    return (seed % (1 << 128)) << 64 | batch_index
 
 
 def fresh_entropy() -> int:

@@ -169,7 +169,7 @@ class SessionHandle:
             "key": self.key,
             "generator": self.generator_name,
             "facts": len(self.session.database),
-            "backend": self.pool.backend,
+            "backend": self.session.seeded_plane,
             "pool_samples": len(self.pool),
             "requests_served": self.requests_served,
             "batches_run": self.batches_run,

@@ -70,6 +70,7 @@ import signal as signal_module
 import sys
 import threading
 import time
+from collections import Counter
 from typing import Any, Callable, Mapping
 
 from ..engine import fsfault as _fsfault
@@ -252,6 +253,41 @@ def _single_request(
     return requests, _parse_mode(document)
 
 
+class _ShardCounters:
+    """Registry counters summed over shards, monotone across respawns.
+
+    A respawned worker's registry counts from zero again, so a shard's
+    last reported counts are carried over whenever its ``restarts`` count
+    moves, and a shard missing from a snapshot (dead or slow) keeps its
+    last counts — the totals never decrease.
+    """
+
+    def __init__(self, fields: tuple[str, ...]):
+        self._fields = fields
+        #: shard -> (restarts, counts) as last reported.
+        self._last: dict[Any, tuple[int, dict[str, int]]] = {}
+        #: The counts of every shard's earlier (pre-respawn) lives.
+        self._carried: Counter[str] = Counter()
+
+    def update(self, snapshot: list[dict | None]) -> None:
+        """Fold one shard snapshot (the :meth:`WorkerPool.stats` shape)."""
+        for entry in snapshot:
+            registry = entry.get("registry") if entry else None
+            if not registry:
+                continue
+            shard, restarts = entry.get("shard"), entry.get("restarts", 0)
+            previous = self._last.get(shard)
+            if previous is not None and previous[0] != restarts:
+                self._carried.update(previous[1])
+            counts = {field: registry.get(field, 0) for field in self._fields}
+            self._last[shard] = (restarts, counts)
+
+    def total(self, field: str) -> int:
+        """``field`` summed over every shard's current and earlier lives."""
+        current = sum(counts[field] for _, counts in self._last.values())
+        return self._carried[field] + current
+
+
 class EstimationServer:
     """The asyncio HTTP server in front of a pool of shards.
 
@@ -310,6 +346,7 @@ class EstimationServer:
         self.max_queue = max_queue
         self.max_pending = max_pending
         self._shard_snapshot: list[dict | None] = []
+        self._registry_counters = _ShardCounters(("hits", "misses", "evictions"))
         self.registry = registry if registry is not None else SessionRegistry()
         self.metrics = MetricsRegistry()
         self._build_metrics()
@@ -395,20 +432,21 @@ class EstimationServer:
             "Warm sessions currently held by the shards' registries.",
             callback=self._shard_total("registry", "sessions"),
         )
+        counters = self._registry_counters
         metrics.counter(
             "repro_registry_hits_total",
-            "Warm session registry hits.",
-            callback=lambda: self.registry.hits,
+            "Warm session registry hits, summed over the shards.",
+            callback=lambda: counters.total("hits"),
         )
         metrics.counter(
             "repro_registry_misses_total",
-            "Warm session registry misses (cold admissions).",
-            callback=lambda: self.registry.misses,
+            "Registry misses (cold admissions), summed over the shards.",
+            callback=lambda: counters.total("misses"),
         )
         metrics.counter(
             "repro_registry_evictions_total",
-            "Warm sessions evicted from the registry LRU.",
-            callback=lambda: self.registry.evictions,
+            "Warm sessions evicted from the shards' registry LRUs.",
+            callback=lambda: counters.total("evictions"),
         )
         # Store failures arrive from worker threads (spills, admissions),
         # so the labeled counter is driven by the registry log's listener
@@ -857,6 +895,7 @@ class EstimationServer:
         """Poll the shards and cache their stat documents (the cached
         snapshot also feeds the labeled shard gauges)."""
         self._shard_snapshot = await self.shards.stats()
+        self._registry_counters.update(self._shard_snapshot)
         return self._shard_snapshot
 
     async def _stats(self) -> dict:

@@ -11,7 +11,8 @@ file).
 Hypothesis draws the writers' sample-prefix lengths, which possibility
 verdicts each caches, and the save interleaving; every deterministic
 kill point of the interrupted save is then exercised for each drawn
-scenario.
+scenario.  Both planes run it: ``M_ur`` pools draw vector batches of 512,
+``M_uo`` pools one walk sample per batch — one resume scheme for both.
 """
 
 import json
@@ -20,7 +21,8 @@ import os
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.chains.generators import M_UR
+
+from repro.chains.generators import M_UO, M_UR
 from repro.core.queries import atom, cq, var
 from repro.engine import CacheStore, EstimationSession
 from repro.engine import fsfault
@@ -33,17 +35,17 @@ SEED = 7
 CANDIDATES = (("a1",), ("a2",), ("a3",))
 
 
-def build_writer(cache_dir, grow_to, verdicts):
+def build_writer(cache_dir, grow_to, verdicts, generator=M_UR):
     """A loaded-but-unsaved writer with ``grow_to`` samples drawn and
     possibility verdicts cached for the chosen candidates.  Returns the
     entry and the pool's materialized length (pools draw whole batches,
     so it may exceed ``grow_to``)."""
     database, constraints = figure2_database()
-    group_seed = group_seed_for(SEED, database, constraints, M_UR)
+    group_seed = group_seed_for(SEED, database, constraints, generator)
     entry = CacheStore(str(cache_dir)).entry(
-        database, constraints, "M_ur", group_seed
+        database, constraints, generator.name, group_seed
     )
-    session = EstimationSession(database, constraints, M_UR, cache=entry)
+    session = EstimationSession(database, constraints, generator, cache=entry)
     pool = session.cached_pool(group_seed)
     pool.ensure(grow_to)
     query = cq((x,), (atom("R", x, y),))
@@ -57,27 +59,57 @@ def entry_file(cache_dir):
     return os.path.join(cache_dir, names[0]) if names else None
 
 
-@settings(
-    max_examples=8,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(
-    grow_a=st.integers(min_value=1, max_value=600),
-    grow_b=st.integers(min_value=1, max_value=600),
+SCENARIO = dict(
     verdicts_a=st.sets(st.sampled_from(CANDIDATES), max_size=2),
     verdicts_b=st.sets(st.sampled_from(CANDIDATES), max_size=2),
     a_saves_first=st.booleans(),
 )
+SETTINGS = settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@SETTINGS
+@given(
+    grow_a=st.integers(min_value=1, max_value=600),
+    grow_b=st.integers(min_value=1, max_value=600),
+    **SCENARIO,
+)
 def test_interrupted_two_writer_merge_is_lossless_and_idempotent(
     tmp_path_factory, grow_a, grow_b, verdicts_a, verdicts_b, a_saves_first
+):
+    check_interrupted_merge(
+        tmp_path_factory, M_UR, grow_a, grow_b, verdicts_a, verdicts_b, a_saves_first
+    )
+
+
+@SETTINGS
+@given(
+    # Walk samples cost a full M_uo walk each: shorter prefixes, same
+    # interleavings (every prefix length is a whole number of batches).
+    grow_a=st.integers(min_value=1, max_value=40),
+    grow_b=st.integers(min_value=1, max_value=40),
+    **SCENARIO,
+)
+def test_interrupted_two_writer_merge_on_the_walk_plane(
+    tmp_path_factory, grow_a, grow_b, verdicts_a, verdicts_b, a_saves_first
+):
+    check_interrupted_merge(
+        tmp_path_factory, M_UO, grow_a, grow_b, verdicts_a, verdicts_b, a_saves_first
+    )
+
+
+def check_interrupted_merge(
+    tmp_path_factory, generator, grow_a, grow_b, verdicts_a, verdicts_b, a_saves_first
 ):
     fsfault.reset()
     # Size the kill sweep: a "raise"-only plan never fires, so this dry
     # run is a real, fault-free execution of the B-save being attacked.
     dry_dir = tmp_path_factory.mktemp("dry")
-    writer_a, _ = build_writer(dry_dir, grow_a, verdicts_a)
-    writer_b, _ = build_writer(dry_dir, grow_b, verdicts_b)
+    writer_a, _ = build_writer(dry_dir, grow_a, verdicts_a, generator)
+    writer_b, _ = build_writer(dry_dir, grow_b, verdicts_b, generator)
     if a_saves_first:
         writer_a.save()
     with fsfault.injected(FaultPlan(crash="raise")) as dry:
@@ -87,8 +119,8 @@ def test_interrupted_two_writer_merge_is_lossless_and_idempotent(
 
     for kill_at in range(1, operations + 1):
         replay = tmp_path_factory.mktemp(f"kill-{kill_at}")
-        writer_a, pool_a = build_writer(replay, grow_a, verdicts_a)
-        writer_b, pool_b = build_writer(replay, grow_b, verdicts_b)
+        writer_a, pool_a = build_writer(replay, grow_a, verdicts_a, generator)
+        writer_b, pool_b = build_writer(replay, grow_b, verdicts_b, generator)
         if a_saves_first:
             writer_a.save()
         with fsfault.injected(FaultPlan(kill_at=kill_at, crash="raise")):
@@ -104,9 +136,9 @@ def test_interrupted_two_writer_merge_is_lossless_and_idempotent(
         # Old-or-new: whatever is on disk loads cleanly right now.
         if entry_file(replay) is not None:
             database, constraints = figure2_database()
-            group_seed = group_seed_for(SEED, database, constraints, M_UR)
+            group_seed = group_seed_for(SEED, database, constraints, generator)
             probe = CacheStore(str(replay)).entry(
-                database, constraints, "M_ur", group_seed
+                database, constraints, generator.name, group_seed
             )
             assert probe.load_error is None, (kill_at, probe.load_error)
 

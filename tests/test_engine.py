@@ -253,10 +253,18 @@ class TestSamplePool:
             assert pool.mask_at(position) == index.mask_of(sampler.sample().facts)
 
     def test_standalone_pool_wraps_any_draw(self, fig2):
+        from repro.sampling.vectorized import pack_masks, words_for
+
         database, _ = fig2
         index = InstanceIndex.of(database)
-        counter = iter(range(100))
-        pool = SamplePool(index, lambda: 1 << (next(counter) % len(index)))
+
+        class PositionPlane:
+            # Any object with the planes' draw_batch shape can back a pool.
+            def draw_batch(self, batch_index, size):
+                masks = [1 << (batch_index % len(index))] * size
+                return None, pack_masks(masks, words_for(len(index)))
+
+        pool = SamplePool(index, PositionPlane(), batch_size=1)
         assert pool.mask_at(2) == 1 << 2
         assert pool.mask_at(0) == 1 << 0
         assert len(pool) == 3  # drawn exactly to the position asked for

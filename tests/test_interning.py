@@ -9,6 +9,7 @@ frozenset witness tests) kept in this file — including through a warm
 hypothesis-driven over random primary-key instances.
 """
 
+import itertools
 import random
 import tempfile
 
@@ -25,6 +26,7 @@ from repro.engine import BatchRequest, EstimationSession, batch_estimate
 from repro.engine.batch import group_seed_for, run_group
 from repro.core.queries import atom, boolean_cq, cq, var
 from repro.sampling.repair_sampler import RepairSampler
+from repro.sampling.rng import walk_seed
 from repro.sampling.sequence_sampler import SequenceSampler
 from repro.workloads import figure2_database
 
@@ -203,11 +205,27 @@ def object_hit(session, query, answer):
     return lambda facts: 1.0 if any(w <= facts for w in witnesses) else 0.0
 
 
-def object_path_estimate(session, query, answer, rng, method="auto"):
+def seeded_walk_draws(session, seed):
+    """Object draws of a seeded walk-plane pool: the RNG is reseeded with
+    ``walk_seed(seed, i)`` before sample ``i``, as the engine does."""
+    rng = random.Random()
+    draw = object_draws(session, rng)
+    positions = itertools.count()
+
+    def reseeded():
+        rng.seed(walk_seed(seed, next(positions)))
+        return draw()
+
+    return reseeded
+
+
+def object_path_estimate(session, query, answer, rng, method="auto", draw=None):
     """The pre-kernel (ε, δ) loop over object draws, seeded like the engine."""
     if not session.is_possible(query, answer):
         return session._certified_zero(EPSILON, DELTA)
-    draw, hit = object_draws(session, rng), object_hit(session, query, answer)
+    if draw is None:
+        draw = object_draws(session, rng)
+    hit = object_hit(session, query, answer)
     resolved, _, bound = session._resolve_method(query, EPSILON, DELTA, method, None)
     if resolved == "fixed":
         return fixed_sample_estimate(lambda: hit(draw()), EPSILON, DELTA, bound)
@@ -237,13 +255,22 @@ class TestKernelOnOffParity:
         ]
 
     def object_path_rows(self, database, constraints, requests, seed, generator=M_UR):
-        # Every request of a scalar group reads the pool seeded with the
-        # group seed from position zero: one fresh object stream each.
+        # Every request of a group reads the pool seeded with the group
+        # seed from position zero: one fresh object stream each — the
+        # caller-RNG stream for M_ur, the reseeded walk for M_uo.
         session = EstimationSession(database, constraints, generator)
         group_seed = group_seed_for(seed, database, constraints, generator)
         return [
             object_path_estimate(
-                session, r.query, r.answer, random.Random(group_seed)
+                session,
+                r.query,
+                r.answer,
+                random.Random(group_seed),
+                draw=(
+                    seeded_walk_draws(session, group_seed)
+                    if session.seeded_plane == "scalar"
+                    else None
+                ),
             )
             for r in requests
         ]
@@ -267,8 +294,8 @@ class TestKernelOnOffParity:
     @given(instance=instances, seed=seeds)
     @settings(max_examples=8, deadline=None)
     def test_kernel_parity_through_a_warm_cache_store(self, instance, seed):
-        # M_uo groups draw on the scalar plane, so a cold-then-warm batch
-        # replays a persisted random.Random prefix.
+        # M_uo groups draw on the walk plane, reseeded per sample, so a
+        # cold-then-warm batch resumes a persisted walk prefix by position.
         database, constraints = instance
         requests = self.batch_requests(database, constraints, M_UO)
         off = self.object_path_rows(database, constraints, requests, seed, M_UO)

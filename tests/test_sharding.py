@@ -442,6 +442,38 @@ class TestShardedHttp:
                 assert time.monotonic() < deadline
                 time.sleep(0.1)
 
+    def test_registry_counters_fold_shards_and_never_decrease(self):
+        # The router's own registry never admits under --workers: the
+        # repro_registry_*_total counters must come from the shards, and
+        # a respawned shard (whose registry restarts at zero) must not
+        # pull them down.
+        database, constraints = figure2_database()
+        requests = fig2_requests(generators=(M_UR,))
+        fields = ("hits", "misses", "evictions")
+
+        def counters(client):
+            series = client.metrics()
+            return {f: series[f"repro_registry_{f}_total"] for f in fields}
+
+        options = {"workers": 1, "fault_injection": True}
+        with BackgroundServer(seed=7, server_options=options) as server:
+            client = ServiceClient(server.url)
+            serve_rows(client, database, constraints, requests[:2])
+            before = counters(client)
+            assert before["misses"] == 1 and before["hits"] >= 1
+            client._call("POST", "/_fault", {"kill_worker": 0})
+            seen = [before, counters(client)]  # scraped mid-respawn
+            deadline = time.monotonic() + 30
+            while not client.healthz()["workers"]["alive"][0]:
+                assert time.monotonic() < deadline
+                time.sleep(0.1)
+            serve_rows(client, database, constraints, requests[2:])
+            seen.append(counters(client))
+            for earlier, later in zip(seen, seen[1:]):
+                for field in fields:
+                    assert later[field] >= earlier[field], (field, seen)
+            assert seen[-1]["misses"] >= 2  # the fresh worker admitted anew
+
     def test_session_faults_rejected_with_workers(self):
         # spill/drop would act on the router's empty registry and report 0.
         options = {"workers": 1, "fault_injection": True}

@@ -62,11 +62,12 @@ def fig2_requests(generator=M_UR):
 
 
 def write_scalar_entry(cache_dir, seed, length):
-    """Persist a scalar-plane Figure 2 ``M_ur`` prefix of ``length`` samples.
+    """Persist a caller-RNG Figure 2 ``M_ur`` prefix of ``length`` samples.
 
     The entry sits under the key a ``batch_estimate(seed=seed)`` run uses,
     but holds the ``random.Random`` stream :meth:`EstimationSession.pool`
-    draws — a foreign plane for ``M_ur``, whose seeded pools are vector.
+    draws, one sample per batch (``batch`` 1) — a foreign stream for
+    ``M_ur``, whose seeded pools draw vector batches of 512.
     """
     from repro.engine.batch import group_seed_for
 
@@ -76,7 +77,7 @@ def write_scalar_entry(cache_dir, seed, length):
     session = EstimationSession(database, constraints, M_UR, cache=entry)
     rng = random.Random(group_seed)
     pool = session.pool(rng)
-    entry.attach_pool(pool, rng)
+    entry.attach_pool(pool)
     pool.ensure(length)
     return entry
 
@@ -84,6 +85,16 @@ def write_scalar_entry(cache_dir, seed, length):
 def entry_path(cache_dir):
     (name,) = [n for n in os.listdir(cache_dir) if n.endswith(".json")]
     return os.path.join(cache_dir, name)
+
+
+def write_digested(path, document):
+    """Write ``document`` with a valid digest: damage the digest cannot see."""
+    from repro.engine.store import _document_digest
+
+    document = {key: value for key, value in document.items() if key != "digest"}
+    document["digest"] = _document_digest(document)
+    with open(path, "w") as handle:
+        json.dump(document, handle)
 
 
 class TestKeying:
@@ -155,8 +166,8 @@ class TestWarmStart:
         # A vector prefix (M_ur) resumes by batch index.
         self.assert_warm_run_extends(tmp_path, M_UR)
 
-    def test_longer_warm_scalar_run_extends_the_persisted_rng_state(self, tmp_path):
-        # A scalar prefix (M_uo) resumes from its persisted rng_state.
+    def test_longer_warm_walk_run_extends_the_persisted_stream(self, tmp_path):
+        # A walk prefix (M_uo) resumes by position too: no RNG state.
         self.assert_warm_run_extends(tmp_path, M_UO)
 
     @staticmethod
@@ -243,10 +254,8 @@ class TestCorruption:
         return requests, baseline, entry_path(tmp_path), str(tmp_path)
 
     @pytest.fixture
-    def populated_scalar(self, tmp_path):
-        # The rng_state damage modes are scalar-plane concerns (vector
-        # entries resume by batch index and persist no RNG state at all):
-        # M_uo groups draw on the scalar plane.
+    def populated_walk(self, tmp_path):
+        # M_uo groups draw on the walk plane: one sample per batch.
         requests = fig2_requests(M_UO)
         baseline = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
         return requests, baseline, entry_path(tmp_path), str(tmp_path)
@@ -326,12 +335,31 @@ class TestCorruption:
             for index in row
         )
 
-    def test_malformed_rng_state(self, populated_scalar):
-        requests, baseline, path, cache_dir = populated_scalar
+    def test_walk_entry_with_foreign_batch_is_discarded(
+        self, populated_walk, monkeypatch
+    ):
+        # A digest-valid walk prefix that claims another batch size is a
+        # foreign stream: it is redrawn from position 0, never extended.
+        from repro.engine import session as session_module
+
+        requests, baseline, path, cache_dir = populated_walk
         document = json.load(open(path))
-        document["rng_state"] = ["bogus"]
-        json.dump(document, open(path, "w"))
+        cold_rows = document["samples"]
+        document["batch"] = 512
+        write_digested(path, document)
+        drawn = []
+        original = session_module._WalkPlane.draw_batch
+
+        def counting(self, batch_index, size):
+            drawn.append(batch_index)
+            return original(self, batch_index, size)
+
+        monkeypatch.setattr(session_module._WalkPlane, "draw_batch", counting)
         self.rerun_and_compare(requests, baseline, cache_dir)
+        assert drawn[:3] == [0, 1, 2]
+        rewritten = json.load(open(entry_path(cache_dir)))
+        assert rewritten["batch"] == 1
+        assert rewritten["samples"] == cold_rows
 
     def test_wrong_field_types(self, populated):
         requests, baseline, path, cache_dir = populated
@@ -381,14 +409,20 @@ class TestCorruption:
         rewritten = json.load(open(entry_path(cache_dir)))
         assert all(row[0] < 2**6 for row in rewritten["samples"])
 
-    def test_shape_valid_but_meaningless_rng_state(self, populated_scalar):
-        # Out-of-range state ints pass the shape check but make setstate
-        # raise from the C layer (OverflowError) — must degrade, not crash.
-        requests, baseline, path, cache_dir = populated_scalar
-        document = json.load(open(path))
-        document["rng_state"][1] = [2**64] * len(document["rng_state"][1])
-        json.dump(document, open(path, "w"))
+    def test_bitflipped_walk_entry_redraws_rows_identical_to_cold(
+        self, populated_walk
+    ):
+        # A flipped bit in a walk entry fails the digest; the rerun redraws
+        # and re-persists exactly the rows the cold run wrote.
+        requests, baseline, path, cache_dir = populated_walk
+        cold_rows = json.load(open(path))["samples"]
+        data = bytearray(open(path, "rb").read())
+        data[len(data) // 2] ^= 0x01
+        with open(path, "wb") as handle:
+            handle.write(bytes(data))
         self.rerun_and_compare(requests, baseline, cache_dir)
+        rewritten = json.load(open(entry_path(cache_dir)))
+        assert rewritten["samples"] == cold_rows
 
     def test_non_json_constants_never_discard_results(self, tmp_path):
         # Fact constants are any hashable; Decimal values make the entry
@@ -432,16 +466,16 @@ class TestCorruption:
         plain = batch_estimate(requests, seed=7)
         assert [r.result for r in results] == [r.result for r in plain]
 
-    def test_rng_state_corruption_discards_stale_samples(self, populated_scalar):
-        # Scalar samples without a usable post-draw RNG state cannot be
-        # extended consistently; they must be dropped and re-persisted.
-        requests, baseline, path, cache_dir = populated_scalar
+    def test_walk_samples_without_batch_are_discarded(self, populated_walk):
+        # Walk samples whose batch size was lost cannot be resumed
+        # consistently; they must be dropped and re-persisted.
+        requests, baseline, path, cache_dir = populated_walk
         document = json.load(open(path))
-        document["rng_state"] = None  # state lost, samples left behind
-        json.dump(document, open(path, "w"))
+        document["batch"] = None  # batch lost, samples left behind
+        write_digested(path, document)
         self.rerun_and_compare(requests, baseline, cache_dir)
         rewritten = json.load(open(entry_path(cache_dir)))
-        assert rewritten["rng_state"] is not None
+        assert rewritten["batch"] == 1 and rewritten["samples"]
 
 
 class TestTwoWriters:
@@ -497,23 +531,24 @@ class TestTwoWriters:
         assert [r.result for r in warm] == [r.result for r in plain]
 
     def test_merge_survives_entry_without_resume_fields(self, tmp_path):
-        # A minimally valid v3 file may omit rng_state/batch entirely;
-        # merging it must degrade gracefully, never crash the save.
+        # A digest-valid file may omit ``batch`` entirely; merging it must
+        # degrade gracefully, never crash the save.
+        from repro.engine import STORE_VERSION
+
         database, constraints = figure2_database()
         entry = CacheStore(str(tmp_path)).entry(database, constraints, "M_ur", 7)
         size = len(database.sorted_facts())
-        with open(entry.path, "w") as handle:
-            json.dump(
-                {
-                    "version": 3,
-                    "decomposition": None,
-                    "possibility": {},
-                    "bounds": {},
-                    "samples": [[0]] if size <= 64 else [],
-                    "backend": "scalar",
-                },
-                handle,
-            )
+        write_digested(
+            entry.path,
+            {
+                "version": STORE_VERSION,
+                "decomposition": None,
+                "possibility": {},
+                "bounds": {},
+                "samples": [[0]] if size <= 64 else [],
+                "words": 1,
+            },
+        )
         query = cq((x,), (atom("R", x, y),))
         entry.set_possible(query, ("a1",), True)
         entry.save()  # must not raise despite the absent resume fields
@@ -522,8 +557,9 @@ class TestTwoWriters:
         assert len(document["possibility"]) == 1
 
     def test_cross_plane_writers_keep_their_own_prefix(self, tmp_path):
-        # A scalar writer and a vector writer share a key only when the
-        # environments differ; the merge must not splice streams.
+        # A caller-RNG walk-plane writer (batch 1) and a vector writer
+        # (batch 512) share a key only when one of them draws a foreign
+        # stream; the merge must not splice streams.
         from repro.engine.batch import group_seed_for
 
         database, constraints = figure2_database()
@@ -539,17 +575,17 @@ class TestTwoWriters:
         scalar_entry = write_scalar_entry(tmp_path, 7, 40)
 
         vector_entry.save()
-        scalar_entry.save()  # other plane on disk: ours wins outright
+        scalar_entry.save()  # other batch size on disk: ours wins outright
         with open(entry_path(tmp_path)) as handle:
             document = json.load(handle)
-        assert document["backend"] == "scalar"
+        assert document["batch"] == 1
         assert len(document["samples"]) == 40
-        # The M_ur run discards the foreign-plane prefix, never extends it.
+        # The M_ur run discards the foreign-batch prefix, never extends it.
         warm = batch_estimate(fig2_requests(), seed=7, cache_dir=str(tmp_path))
         plain = batch_estimate(fig2_requests(), seed=7)
         assert [r.result for r in warm] == [r.result for r in plain]
         with open(entry_path(tmp_path)) as handle:
-            assert json.load(handle)["backend"] == "vector"
+            assert json.load(handle)["batch"] == 512
 
 
 class TestWorkloadSpecAndCli:
@@ -662,7 +698,7 @@ class TestWorkloadSpecAndCli:
 
 
 class TestDurabilityEnvelope:
-    """The v4 envelope: digests on every load, old versions miss, temp hygiene."""
+    """The envelope: digests on every load, old versions miss, temp hygiene."""
 
     @pytest.fixture
     def populated(self, tmp_path):
@@ -822,41 +858,99 @@ def install_golden(tmp_path, name, generator, seed):
     return entry.path, written
 
 
-class TestGoldenV4Entries:
-    """v4 entries written by earlier commits, one per plane.
+#: M_ur rows of ``golden_requests()`` at seed 11 — unchanged since the v4
+#: goldens were written (M_ur streams are stable across store versions).
+MUR_SEED11_ROWS = [
+    (0.33004926108374383, 812),
+    (0.2315270935960591, 812),
+    (0.5967860468843963, 210),
+    (0.7688654591762161, 163),
+]
+#: M_uo rows of ``golden_requests(M_UO)`` at seed 13 on the walk plane.
+MUO_SEED13_ROWS = [
+    (0.3460591133004926, 812),
+    (0.27216748768472904, 812),
+    (0.6493526935011565, 193),
+    (0.8467910124711029, 148),
+]
 
-    Each ``tests/data/golden_v4_*.json`` was written by a cold
+
+class TestGoldenV4Entries:
+    """v4 entries written by earlier commits are clean misses at v5.
+
+    ``golden_v4_vector.json`` is an ``M_ur`` entry (seed 11),
+    ``golden_v4_muo.json`` an ``M_uo`` one (seed 13, a persisted RNG
+    state), and ``golden_v4_scalar.json`` an ``M_ur`` entry drawn on the
+    old scalar plane (seed 12).  Each must load as a plain miss — no
+    damage, nothing preloaded — be rewritten at the current version, and
+    change no row.
+    """
+
+    @pytest.mark.parametrize(
+        "name, generator, seed",
+        [
+            ("golden_v4_vector.json", M_UR, 11),
+            ("golden_v4_scalar.json", M_UR, 12),
+            ("golden_v4_muo.json", M_UO, 13),
+        ],
+        ids=["vector", "scalar", "muo"],
+    )
+    def test_v4_golden_entry_is_a_clean_miss(self, name, generator, seed, tmp_path):
+        from repro.engine import STORE_VERSION, fsck_store
+        from repro.engine.batch import group_seed_for
+
+        path, _ = install_golden(tmp_path, name, generator, seed)
+        database, constraints = golden_instance()
+        group_seed = group_seed_for(seed, database, constraints, generator)
+        entry = CacheStore(str(tmp_path)).entry(
+            database, constraints, generator.name, group_seed
+        )
+        assert entry.path == path
+        assert entry.load_error is None
+        assert entry.sample_word_rows() == []
+        assert entry.get_decomposition() is None
+        session = EstimationSession(database, constraints, generator, cache=entry)
+        pool = session.cached_pool(group_seed)
+        assert len(pool) == 0  # nothing preloaded
+        pool.ensure(8)
+        entry.save()
+        with open(path) as handle:
+            rewritten = json.load(handle)
+        assert rewritten["version"] == STORE_VERSION
+        assert "backend" not in rewritten and "rng_state" not in rewritten
+        cold = EstimationSession(database, constraints, generator)
+        assert rewritten["samples"] == (
+            cold.pool_for_seed(group_seed).packed_prefix(len(pool)).tolist()
+        )
+        assert fsck_store(str(tmp_path)).ok
+        if generator is M_UR:
+            warm = batch_estimate(
+                golden_requests(), seed=seed, cache_dir=str(tmp_path)
+            )
+            plain = batch_estimate(golden_requests(), seed=seed)
+            assert [r.result for r in warm] == [r.result for r in plain]
+            if seed == 11:
+                rows = [(r.result.estimate, r.result.samples_used) for r in warm]
+                assert rows == MUR_SEED11_ROWS
+
+
+class TestGoldenV5Entries:
+    """v5 entries, one per plane, pin "a warm entry loads with zero draws".
+
+    Each ``tests/data/golden_v5_*.json`` was written by a cold
     ``batch_estimate(golden_requests(generator), seed, cache_dir)``; the
-    expected rows below are what it returned.  ``golden_v4_vector.json``
-    is an ``M_ur`` entry and ``golden_v4_muo.json`` an ``M_uo`` one, the
-    scalar plane.  A warm run must load them, draw nothing, and return
-    the same rows — so the on-disk v4 format is unchanged.
-    ``golden_v4_scalar.json`` is an ``M_ur`` entry drawn on the scalar
-    plane, which ``M_ur`` no longer uses: a foreign-plane prefix.
+    expected rows below are what it returned.  A warm run must load it,
+    draw nothing, return the same rows and leave the file untouched — so
+    the on-disk v5 format and both planes' streams stay unchanged.
     """
 
     EXPECTED = {
-        "vector": (
-            "golden_v4_vector.json",
-            M_UR,
-            11,
-            [
-                (0.33004926108374383, 812),
-                (0.2315270935960591, 812),
-                (0.5967860468843963, 210),
-                (0.7688654591762161, 163),
-            ],
-        ),
+        "vector": ("golden_v5_vector.json", M_UR, 11, MUR_SEED11_ROWS),
         "scalar": (
-            "golden_v4_muo.json",
+            "golden_v5_muo.json",
             M_UO,
             13,
-            [
-                (0.3411330049261084, 812),
-                (0.30049261083743845, 812),
-                (0.6054351200276484, 207),
-                (0.8411078513135787, 149),
-            ],
+            MUO_SEED13_ROWS,
         ),
     }
 
@@ -864,8 +958,8 @@ class TestGoldenV4Entries:
     def test_golden_entry_warm_loads_without_drawing(
         self, plane, tmp_path, monkeypatch
     ):
+        from repro.engine import session as session_module
         from repro.sampling import vectorized
-        from repro.sampling.operations_sampler import UniformOperationsSampler
 
         name, generator, seed, expected = self.EXPECTED[plane]
         path, written = install_golden(tmp_path, name, generator, seed)
@@ -874,36 +968,10 @@ class TestGoldenV4Entries:
             raise AssertionError("a warm golden entry must not draw")
 
         monkeypatch.setattr(vectorized._BlockPlane, "draw_batch", no_draw)
-        monkeypatch.setattr(UniformOperationsSampler, "sample", no_draw)
+        monkeypatch.setattr(session_module._WalkPlane, "draw_batch", no_draw)
         results = batch_estimate(
             golden_requests(generator), seed=seed, cache_dir=str(tmp_path)
         )
         assert [(r.result.estimate, r.result.samples_used) for r in results] == expected
         with open(path, "rb") as handle:
             assert handle.read() == written  # nothing new to persist
-
-    def test_foreign_plane_golden_entry_is_discarded_not_extended(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.sampling import vectorized
-
-        seed = 12
-        path, _ = install_golden(tmp_path, "golden_v4_scalar.json", M_UR, seed)
-        with open(path) as handle:
-            assert json.load(handle)["backend"] == "scalar"
-        cold = batch_estimate(golden_requests(), seed=seed)
-        draws = []
-        original = vectorized._BlockPlane.draw_batch
-
-        def counting(self, batch_index, size):
-            draws.append(batch_index)
-            return original(self, batch_index, size)
-
-        monkeypatch.setattr(vectorized._BlockPlane, "draw_batch", counting)
-        warm = batch_estimate(golden_requests(), seed=seed, cache_dir=str(tmp_path))
-        assert draws and draws[0] == 0  # fresh rows from the stream's start
-        assert [r.result for r in warm] == [r.result for r in cold]
-        with open(path) as handle:
-            rewritten = json.load(handle)
-        assert rewritten["backend"] == "vector"
-        assert rewritten["rng_state"] is None

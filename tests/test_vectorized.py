@@ -258,7 +258,7 @@ class TestDecodeParity:
         samples = 2 * DEFAULT_BATCH_SIZE
 
         session = EstimationSession(database, constraints, generator)
-        pool = session.vector_pool(17)
+        pool = session.pool_for_seed(17)
         vector_estimates = [
             session.fixed_budget_pooled(pool, query, c, samples=samples).estimate
             for c in candidates
@@ -291,7 +291,7 @@ class TestVectorPools:
     def test_accessors_agree_with_packed_rows(self):
         database, constraints = figure2_database()
         session = EstimationSession(database, constraints, M_UR)
-        pool = session.vector_pool(3, batch_size=8)
+        pool = session.pool_for_seed(3, batch_size=8)
         prefix = vectorized.unpack_rows(pool.packed_prefix(20))
         assert len(pool) == 24  # whole batches
         assert [pool.mask_at(i) for i in range(20)] == prefix
@@ -302,7 +302,7 @@ class TestVectorPools:
     def test_prefix_views_are_cached_until_growth(self):
         database, constraints = figure2_database()
         session = EstimationSession(database, constraints, M_UR)
-        for pool in (session.vector_pool(3), session.pool(random.Random(3))):
+        for pool in (session.pool_for_seed(3), session.pool(random.Random(3))):
             first = pool.packed_prefix(10)
             drawn = len(pool)
             again = pool.packed_prefix(10)
@@ -316,21 +316,29 @@ class TestVectorPools:
     def test_same_seed_same_stream_regardless_of_growth_pattern(self):
         database, constraints = figure2_database()
         session = EstimationSession(database, constraints, M_US)
-        eager = session.vector_pool(11, batch_size=16)
-        lazy = session.vector_pool(11, batch_size=16)
+        eager = session.pool_for_seed(11, batch_size=16)
+        lazy = session.pool_for_seed(11, batch_size=16)
         eager.ensure(48)
         for position in (0, 7, 31, 40):
             assert lazy.mask_at(position) == eager.mask_at(position)
 
     def test_pool_requires_exactly_one_backing(self):
+        # One backing: a plane with draw_batch; there is no draw= thunk.
         database, constraints = figure2_database()
         session = EstimationSession(database, constraints, M_UR)
         with pytest.raises(TypeError):
             SamplePool(session.index())
         with pytest.raises(TypeError):
-            SamplePool(session.index(), lambda: 0, plane=session.vector_plane(1))
+            SamplePool(session.index(), draw=lambda: 0)
         with pytest.raises(TypeError):
             SamplePool(plane=session.vector_plane(1))
+        with pytest.raises(ValueError, match="whole batches"):
+            SamplePool(
+                session.index(),
+                session.vector_plane(1),
+                batch_size=4,
+                preloaded_rows=vectorized.np.zeros((3, 1), dtype="<u8"),
+            )
 
 
 class TestBackendResolution:
@@ -339,13 +347,17 @@ class TestBackendResolution:
         for generator in (M_UR, M_UR1, M_US, M_US1):
             session = EstimationSession(database, constraints, generator)
             assert session.seeded_plane == "vector"
-            assert session.pool_for_seed(5).backend == "vector"
+            pool = session.pool_for_seed(5)
+            assert isinstance(pool.plane, vectorized._BlockPlane)
+            assert pool.batch_size == DEFAULT_BATCH_SIZE
 
     def test_walk_generators_stay_scalar(self):
         database, constraints = figure2_database()
         walk = EstimationSession(database, constraints, M_UO)
         assert walk.seeded_plane == "scalar"
-        assert walk.pool_for_seed(5).backend == "scalar"
+        pool = walk.pool_for_seed(5)
+        assert not isinstance(pool.plane, vectorized._BlockPlane)
+        assert pool.batch_size == 1
         with pytest.raises(ValueError, match="vector"):
             walk.vector_plane(5)
 
@@ -360,7 +372,9 @@ class TestBackendResolution:
     def test_rng_driven_pools_keep_the_scalar_plane(self):
         database, constraints = figure2_database()
         session = EstimationSession(database, constraints, M_UR)
-        assert session.pool(random.Random(1)).backend == "scalar"
+        pool = session.pool(random.Random(1))
+        assert not isinstance(pool.plane, vectorized._BlockPlane)
+        assert pool.batch_size == 1
 
 
 class TestStoreV3:
@@ -374,9 +388,8 @@ class TestStoreV3:
         cold = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
         document, _ = self.entry_document(str(tmp_path))
         assert document["version"] == STORE_VERSION
-        assert document["backend"] == "vector"
         assert document["batch"] == DEFAULT_BATCH_SIZE
-        assert document["rng_state"] is None
+        assert "backend" not in document and "rng_state" not in document
         assert len(document["samples"]) % DEFAULT_BATCH_SIZE == 0
         warm = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
         plain = batch_estimate(requests, seed=7)
@@ -413,7 +426,7 @@ class TestStoreV3:
         from repro.engine import CacheStore, fsck_store
         from repro.engine.batch import group_seed_for
 
-        # An M_uo (scalar-plane) entry: v2 entries persisted an RNG state.
+        # An M_uo (walk-plane) entry: v2 entries persisted an RNG state.
         requests = fig2_requests(M_UO)
         baseline = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
         document, path = self.entry_document(str(tmp_path))
@@ -423,7 +436,7 @@ class TestStoreV3:
             "possibility": document["possibility"],
             "bounds": document["bounds"],
             "samples": [[0, 999999]],  # out-of-range v2 id
-            "rng_state": document["rng_state"],
+            "rng_state": [3, [0] * 625, None],
         }
         with open(path, "w") as handle:
             json.dump(v2, handle)
@@ -453,7 +466,7 @@ class TestStoreV3:
         auto = batch_estimate(requests, seed=5, cache_dir=str(tmp_path))
         assert [r.result for r in auto] == [r.result for r in plain]
         rewritten, _ = self.entry_document(str(tmp_path))
-        assert rewritten["backend"] == "vector"
+        assert rewritten["batch"] == DEFAULT_BATCH_SIZE
 
     def test_served_auto_plane_ignores_a_scalar_written_cache(self, tmp_path):
         from repro.service import SessionRegistry
@@ -473,11 +486,12 @@ class TestStoreV3:
         from repro.engine.batch import group_seed_for
 
         # A vector-drawn prefix under the M_uo key (only reachable by a
-        # foreign writer): the scalar M_uo pool must redraw, not extend.
+        # foreign writer): its batch size is foreign to the walk plane, so
+        # the M_uo pool must redraw, not extend.
         database, constraints = figure2_database()
         seed = group_seed_for(7, database, constraints, M_UO)
         entry = CacheStore(str(tmp_path)).entry(database, constraints, "M_uo", seed)
-        pool = EstimationSession(database, constraints, M_UR).vector_pool(seed)
+        pool = EstimationSession(database, constraints, M_UR).pool_for_seed(seed)
         entry.attach_pool(pool)
         pool.ensure(DEFAULT_BATCH_SIZE)
         entry.save()
@@ -486,7 +500,7 @@ class TestStoreV3:
         plain = batch_estimate(requests, seed=7)
         assert [r.result for r in scalar] == [r.result for r in plain]
         rewritten, _ = self.entry_document(str(tmp_path))
-        assert rewritten["backend"] == "scalar"
+        assert rewritten["batch"] == 1
 
 
 class TestVectorEstimationParity:
@@ -498,7 +512,7 @@ class TestVectorEstimationParity:
         query = cq((x,), (atom("R", x, y),))
         candidates = sorted(query.answers(database), key=repr)
         session = EstimationSession(database, constraints, generator)
-        pool = session.vector_pool(23)
+        pool = session.pool_for_seed(23)
         fixed = [
             session.estimate_pooled(
                 pool, query, c, epsilon=EPSILON, delta=DELTA, method="fixed"
@@ -537,14 +551,14 @@ class TestVectorEstimationParity:
                 requests,
                 epsilon=EPSILON,
                 delta=DELTA,
-                pool=session.vector_pool(29),
+                pool=session.pool_for_seed(29),
                 mode=mode,
             )
             second = session.estimate_many(
                 requests,
                 epsilon=EPSILON,
                 delta=DELTA,
-                pool=session.vector_pool(29),
+                pool=session.pool_for_seed(29),
                 mode=mode,
             )
             assert first == second
