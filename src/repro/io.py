@@ -38,7 +38,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .chains.generators import ALL_GENERATORS
 from .core.database import Database
@@ -169,7 +169,12 @@ def load_workload_spec(path: str) -> WorkloadSpec:
 
 
 def workload_from_dict(
-    document: Mapping[str, Any], *, base_dir: str | None = None
+    document: Mapping[str, Any],
+    *,
+    base_dir: str | None = None,
+    parse_instance: Callable[
+        [Mapping[str, Any]], tuple[Database, FDSet]
+    ] = instance_from_dict,
 ) -> list[BatchRequest]:
     """Parse a workload document into :class:`~repro.engine.batch.BatchRequest` rows.
 
@@ -181,6 +186,8 @@ def workload_from_dict(
     for ``generator``, ``epsilon``, ``delta``, ``method`` and
     ``max_samples``.  There is no sample-plane field: a document carrying
     ``backend`` is rejected, because the plane follows the generator.
+    ``parse_instance`` parses each inline instance document; the service
+    passes a memoizing wrapper of :func:`instance_from_dict`.
     """
     try:
         instance_specs = document["instances"]
@@ -207,7 +214,7 @@ def workload_from_dict(
                 path = os.path.join(base_dir, path)
             instances[name] = load_instance(path)
         elif isinstance(spec, Mapping):
-            instances[name] = instance_from_dict(spec)
+            instances[name] = parse_instance(spec)
         else:
             raise InstanceFormatError(
                 f"instance {name!r} must be a document or a file path"

@@ -37,7 +37,8 @@ engine warm in a long-running process:
   sample pools, SIGTERM drains, and respawn + re-warm of dead workers —
   with served rows bit-identical at any worker count.
 * :class:`ServiceClient` (:mod:`repro.service.client`) — a small
-  ``urllib``-based client for the HTTP API; every failure mode
+  :mod:`http.client` client for the HTTP API over persistent
+  connections, with a memo of encoded instances; every failure mode
   surfaces as :class:`ServiceClientError`.
 * :func:`run_loadtest` / :class:`LoadTestConfig` /
   :class:`LoadTestReport` / :class:`ServerProcess`

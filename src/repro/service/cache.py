@@ -37,6 +37,11 @@ __all__ = ["AnswerCache", "DEFAULT_ANSWER_CACHE_SIZE"]
 #: Default LRU capacity (result rows, not instances — rows are tiny).
 DEFAULT_ANSWER_CACHE_SIZE = 4096
 
+#: Largest encoded instance document either end of the serve path
+#: memoizes (about 700 facts); larger ones are parsed or encoded afresh
+#: on every request, so a memo entry stays small whatever a body may be.
+INSTANCE_MEMO_MAX_BYTES = 16 * 1024
+
 
 def _digest(encoded: str) -> str:
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
@@ -127,3 +132,38 @@ class AnswerCache:
                 "evictions": self.evictions,
                 "poisoned": self.poisoned,
             }
+
+
+class Memo:
+    """A thread-safe LRU map bounded by entry count.
+
+    The instance memos at both ends of the serve path: the server's maps
+    an inline instance document's text to its parsed pair, the client's
+    maps an instance pair to its encoded text.  A miss costs one lookup;
+    the caller computes the value and decides whether to :meth:`put` it.
+    """
+
+    def __init__(self, max_entries: int):
+        self.max_entries = max_entries
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[Any, Any] = OrderedDict()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def get(self, key) -> Any:
+        """The value stored under ``key`` (now most recent), or ``None``."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key, value) -> None:
+        """Store ``value`` under ``key``, evicting LRU-oldest entries."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)

@@ -4,17 +4,25 @@
 :class:`~repro.service.server.EstimationServer`: it serializes
 ``(Database, FDSet)`` pairs through :func:`repro.io.instance_to_dict`,
 posts request documents, and hands back the service's JSON rows
-verbatim (the ``batch --json`` row schema).  Each call opens a fresh
-connection (the server is one-request-per-connection), which also makes
-the client trivially thread-safe — the E27/E29 benches drive it from a
-thread pool to exercise the server's micro-batching.
+verbatim (the ``batch --json`` row schema).  Calls travel over
+persistent HTTP/1.1 connections (:mod:`http.client`): a pool holds one
+idle connection per concurrent caller, so the client is thread-safe and
+a thread reuses its connection from call to call.  A pooled connection
+the server has since closed (idle timeout, restart) is detected on use
+and the call is retried once on a fresh connection — estimates are
+deterministic and idempotent, so the retry is safe.  The encoded JSON
+text of each small instance is memoized per pair of objects (a bounded
+LRU keyed by identity, never by equality, under which ``1 == 1.0``), so
+repeated calls on one instance skip re-encoding it.
+:meth:`ServiceClient.close` (or a ``with`` block) closes the pooled
+connections.
 
 Error handling is total: *every* failure mode — JSON error responses,
 non-JSON bodies (a proxy's HTML 500 page), truncated responses, refused
 connections — surfaces as :class:`ServiceClientError` carrying the HTTP
 status (0 when no response arrived) and a bounded excerpt of whatever
 body was received, never a raw ``json.JSONDecodeError`` or bare
-``URLError``.  A ``429``'s ``Retry-After`` header is parsed onto the
+``OSError``.  A ``429``'s ``Retry-After`` header is parsed onto the
 error (:attr:`ServiceClientError.retry_after`), and constructing the
 client with ``max_retries > 0`` makes it honor that hint itself:
 rejected calls sleep ``min(Retry-After, retry_after_cap)`` and retry up
@@ -25,9 +33,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from typing import Any, Mapping, Sequence
 
 from ..chains.generators import MarkovChainGenerator
@@ -35,9 +43,16 @@ from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.queries import ConjunctiveQuery
 from ..io import format_query, instance_to_dict
+from .cache import INSTANCE_MEMO_MAX_BYTES, Memo
+from .registry import DEFAULT_MAX_SESSIONS
 
 #: Longest body excerpt attached to a :class:`ServiceClientError`.
 _EXCERPT_LIMIT = 200
+
+#: Failures that mean a pooled connection was closed by the server
+#: before this request reached it (``RemoteDisconnected`` is a
+#: ``ConnectionResetError``).
+_STALE_CONNECTION = (BrokenPipeError, ConnectionResetError)
 
 
 def _excerpt(body: bytes) -> str:
@@ -81,6 +96,36 @@ def _retry_after_seconds(headers) -> float | None:
     return seconds if seconds >= 0 else None
 
 
+def _json_document(status: int, body: bytes) -> dict:
+    """A success body decoded as a JSON object, or the error describing it."""
+    try:
+        document = json.loads(body.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        raise ServiceClientError(
+            status,
+            {"error": "response body is not valid JSON", "body_excerpt": _excerpt(body)},
+        ) from None
+    if not isinstance(document, dict):
+        raise ServiceClientError(
+            status,
+            {
+                "error": "response body is not a JSON object",
+                "body_excerpt": _excerpt(body),
+            },
+        )
+    return document
+
+
+def _close_connections(
+    idle: list[http.client.HTTPConnection], lock: threading.Lock
+) -> None:
+    with lock:
+        connections = idle[:]
+        idle.clear()
+    for connection in connections:
+        connection.close()
+
+
 def _generator_name(generator: MarkovChainGenerator | str) -> str:
     return generator if isinstance(generator, str) else generator.name
 
@@ -112,14 +157,44 @@ class ServiceClient:
         if retry_after_cap <= 0:
             raise ValueError("retry_after_cap must be positive")
         self.base_url = base_url.rstrip("/")
+        scheme, _, rest = self.base_url.partition("://")
+        if scheme != "http" or not rest:
+            raise ValueError(f"base_url must be an http:// URL, got {base_url!r}")
+        address, slash, prefix = rest.partition("/")
+        self._address = address
+        self._prefix = slash + prefix
         self.timeout = timeout
         self.max_retries = max_retries
         self.retry_after_cap = retry_after_cap
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+        # A client dropped without close() still closes its sockets.
+        weakref.finalize(self, _close_connections, self._idle, self._lock)
+        #: ``(id(database), id(constraints))`` → ``(database, constraints,
+        #: text)``: an entry holds its objects, so no other live object can
+        #: share its ids while it is stored.
+        self._instances = Memo(DEFAULT_MAX_SESSIONS)
+
+    def close(self) -> None:
+        """Close the pooled connections (the client stays usable)."""
+        _close_connections(self._idle, self._lock)
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # -- transport ---------------------------------------------------------------------
 
     def _call(self, method: str, path: str, payload: Any = None) -> dict:
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
+        return self._json_call(method, path, body)
+
+    def _json_call(self, method: str, path: str, body: bytes | None) -> dict:
         for attempt in range(self.max_retries + 1):
             try:
-                return self._call_once(method, path, payload)
+                return _json_document(*self._call_once(method, path, body))
             except ServiceClientError as error:
                 retriable = (
                     error.status == 429
@@ -131,67 +206,94 @@ class ServiceClient:
                 time.sleep(min(error.retry_after, self.retry_after_cap))
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _call_once(self, method: str, path: str, payload: Any = None) -> dict:
-        data = None if payload is None else json.dumps(payload).encode("utf-8")
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                status = response.status
-                body = response.read()
-        except urllib.error.HTTPError as error:
-            status = error.code
-            retry_after = _retry_after_seconds(error.headers)
+    def _call_once(
+        self, method: str, path: str, body: bytes | None = None
+    ) -> tuple[int, bytes]:
+        """One request/response exchange: ``(status, body)`` of a 2xx/3xx.
+
+        Error statuses and transport failures raise
+        :class:`ServiceClientError`.  A pooled connection found closed is
+        replaced and the request sent once more.
+        """
+        url = self.base_url + path
+        headers = {"Content-Type": "application/json"} if body is not None else {}
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        for reused in (connection is not None, False):
+            if not reused:
+                connection = http.client.HTTPConnection(
+                    self._address, timeout=self.timeout
+                )
             try:
-                body = error.read()
-            except (http.client.IncompleteRead, ConnectionError, OSError) as read_error:
-                body = getattr(read_error, "partial", b"") or b""
-            try:
-                decoded = json.loads(body.decode("utf-8"))
-                if not isinstance(decoded, Mapping):
-                    raise ValueError("non-object error body")
-            except (ValueError, UnicodeDecodeError):
-                decoded = {
-                    "error": f"non-JSON error body ({error.reason})",
-                    "body_excerpt": _excerpt(body),
-                }
-            raise ServiceClientError(status, decoded, retry_after) from None
-        except (http.client.IncompleteRead, ConnectionResetError) as error:
-            partial = getattr(error, "partial", b"") or b""
-            raise ServiceClientError(
-                0,
-                {
-                    "error": f"truncated response from {self.base_url + path}: {error}",
-                    "body_excerpt": _excerpt(partial),
-                },
-            ) from None
-        except urllib.error.URLError as error:
-            raise ServiceClientError(
-                0, {"error": f"request to {self.base_url + path} failed: {error.reason}"}
-            ) from None
+                connection.request(method, self._prefix + path, body, headers)
+                response = connection.getresponse()
+                data = response.read()
+                break
+            except http.client.IncompleteRead as error:
+                connection.close()
+                raise ServiceClientError(
+                    0,
+                    {
+                        "error": f"truncated response from {url}: {error!r}",
+                        "body_excerpt": _excerpt(error.partial),
+                    },
+                ) from None
+            except _STALE_CONNECTION as error:
+                connection.close()
+                if reused:
+                    continue
+                raise ServiceClientError(
+                    0, {"error": f"truncated response from {url}: {error!r}"}
+                ) from None
+            except (OSError, http.client.HTTPException) as error:
+                connection.close()
+                raise ServiceClientError(
+                    0, {"error": f"request to {url} failed: {error!r}"}
+                ) from None
+        if connection.sock is not None:  # the server kept it open
+            with self._lock:
+                self._idle.append(connection)
+        if response.status < 400:
+            return response.status, data
         try:
-            document = json.loads(body.decode("utf-8"))
+            decoded = json.loads(data.decode("utf-8"))
+            if not isinstance(decoded, Mapping):
+                raise ValueError("non-object error body")
         except (ValueError, UnicodeDecodeError):
-            raise ServiceClientError(
-                status,
-                {
-                    "error": "response body is not valid JSON",
-                    "body_excerpt": _excerpt(body),
-                },
-            ) from None
-        if not isinstance(document, dict):
-            raise ServiceClientError(
-                status,
-                {
-                    "error": "response body is not a JSON object",
-                    "body_excerpt": _excerpt(body),
-                },
+            decoded = {
+                "error": f"non-JSON error body ({response.reason})",
+                "body_excerpt": _excerpt(data),
+            }
+        raise ServiceClientError(
+            response.status, decoded, _retry_after_seconds(response.headers)
+        )
+
+    def _instance_text(self, database: Database, constraints: FDSet) -> str:
+        """The instance's encoded JSON document (memoized when small)."""
+        key = (id(database), id(constraints))
+        entry = self._instances.get(key)
+        if entry is None:
+            entry = (
+                database,
+                constraints,
+                json.dumps(instance_to_dict(database, constraints)),
             )
-        return document
+            if len(entry[2]) <= INSTANCE_MEMO_MAX_BYTES:
+                self._instances.put(key, entry)
+        return entry[2]
+
+    def _post_with_instance(
+        self,
+        path: str,
+        database: Database,
+        constraints: FDSet,
+        fields: Mapping[str, Any],
+    ) -> dict:
+        """POST ``fields`` plus the memoized ``"instance"`` text."""
+        instance = self._instance_text(database, constraints)
+        rest = json.dumps(fields)  # never empty: "query" is always there
+        body = '{"instance": ' + instance + ", " + rest[1:]
+        return self._json_call("POST", path, body.encode("utf-8"))
 
     # -- monitoring --------------------------------------------------------------------
 
@@ -215,21 +317,8 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """The raw Prometheus exposition text from ``GET /metrics``."""
-        request = urllib.request.Request(self.base_url + "/metrics", method="GET")
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as error:
-            body = error.read()
-            try:
-                decoded = json.loads(body.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                decoded = {"error": str(error.reason), "body_excerpt": _excerpt(body)}
-            raise ServiceClientError(error.code, decoded) from None
-        except urllib.error.URLError as error:
-            raise ServiceClientError(
-                0, {"error": f"request to {self.base_url}/metrics failed: {error.reason}"}
-            ) from None
+        _, data = self._call_once("GET", "/metrics")
+        return data.decode("utf-8")
 
     # -- estimation --------------------------------------------------------------------
 
@@ -251,7 +340,6 @@ class ServiceClient:
     ) -> dict:
         """Score one ``(query, answer)`` and return its result row."""
         document: dict[str, Any] = {
-            "instance": instance_to_dict(database, constraints),
             "query": _query_text(query),
             "generator": _generator_name(generator),
             "answer": list(answer),
@@ -265,7 +353,9 @@ class ServiceClient:
             document["max_samples"] = max_samples
         if budget_seconds is not None:
             document["budget_seconds"] = budget_seconds
-        (row,) = self._call("POST", "/estimate", document)["results"]
+        (row,) = self._post_with_instance(
+            "/estimate", database, constraints, document
+        )["results"]
         return row
 
     def estimate_workload(self, document: Mapping[str, Any]) -> list[dict]:
@@ -293,7 +383,6 @@ class ServiceClient:
     ) -> list[dict]:
         """Score every candidate answer of ``Q(D)``; returns the rows."""
         document: dict[str, Any] = {
-            "instance": instance_to_dict(database, constraints),
             "query": _query_text(query),
             "generator": _generator_name(generator),
             "epsilon": epsilon,
@@ -306,4 +395,6 @@ class ServiceClient:
             document["max_samples"] = max_samples
         if budget_seconds is not None:
             document["budget_seconds"] = budget_seconds
-        return self._call("POST", "/answers", document)["answers"]
+        return self._post_with_instance(
+            "/answers", database, constraints, document
+        )["answers"]

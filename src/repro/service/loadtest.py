@@ -686,6 +686,12 @@ _MALFORMED_PAYLOADS = (
     b"POST /estimate HTTP/1.1\r\nContent-Length: 9\r\n\r\nnot json!",
     b"POST /estimate HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
     b"POST /estimate HTTP/1.1\r\nContent-Length: 2\r\n\r\n[]",
+    # Framings whose leftover body bytes a persistent connection would
+    # otherwise parse as a second request: both are 400 + close.
+    b"POST /estimate HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+    b"19\r\nGET /healthz HTTP/1.1\r\n\r\n\r\n0\r\n\r\n",
+    b"POST /estimate HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 27\r\n\r\n"
+    b"{}GET /healthz HTTP/1.1\r\n\r\n",
 )
 
 

@@ -54,12 +54,16 @@ Instance documents must be inline: the on-disk workload format's
 "instance by file path" convenience is rejected here (a network service
 must not read files named by its callers).
 
-The server is deliberately minimal HTTP/1.1 — one request per
-connection, ``Connection: close`` — because its job is to demonstrate
-and exercise the service plane (registry + micro-batching) with zero
-dependencies, not to replace a production front end; the concurrency
-that matters (estimation) happens behind the event loop in coalesced
-batches, where an idle keep-alive connection would buy nothing.
+The server is deliberately minimal HTTP/1.1 with zero dependencies:
+``Content-Length`` framing only, no chunked bodies.  Connections are
+persistent: requests on one connection (pipelined ones included) are
+answered in order, and the connection closes after a response to an
+HTTP/1.0 or ``Connection: close`` request, after a framing error whose
+body was left unread, when the peer stays silent for
+:data:`READ_TIMEOUT_SECONDS`, and at shutdown.  A warm round trip is
+mostly fixed cost, so the request path also memoizes parsed inline
+instances (:meth:`EstimationServer._parse_instance`): a repeated small
+instance document is parsed once.
 """
 
 from __future__ import annotations
@@ -71,13 +75,25 @@ import sys
 import threading
 import time
 from collections import Counter
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
+from ..core.database import Database
+from ..core.dependencies import FDSet
 from ..engine import fsfault as _fsfault
 from ..engine.batch import BatchRequest, BatchResult
-from ..io import InstanceFormatError, batch_result_to_row, workload_from_dict
+from ..io import (
+    InstanceFormatError,
+    batch_result_to_row,
+    instance_from_dict,
+    workload_from_dict,
+)
 from .batching import MODES, QueueFull
-from .cache import DEFAULT_ANSWER_CACHE_SIZE, AnswerCache
+from .cache import (
+    DEFAULT_ANSWER_CACHE_SIZE,
+    INSTANCE_MEMO_MAX_BYTES,
+    AnswerCache,
+    Memo,
+)
 from .metrics import LATENCY_BUCKETS, WIDTH_BUCKETS, MetricsRegistry
 from .registry import DEFAULT_MAX_SESSIONS, SessionRegistry
 from .sharding import LocalShard, WorkerConfig, WorkerPool, aggregate_shard_stats
@@ -89,9 +105,10 @@ DEFAULT_PORT = 8765
 #: reasonable workload document, far below a memory-exhaustion payload).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
-#: A connection must deliver its complete request within this window;
-#: slow or truncated-then-silent senders are dropped instead of pinning
-#: a reader task forever.
+#: A connection must deliver its next complete request (head and body)
+#: within this window; slow, truncated-then-silent and idle keep-alive
+#: peers are dropped instead of pinning a reader task forever.  It bounds
+#: reading only: an admitted request runs under its deadline budget.
 READ_TIMEOUT_SECONDS = 30.0
 
 _STATUS_TEXT = {
@@ -174,12 +191,35 @@ class _Response:
         self.headers = dict(headers or {})
 
 
+class _Request(NamedTuple):
+    """One request read off a connection, with its framing settled."""
+
+    method: str
+    path: str
+    body: bytes
+    keep_alive: bool
+    started: float
+
+
 def _json_response(
     status: int, payload: Any, headers: Mapping[str, str] | None = None
 ) -> _Response:
     return _Response(
         status, json.dumps(payload).encode("utf-8"), headers=headers
     )
+
+
+def _render(response: _Response, keep_alive: bool) -> bytes:
+    """The response's wire bytes; ``Connection: close`` unless kept alive."""
+    head_lines = [
+        f"HTTP/1.1 {response.status} {_STATUS_TEXT.get(response.status, 'Error')}",
+        f"Content-Type: {response.content_type}",
+        f"Content-Length: {len(response.body)}",
+    ]
+    head_lines.extend(f"{name}: {value}" for name, value in response.headers.items())
+    if not keep_alive:
+        head_lines.append("Connection: close")
+    return ("\r\n".join(head_lines) + "\r\n\r\n").encode("ascii") + response.body
 
 
 def _parse_body(body: bytes) -> Mapping[str, Any]:
@@ -211,20 +251,23 @@ def _parse_mode(document: Mapping[str, Any]) -> str:
 
 
 def _estimate_requests(
-    document: Mapping[str, Any],
+    document: Mapping[str, Any], parse_instance: Callable
 ) -> tuple[list[BatchRequest], str]:
     """Both ``/estimate`` body shapes → (requests, mode)."""
     if "requests" in document:
         _reject_instance_paths(document.get("instances"))
         try:
-            return workload_from_dict(document), _parse_mode(document)
+            requests = workload_from_dict(document, parse_instance=parse_instance)
+            return requests, _parse_mode(document)
         except InstanceFormatError as error:
             raise _BadRequest(str(error)) from None
-    return _single_request(document)
+    return _single_request(document, parse_instance)
 
 
 def _single_request(
-    document: Mapping[str, Any], force_all_answers: bool = False
+    document: Mapping[str, Any],
+    parse_instance: Callable,
+    force_all_answers: bool = False,
 ) -> tuple[list[BatchRequest], str]:
     """A single-request document, wrapped into the workload format."""
     instance = document.get("instance")
@@ -247,7 +290,7 @@ def _single_request(
     if "backend" in document:
         wrapped["backend"] = document["backend"]  # rejected by the parser
     try:
-        requests = workload_from_dict(wrapped)
+        requests = workload_from_dict(wrapped, parse_instance=parse_instance)
     except InstanceFormatError as error:
         raise _BadRequest(str(error)) from None
     return requests, _parse_mode(document)
@@ -371,6 +414,13 @@ class EstimationServer:
         self.max_inflight = max_inflight
         self._inflight = 0
         self._connections: set[asyncio.Task] = set()
+        #: Writers of connections waiting for their next request's first
+        #: byte: :meth:`stop` closes these at once.
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._closing = False
+        #: Instance document text → parsed pair, at most one per session
+        #: the registry may keep (:meth:`_parse_instance`).
+        self._instances = Memo(self.registry.max_sessions)
         self.answer_cache = (
             AnswerCache(answer_cache_size) if answer_cache_size else None
         )
@@ -416,6 +466,11 @@ class EstimationServer:
             "repro_batch_width",  # repro-lint: disable=RL005
             "Estimation requests coalesced into one batch pass.",
             WIDTH_BUCKETS,
+        )
+        self._m_connections = metrics.counter(
+            "repro_connections_total",
+            "TCP connections accepted (persistent connections carry many "
+            "requests each).",
         )
         self._m_rejected = metrics.counter(
             "repro_rejected_total",
@@ -643,12 +698,17 @@ class EstimationServer:
         """Stop accepting, drain queued work, then stop the shards.
 
         The graceful-shutdown order: close the listener (no new
-        requests), give the shards ``drain_timeout`` seconds to finish
-        queued work, fail whatever remains with a clean 503 (never a
-        silent drop), and stop the shards — a local shard spills its
-        registry to the cache store, a worker pool SIGTERM-drains each
-        worker, which spills its own.
+        requests) and every idle connection (no request started on it),
+        give the shards ``drain_timeout`` seconds to finish queued work,
+        fail whatever remains with a clean 503 (never a silent drop), and
+        stop the shards — a local shard spills its registry to the cache
+        store, a worker pool SIGTERM-drains each worker, which spills its
+        own.  Busy connections answer their current request with
+        ``Connection: close``.
         """
+        self._closing = True
+        for writer in self._idle:
+            writer.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -675,6 +735,7 @@ class EstimationServer:
     # -- HTTP plumbing -----------------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        self._m_connections.inc()
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
@@ -683,81 +744,106 @@ class EstimationServer:
         finally:
             if task is not None:
                 self._connections.discard(task)
+            writer.close()
 
     async def _serve_connection(self, reader, writer) -> None:
+        """Answer requests on one persistent connection, in order.
+
+        :data:`READ_TIMEOUT_SECONDS` bounds the wait for each request's
+        head and body, never its execution.
+        """
+        while not self._closing:
+            self._idle.add(writer)
+            try:
+                async with asyncio.timeout(READ_TIMEOUT_SECONDS):
+                    first = await reader.readexactly(1)
+                    self._idle.discard(writer)
+                    request = await self._read_request(first, reader)
+            except (
+                asyncio.IncompleteReadError,
+                TimeoutError,
+                ConnectionError,
+                asyncio.LimitOverrunError,
+                ValueError,  # readuntil() wraps over-long heads in this
+            ):
+                return
+            finally:
+                self._idle.discard(writer)
+            if isinstance(request, _Response):
+                # A framing error: the body (if any) is unread, so the
+                # stream cannot be trusted for a next request.
+                response, keep_alive = request, False
+            else:
+                response = await self._answer(request)
+                keep_alive = request.keep_alive and not self._closing
+            try:
+                writer.write(_render(response, keep_alive))
+                await writer.drain()
+            except ConnectionError:  # pragma: no cover - client gone
+                return
+            if not keep_alive:
+                return
+
+    async def _answer(self, request: _Request) -> _Response:
         try:
-            response = await asyncio.wait_for(
-                self._handle_request(reader), READ_TIMEOUT_SECONDS
-            )
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.TimeoutError,
-            ConnectionError,
-            asyncio.LimitOverrunError,
-            ValueError,  # readline() wraps over-long header lines in this
-        ):
-            writer.close()
-            return
+            response = await self._dispatch(request.method, request.path, request.body)
         # ``Exception`` (not ``BaseException``) by contract: CrashPoint
         # sails through this backstop exactly like SIGKILL would.
         except Exception as error:  # pragma: no cover  # repro-lint: disable=RL003
-            response = _json_response(500, {"error": f"internal error: {error}"})
-        head_lines = [
-            f"HTTP/1.1 {response.status} {_STATUS_TEXT.get(response.status, 'Error')}",
-            f"Content-Type: {response.content_type}",
-            f"Content-Length: {len(response.body)}",
-        ]
-        head_lines.extend(f"{name}: {value}" for name, value in response.headers.items())
-        head_lines.append("Connection: close")
-        head = ("\r\n".join(head_lines) + "\r\n\r\n").encode("ascii")
-        try:
-            writer.write(head + response.body)
-            await writer.drain()
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, BrokenPipeError):  # pragma: no cover - client gone
-            pass
+            return _json_response(500, {"error": f"internal error: {error}"})
+        return self._finish(self._endpoint_label(request.path), response, request.started)
 
-    async def _handle_request(self, reader) -> _Response:
+    async def _read_request(self, first: bytes, reader) -> _Request | _Response:
+        """Read one request whose first byte is ``first``.
+
+        Returns the request, or the error response for a request whose
+        framing cannot be trusted (the caller then closes the
+        connection): a malformed request line, ``Transfer-Encoding``
+        (only ``Content-Length`` framing is served), a malformed or
+        conflicting ``Content-Length``, or an oversized body.
+        """
         # The whole head arrives in one readuntil: under a rejection
         # flood every await is an event-loop round trip, and a
-        # line-by-line header loop costs ~10 of them per connection.
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as error:
-            if not error.partial.strip():
-                raise ConnectionError("empty request") from None
-            raise
+        # line-by-line header loop costs ~10 of them per request.
+        head = first + await reader.readuntil(b"\r\n\r\n")
         lines = head.decode("latin-1").split("\r\n")
         request_line = lines[0].strip()
         if not request_line:
             raise ConnectionError("empty request")
+        started = time.perf_counter()
         parts = request_line.split()
         if len(parts) != 3:
             return self._finish(
                 "other",
                 _json_response(400, {"error": f"malformed request line {request_line!r}"}),
-                time.perf_counter(),
+                started,
             )
-        method, target, _ = parts
+        method, target, version = parts
         path = target.split("?", 1)[0]
-        started = time.perf_counter()
-        length = 0
+        keep_alive = version == "HTTP/1.1"
+        lengths: set[str] = set()
+        chunked = False
         for line in lines[1:]:
-            if not line:
-                continue
             name, _, value = line.partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    length = -1
-                if length < 0:
-                    return self._finish(
-                        self._endpoint_label(path),
-                        _json_response(400, {"error": "malformed Content-Length"}),
-                        started,
-                    )
+            name = name.strip().lower()
+            if name == "content-length":
+                lengths.add(value.strip())
+            elif name == "transfer-encoding":
+                chunked = True
+            elif name == "connection":
+                if "close" in (token.strip().lower() for token in value.split(",")):
+                    keep_alive = False
+        error, length = None, 0
+        if chunked:
+            error = "Transfer-Encoding is not supported; send Content-Length"
+        elif len(lengths) > 1:
+            error = "conflicting Content-Length headers"
+        elif lengths:
+            (text,) = lengths
+            if text.isascii() and text.isdigit():
+                length = int(text)
+            else:
+                error = "malformed Content-Length"
         if length > MAX_BODY_BYTES:
             return self._finish(
                 self._endpoint_label(path),
@@ -766,9 +852,12 @@ class EstimationServer:
                 ),
                 started,
             )
+        if error is not None:
+            return self._finish(
+                self._endpoint_label(path), _json_response(400, {"error": error}), started
+            )
         body = await reader.readexactly(length) if length else b""
-        response = await self._dispatch(method, path, body)
-        return self._finish(self._endpoint_label(path), response, started)
+        return _Request(method, path, body, keep_alive, started)
 
     def _endpoint_label(self, path: str) -> str:
         """Known route paths verbatim; everything else pooled (bounded
@@ -854,9 +943,32 @@ class EstimationServer:
             )
         self._inflight += 1
         try:
-            return await endpoint(_parse_body(body))
+            parse_instance = (
+                self._parse_instance
+                if len(body) <= INSTANCE_MEMO_MAX_BYTES
+                else instance_from_dict
+            )
+            return await endpoint(_parse_body(body), parse_instance)
         finally:
             self._inflight -= 1
+
+    def _parse_instance(self, document: Mapping[str, Any]) -> tuple[Database, FDSet]:
+        """:func:`~repro.io.instance_from_dict`, memoized on the document's text.
+
+        The key is the document's ``json.dumps`` in its own key order,
+        which tells apart every value the parser sees (``1``, ``1.0`` and
+        ``true`` included), so a hit returns exactly the pair a parse
+        would.  A document that fails to parse is not stored, so every
+        validation error still comes from the parser.  Only bodies of at
+        most :data:`~repro.service.cache.INSTANCE_MEMO_MAX_BYTES` come
+        here, and the memo keeps at most ``max_sessions`` pairs.
+        """
+        text = json.dumps(document)
+        parsed = self._instances.get(text)
+        if parsed is None:
+            parsed = instance_from_dict(document)
+            self._instances.put(text, parsed)
+        return parsed
 
     # -- monitoring endpoints ----------------------------------------------------------
 
@@ -1077,20 +1189,26 @@ class EstimationServer:
             self._m_rejected.labels("deadline").inc()
             raise _DeadlineExceeded(status, budget) from None
 
-    async def _estimate(self, document: Mapping[str, Any]) -> dict:
-        requests, mode = _estimate_requests(document)
+    async def _estimate(
+        self, document: Mapping[str, Any], parse_instance: Callable
+    ) -> dict:
+        requests, mode = _estimate_requests(document, parse_instance)
         rows = await self._with_budget(
             document, lambda: self._run_rows(requests, mode)
         )
         return {"mode": mode, "count": len(rows), "results": rows}
 
-    async def _answers(self, document: Mapping[str, Any]) -> dict:
+    async def _answers(
+        self, document: Mapping[str, Any], parse_instance: Callable
+    ) -> dict:
         if "answer" in document:
             raise _BadRequest(
                 "/answers enumerates all candidate tuples; "
                 "use /estimate to score one answer"
             )
-        requests, mode = _single_request(document, force_all_answers=True)
+        requests, mode = _single_request(
+            document, parse_instance, force_all_answers=True
+        )
         rows = await self._with_budget(
             document, lambda: self._run_rows(requests, mode)
         )

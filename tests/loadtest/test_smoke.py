@@ -11,6 +11,7 @@ import pytest
 
 from repro.service import BackgroundServer, ServiceClient, run_loadtest
 from repro.service.loadtest import (
+    _MALFORMED_PAYLOADS,
     LoadTestConfig,
     ServerProcess,
     _build_mix,
@@ -58,7 +59,7 @@ class TestSmokeRun:
         assert report.cache_hits > 0
         assert report.poisoned_detected > 0
         assert report.deadline_hits > 0
-        assert report.malformed_probes == 5
+        assert report.malformed_probes == len(_MALFORMED_PAYLOADS)
         assert report.metrics_scrapes > 0
         assert report.metrics_violations == []
 

@@ -9,6 +9,9 @@ regardless of arrival order, coalescing, eviction, or which transport
 import asyncio
 import json
 import os
+import socket
+import sys
+import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,6 +23,7 @@ from repro.core import Database, FDSet, Schema, fact, fd
 from repro.core.queries import atom, boolean_cq, cq, var
 from repro.engine import BatchRequest, batch_estimate
 from repro.io import instance_to_dict
+from repro.service import server as server_module
 from repro.service import (
     BackgroundServer,
     MicroBatcher,
@@ -27,6 +31,7 @@ from repro.service import (
     ServiceClientError,
     SessionRegistry,
 )
+from repro.service.cache import Memo
 from repro.workloads import figure2_database
 
 x, y = var("x"), var("y")
@@ -440,6 +445,312 @@ class TestHttpErrors:
         with pytest.raises(urllib.error.HTTPError) as caught:
             urllib.request.urlopen(request)
         assert caught.value.code == 400
+
+
+def _connect(url):
+    host, port = url.removeprefix("http://").split(":")
+    raw = socket.create_connection((host, int(port)), timeout=10)
+    return raw, raw.makefile("rb")
+
+
+def _read_response(stream):
+    """One HTTP response off ``stream``: ``(status, headers, body)``."""
+    status_line = stream.readline()
+    headers = {}
+    for line in iter(stream.readline, b"\r\n"):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers["content-length"]))
+    return int(status_line.split()[1]), headers, body
+
+
+def _post(path, document):
+    body = json.dumps(document).encode()
+    return (
+        f"POST {path} HTTP/1.1\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode() + body
+
+
+def _connections(client):
+    return client.metrics()["repro_connections_total"]
+
+
+def _fig2_single_documents():
+    database, constraints = figure2_database()
+    instance = instance_to_dict(database, constraints)
+    return [
+        {
+            "instance": instance,
+            "query": QUERY_TEXT,
+            "generator": generator,
+            "answer": [answer],
+            "epsilon": EPSILON,
+            "delta": DELTA,
+        }
+        for generator in ("M_ur", "M_us")
+        for answer in ("a1", "a2", "a3")
+    ]
+
+
+class TestKeepAlive:
+    def test_requests_on_one_socket_are_answered_in_order(self, server, client):
+        documents = _fig2_single_documents()
+        fresh = []
+        for document in documents:
+            request = urllib.request.Request(
+                server.url + "/estimate",
+                data=json.dumps(document).encode(),
+                method="POST",
+            )
+            with urllib.request.urlopen(request) as response:
+                fresh.append(json.loads(response.read())["results"])
+        before = _connections(client)
+        raw, stream = _connect(server.url)
+        with raw, stream:
+            # One at a time, then the rest pipelined in a single write.
+            raw.sendall(_post("/estimate", documents[0]))
+            served = [_read_response(stream)]
+            raw.sendall(b"".join(_post("/estimate", d) for d in documents[1:]))
+            served += [_read_response(stream) for _ in documents[1:]]
+        assert [status for status, _, _ in served] == [200] * len(documents)
+        assert all("connection" not in headers for _, headers, _ in served)
+        rows = [json.loads(body)["results"] for _, _, body in served]
+        assert rows == fresh
+        offline = batch_estimate(fig2_requests(), seed=7)
+        assert [(row["estimate"], row["samples"]) for (row,) in rows] == [
+            (r.result.estimate, r.result.samples_used) for r in offline
+        ]
+        assert _connections(client) - before == 1
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+            b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+        ],
+    )
+    def test_close_requests_get_connection_close_then_eof(self, server, request_bytes):
+        raw, stream = _connect(server.url)
+        with raw, stream:
+            raw.sendall(request_bytes + b"GET /healthz HTTP/1.1\r\n\r\n")
+            status, headers, _ = _read_response(stream)
+            assert status == 200 and headers["connection"] == "close"
+            assert stream.read() == b""
+
+    def test_stop_closes_idle_connections_at_once(self):
+        with BackgroundServer(seed=7) as running:
+            used, used_stream = _connect(running.url)
+            used.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert _read_response(used_stream)[0] == 200
+            silent, silent_stream = _connect(running.url)
+            client = ServiceClient(running.url)
+            client.healthz()  # leaves a pooled connection open
+            began = time.perf_counter()
+        assert time.perf_counter() - began < 1.0
+        for raw, stream in ((used, used_stream), (silent, silent_stream)):
+            with raw, stream:
+                assert stream.read() == b""
+        client.close()
+
+    def test_pooled_connection_survives_a_server_restart(self):
+        database, constraints = figure2_database()
+        with BackgroundServer(seed=7) as first:
+            port = first.address[1]
+            client = ServiceClient(first.url)
+            row = client.estimate(
+                database, constraints, QUERY_TEXT, ["a1"], epsilon=EPSILON, delta=DELTA
+            )
+        with BackgroundServer(seed=7, port=port) as second:
+            # The pooled connection died with the first server.
+            again = client.estimate(
+                database, constraints, QUERY_TEXT, ["a1"], epsilon=EPSILON, delta=DELTA
+            )
+            assert again == row
+            assert _connections(client) == 1
+        client.close()
+
+    def test_one_client_shared_by_eight_threads(self, server):
+        requests = fig2_requests()
+        offline = batch_estimate(requests, seed=7)
+        database, constraints = figure2_database()
+        with ServiceClient(server.url) as shared:
+            before = _connections(shared)
+
+            def score(request):
+                return shared.estimate(
+                    database,
+                    constraints,
+                    QUERY_TEXT,
+                    list(request.answer),
+                    generator=request.generator.name,
+                    epsilon=EPSILON,
+                    delta=DELTA,
+                )
+
+            with ThreadPoolExecutor(8) as executor:
+                rows = list(executor.map(score, requests * 8))
+            opened = _connections(shared) - before
+        assert [(row["estimate"], row["samples"]) for row in rows] == [
+            (r.result.estimate, r.result.samples_used) for r in offline
+        ] * 8
+        assert 1 <= opened <= 8
+
+    def test_read_timeout_does_not_bound_execution(self, monkeypatch):
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_SECONDS", 0.3)
+        database, constraints = figure2_database()
+        options = {"fault_injection": True}
+        with BackgroundServer(seed=7, server_options=options) as running:
+            with ServiceClient(running.url) as slow:
+                slow._call("POST", "/_fault", {"slow_seconds": 0.6})
+                row = slow.estimate(
+                    database, constraints, QUERY_TEXT, ["a1"], epsilon=EPSILON, delta=DELTA
+                )
+                assert row["samples"] > 0
+                slow._call("POST", "/_fault", {"reset": True})
+            # The bound still drops a peer that stalls mid-request.
+            raw, stream = _connect(running.url)
+            with raw, stream:
+                raw.sendall(b"GET /healthz HTTP/1.1\r\n")
+                assert stream.read() == b""
+
+
+class TestFraming:
+    """Framings that would leave body bytes to be parsed as a next request."""
+
+    SMUGGLED = b"GET /healthz HTTP/1.1\r\n\r\n"
+
+    def _only_response(self, server, request_bytes):
+        raw, stream = _connect(server.url)
+        with raw, stream:
+            raw.sendall(request_bytes)
+            status, headers, body = _read_response(stream)
+            assert headers["connection"] == "close"
+            assert stream.read() == b""  # the leftover bytes were never answered
+        return status, json.loads(body)["error"]
+
+    def test_transfer_encoding_is_rejected_and_closes(self, server):
+        status, error = self._only_response(
+            server,
+            b"POST /estimate HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(self.SMUGGLED)
+            + self.SMUGGLED
+            + b"\r\n0\r\n\r\n",
+        )
+        assert status == 400 and "Transfer-Encoding" in error
+
+    def test_conflicting_content_lengths_are_rejected_and_close(self, server):
+        status, error = self._only_response(
+            server,
+            b"POST /estimate HTTP/1.1\r\nContent-Length: 2\r\n"
+            b"Content-Length: %d\r\n\r\n{}" % (2 + len(self.SMUGGLED))
+            + self.SMUGGLED,
+        )
+        assert status == 400 and "conflicting Content-Length" in error
+
+    def test_oversized_body_is_413_and_closes(self, server):
+        status, _ = self._only_response(
+            server,
+            b"POST /estimate HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % (server_module.MAX_BODY_BYTES + 1)
+            + self.SMUGGLED,
+        )
+        assert status == 413
+
+    def test_repeated_equal_content_length_is_served(self, server):
+        raw, stream = _connect(server.url)
+        with raw, stream:
+            raw.sendall(
+                b"POST /estimate HTTP/1.1\r\nContent-Length: 2\r\n"
+                b"Content-Length: 2\r\n\r\n[]" + self.SMUGGLED
+            )
+            status, headers, _ = _read_response(stream)
+            assert status == 400 and "connection" not in headers  # body read
+            assert _read_response(stream)[0] == 200
+
+
+def _numbered_instance(number, value_type=str):
+    """Figure 2 plus one fact ``R(number, "b1")``: a distinct instance per number."""
+    database, constraints = figure2_database()
+    extra = fact("R", value_type(number), "b1")
+    return Database([*database.facts, extra], schema=database.schema), constraints
+
+
+class TestInstanceMemo:
+    def test_memo_evicts_least_recently_used(self):
+        memo = Memo(2)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        assert memo.get("a") == 1  # "b" is now the oldest
+        memo.put("c", 3)
+        assert (memo.get("a"), memo.get("b"), memo.get("c")) == (1, None, 3)
+        assert len(memo) == 2
+
+    def test_memo_shared_by_threads_stays_bounded_and_consistent(self):
+        memo = Memo(8)
+
+        def churn(worker):
+            for step in range(2000):
+                key = (worker + step) % 24
+                memo.put(key, key * 10)
+                value = memo.get((key + 1) % 24)
+                assert value is None or value == ((key + 1) % 24) * 10
+                assert len(memo) <= 8
+            return worker
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as executor:
+                assert sorted(executor.map(churn, range(8), timeout=60)) == list(range(8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(memo) == 8
+
+    def test_server_memo_holds_at_most_max_sessions_pairs(self):
+        with BackgroundServer(seed=7, max_sessions=2) as running:
+            with ServiceClient(running.url) as client:
+                for number in range(5):
+                    database, constraints = _numbered_instance(number)
+                    row = client.estimate(
+                        database, constraints, QUERY_TEXT, ["a1"],
+                        epsilon=EPSILON, delta=DELTA,
+                    )
+                    assert row["samples"] > 0
+                    assert len(running._instances) <= 2
+            assert len(running._instances) == 2
+
+    def test_large_instance_documents_are_parsed_every_time(self, monkeypatch):
+        monkeypatch.setattr(server_module, "INSTANCE_MEMO_MAX_BYTES", 64)
+        database, constraints = figure2_database()
+        with BackgroundServer(seed=7) as running:
+            with ServiceClient(running.url) as client:
+                rows = [
+                    client.estimate(
+                        database, constraints, QUERY_TEXT, ["a1"],
+                        epsilon=EPSILON, delta=DELTA,
+                    )
+                    for _ in range(2)
+                ]
+            assert len(running._instances) == 0
+        (offline,) = batch_estimate(fig2_requests(generators=(M_UR,))[:1], seed=7)
+        assert [(row["estimate"], row["samples"]) for row in rows] == [
+            (offline.result.estimate, offline.result.samples_used)
+        ] * 2
+
+    def test_equal_instances_of_different_value_types_stay_apart(self, server):
+        as_int = _numbered_instance(1, int)
+        as_float = _numbered_instance(1, float)
+        assert as_int == as_float  # 1 == 1.0: equality would conflate them
+        with ServiceClient(server.url) as client:
+            texts = [client._instance_text(*pair) for pair in (as_int, as_float)]
+        assert texts == [json.dumps(instance_to_dict(*pair)) for pair in (as_int, as_float)]
+        assert texts[0] != texts[1]
+        parsed = [server._parse_instance(json.loads(text)) for text in texts]
+        assert [sorted(map(repr, d.facts)) for d, _ in parsed] == [
+            sorted(map(repr, d.facts)) for d, _ in (as_int, as_float)
+        ]
 
 
 class TestServedCachePersistence:
