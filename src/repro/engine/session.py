@@ -27,7 +27,7 @@ share the same database.  :class:`EstimationSession` binds one
   cheap evaluations instead of ``N`` independent Monte-Carlo runs.
   Every pool holds its samples one way: a packed ``(S, ceil(n/64))``
   little-endian ``uint64`` bitset matrix, and witness hits are counted
-  with array reductions over it.
+  with column tests over the words each witness occupies.
 * **two sample planes** — every pool draws through a plane with one
   ``draw_batch(batch_index, size)`` shape: the block-structured
   ``M_ur``/``M_us`` families through the vector plane
@@ -706,7 +706,7 @@ class EstimationSession:
         common case for per-fact survival workloads), the remaining
         multi-fact witness masks (each needing its own subset test), and
         whether an *empty* witness exists (the query is entailed by every
-        sample) — the classification the batched column reductions of
+        sample) — the classification the per-word column tests of
         :func:`~repro.sampling.vectorized.batch_hit_flags` consume.
         """
         key = (query, answer)
@@ -793,7 +793,7 @@ class EstimationSession:
             query, epsilon, delta, method, p_lower
         )
         if resolved == "fixed":
-            # One packed-prefix reduction instead of ``budget``
+            # One packed-prefix pass instead of ``budget``
             # per-position tests.  The hit count is the exact float total
             # ``fixed_sample_estimate`` would accumulate from the same
             # indicator stream, built into a result by the same
@@ -1088,16 +1088,17 @@ class EstimationSession:
 class _PoolEvaluator:
     """Hit evaluation of one ``(query, answer)`` against one pool's prefix.
 
-    Hits are computed with packed column reductions
-    (:func:`repro.sampling.vectorized.batch_hit_flags`) over the pool's
-    rows and cached: :meth:`count` folds a known-length prefix in one
-    reduction, and :meth:`flag` serves positions out of the evaluated
-    prefix.  Growth follows the pool's batch size — a vector pool grows a
-    batch at a time, a walk-plane pool exactly to the position asked for,
-    so a pool driven by a caller's ``random.Random`` draws what a per-call
-    run would.  Rows the pool already holds are evaluated ahead
-    geometrically, so a warm prefix costs one reduction per doubling,
-    not one per position.
+    Hits are computed with per-word column tests
+    (:func:`repro.sampling.vectorized.batch_hit_flags`) over only the
+    words the witnesses occupy in the pool's rows, and cached:
+    :meth:`count` folds a known-length prefix in one pass, and
+    :meth:`flag` serves positions out of the evaluated prefix.  Growth
+    follows the pool's batch size — a vector pool grows a batch at a
+    time, a walk-plane pool exactly to the position asked for, so a pool
+    driven by a caller's ``random.Random`` draws what a per-call run
+    would.  Rows the pool already holds are evaluated ahead
+    geometrically, so a warm prefix costs one pass per doubling, not one
+    per position.
     """
 
     __slots__ = (
@@ -1105,7 +1106,7 @@ class _PoolEvaluator:
         "_always",
         "_singles",
         "_complexes",
-        "_witness_rows",
+        "_witness_support",
         "_flags",
         "_evaluated",
     )
@@ -1121,10 +1122,10 @@ class _PoolEvaluator:
         self._singles, self._complexes, self._always = session._witness_eval(
             query, answer
         )
-        # Packed once per evaluator: the witness rows are fixed for its
-        # lifetime, so growth pays only the reductions.
-        self._witness_rows = vectorized_plane.pack_witnesses(
-            self._singles, self._complexes, pool.words
+        # Packed once per evaluator: the witnesses' word supports are
+        # fixed for its lifetime, so growth pays only the column tests.
+        self._witness_support = vectorized_plane.pack_witnesses(
+            self._singles, self._complexes
         )
         self._flags = vectorized_plane.np.zeros(0, dtype=bool)
         self._evaluated = 0
@@ -1138,7 +1139,7 @@ class _PoolEvaluator:
             self._singles,
             self._complexes,
             self._always,
-            packed=self._witness_rows,
+            packed=self._witness_support,
         )
         if length > self._flags.shape[0]:
             # Capacity doubling: chunked dklr/adaptive growth stays

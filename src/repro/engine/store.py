@@ -87,6 +87,8 @@ import os
 import tempfile
 import threading
 import time
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable
 
 try:  # pragma: no cover - platform probe (Linux/macOS have it, Windows not)
@@ -654,27 +656,26 @@ class CacheEntry:
         """
         size = len(self._fact_order())
         words = self._sample_words()
-        rows: list[list[int]] = []
+        rows = self._document["samples"]
+        # C-level whole-prefix checks (a warm load holds up to ~10⁵ rows):
+        # exact types, so bool (an int subclass, which would decode as
+        # words 1/0) and float are rejected like any other non-int.
         try:
-            for row in self._document["samples"]:
-                if not isinstance(row, list) or len(row) != words:
-                    raise CacheFormatError("malformed sample word row")
-                for word in row:
-                    if (
-                        # bool is an int subclass: true/false would
-                        # silently decode as words 1/0.
-                        isinstance(word, bool)
-                        or not isinstance(word, int)
-                        or not 0 <= word < (1 << _WORD_BITS)
-                    ):
-                        raise CacheFormatError("malformed sample word")
-                if words and row[-1] >> (size - _WORD_BITS * (words - 1)):
+            if set(map(type, rows)) - {list} or set(map(len, rows)) - {words}:
+                raise CacheFormatError("malformed sample word row")
+            if words and rows:
+                if (
+                    set(map(type, chain.from_iterable(rows))) != {int}
+                    or min(chain.from_iterable(rows)) < 0
+                    or max(chain.from_iterable(rows)) >> _WORD_BITS
+                ):
+                    raise CacheFormatError("malformed sample word")
+                if max(map(itemgetter(-1), rows)) >> (size - _WORD_BITS * (words - 1)):
                     raise CacheFormatError("sample bits beyond the instance")
-                rows.append(row)
         except (CacheFormatError, TypeError):
             self.discard_samples()
             return []
-        return rows
+        return list(rows)
 
     def discard_samples(self) -> None:
         """Drop the persisted sample prefix (and its batch size)."""

@@ -16,8 +16,8 @@ draws a **batch** of ``S`` samples in one shot:
   scalar kernel's arbitrary-precision mask).
 
 Witness evaluation batches the same way: "witness ⊆ sample" over a whole
-prefix is ``((rows & witness) == witness).all(axis=1)`` — see
-:func:`batch_hit_flags`.
+prefix is ``rows[:, j] & v == v`` for every non-zero word ``(j, v)`` of
+the witness, one column at a time — see :func:`batch_hit_flags`.
 
 **Distributions.**  :class:`VectorRepairPlane` draws each block's outcome
 uniformly (Lemma 5.2 / Lemma E.2) — exactly the scalar law.
@@ -77,6 +77,7 @@ WORD_BITS = 64
 #: ``id >> _WORD_SHIFT`` is ``id // WORD_BITS`` — kept derived so the word
 #: geometry has one source of truth.
 _WORD_SHIFT = WORD_BITS.bit_length() - 1
+_WORD_MASK = (1 << WORD_BITS) - 1
 
 
 def words_for(n_facts: int) -> int:
@@ -108,16 +109,29 @@ def unpack_rows(rows) -> list[int]:
     ]
 
 
-def pack_witnesses(singles_mask: int, complex_masks: Sequence[int], words: int):
-    """Witness masks pre-packed for repeated :func:`batch_hit_flags` calls.
+def _word_support(mask: int):
+    """``mask``'s non-zero words as ``(word index, uint64 value)`` pairs."""
+    support = []
+    while mask:
+        word = ((mask & -mask).bit_length() - 1) >> _WORD_SHIFT
+        shift = word * WORD_BITS
+        support.append((word, np.uint64(mask >> shift & _WORD_MASK)))
+        mask &= ~(_WORD_MASK << shift)
+    return tuple(support)
 
-    Returns ``(singles_row | None, complex_rows | None)`` — evaluators
-    hold one per request so chunked prefix growth pays only reductions,
+
+def pack_witnesses(singles_mask: int, complex_masks: Sequence[int]):
+    """Witness word supports pre-packed for repeated :func:`batch_hit_flags` calls.
+
+    Returns ``(singles, complexes)``: ``singles`` is the single-fact
+    union's non-zero words as ``(word index, value)`` pairs (empty when
+    there are no single-fact witnesses), and ``complexes`` holds one such
+    tuple per multi-fact witness.  Hit counting then reads only the
+    columns a witness occupies, never the whole row.  Evaluators hold one
+    per request so chunked prefix growth pays only the column tests,
     never re-packing.
     """
-    singles_row = pack_masks([singles_mask], words)[0] if singles_mask else None
-    complex_rows = pack_masks(complex_masks, words) if complex_masks else None
-    return singles_row, complex_rows
+    return _word_support(singles_mask), tuple(map(_word_support, complex_masks))
 
 
 class SharedSampleSegment:
@@ -211,24 +225,31 @@ def batch_hit_flags(
     The batched form of the session's classified witness test: a row hits
     iff ``always`` (an empty witness exists), or it intersects the OR-union
     of the single-fact witnesses, or it contains one of the multi-fact
-    witness masks (``(row & w) == w``).  Exactly the scalar
-    ``_entails_mask`` semantics, reduced with column folds.  ``packed``
-    takes a :func:`pack_witnesses` result to skip per-call packing — this
-    is the one hit-counting implementation, shared by the engine's
-    evaluators and the parity tests.
+    witness masks (``row & w == w``).  Exactly the scalar
+    ``_entails_mask`` semantics, evaluated only over the words each
+    witness occupies: the union hits where ``rows[:, j] & v`` is non-zero
+    for any of its words ``(j, v)``, and a multi-fact witness where
+    ``rows[:, j] & v == v`` for all of its words.  Each word is one 1-D
+    operation over a strided column, so the cost follows the witnesses'
+    word support, not the row width.  ``packed`` takes a
+    :func:`pack_witnesses` result to skip per-call packing — this is the
+    one hit-counting implementation, shared by the engine's evaluators
+    and the parity tests.
     """
-    count, words = rows.shape
+    count = rows.shape[0]
     if always:
         return np.ones(count, dtype=bool)
-    singles_row, complex_rows = (
-        packed if packed is not None else pack_witnesses(singles_mask, complex_masks, words)
+    singles, complexes = (
+        packed if packed is not None else pack_witnesses(singles_mask, complex_masks)
     )
     flags = np.zeros(count, dtype=bool)
-    if singles_row is not None:
-        flags |= (rows & singles_row).any(axis=1)
-    if complex_rows is not None:
-        for witness_row in complex_rows:
-            flags |= ((rows & witness_row) == witness_row).all(axis=1)
+    for word, value in singles:
+        flags |= (rows[:, word] & value) != 0
+    for support in complexes:
+        contained = np.ones(count, dtype=bool)
+        for word, value in support:
+            contained &= (rows[:, word] & value) == value
+        flags |= contained
     return flags
 
 

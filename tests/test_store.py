@@ -409,6 +409,31 @@ class TestCorruption:
         rewritten = json.load(open(entry_path(cache_dir)))
         assert all(row[0] < 2**6 for row in rewritten["samples"])
 
+    @pytest.mark.parametrize(
+        "bad_row",
+        [[True], [1.0], [-1], [2**64], [1 << 6], [], 1],
+        ids=["bool", "float", "negative", "2**64", "beyond-instance", "short", "non-list"],
+    )
+    def test_digest_valid_bad_row_discards_the_prefix(self, populated, bad_row):
+        # The digest cannot see damage written with a fresh digest, so
+        # row validation alone must reject it.  (fig2 has 6 facts: a
+        # valid row is one int word below 2**6.)
+        requests, baseline, path, cache_dir = populated
+        document = json.load(open(path))
+        cold_rows = document["samples"]
+        damaged = list(cold_rows)
+        damaged[len(damaged) // 2] = bad_row
+        write_digested(path, {**document, "samples": damaged})
+        database, constraints = figure2_database()
+        from repro.engine.batch import group_seed_for
+
+        seed = group_seed_for(7, database, constraints, M_UR)
+        entry = CacheStore(cache_dir).entry(database, constraints, "M_ur", seed)
+        assert entry.load_error is None
+        assert entry.sample_word_rows() == []
+        self.rerun_and_compare(requests, baseline, cache_dir)
+        assert json.load(open(path))["samples"] == cold_rows
+
     def test_bitflipped_walk_entry_redraws_rows_identical_to_cold(
         self, populated_walk
     ):

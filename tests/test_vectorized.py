@@ -287,6 +287,115 @@ class TestDecodeParity:
         assert vector_estimates == decoded_estimates
 
 
+@st.composite
+def hit_cases(draw):
+    """Packed rows of 0–4 words plus witnesses aimed at them.
+
+    Multi-fact witnesses include pairs straddling a word boundary
+    (facts ``64k - 1`` and ``64k``), and rows are drawn as raw words,
+    supersets of a witness, or a witness with one of its bits cleared,
+    so hits and near misses both occur.
+    """
+    words = draw(st.integers(0, 4))
+    n = vectorized.WORD_BITS * words
+    singles = 0
+    complexes = []
+    if n:
+        facts = st.integers(0, n - 1)
+        for identifier in draw(st.sets(facts, max_size=5)):
+            singles |= 1 << identifier
+        witnesses = st.sets(facts, min_size=2, max_size=4)
+        if words > 1:
+            straddling = st.builds(
+                lambda k, extra: {64 * k - 1, 64 * k} | extra,
+                st.integers(1, words - 1),
+                st.sets(facts, max_size=2),
+            )
+            witnesses = st.one_of(straddling, witnesses)
+        complexes = [
+            sum(1 << identifier for identifier in witness)
+            for witness in draw(st.lists(witnesses, max_size=3))
+        ]
+    masks = []
+    for _ in range(draw(st.integers(0, 12))):
+        mask = draw(st.integers(0, (1 << n) - 1))
+        if complexes and draw(st.booleans()):
+            witness = draw(st.sampled_from(complexes))
+            mask |= witness
+            if draw(st.booleans()):
+                bit = draw(st.sampled_from([i for i in range(n) if witness >> i & 1]))
+                mask &= ~(1 << bit)
+        masks.append(mask)
+    return words, vectorized.pack_masks(masks, words), singles, tuple(complexes)
+
+
+class TestWordSupportHitFlags:
+    """Hit counting over witness word supports equals the full-row test."""
+
+    @given(case=hit_cases(), always=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_flags_equal_full_row_reduction(self, case, always):
+        import numpy as np
+
+        words, rows, singles, complexes = case
+        # The full-row reduction, over every word of every row.
+        singles_row = vectorized.pack_masks([singles], words)[0]
+        expected = (rows & singles_row).any(axis=1) | always
+        for witness_row in vectorized.pack_masks(complexes, words):
+            expected |= ((rows & witness_row) == witness_row).all(axis=1)
+
+        packed = vectorized.pack_witnesses(singles, complexes)
+        for flags in (
+            vectorized.batch_hit_flags(rows, singles, complexes, always),
+            vectorized.batch_hit_flags(rows, singles, complexes, always, packed=packed),
+        ):
+            assert flags.dtype == np.bool_ and flags.shape == (rows.shape[0],)
+            assert flags.tolist() == expected.tolist()
+
+    def test_support_holds_only_non_zero_words(self):
+        singles, complexes = vectorized.pack_witnesses(
+            1 << 3 | 1 << 130, [1 << 63 | 1 << 64]
+        )
+        assert [(word, int(value)) for word, value in singles] == [(0, 8), (2, 4)]
+        assert [[(word, int(value)) for word, value in support] for support in complexes] == [
+            [(0, 1 << 63), (1, 1)]
+        ]
+
+    def test_evaluator_matches_recount_on_straddling_witnesses(self):
+        # 70 R facts then 70 S facts: 140 facts, 3 words.  A witness
+        # {R(a, b), S(b, c)} pairs a word-0/1 R fact with a word-1/2 S
+        # fact, so most witnesses straddle a word boundary.
+        schema = Schema.from_spec({"R": ["A", "B"], "S": ["B", "C"]})
+        facts = [fact("R", f"a{i // 2}", f"b{i % 7}") for i in range(70)]
+        facts += [fact("S", f"b{i // 10}", f"c{i % 10}") for i in range(70)]
+        database = Database(facts, schema=schema)
+        constraints = FDSet(schema, [fd("R", "A", "B"), fd("S", "B", "C")])
+        assert len(database) == 140
+        session = EstimationSession(database, constraints, M_UR)
+        z = var("z")
+        query = cq((x,), (atom("R", x, y), atom("S", y, z)))
+        reference = session.pool_for_seed(11)
+        assert reference.words == 3
+        length = 2 * DEFAULT_BATCH_SIZE + 37
+        rows = vectorized.unpack_rows(reference.packed_prefix(length))
+        spans = set()
+        for answer in sorted(query.answers(database), key=repr):
+            masks = session.witness_masks(query, answer)
+            spans |= {
+                tuple(sorted({i // 64 for i in range(140) if mask >> i & 1}))
+                for mask in masks
+            }
+            expected = [any(mask & row == mask for mask in masks) for row in rows]
+            # Per-position growth on a fresh pool, batch by batch.
+            evaluator = session._evaluator(session.pool_for_seed(11), query, answer)
+            assert [evaluator.flag(i) for i in range(length)] == expected
+            # Chunked count() growth, drawing as it goes.
+            counting = session._evaluator(session.pool_for_seed(11), query, answer)
+            for chunk in (1, 100, 511, 513, 1024, length):
+                assert counting.count(chunk) == sum(expected[:chunk])
+        assert {(0, 1), (0, 2), (1, 2)} <= spans
+
+
 class TestVectorPools:
     def test_accessors_agree_with_packed_rows(self):
         database, constraints = figure2_database()
