@@ -25,7 +25,7 @@ by (instance, generator), and scores each group against one shared sample
 pool — optionally fanning groups out over worker processes.  With
 ``--mode adaptive`` every group runs sequential early-stopping estimators
 instead of fixed budgets, ``--cache-dir DIR`` (with ``--seed``) persists
-decompositions, bounds and sample batches across runs, and
+possibility verdicts and sample batches across runs, and
 ``--allow-errors`` exits 0 even when some rows report out-of-scope errors
 (the rows still carry them).  The sample plane follows the generator:
 the vectorized numpy plane for ``M_ur``/``M_us``, the scalar walk plane
@@ -335,7 +335,7 @@ def _arguments_batch(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--cache-dir",
         default=None,
-        help="persist decompositions/bounds/sample batches here across runs "
+        help="persist possibility verdicts/sample batches here across runs "
         "(default: the workload's 'cache_dir' field; needs --seed to be effective)",
     )
     subparser.add_argument(

@@ -18,7 +18,6 @@ from .session import DEFAULT_BATCH_SIZE, EstimationSession, SamplePool
 from .store import (
     STORE_VERSION,
     CacheEntry,
-    CacheSerializationError,
     CacheStore,
     FsckReport,
     StoreErrorLog,
@@ -30,7 +29,6 @@ __all__ = [
     "BatchRequest",
     "BatchResult",
     "CacheEntry",
-    "CacheSerializationError",
     "CacheStore",
     "DEFAULT_BATCH_SIZE",
     "EstimationSession",

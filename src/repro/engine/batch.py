@@ -26,8 +26,8 @@ Two orthogonal switches extend the planner:
   early-stopping estimators (:mod:`repro.approx.adaptive`), scheduled in
   doubling rounds over one shared pool (its length is the slowest stopping
   time, not the sum); per-request ``method`` is ignored in this mode.
-* ``cache_dir=...`` — persist decompositions, possibility verdicts, bounds
-  and pool sample batches per ``(database, Σ, generator, seed)`` key in a
+* ``cache_dir=...`` — persist possibility verdicts and pool sample
+  batches per ``(database, Σ, generator, seed)`` key in a
   :class:`~repro.engine.store.CacheStore`, so reruns of the same workload
   warm-start (requires a workload ``seed``; unseeded runs are not
   reproducible and bypass the cache).
@@ -53,12 +53,7 @@ from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.queries import ConjunctiveQuery
 from .session import EstimationSession
-from .store import (
-    STORE_ERRORS,
-    CacheSerializationError,
-    CacheStore,
-    instance_cache_key,
-)
+from .store import STORE_ERRORS, CacheStore, instance_cache_key
 
 #: Environment override for the multiprocessing start method used by
 #: ``batch_estimate(workers=...)`` (same values as the ``start_method``
@@ -259,12 +254,11 @@ def _estimate_group(
     if cache is not None:
         try:
             cache.save()
-        except (OSError, CacheSerializationError) as error:
+        except OSError as error:
             # The cache is an accelerator, never an authority: an
-            # unwritable cache_dir — or an instance whose constants are
-            # not JSON-serializable — must not discard computed results.
-            # Absorbed, but *accounted* (and narrowly: a plain TypeError
-            # or ValueError is a store bug and propagates).
+            # unwritable cache_dir must not discard computed results.
+            # Absorbed, but *accounted* (and narrowly: anything else is a
+            # store bug and propagates).
             STORE_ERRORS.record("save", error)
     return outcomes
 

@@ -64,10 +64,11 @@ Two layers sit on top of the fixed estimators:
   estimators in doubling rounds over one shared pool (its length is the
   slowest stopping time, not the sum);
 * **persistence** — an attached :class:`~repro.engine.store.CacheEntry`
-  makes decompositions, possibility verdicts, positivity bounds and the
-  pool's sample prefix survive the process
+  makes possibility verdicts and the pool's sample prefix (the packed
+  matrix's own bytes) survive the process
   (:meth:`EstimationSession.cached_pool` resumes the stream bit-for-bit
-  by batch index).
+  by batch index); decompositions and positivity bounds are cheaper to
+  recompute than to load, so they stay per-process.
 
 Scope enforcement is unchanged: combinations outside the paper's positive
 results raise :class:`~repro.approx.fpras.FPRASUnavailable` with the same
@@ -365,18 +366,11 @@ class EstimationSession:
     def decomposition(self) -> BlockDecomposition:
         """The block decomposition of ``(D, Σ)``, computed once (primary keys).
 
-        With a cache entry attached, a persisted decomposition is decoded
-        instead of recomputed (and a fresh one is recorded for next time).
+        Never persisted: the linear group-by-key recomputes faster than a
+        stored copy would decode and validate.
         """
         if self._decomposition is None:
-            if self.cache is not None:
-                self._decomposition = self.cache.get_decomposition()
-            if self._decomposition is None:
-                self._decomposition = block_decomposition(
-                    self.database, self.constraints
-                )
-                if self.cache is not None:
-                    self.cache.set_decomposition(self._decomposition)
+            self._decomposition = block_decomposition(self.database, self.constraints)
         return self._decomposition
 
     def index(self) -> InstanceIndex:
@@ -562,13 +556,12 @@ class EstimationSession:
             return self.pool_for_seed(seed, shared=shared)
         cache = self.cache
         batch_size = self._seeded_batch_size()
+        # The persisted blob IS the pool's matrix: preloaded as decoded.
         rows = cache.sample_word_rows()
-        if rows and (cache.sample_batch() != batch_size or len(rows) % batch_size):
+        if len(rows) and (cache.sample_batch() != batch_size or len(rows) % batch_size):
             cache.discard_samples()
-            rows = []
-        # The on-disk word row IS the matrix row: no bignum round trip.
-        preloaded_rows = vectorized_plane.np.array(rows, dtype="<u8") if rows else None
-        pool = self._seeded_pool(seed, shared, batch_size, preloaded_rows)
+            rows = None
+        pool = self._seeded_pool(seed, shared, batch_size, rows)
         cache.attach_pool(pool)
         return pool
 
@@ -586,11 +579,6 @@ class EstimationSession:
         if cached is not None:
             return cached
         self.ensure_supported()
-        if self.cache is not None:
-            persisted = self.cache.get_bound(query)
-            if persisted is not None:
-                self._bounds[query] = persisted
-                return persisted
         singleton = self.generator.singleton_only
         if isinstance(self.generator, UniformRepairs):
             bound = (
@@ -610,8 +598,6 @@ class EstimationSession:
             bound = rrfreq_lower_bound(self.database, query)
         value = float(bound)
         self._bounds[query] = value
-        if self.cache is not None:
-            self.cache.set_bound(query, value)
         return value
 
     def witnesses(

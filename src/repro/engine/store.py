@@ -1,53 +1,58 @@
 """Persistent cross-run cache for estimation sessions.
 
-Every process so far started cold: block decompositions, possibility
-verdicts, positivity bounds and — most expensively — the sampled-repair
-streams were recomputed on each CLI rerun, bench iteration or CI job.
-:class:`CacheStore` persists them on disk so a repeated workload
-warm-starts for free.
+Every process so far started cold: possibility verdicts and — most
+expensively — the sampled-repair streams were recomputed on each CLI
+rerun, bench iteration or CI job.  :class:`CacheStore` persists them on
+disk so a repeated workload warm-starts for free.  Only what is slower to
+recompute than to load is persisted: the block decomposition (Lemma 5.2,
+a linear group-by-key) and the positivity bounds (closed forms) are
+always recomputed from the instance.
 
 Layout: one JSON file per cache entry under the store directory, named by
 the entry key — the SHA-256 content hash of the canonical serialization of
 ``(database, Σ, generator, seed)``.  Anything that could change a result
 changes the key, so a hit can never replay stale state.  (The seed is part
-of the key because the sample stream depends on it; the seed-independent
-structural fields are deliberately duplicated across seeds — one key must
-cover everything any persisted field could depend on.)  Each entry holds:
+of the key because the sample stream depends on it.)  Each entry holds
+exactly these fields:
 
 * ``version`` — the store format version; a mismatch invalidates the entry;
-* ``decomposition`` — the block decomposition (Lemma 5.2), as
-  ``[{relation, group, facts}]`` rows;
 * ``possibility`` — the cached polynomial zero-test verdicts, keyed by
-  ``"<query>|<answer JSON>"``;
-* ``bounds`` — positivity lower bounds, keyed by the query text;
+  ``"<query>|<answer JSON>"`` (they let an impossible answer skip witness
+  enumeration);
 * ``samples`` + ``batch`` — the materialized prefix of the shared
-  :class:`~repro.engine.session.SamplePool` as **packed word rows**:
-  each sample is a list of ``ceil(n_facts / 64)`` unsigned 64-bit
-  words, word ``w`` holding fact ids ``64w .. 64w + 63`` of the sample's
-  id bitmask (the on-disk row *is* the pool's in-memory ``uint64``
-  matrix row).  Every seeded pool's batch ``b`` is a pure function of
+  :class:`~repro.engine.session.SamplePool`, as **the pool's own bytes**:
+  ``samples`` is one base64 string of the pool's row-major
+  little-endian ``uint64`` matrix, each row ``ceil(n_facts / 64)`` words
+  wide, word ``w`` holding fact ids ``64w .. 64w + 63`` of the sample's
+  id bitmask.  Every seeded pool's batch ``b`` is a pure function of
   ``(seed, b)``, so the prefix resumes by batch index with no RNG
   state; ``batch`` is the pool's batch size (512 on the vector plane,
   1 on the walk plane) — part of the stream's contract, so a prefix of
   another batch size is a foreign stream and is redrawn, never
-  extended.  Replayed estimates are identical to cold-run estimates.
+  extended.  Replayed estimates are identical to cold-run estimates;
+* ``words`` and ``digest`` — the durability envelope below.
 
 The durability envelope: ``digest`` is the SHA-256 hex
 digest of the entry's canonical serialization (sorted keys, compact
-separators, the ``digest`` field itself excluded) — covering the packed
-word rows, not just the key — and ``words`` records the packed row
-width so :func:`fsck_store` can validate shapes without the database.
+separators, the ``digest`` field itself excluded) — covering the sample
+blob, not just the key — and ``words`` records the packed row width so
+:func:`fsck_store` can validate the blob without the database.
 The digest is verified on every load, so a torn write, a truncation, or
 a single flipped bit anywhere in the file is *detected* and the entry
-degrades to recomputation instead of replaying damaged samples.
+degrades to recomputation instead of replaying damaged samples.  One
+validator (:func:`_validate`) makes every database-free check, for the
+load path and for :func:`fsck_store` alike, so the offline audit flags
+exactly what a load would reject; a load adds only the checks that need
+the instance (``words`` matches it, and no row sets a bit beyond its
+fact count).
 
-Only ``version == 5`` is read.  An entry at any other version is a plain
+Only ``version == 6`` is read.  An entry at any other version is a plain
 miss (not damage): it is recomputed and the next save overwrites it at
 the current version.
 
 Failure policy: the cache is an accelerator, never an authority.  Any
 read problem — missing file, truncated/corrupt JSON, digest mismatch,
-version mismatch, decoded facts that disagree with the live database —
+version mismatch, a sample blob that disagrees with the live database —
 silently degrades to recomputation (``tests/test_store.py`` exercises
 each path), with the failure kind reported on
 :attr:`CacheEntry.load_error` so callers can account it (the service
@@ -67,18 +72,20 @@ Concurrent writers: two processes sharing a ``cache_dir`` for the same
 key both load, compute, and save — a blind write would silently drop
 whatever the other process appended in between (last writer wins).
 :meth:`CacheEntry.save` therefore **reloads and merges** the on-disk
-document before writing: structural fields union (both writers computed
-them from the same instance, so values agree), and of two sample
-prefixes with the same ``batch`` the *longer* wins — both are prefixes
-of the same deterministic stream, so the longer one extends the
-shorter.  On platforms with ``fcntl`` the reload-merge-write runs under
-an advisory ``flock`` on the store directory, making it atomic against
-other writers; elsewhere it degrades to best-effort (the merge still
-closes almost all of the window).
+document before writing: verdicts union (both writers computed them
+from the same instance, so values agree), and of two sample prefixes
+with the same ``batch`` the one with *more rows* wins — both are
+prefixes of the same deterministic stream, so the longer one extends
+the shorter.  On platforms with ``fcntl`` the reload-merge-write runs
+under an advisory ``flock`` on the store directory, making it atomic
+against other writers; elsewhere it degrades to best-effort (the merge
+still closes almost all of the window).
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import contextlib
 import errno
 import hashlib
@@ -87,8 +94,6 @@ import os
 import tempfile
 import threading
 import time
-from itertools import chain
-from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable
 
 try:  # pragma: no cover - platform probe (Linux/macOS have it, Windows not)
@@ -96,7 +101,8 @@ try:  # pragma: no cover - platform probe (Linux/macOS have it, Windows not)
 except ImportError:  # pragma: no cover
     fcntl = None
 
-from ..core.blocks import Block, BlockDecomposition
+import numpy as np
+
 from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.facts import Fact
@@ -104,9 +110,8 @@ from ..core.queries import ConjunctiveQuery
 from . import fsfault as _fsfault
 
 # The packed-word geometry is owned by the vector plane: the format's
-# core invariant is "the on-disk word row IS the pool's uint64 matrix
-# row", so the store reads the constants from the one place that defines
-# them.
+# core invariant is "the on-disk blob IS the pool's uint64 matrix", so
+# the store reads the constants from the one place that defines them.
 from ..sampling.vectorized import WORD_BITS as _WORD_BITS
 from ..sampling.vectorized import words_for as _words_for
 
@@ -114,12 +119,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session imports stor
     from .session import SamplePool
 
 #: Bump when the on-disk schema changes; old entries are then recomputed.
-#: v5: packed uint64 word rows plus their ``batch`` size (every seeded
-#: pool resumes by batch index, with no RNG state), inside the
-#: durability envelope — ``digest`` (SHA-256 over the canonical
-#: serialization, verified on every load) and ``words`` (packed row
-#: width, for database-free fsck).
-STORE_VERSION = 5
+#: v6: only the possibility verdicts and the sample prefix — the pool's
+#: packed ``uint64`` matrix as one base64 blob, plus its ``batch`` size —
+#: inside the durability envelope: ``digest`` (SHA-256 over the
+#: canonical serialization, verified on every load) and ``words``
+#: (packed row width, for database-free fsck).
+STORE_VERSION = 6
+
+#: The exact top-level keys of an entry document.
+_FIELDS = frozenset({"version", "digest", "words", "batch", "samples", "possibility"})
 
 #: Orphaned ``*.tmp`` files older than this are swept when a
 #: :class:`CacheStore` opens a directory (long enough that a live
@@ -128,51 +136,29 @@ STORE_VERSION = 5
 TMP_SWEEP_GRACE_SECONDS = 300.0
 
 
-def _freeze(value: Any) -> Any:
-    """JSON arrays decode to lists; fact/group values need tuples back."""
-    if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
-    return value
-
-
 def _encode_fact(fact: Fact) -> list:
     return [fact.relation, *fact.values]
 
 
-def _decode_fact(row: Any) -> Fact:
-    if not isinstance(row, list) or len(row) < 2:
-        raise CacheFormatError(f"malformed fact row {row!r}")
-    relation, *values = row
-    return Fact(str(relation), tuple(_freeze(v) for v in values))
+def _word_rows(blob: bytes, words: int):
+    """``blob`` as a read-only ``(S, words)`` little-endian ``uint64`` matrix.
 
-
-class CacheFormatError(ValueError):
-    """Raised internally for undecodable entry payloads (never escapes reads)."""
-
-
-class CacheSerializationError(ValueError):
-    """Raised by :meth:`CacheEntry.save` when the document cannot be
-    serialized to JSON (e.g. an instance whose constants are not
-    JSON-native).
-
-    A distinct type so callers can treat "this instance is not
-    cacheable" as the benign, accountable condition it is — catching
-    ``(OSError, CacheSerializationError)`` — while genuine
-    ``TypeError``/``ValueError`` bugs in the store keep propagating.
+    Zero-copy (``frombuffer`` over immutable bytes, hence read-only).
+    A 0-fact instance has 0-word rows, which persist nothing.
     """
+    if not words:
+        return np.empty((0, 0), dtype="<u8")
+    return np.frombuffer(blob, dtype="<u8").reshape(-1, words)
 
 
 def classify_store_error(error: BaseException) -> str:
     """A bounded-cardinality kind label for one store failure.
 
     The label set (``enospc`` / ``readonly`` / ``eio`` / ``os`` /
-    ``serialize`` / ``unknown``, plus the read-side ``corrupt``) is what
-    the service exports as the ``kind`` label of
-    ``repro_store_errors_total`` — coarse on purpose, so callers cannot
-    mint metric series.
+    ``unknown``, plus the read-side ``corrupt``) is what the service
+    exports as the ``kind`` label of ``repro_store_errors_total`` —
+    coarse on purpose, so callers cannot mint metric series.
     """
-    if isinstance(error, CacheSerializationError):
-        return "serialize"
     if isinstance(error, OSError):
         if error.errno == errno.ENOSPC:
             return "enospc"
@@ -264,6 +250,51 @@ def _document_digest(document: dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _validate(document: Any) -> tuple[str | None, bytes]:
+    """The one validator: ``(damage detail or None, decoded sample blob)``.
+
+    Makes every check that needs no database — version, the exact field
+    set and each field's type, ``batch``, ``words``, a strict-base64
+    ``samples`` blob of whole ``words``-wide rows, and the content digest
+    — for the load path and :func:`fsck_store` alike.  Every 8 bytes are
+    a valid ``uint64``, so the blob's words need no checks of their own.
+    """
+    if not isinstance(document, dict):
+        return "not a JSON object", b""
+    version = document.get("version")
+    if version != STORE_VERSION:
+        return f"unknown store version {version!r}", b""
+    if document.keys() != _FIELDS:
+        return f"fields {sorted(document)} are not {sorted(_FIELDS)}", b""
+    possibility = document["possibility"]
+    if not isinstance(possibility, dict) or not all(
+        isinstance(verdict, bool) for verdict in possibility.values()
+    ):
+        return "malformed 'possibility' field", b""
+    batch, words = document["batch"], document["words"]
+    if batch is not None and (type(batch) is not int or batch < 1):
+        return f"malformed 'batch' field {batch!r}", b""
+    if type(words) is not int or words < 0:
+        return f"malformed 'words' field {words!r}", b""
+    samples = document["samples"]
+    if not isinstance(samples, str):
+        return "malformed 'samples' field", b""
+    try:
+        blob = binascii.a2b_base64(samples, strict_mode=True)
+    except ValueError:  # binascii.Error, or a non-ASCII string
+        return "'samples' is not strict base64", b""
+    if (len(blob) % (8 * words)) if words else blob:
+        return f"{len(blob)}-byte sample blob is not whole {words}-word rows", b""
+    digest = document["digest"]
+    if not isinstance(digest, str):
+        return "missing content digest", b""
+    expected = _document_digest(document)
+    if digest != expected:
+        detail = f"stored {digest[:12]}…, computed {expected[:12]}…"
+        return f"content digest mismatch ({detail})", b""
+    return None, blob
+
+
 @contextlib.contextmanager
 def _directory_lock(directory: str):
     """Advisory exclusive lock on a store directory (no-op without fcntl).
@@ -339,9 +370,10 @@ def instance_cache_key(
 class CacheEntry:
     """One persisted ``(database, Σ, generator, seed)`` bundle.
 
-    Obtained from :meth:`CacheStore.entry`.  Getters return ``None`` on any
-    miss *or* decode problem; setters mark the entry dirty; :meth:`save`
-    writes atomically (and is a no-op when nothing changed).
+    Obtained from :meth:`CacheStore.entry`.  A damaged or unreadable file
+    loads as an empty entry (see :attr:`load_error`); setters mark the
+    entry dirty; :meth:`save` writes atomically (and is a no-op when
+    nothing changed).
     """
 
     def __init__(self, path: str, database: Database, constraints: FDSet):
@@ -350,24 +382,21 @@ class CacheEntry:
         self._constraints = constraints
         self._dirty = False
         #: Why the on-disk entry was unusable, when it was: ``"corrupt"``
-        #: (damage the digest/structure checks caught) or an OSError kind
-        #: from :func:`classify_store_error`.  ``None`` for a clean load
-        #: *and* for a plain miss — absence is not an error.
+        #: (damage the validator or the instance checks caught) or an
+        #: OSError kind from :func:`classify_store_error`.  ``None`` for a
+        #: clean load *and* for a plain miss — absence is not an error.
         self.load_error: str | None = None
-        self._document = self._load()
+        self._document, self._rows = self._load()
         self._pool: "SamplePool | None" = None
 
     # -- load / save -----------------------------------------------------------------
 
-    def _load(self) -> dict[str, Any]:
-        empty = {
-            "version": STORE_VERSION,
-            "decomposition": None,
-            "possibility": {},
-            "bounds": {},
-            "samples": [],
-            "batch": None,
-        }
+    def _load(self) -> tuple[dict[str, Any], Any]:
+        """The validated document and its sample rows (empty on any miss)."""
+        empty = (
+            {"version": STORE_VERSION, "possibility": {}, "samples": "", "batch": None},
+            _word_rows(b"", self._sample_words()),
+        )
         try:
             raw = _fsfault.active().read_bytes(self.path)
         except FileNotFoundError:
@@ -377,32 +406,23 @@ class CacheEntry:
             return empty
         try:
             document = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError, ValueError):
+        except ValueError:  # JSONDecodeError, UnicodeDecodeError
             self.load_error = "corrupt"
             return empty
-        if not isinstance(document, dict):
-            self.load_error = "corrupt"
-            return empty
-        if document.get("version") != STORE_VERSION:
+        if isinstance(document, dict) and document.get("version") != STORE_VERSION:
             return empty  # a legitimately old/new format, not damage
-        for field, kind in (("possibility", dict), ("bounds", dict), ("samples", list)):
-            if not isinstance(document.get(field), kind):
-                self.load_error = "corrupt"
-                return empty
-        batch = document.get("batch")
-        if batch is not None and (
-            isinstance(batch, bool) or not isinstance(batch, int) or batch < 1
-        ):
+        detail, blob = _validate(document)
+        if detail is not None or document["words"] != self._sample_words():
             self.load_error = "corrupt"
             return empty
-        if document.get("words") != self._sample_words():
+        rows = _word_rows(blob, document["words"])
+        # Bits past the fact count are damage, not a bigger database.  (At
+        # a multiple of 64 facts every bit of the last word is a fact.)
+        tail = len(self._fact_order()) % _WORD_BITS
+        if tail and (rows[:, -1] >> np.uint64(tail)).any():
             self.load_error = "corrupt"
             return empty
-        digest = document.get("digest")
-        if not isinstance(digest, str) or digest != _document_digest(document):
-            self.load_error = "corrupt"
-            return empty
-        return document
+        return document, rows
 
     def save(self) -> bool:
         """Crash-consistently persist the entry if anything changed.
@@ -424,9 +444,9 @@ class CacheEntry:
         (the temp file's contents are durable *before* the rename makes
         them visible), and the directory fsync makes the rename itself
         durable.  The envelope (``digest`` over the canonical
-        serialization, ``words``) is stamped here.  Raises
-        :class:`CacheSerializationError` when the document holds
-        non-JSON-native values, ``OSError`` on filesystem failure.
+        serialization, ``words``) is stamped here.  Raises ``OSError`` on
+        filesystem failure (every field is a string, an int, a bool or
+        ``null``, so serialization cannot fail).
         """
         if self._pool is not None:
             self._sync_pool()
@@ -437,21 +457,17 @@ class CacheEntry:
         ops = _fsfault.active()
         with _directory_lock(directory):
             self._merge_from_disk()
-            payload = dict(self._document)
+            payload = {
+                key: self._document[key] for key in ("possibility", "samples", "batch")
+            }
             payload["version"] = STORE_VERSION
             payload["words"] = self._sample_words()
-            payload.pop("digest", None)
-            try:
-                payload["digest"] = _document_digest(payload)
-                # Written in the same canonical form the digest is
-                # computed over: every byte of the file is semantic.
-                encoded = json.dumps(
-                    payload, sort_keys=True, separators=(",", ":")
-                ).encode("utf-8")
-            except (TypeError, ValueError) as error:
-                raise CacheSerializationError(
-                    f"cache entry is not JSON-serializable: {error}"
-                ) from error
+            payload["digest"] = _document_digest(payload)
+            # Written in the same canonical form the digest is computed
+            # over: every byte of the file is semantic.
+            encoded = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
+                "utf-8"
+            )
             descriptor, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
             try:
                 try:
@@ -481,12 +497,10 @@ class CacheEntry:
         so their computed values agree wherever they overlap; merging is
         about *union*, not reconciliation:
 
-        * possibility verdicts and bounds: union, ours on (equal-valued)
-          overlap;
-        * decomposition: ours, theirs only when we never computed one;
+        * possibility verdicts: union, ours on (equal-valued) overlap;
         * samples: prefixes of the same seeded stream extend each other,
           so theirs is adopted (with its ``batch``) when we hold none, or
-          when it has our batch size and is longer.  A prefix of another
+          when it has our batch size and more rows.  A prefix of another
           batch size is a different stream — ours wins outright.
 
         A missing, corrupt, or stale-version file contributes nothing
@@ -495,101 +509,18 @@ class CacheEntry:
         disk = CacheEntry(self.path, self._database, self._constraints)
         theirs = disk._document
         document = self._document
-        for field in ("possibility", "bounds"):
-            merged = dict(theirs[field])
-            merged.update(document[field])
-            document[field] = merged
-        if document.get("decomposition") is None:
-            document["decomposition"] = theirs.get("decomposition")
-        ours = document["samples"]
-        if disk.sample_word_rows() and (
-            not ours
+        document["possibility"] = {**theirs["possibility"], **document["possibility"]}
+        if len(disk._rows) and (
+            not len(self._rows)
             or (
-                # .get(): a digest-valid file may still omit ``batch`` —
-                # absent must merge like null, never crash the save (the
-                # accelerator-not-authority policy).
-                theirs.get("batch") == document.get("batch")
-                and len(theirs["samples"]) > len(ours)
+                theirs["batch"] == document["batch"]
+                and len(disk._rows) > len(self._rows)
             )
         ):
-            document["samples"] = theirs["samples"]
-            document["batch"] = theirs.get("batch")
+            document["samples"], document["batch"] = theirs["samples"], theirs["batch"]
+            self._rows = disk._rows
 
-    # -- decomposition ---------------------------------------------------------------
-
-    def get_decomposition(self) -> BlockDecomposition | None:
-        """The persisted block decomposition, validated against ``(D, Σ)``.
-
-        Validation is structural, not just set-level: the fact union must
-        equal the database, every block must be a genuine key-group of its
-        relation (per Σ), groups must be unique, and blocks are re-sorted
-        into the canonical order :func:`block_decomposition` produces — so
-        a tampered regrouping or reordering is rejected/neutralized rather
-        than silently changing sampler behaviour.
-        """
-        rows = self._document.get("decomposition")
-        if not isinstance(rows, list):
-            return None
-        try:
-            blocks = []
-            for row in rows:
-                facts = frozenset(_decode_fact(r) for r in row["facts"])
-                blocks.append(Block(str(row["relation"]), _freeze(row["group"]), facts))
-        except (CacheFormatError, KeyError, TypeError, ValueError):
-            return None
-        decoded = frozenset(f for block in blocks for f in block.facts)
-        if decoded != self._database.facts:
-            return None  # key collision or corruption: recompute, never trust
-        if not self._blocks_match_constraints(blocks):
-            return None
-        blocks.sort(key=lambda block: (block.relation, repr(block.group)))
-        return BlockDecomposition(tuple(blocks))
-
-    def _blocks_match_constraints(self, blocks: list[Block]) -> bool:
-        """Whether every decoded block is a real key-group under ``Σ``."""
-        key_by_relation = {d.relation: d for d in self._constraints}
-        schema = self._constraints.schema
-        seen: set[tuple] = set()
-        try:
-            for block in blocks:
-                if any(f.relation != block.relation for f in block.facts):
-                    return False
-                dependency = key_by_relation.get(block.relation)
-                if dependency is None:
-                    # Relations without a key contribute singleton blocks.
-                    (only,) = block.facts
-                    if block.group != (str(only),):
-                        return False
-                else:
-                    positions = schema.relation(block.relation).positions_of(
-                        sorted(dependency.lhs)
-                    )
-                    groups = {
-                        tuple(f.values[i] for i in positions) for f in block.facts
-                    }
-                    if groups != {block.group}:
-                        return False
-                identity = (block.relation, block.group)
-                if identity in seen:
-                    return False  # a split block: groups must be maximal
-                seen.add(identity)
-        except (KeyError, TypeError, ValueError):
-            return False
-        return True
-
-    def set_decomposition(self, decomposition: BlockDecomposition) -> None:
-        """Persist a freshly computed decomposition."""
-        self._document["decomposition"] = [
-            {
-                "relation": block.relation,
-                "group": list(block.group),
-                "facts": [_encode_fact(f) for f in block.sorted_facts()],
-            }
-            for block in decomposition
-        ]
-        self._dirty = True
-
-    # -- possibility verdicts and positivity bounds ------------------------------------
+    # -- possibility verdicts ----------------------------------------------------------
 
     @staticmethod
     def _request_key(query: ConjunctiveQuery, answer: tuple) -> str:
@@ -600,29 +531,11 @@ class CacheEntry:
 
     def get_possible(self, query: ConjunctiveQuery, answer: tuple) -> bool | None:
         """The cached zero-test verdict for ``(query, answer)``, if any."""
-        value = self._document["possibility"].get(self._request_key(query, answer))
-        return value if isinstance(value, bool) else None
+        return self._document["possibility"].get(self._request_key(query, answer))
 
     def set_possible(self, query: ConjunctiveQuery, answer: tuple, value: bool) -> None:
         """Persist one zero-test verdict."""
         self._document["possibility"][self._request_key(query, answer)] = bool(value)
-        self._dirty = True
-
-    def get_bound(self, query: ConjunctiveQuery) -> float | None:
-        """The cached positivity lower bound for ``query``, if any.
-
-        A bound outside ``(0, 1]`` (tampering, or a serialization accident)
-        is treated as a miss — estimators reject such values, and the cache
-        must degrade to recomputation rather than propagate the error.
-        """
-        value = self._document["bounds"].get(str(query))
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return None
-        return float(value) if 0 < value <= 1 else None
-
-    def set_bound(self, query: ConjunctiveQuery, value: float) -> None:
-        """Persist one positivity bound."""
-        self._document["bounds"][str(query)] = float(value)
         self._dirty = True
 
     # -- sample batches ---------------------------------------------------------------
@@ -638,50 +551,26 @@ class CacheEntry:
 
     def sample_batch(self) -> int | None:
         """The batch size the persisted prefix was drawn with, if any."""
-        value = self._document.get("batch")
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            return None
-        return value
+        return self._document["batch"]
 
-    def sample_word_rows(self) -> list[list[int]]:
-        """The persisted sample prefix as validated packed word rows.
+    def sample_word_rows(self):
+        """The persisted sample prefix: a read-only ``(S, words)`` matrix.
 
-        The zero-conversion view for pools (their in-memory matrix row is
-        the on-disk row).  A row of the wrong width, a non-integer
-        or out-of-range word, or set bits beyond the instance's fact
-        count marks the entry corrupt and the whole batch is
-        **discarded** (a damaged prefix cannot be resumed), so the next
-        :meth:`save` rewrites a clean entry instead of preserving the
-        damage.
+        The pool's own representation, decoded from the blob once at
+        load time (strict base64, then ``frombuffer`` — no per-word
+        conversion): :meth:`~repro.engine.session.EstimationSession.cached_pool`
+        preloads it as is.  Damaged blobs never get this far — the load
+        path discards the whole entry, so the next :meth:`save` rewrites
+        a clean one instead of preserving the damage.
         """
-        size = len(self._fact_order())
-        words = self._sample_words()
-        rows = self._document["samples"]
-        # C-level whole-prefix checks (a warm load holds up to ~10⁵ rows):
-        # exact types, so bool (an int subclass, which would decode as
-        # words 1/0) and float are rejected like any other non-int.
-        try:
-            if set(map(type, rows)) - {list} or set(map(len, rows)) - {words}:
-                raise CacheFormatError("malformed sample word row")
-            if words and rows:
-                if (
-                    set(map(type, chain.from_iterable(rows))) != {int}
-                    or min(chain.from_iterable(rows)) < 0
-                    or max(chain.from_iterable(rows)) >> _WORD_BITS
-                ):
-                    raise CacheFormatError("malformed sample word")
-                if max(map(itemgetter(-1), rows)) >> (size - _WORD_BITS * (words - 1)):
-                    raise CacheFormatError("sample bits beyond the instance")
-        except (CacheFormatError, TypeError):
-            self.discard_samples()
-            return []
-        return list(rows)
+        return self._rows
 
     def discard_samples(self) -> None:
         """Drop the persisted sample prefix (and its batch size)."""
-        if self._document["samples"] or self._document.get("batch") is not None:
-            self._document["samples"] = []
+        if len(self._rows) or self._document["batch"] is not None:
+            self._document["samples"] = ""
             self._document["batch"] = None
+            self._rows = _word_rows(b"", self._sample_words())
             self._dirty = True
 
     def attach_pool(self, pool: "SamplePool") -> None:
@@ -693,8 +582,8 @@ class CacheEntry:
 
         Sharded workers back their pools with
         :class:`~repro.sampling.vectorized.SharedSampleSegment` matrices;
-        the store's word row is that very matrix row, so
-        :meth:`_sync_pool` already reads the shared bytes zero-copy.
+        the store's blob is that very matrix's bytes, so
+        :meth:`_sync_pool` already reads the shared rows directly.
         This accessor exposes the segment name for cross-process
         attachment and for eviction tests; ``None`` for private pools.
         """
@@ -703,13 +592,16 @@ class CacheEntry:
 
     def _sync_pool(self) -> None:
         drawn = len(self._pool)
-        if drawn <= len(self._document["samples"]):
+        # 0-word rows (a 0-fact instance) carry nothing to persist.
+        if drawn <= len(self._rows) or not self._pool.words:
             return
-        # The on-disk row IS the pool's packed uint64 matrix row: serialize
-        # it directly.  The prefix resumes by batch index, so the batch
-        # size (part of the stream's contract) is all it needs besides.
-        self._document["samples"] = self._pool.packed_prefix(drawn).tolist()
+        # The blob IS the pool's packed uint64 matrix: its bytes, base64'd.
+        # The prefix resumes by batch index, so the batch size (part of
+        # the stream's contract) is all it needs besides.
+        blob = self._pool.packed_prefix(drawn).tobytes()
+        self._document["samples"] = base64.b64encode(blob).decode("ascii")
         self._document["batch"] = self._pool.batch_size
+        self._rows = _word_rows(blob, self._pool.words)
         self._dirty = True
 
 
@@ -831,51 +723,19 @@ class FsckReport:
         return "\n".join(lines)
 
 
-def _fsck_document(document: Any) -> str | None:
-    """Damage detail for one parsed entry document (``None`` = clean)."""
-    if not isinstance(document, dict):
-        return "not a JSON object"
-    version = document.get("version")
-    if version != STORE_VERSION:
-        return f"unknown store version {version!r}"
-    for field, kind in (("possibility", dict), ("bounds", dict), ("samples", list)):
-        if not isinstance(document.get(field), kind):
-            return f"malformed {field!r} field"
-    widths = set()
-    for row in document["samples"]:
-        if not isinstance(row, list):
-            return "non-list sample row"
-        widths.add(len(row))
-        for word in row:
-            if (
-                isinstance(word, bool)
-                or not isinstance(word, int)
-                or not 0 <= word < (1 << _WORD_BITS)
-            ):
-                return f"sample word {word!r} outside uint64"
-    if len(widths) > 1:
-        return f"inconsistent sample row widths {sorted(widths)}"
-    words = document.get("words")
-    if isinstance(words, bool) or not isinstance(words, int) or words < 0:
-        return f"malformed 'words' field {words!r}"
-    if widths and widths != {words}:
-        return f"sample rows are {sorted(widths)} words wide, header says {words}"
-    digest = document.get("digest")
-    if not isinstance(digest, str):
-        return "missing content digest"
-    expected = _document_digest(document)
-    if digest != expected:
-        return f"content digest mismatch (stored {digest[:12]}…, computed {expected[:12]}…)"
-    return None
-
-
 def fsck_store(directory: str, *, repair: bool = False) -> FsckReport:
     """Scan a cache directory; verify every entry's digest and structure.
 
-    Checks each ``*.json`` entry for valid JSON, the current store
-    version, field structure, packed-row shape, and the SHA-256 content
-    digest (which catches any torn write, truncation or
-    bit flip).  Orphaned ``*.tmp`` files are reported informationally.
+    Checks each ``*.json`` entry for valid JSON and runs the load path's
+    own validator (:func:`_validate`): the current store version, the
+    exact field set and types, a blob of whole ``words``-wide rows, and
+    the SHA-256 content digest (which catches any torn write, truncation
+    or bit flip).  So fsck flags exactly what a load would reject as
+    ``"corrupt"``, except the two checks that need the database (a
+    ``words`` that disagrees with the instance, bits beyond its fact
+    count) — and an unknown version, which a load treats as a plain
+    miss but an offline auditor cannot vouch for.  Orphaned ``*.tmp``
+    files are reported informationally.
     With ``repair=True``, damaged entries are **quarantined** (renamed
     to ``<name>.quarantined``, preserving the bytes for forensics) so
     the next warm run recomputes cleanly, and orphan temp files are
@@ -919,8 +779,8 @@ def fsck_store(directory: str, *, repair: bool = False) -> FsckReport:
             detail = f"unreadable: {error}"
         if detail is None:
             try:
-                detail = _fsck_document(json.loads(raw.decode("utf-8")))
-            except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as error:
+                detail, _ = _validate(json.loads(raw.decode("utf-8")))
+            except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
                 detail = f"invalid JSON: {error}"
         if detail is None:
             report.entries.append({"file": name, "status": "ok", "detail": ""})

@@ -130,8 +130,6 @@ class CrashSafety(Rule):
             "fsfault",
             "CacheStore",
             "CacheEntry",
-            "CacheFormatError",
-            "CacheSerializationError",
             "StoreErrorLog",
             "fsck_store",
             "CrashPoint",

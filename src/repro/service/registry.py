@@ -30,8 +30,8 @@ lock is what makes the registry safe for *direct* multi-threaded use
 too.
 
 **Persistence.**  With a ``cache_dir``, admissions warm-start from the
-:class:`~repro.engine.store.CacheStore` (decomposition, verdicts,
-bounds, the persisted sample prefix) and evictions spill newly drawn
+:class:`~repro.engine.store.CacheStore` (verdicts and the persisted
+sample prefix) and evictions spill newly drawn
 state back — so a group bouncing in and out of a small registry never
 redraws samples it already paid for.  Spills merge with concurrent
 writers instead of clobbering them (see :meth:`CacheEntry.save
@@ -58,12 +58,7 @@ from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..engine.batch import BatchRequest, BatchResult, group_seed_for, run_group
 from ..engine.session import EstimationSession
-from ..engine.store import (
-    CacheSerializationError,
-    CacheStore,
-    StoreErrorLog,
-    instance_cache_key,
-)
+from ..engine.store import CacheStore, StoreErrorLog, instance_cache_key
 
 #: Default LRU capacity of a registry (warm groups kept in memory).
 DEFAULT_MAX_SESSIONS = 32
@@ -128,10 +123,10 @@ class SessionHandle:
 
     def spill(self) -> None:
         """Persist the session's cache entry, best-effort (the cache is
-        an accelerator — an unwritable directory or non-JSON constants
-        must never take the service down).  Failures are absorbed but
-        *accounted* in :attr:`storage`; anything outside the expected
-        disk/serialization failure modes is a store bug and propagates.
+        an accelerator — an unwritable directory must never take the
+        service down).  Failures are absorbed but *accounted* in
+        :attr:`storage`; anything outside the expected disk failure
+        modes is a store bug and propagates.
         """
         cache = self.session.cache
         if cache is None:
@@ -139,7 +134,7 @@ class SessionHandle:
         with self.lock:
             try:
                 committed = cache.save()
-            except (OSError, CacheSerializationError) as error:
+            except OSError as error:
                 if self.storage is not None:
                     self.storage.record("spill", error)
             else:

@@ -67,7 +67,7 @@ def stored_rows(cache_dir):
     database, constraints = figure2_database()
     entry = CacheStore(str(cache_dir)).entry(database, constraints, M_UR.name, SEED)
     assert entry.load_error is None, entry.load_error
-    return entry.sample_word_rows()
+    return entry.sample_word_rows().tolist()
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ scenario.  Both planes run it: ``M_ur`` pools draw vector batches of 512,
 ``M_uo`` pools one walk sample per batch — one resume scheme for both.
 """
 
+import base64
 import json
 import os
 
@@ -151,7 +152,8 @@ def check_interrupted_merge(
         expected_verdicts = set(verdicts_a) | (
             set(verdicts_b) if b_landed else set()
         )
-        assert len(document["samples"]) == expected_samples, (kill_at, spec_of())
+        rows = len(base64.b64decode(document["samples"])) // (8 * document["words"])
+        assert rows == expected_samples, (kill_at, spec_of())
         assert len(document["possibility"]) == len(expected_verdicts)
 
         # Idempotence: an immediate re-save with nothing new must be a

@@ -1,13 +1,15 @@
 """Offline store verification: ``fsck_store`` and ``python -m repro fsck``.
 
-The detection contract: v4 entries are written in canonical compact JSON
+The detection contract: entries are written in canonical compact JSON
 and carry a SHA-256 digest over every semantic byte, so **any**
 single-bit flip and **any** truncation must be caught (it either breaks
-the parse or changes a digested value).  ``--repair`` quarantines the
-damage, and the next warm run recomputes bit-identically against the
-offline baseline.
+the parse or changes a digested value).  fsck runs the load path's own
+validator, so it flags a digest-valid entry exactly when a load would
+reject it.  ``--repair`` quarantines the damage, and the next warm run
+recomputes bit-identically against the offline baseline.
 """
 
+import base64
 import json
 import os
 import subprocess
@@ -18,7 +20,9 @@ import pytest
 from repro.chains.generators import M_UR
 from repro.cli import main
 from repro.core.queries import atom, cq, var
-from repro.engine import BatchRequest, batch_estimate, fsck_store
+from repro.engine import BatchRequest, CacheStore, batch_estimate, fsck_store
+from repro.engine.batch import group_seed_for
+from repro.engine.store import _document_digest
 from repro.workloads import figure2_database
 
 x, y = var("x"), var("y")
@@ -42,9 +46,27 @@ def entry_path(cache_dir):
     return os.path.join(cache_dir, name)
 
 
+def restamped(document, **changes):
+    """``document`` with ``changes`` applied and a freshly valid digest
+    (a key set to ``None`` in ``changes`` is removed)."""
+    body = {key: value for key, value in {**document, **changes}.items()
+            if key != "digest" and value is not None}
+    return {**body, "digest": _document_digest(body)}
+
+
+def fsck_and_load(cache_dir, document):
+    """Write ``document`` as the entry; ``(fsck found damage, load_error)``."""
+    with open(entry_path(cache_dir), "w") as stream:
+        json.dump(document, stream)
+    database, constraints = figure2_database()
+    seed = group_seed_for(SEED, database, constraints, M_UR)
+    entry = CacheStore(str(cache_dir)).entry(database, constraints, "M_ur", seed)
+    return not fsck_store(str(cache_dir)).ok, entry.load_error
+
+
 @pytest.fixture
 def seeded_store(tmp_path):
-    """A cache dir holding one clean v4 entry + the baseline results."""
+    """A cache dir holding one clean entry + the baseline results."""
     baseline = batch_estimate(fig2_requests(), seed=SEED, cache_dir=str(tmp_path))
     return tmp_path, [row.result for row in baseline]
 
@@ -99,13 +121,63 @@ class TestDetection:
         # A *newer* store version is not silently "fine" to an offline
         # auditor (unlike the load path, where it is a legitimate
         # recompute): fsck's job is to say this tool cannot vouch for it.
+        # The one documented difference between fsck and a load.
         cache_dir, _ = seeded_store
-        path = entry_path(cache_dir)
-        document = json.load(open(path))
-        document["version"] = 99
-        with open(path, "w") as stream:
-            json.dump(document, stream)
-        assert not fsck_store(str(cache_dir)).ok
+        document = json.load(open(entry_path(cache_dir)))
+        assert fsck_and_load(cache_dir, restamped(document, version=99)) == (True, None)
+
+
+def _blob(document, edit):
+    raw = base64.b64decode(document["samples"])
+    return base64.b64encode(edit(raw)).decode("ascii")
+
+
+#: Digest-valid malformed documents, built from the clean fig2 entry.
+MALFORMED = {
+    "batch-zero": lambda d: restamped(d, batch=0),
+    "batch-true": lambda d: restamped(d, batch=True),
+    "batch-string": lambda d: restamped(d, batch="x"),
+    "batch-negative": lambda d: restamped(d, batch=-3),
+    "words-negative": lambda d: restamped(d, words=-1),
+    "words-bool": lambda d: restamped(d, words=True),
+    "words-string": lambda d: restamped(d, words="1"),
+    "words-zero-with-rows": lambda d: restamped(d, words=0),
+    "words-misfit": lambda d: restamped(d, words=3),
+    "possibility-list": lambda d: restamped(d, possibility=[]),
+    "possibility-int-verdict": lambda d: restamped(d, possibility={"q|[]": 1}),
+    "samples-rows": lambda d: restamped(d, samples=[[1], [2]]),
+    "samples-int": lambda d: restamped(d, samples=5),
+    "field-missing": lambda d: restamped(d, batch=None),
+    "field-extra": lambda d: restamped(d, bounds={}),
+    "blob-truncated": lambda d: restamped(d, samples=_blob(d, lambda raw: raw[:-3])),
+    "blob-not-base64": lambda d: restamped(d, samples="!!!!" + d["samples"]),
+    "blob-bad-padding": lambda d: restamped(d, samples=d["samples"] + "A="),
+    "blob-non-ascii": lambda d: restamped(d, samples="é" + d["samples"]),
+    "digest-mismatch": lambda d: {**d, "digest": "0" * 64},
+    "digest-missing": lambda d: {k: v for k, v in d.items() if k != "digest"},
+}
+
+
+class TestFsckMatchesLoad:
+    """fsck and the load path share one validator: for a digest-valid
+    entry, fsck reports damage exactly when a load sets ``"corrupt"``
+    (an unknown version is the one difference; see TestDetection)."""
+
+    def test_clean_entry_passes_both(self, seeded_store):
+        # The control: re-stamping alone leaves a valid entry.
+        cache_dir, _ = seeded_store
+        document = json.load(open(entry_path(cache_dir)))
+        assert fsck_and_load(cache_dir, restamped(document)) == (False, None)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_entry_is_damage_to_both(self, seeded_store, case):
+        cache_dir, baseline = seeded_store
+        document = json.load(open(entry_path(cache_dir)))
+        assert fsck_and_load(cache_dir, MALFORMED[case](document)) == (True, "corrupt")
+        # And the warm run recomputes bit-identically.
+        rerun = batch_estimate(fig2_requests(), seed=SEED, cache_dir=str(cache_dir))
+        assert [row.result for row in rerun] == baseline
+        assert fsck_store(str(cache_dir)).ok
 
 
 class TestRepair:

@@ -36,7 +36,7 @@ def grow(cache_dir, draws):
 def saved_rows(cache_dir):
     database, constraints = figure2_database()
     entry = CacheStore(str(cache_dir)).entry(database, constraints, M_UR.name, SEED)
-    return entry.sample_word_rows(), entry.load_error
+    return entry.sample_word_rows().tolist(), entry.load_error
 
 
 @pytest.fixture(autouse=True)
@@ -47,7 +47,7 @@ def passthrough_after():
 
 class TestWritePlans:
     def test_enospc_mid_write_leaves_old_state(self, tmp_path):
-        baseline = grow(tmp_path, 40).sample_word_rows()
+        baseline = grow(tmp_path, 40).sample_word_rows().tolist()
         with fsfault.injected(FaultPlan(enospc_at_byte=100, crash="raise")):
             with pytest.raises(OSError) as caught:
                 grow(tmp_path, 600)
@@ -65,7 +65,7 @@ class TestWritePlans:
         assert fsck_store(str(tmp_path)).ok
 
     def test_torn_write_crash_leaves_old_state_and_orphan_tmp(self, tmp_path):
-        baseline = grow(tmp_path, 40).sample_word_rows()
+        baseline = grow(tmp_path, 40).sample_word_rows().tolist()
         with fsfault.injected(FaultPlan(torn_write_at=1, crash="raise")):
             with pytest.raises(CrashPoint):
                 grow(tmp_path, 600)
@@ -89,7 +89,7 @@ class TestWritePlans:
         assert fsck_store(str(tmp_path)).ok
 
     def test_kill_at_every_op_is_old_or_new(self, tmp_path):
-        baseline = grow(tmp_path, 40).sample_word_rows()
+        baseline = grow(tmp_path, 40).sample_word_rows().tolist()
         with fsfault.injected(FaultPlan(crash="raise")) as dry:
             grow(tmp_path, 600)
         committed, _ = saved_rows(tmp_path)

@@ -7,6 +7,7 @@ regardless of arrival order, coalescing, eviction, or which transport
 """
 
 import asyncio
+import base64
 import json
 import os
 import socket
@@ -771,7 +772,8 @@ class TestServedCachePersistence:
             assert warm["samples"] == row["samples"]
             pool_samples = warm_client.stats()["registry"]["groups"][0]["pool_samples"]
         with open(os.path.join(tmp_path, entries[0])) as handle:
-            persisted = len(json.load(handle)["samples"])
+            document = json.load(handle)
+        persisted = len(base64.b64decode(document["samples"])) // (8 * document["words"])
         assert persisted >= pool_samples > 0  # admission preloaded the prefix
 
 

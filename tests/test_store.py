@@ -1,16 +1,17 @@
 """Persistent cache store: warm-start reuse, keying, and corruption recovery.
 
 The store's two promises: (1) a warm run replays the cold run bit-for-bit
-without redoing structural work (no re-decomposition), and (2) *any*
-damage to the on-disk state — truncation, garbage, stale versions,
-tampered payloads — silently degrades to recomputation and can never
-change a result.
+without drawing anew, and (2) *any* damage to the on-disk state —
+truncation, garbage, stale versions, tampered payloads — silently
+degrades to recomputation and can never change a result.
 """
 
+import base64
 import json
 import os
 import random
 
+import numpy as np
 import pytest
 
 from repro.chains.generators import M_UO, M_UR, M_US
@@ -87,6 +88,18 @@ def entry_path(cache_dir):
     return os.path.join(cache_dir, name)
 
 
+def stored_rows(document):
+    """A saved document's ``samples`` blob as a list of packed word rows."""
+    words = document["words"]
+    blob = base64.b64decode(document["samples"], validate=True)
+    return np.frombuffer(blob, dtype="<u8").reshape(-1, words).tolist() if words else []
+
+
+def encode_rows(rows):
+    """Packed word rows as a ``samples`` blob (little-endian ``uint64``)."""
+    return base64.b64encode(np.array(rows, dtype="<u8").tobytes()).decode("ascii")
+
+
 def write_digested(path, document):
     """Write ``document`` with a valid digest: damage the digest cannot see."""
     from repro.engine.store import _document_digest
@@ -147,21 +160,6 @@ class TestWarmStart:
         assert [r.result for r in warm] == [r.result for r in cold]
         assert [r.result for r in plain] == [r.result for r in cold]
 
-    def test_warm_run_does_not_redecompose(self, tmp_path, monkeypatch):
-        requests = fig2_requests()
-        batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
-
-        calls = []
-
-        def counting(database, constraints):
-            calls.append(1)
-            return block_decomposition(database, constraints)
-
-        monkeypatch.setattr("repro.engine.session.block_decomposition", counting)
-        warm = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
-        assert all(r.ok for r in warm)
-        assert calls == []  # decomposition came from disk, not recomputation
-
     def test_longer_warm_run_extends_the_persisted_stream(self, tmp_path):
         # A vector prefix (M_ur) resumes by batch index.
         self.assert_warm_run_extends(tmp_path, M_UR)
@@ -176,7 +174,7 @@ class TestWarmStart:
         # Cold run with loose accuracy persists a short prefix ...
         batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
         with open(entry_path(tmp_path)) as handle:
-            short = len(json.load(handle)["samples"])
+            short = len(stored_rows(json.load(handle)))
         # ... a tighter warm run needs more samples and extends the file.
         tighter = [
             BatchRequest(
@@ -192,7 +190,7 @@ class TestWarmStart:
         ]
         tight_cached = batch_estimate(tighter, seed=7, cache_dir=str(tmp_path))
         with open(entry_path(tmp_path)) as handle:
-            extended = len(json.load(handle)["samples"])
+            extended = len(stored_rows(json.load(handle)))
         assert extended > short
         # The extended stream is still the one a cold run would draw.
         tight_plain = batch_estimate(tighter, seed=7)
@@ -228,7 +226,11 @@ class TestWarmStart:
         assert entry.get_possible(query, ("1",)) is False
         assert entry.get_possible(query, (Decimal("1"),)) is None
 
-    def test_session_reuses_cached_bounds_and_possibility(self, tmp_path):
+    def test_session_reuses_cached_bounds_and_possibility(self, tmp_path, monkeypatch):
+        # Verdicts persist across sessions through the entry; bounds are
+        # closed forms, cached per session and recomputed by the next.
+        from repro.engine import session as session_module
+
         database, constraints = figure2_database()
         query = cq((x,), (atom("R", x, y),))
         store = CacheStore(str(tmp_path))
@@ -238,9 +240,23 @@ class TestWarmStart:
         assert session.is_possible(query, ("a1",)) is True
         entry.save()
 
+        calls = []
+        original = session_module.rrfreq_lower_bound
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        def no_zero_test(*args):
+            raise AssertionError("a persisted verdict must not be recomputed")
+
+        monkeypatch.setattr(session_module, "rrfreq_lower_bound", counting)
+        monkeypatch.setattr(session_module, "image_is_consistent", no_zero_test)
         fresh_entry = store.entry(database, constraints, "M_ur", 7)
         fresh = EstimationSession(database, constraints, M_UR, cache=fresh_entry)
         assert fresh.positivity_bound(query) == bound
+        assert fresh.positivity_bound(query) == bound
+        assert calls == [1]
         assert fresh.is_possible(query, ("a1",)) is True
 
 
@@ -263,6 +279,32 @@ class TestCorruption:
     def rerun_and_compare(self, requests, baseline, cache_dir):
         damaged = batch_estimate(requests, seed=7, cache_dir=cache_dir)
         assert [r.result for r in damaged] == [r.result for r in baseline]
+
+    def assert_dropped_field_is_damage(self, populated, field, value):
+        """An entry holds exactly its six fields: a digest-valid one that
+        carries a field v6 dropped is damage to fsck and to a load, and
+        the rerun recomputes it and rewrites the entry without it."""
+        from repro.engine import fsck_store
+
+        requests, baseline, path, cache_dir = populated
+        write_digested(path, {**json.load(open(path)), field: value})
+        assert fsck_store(cache_dir).damaged == 1
+        self.rerun_and_compare(requests, baseline, cache_dir)
+        rewritten = json.load(open(entry_path(cache_dir)))
+        assert field not in rewritten and stored_rows(rewritten)
+
+    @staticmethod
+    def decomposition_rows():
+        """Figure 2's block decomposition in the v5 ``decomposition`` shape."""
+        database, constraints = figure2_database()
+        return [
+            {
+                "relation": block.relation,
+                "group": list(block.group),
+                "facts": [[f.relation, *f.values] for f in block.sorted_facts()],
+            }
+            for block in block_decomposition(database, constraints)
+        ]
 
     def test_truncated_file(self, populated):
         requests, baseline, path, cache_dir = populated
@@ -287,32 +329,25 @@ class TestCorruption:
         assert json.load(open(entry_path(cache_dir)))["version"] != -1
 
     def test_tampered_decomposition_facts(self, populated):
-        requests, baseline, path, cache_dir = populated
-        document = json.load(open(path))
-        document["decomposition"][0]["facts"] = [["R", "evil", "fact"]]
-        json.dump(document, open(path, "w"))
-        self.rerun_and_compare(requests, baseline, cache_dir)
+        # The decomposition is recomputed, never persisted: a tampered
+        # one cannot reach the sampler.
+        rows = self.decomposition_rows()
+        rows[0]["facts"] = [["R", "evil", "fact"]]
+        self.assert_dropped_field_is_damage(populated, "decomposition", rows)
 
     def test_regrouped_decomposition_rejected(self, populated):
-        # Merge two blocks without changing the fact union: the set-level
-        # check passes but the grouping no longer matches Σ's key.
-        requests, baseline, path, cache_dir = populated
-        document = json.load(open(path))
-        rows = document["decomposition"]
+        # Two blocks merged without changing the fact union.
+        rows = self.decomposition_rows()
         assert len(rows) >= 2
-        rows[0]["facts"].extend(rows[1]["facts"])
-        del rows[1]
-        json.dump(document, open(path, "w"))
-        self.rerun_and_compare(requests, baseline, cache_dir)
+        rows[0]["facts"].extend(rows.pop(1)["facts"])
+        self.assert_dropped_field_is_damage(populated, "decomposition", rows)
 
     def test_reordered_decomposition_is_canonicalized(self, populated):
-        # A valid but reordered block list must not change the sampler's
-        # block iteration order (and hence the sample stream).
-        requests, baseline, path, cache_dir = populated
-        document = json.load(open(path))
-        document["decomposition"].reverse()
-        json.dump(document, open(path, "w"))
-        self.rerun_and_compare(requests, baseline, cache_dir)
+        # A reordered block list cannot change the sampler's block order:
+        # the session decomposes the instance itself, in canonical order.
+        rows = self.decomposition_rows()
+        rows.reverse()
+        self.assert_dropped_field_is_damage(populated, "decomposition", rows)
 
     def test_out_of_range_sample_indices(self, populated):
         requests, baseline, path, cache_dir = populated
@@ -323,17 +358,13 @@ class TestCorruption:
 
     def test_boolean_sample_indices_rejected(self, populated):
         # bool is an int subclass: [true, 5] must not decode as facts 1, 5.
+        # Rows in place of the blob are a wrong field type, digest or not.
         requests, baseline, path, cache_dir = populated
         document = json.load(open(path))
-        document["samples"][0] = [True, 5]
-        json.dump(document, open(path, "w"))
+        cold_blob = document["samples"]
+        write_digested(path, {**document, "samples": [[True, 5]]})
         self.rerun_and_compare(requests, baseline, cache_dir)
-        rewritten = json.load(open(entry_path(cache_dir)))
-        assert all(
-            not isinstance(index, bool)
-            for row in rewritten["samples"]
-            for index in row
-        )
+        assert json.load(open(entry_path(cache_dir)))["samples"] == cold_blob
 
     def test_walk_entry_with_foreign_batch_is_discarded(
         self, populated_walk, monkeypatch
@@ -369,70 +400,83 @@ class TestCorruption:
         self.rerun_and_compare(requests, baseline, cache_dir)
 
     def test_out_of_range_bound_degrades_to_recompute(self, populated):
-        # Estimators reject p_lower outside (0, 1]; a tampered bound must
-        # read as a miss, not surface as a ValueError (or an error row).
-        requests, baseline, path, cache_dir = populated
-        document = json.load(open(path))
-        document["bounds"] = {key: 0.0 for key in document["bounds"]}
-        json.dump(document, open(path, "w"))
-        self.rerun_and_compare(requests, baseline, cache_dir)
+        # Estimators reject p_lower outside (0, 1]; bounds are closed forms
+        # recomputed per session, so a stored one (even digest-valid) is
+        # damage, never an input.
+        _, _, _, cache_dir = populated
+        query = str(fig2_requests()[0].query)
+        self.assert_dropped_field_is_damage(populated, "bounds", {query: 0.0})
         adaptive = batch_estimate(
-            requests, seed=7, cache_dir=cache_dir, mode="adaptive"
+            fig2_requests(), seed=7, cache_dir=cache_dir, mode="adaptive"
         )
         assert all(r.ok for r in adaptive)
 
     def test_corrupt_samples_are_discarded_and_entry_rewritten(self, populated):
-        # Even when the recovery run draws *fewer* samples than the corrupt
-        # record held, the damage must not be preserved — the rewritten
-        # entry warms the third run.  (fig2 has 6 facts, so a valid row is
-        # one word with no bits at position 6 or above.)
+        # A truncated blob (digest re-stamped) is not whole rows: the entry
+        # is discarded, and the damage must not be preserved — the
+        # rewritten entry warms the third run.  (fig2 has 6 facts, so a
+        # valid row is one word with no bits at position 6 or above.)
         requests, baseline, path, cache_dir = populated
         document = json.load(open(path))
-        document["samples"][0] = [0, 999999]  # wrong row width
-        json.dump(document, open(path, "w"))
+        cold_rows = stored_rows(document)
+        blob = base64.b64decode(document["samples"])
+        truncated = base64.b64encode(blob[:-3]).decode("ascii")
+        write_digested(path, {**document, "samples": truncated})
         self.rerun_and_compare(requests, baseline, cache_dir)
-        rewritten = json.load(open(entry_path(cache_dir)))
-        assert all(
-            len(row) == 1 and isinstance(row[0], int) and 0 <= row[0] < 2**6
-            for row in rewritten["samples"]
-        )
-        assert rewritten["samples"]  # the clean stream was re-persisted
+        rewritten = stored_rows(json.load(open(entry_path(cache_dir))))
+        assert rewritten == cold_rows  # the clean stream was re-persisted
+        assert all(0 <= word < 2**6 for (word,) in rewritten)
 
     def test_sample_bits_beyond_the_instance_rejected(self, populated):
         # A shape-valid word with bits past the fact count is corruption,
-        # not a bigger database.
-        requests, baseline, path, cache_dir = populated
-        document = json.load(open(path))
-        document["samples"][0] = [1 << 6]
-        json.dump(document, open(path, "w"))
-        self.rerun_and_compare(requests, baseline, cache_dir)
-        rewritten = json.load(open(entry_path(cache_dir)))
-        assert all(row[0] < 2**6 for row in rewritten["samples"])
+        # not a bigger database — a check only a load can make (fsck has
+        # no database), so a digest-valid entry passes fsck but not load.
+        from repro.engine import fsck_store
 
-    @pytest.mark.parametrize(
-        "bad_row",
-        [[True], [1.0], [-1], [2**64], [1 << 6], [], 1],
-        ids=["bool", "float", "negative", "2**64", "beyond-instance", "short", "non-list"],
-    )
-    def test_digest_valid_bad_row_discards_the_prefix(self, populated, bad_row):
-        # The digest cannot see damage written with a fresh digest, so
-        # row validation alone must reject it.  (fig2 has 6 facts: a
-        # valid row is one int word below 2**6.)
         requests, baseline, path, cache_dir = populated
         document = json.load(open(path))
-        cold_rows = document["samples"]
-        damaged = list(cold_rows)
-        damaged[len(damaged) // 2] = bad_row
+        rows = stored_rows(document)
+        rows[0] = [1 << 6]
+        write_digested(path, {**document, "samples": encode_rows(rows)})
+        assert fsck_store(cache_dir).ok
+        self.rerun_and_compare(requests, baseline, cache_dir)
+        rewritten = stored_rows(json.load(open(entry_path(cache_dir))))
+        assert rewritten and all(word < 2**6 for (word,) in rewritten)
+
+    @staticmethod
+    def damage_middle_row(document, kind):
+        """``document``'s blob (one word per row) with its middle row damaged."""
+        blob = base64.b64decode(document["samples"])
+        middle = 8 * (len(blob) // 16)
+        if kind == "non-list":  # v5-style rows in place of the blob
+            return stored_rows(document)
+        row = {
+            "2**64": (2**64).to_bytes(9, "little"),  # a word one byte too wide
+            "beyond-instance": (1 << 6).to_bytes(8, "little"),
+            "short": b"\x01\x00\x00\x00",
+        }[kind]
+        blob = blob[:middle] + row + blob[middle + 8 :]
+        return base64.b64encode(blob).decode("ascii")
+
+    @pytest.mark.parametrize("kind", ["2**64", "beyond-instance", "short", "non-list"])
+    def test_digest_valid_bad_row_discards_the_prefix(self, populated, kind):
+        # The digest cannot see damage written with a fresh digest, so the
+        # validator (row shape) or the instance check (bits beyond the 6
+        # facts) alone must reject it: the load discards the whole entry.
+        requests, baseline, path, cache_dir = populated
+        document = json.load(open(path))
+        cold_blob = document["samples"]
+        damaged = self.damage_middle_row(document, kind)
         write_digested(path, {**document, "samples": damaged})
         database, constraints = figure2_database()
         from repro.engine.batch import group_seed_for
 
         seed = group_seed_for(7, database, constraints, M_UR)
         entry = CacheStore(cache_dir).entry(database, constraints, "M_ur", seed)
-        assert entry.load_error is None
-        assert entry.sample_word_rows() == []
+        assert entry.load_error == "corrupt"
+        assert entry.sample_word_rows().shape == (0, 1)
         self.rerun_and_compare(requests, baseline, cache_dir)
-        assert json.load(open(path))["samples"] == cold_rows
+        assert json.load(open(path))["samples"] == cold_blob
 
     def test_bitflipped_walk_entry_redraws_rows_identical_to_cold(
         self, populated_walk
@@ -440,20 +484,22 @@ class TestCorruption:
         # A flipped bit in a walk entry fails the digest; the rerun redraws
         # and re-persists exactly the rows the cold run wrote.
         requests, baseline, path, cache_dir = populated_walk
-        cold_rows = json.load(open(path))["samples"]
+        cold_blob = json.load(open(path))["samples"]
         data = bytearray(open(path, "rb").read())
         data[len(data) // 2] ^= 0x01
         with open(path, "wb") as handle:
             handle.write(bytes(data))
         self.rerun_and_compare(requests, baseline, cache_dir)
         rewritten = json.load(open(entry_path(cache_dir)))
-        assert rewritten["samples"] == cold_rows
+        assert rewritten["samples"] == cold_blob
 
-    def test_non_json_constants_never_discard_results(self, tmp_path):
-        # Fact constants are any hashable; Decimal values make the entry
-        # unserializable (TypeError from json.dump), which must not abort
-        # the batch after its estimates were computed.
+    def test_non_json_constants_never_discard_results(self, tmp_path, monkeypatch):
+        # Fact constants are any hashable.  No persisted field carries a
+        # constant (verdict keys serialize them via repr), so an instance
+        # of Decimal values is cached like any other and warm-replays.
         from decimal import Decimal
+
+        from repro.sampling import vectorized
 
         from repro.core import Database, Schema, fact, fd
         from repro.core.queries import atom, boolean_cq
@@ -479,6 +525,14 @@ class TestCorruption:
         assert results[0].ok
         plain = batch_estimate([request], seed=7)
         assert [r.result for r in results] == [r.result for r in plain]
+        assert stored_rows(json.load(open(entry_path(tmp_path))))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a warm entry must not draw")
+
+        monkeypatch.setattr(vectorized._BlockPlane, "draw_batch", no_draw)
+        warm = batch_estimate([request], seed=7, cache_dir=str(tmp_path))
+        assert [r.result for r in warm] == [r.result for r in plain]
 
     def test_unwritable_cache_dir_never_discards_results(self, tmp_path):
         # cache_dir colliding with an existing *file*: saving fails, but the
@@ -541,7 +595,7 @@ class TestTwoWriters:
         with open(entry_path(tmp_path)) as handle:
             document = json.load(handle)
         # No sample batch was lost: the longer prefix survived either way.
-        assert len(document["samples"]) == max(len(pool_a), len(pool_b))
+        assert len(stored_rows(document)) == max(len(pool_a), len(pool_b))
         # And neither writer's verdicts were dropped.
         assert len(document["possibility"]) == 2
 
@@ -567,10 +621,8 @@ class TestTwoWriters:
             entry.path,
             {
                 "version": STORE_VERSION,
-                "decomposition": None,
                 "possibility": {},
-                "bounds": {},
-                "samples": [[0]] if size <= 64 else [],
+                "samples": encode_rows([[0]] if size <= 64 else []),
                 "words": 1,
             },
         )
@@ -604,7 +656,7 @@ class TestTwoWriters:
         with open(entry_path(tmp_path)) as handle:
             document = json.load(handle)
         assert document["batch"] == 1
-        assert len(document["samples"]) == 40
+        assert len(stored_rows(document)) == 40
         # The M_ur run discards the foreign-batch prefix, never extends it.
         warm = batch_estimate(fig2_requests(), seed=7, cache_dir=str(tmp_path))
         plain = batch_estimate(fig2_requests(), seed=7)
@@ -739,6 +791,9 @@ class TestDurabilityEnvelope:
         assert document["version"] == STORE_VERSION
         assert isinstance(document["digest"], str) and len(document["digest"]) == 64
         assert document["words"] >= 1
+        assert set(document) == {
+            "version", "digest", "words", "batch", "samples", "possibility"
+        }
 
     def test_single_bitflip_sets_load_error_and_discards_rows(self, populated):
         requests, baseline, path, cache_dir = populated
@@ -752,7 +807,7 @@ class TestDurabilityEnvelope:
         seed = group_seed_for(7, database, constraints, M_UR)
         entry = CacheStore(cache_dir).entry(database, constraints, "M_ur", seed)
         assert entry.load_error == "corrupt"
-        assert entry.sample_word_rows() == []
+        assert len(entry.sample_word_rows()) == 0
         # And the batch path recomputes to the identical results.
         damaged = batch_estimate(requests, seed=7, cache_dir=cache_dir)
         assert [r.result for r in damaged] == [r.result for r in baseline]
@@ -777,8 +832,7 @@ class TestDurabilityEnvelope:
         entry = CacheStore(cache_dir).entry(database, constraints, "M_ur", seed)
         assert entry.path == path
         assert entry.load_error is None
-        assert entry.sample_word_rows() == []
-        assert entry.get_decomposition() is None
+        assert len(entry.sample_word_rows()) == 0
         rerun = batch_estimate(requests, seed=7, cache_dir=cache_dir)
         assert [r.result for r in rerun] == [r.result for r in baseline]
         # The next save rewrites the entry at the current version.
@@ -802,16 +856,6 @@ class TestDurabilityEnvelope:
         assert CacheStore(str(tmp_path), tmp_grace_seconds=0.0).swept_temps == 1
         assert not temp.exists()
 
-    def test_unserializable_constants_raise_typed_error_from_save(self, tmp_path):
-        from repro.engine import CacheSerializationError
-
-        database, constraints = figure2_database()
-        entry = CacheStore(str(tmp_path)).entry(database, constraints, "M_ur", 7)
-        entry._document["bounds"]["bad"] = {1, 2, 3}  # a set is not JSON
-        entry._dirty = True
-        with pytest.raises(CacheSerializationError):
-            entry.save()
-
     def test_absorbed_save_failures_are_accounted(self, tmp_path):
         from repro.engine import fsfault
         from repro.engine.fsfault import FaultPlan
@@ -825,6 +869,72 @@ class TestDurabilityEnvelope:
         assert STORE_ERRORS.total() > before   # ... but *accounted*
         snapshot = STORE_ERRORS.snapshot()
         assert snapshot["errors"].get("save:enospc")
+
+
+class TestBlobEdgeCases:
+    """Row widths at the edges of the packed-word geometry."""
+
+    @staticmethod
+    def keyed_instance(keys, per_key):
+        from repro.core import Database, Schema, fact, fd
+
+        schema = Schema.from_spec({"R": ["A", "B"]})
+        facts = [fact("R", f"k{i}", f"v{j}") for i in range(keys) for j in range(per_key)]
+        return Database(facts, schema=schema), FDSet(schema, [fd("R", "A", "B")])
+
+    def test_fact_count_multiple_of_64_uses_every_bit(self, tmp_path, monkeypatch):
+        # 64 facts: every bit of the one word is a fact, so the
+        # bits-beyond check has nothing to shift (a uint64 shifted by 64
+        # is undefined) and bit 63 must load as a sample bit, not damage.
+        from repro.engine.batch import group_seed_for
+        from repro.sampling import vectorized
+
+        database, constraints = self.keyed_instance(32, 2)
+        assert len(database) == 64
+        requests = [
+            BatchRequest(
+                database, constraints, M_UR, boolean_cq(atom("R", "k31", "v1")),
+                epsilon=EPSILON, delta=DELTA,
+            )
+        ]
+        cold = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
+        group_seed = group_seed_for(7, database, constraints, M_UR)
+        entry = CacheStore(str(tmp_path)).entry(database, constraints, "M_ur", group_seed)
+        rows = entry.sample_word_rows()
+        assert entry.load_error is None and rows.shape[1] == 1
+        assert (rows[:, 0] >> np.uint64(63)).any()
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a warm entry must not draw")
+
+        monkeypatch.setattr(vectorized._BlockPlane, "draw_batch", no_draw)
+        warm = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
+        assert [r.result for r in warm] == [r.result for r in cold]
+
+    def test_zero_fact_instance_persists_no_rows(self, tmp_path):
+        # 0 facts means 0-word rows: the blob cannot count them, and there
+        # is nothing to replay, so no rows are persisted — cold or warm.
+        from repro.engine import fsck_store
+
+        database, constraints = self.keyed_instance(0, 0)
+        request = BatchRequest(
+            database, constraints, M_UR, boolean_cq(atom("R", "k0", "v0")),
+            epsilon=EPSILON, delta=DELTA,
+        )
+        cold = batch_estimate([request], seed=7, cache_dir=str(tmp_path))
+        warm = batch_estimate([request], seed=7, cache_dir=str(tmp_path))
+        assert cold[0].ok and [r.result for r in warm] == [r.result for r in cold]
+        document = json.load(open(entry_path(tmp_path)))
+        assert (document["words"], document["samples"], document["batch"]) == (0, "", None)
+
+        entry = CacheStore(str(tmp_path)).entry(database, constraints, "M_ur", 7)
+        session = EstimationSession(database, constraints, M_UR, cache=entry)
+        session.cached_pool(7).ensure(600)
+        assert entry.save() is False  # drawn, but nothing to persist
+        warm_entry = CacheStore(str(tmp_path)).entry(database, constraints, "M_ur", 7)
+        assert warm_entry.load_error is None
+        assert warm_entry.sample_word_rows().shape == (0, 0)
+        assert fsck_store(str(tmp_path)).ok
 
 
 def golden_instance():
@@ -901,14 +1011,16 @@ MUO_SEED13_ROWS = [
 
 
 class TestGoldenV4Entries:
-    """v4 entries written by earlier commits are clean misses at v5.
+    """v4 and v5 entries written by earlier commits are clean misses at v6.
 
     ``golden_v4_vector.json`` is an ``M_ur`` entry (seed 11),
     ``golden_v4_muo.json`` an ``M_uo`` one (seed 13, a persisted RNG
     state), and ``golden_v4_scalar.json`` an ``M_ur`` entry drawn on the
-    old scalar plane (seed 12).  Each must load as a plain miss — no
-    damage, nothing preloaded — be rewritten at the current version, and
-    change no row.
+    old scalar plane (seed 12).  ``golden_v5_vector.json`` and
+    ``golden_v5_muo.json`` hold the same streams as JSON word rows, next
+    to a persisted decomposition and bounds.  Each must load as a plain
+    miss — no damage, nothing preloaded — be rewritten at the current
+    version, and change no row.
     """
 
     @pytest.mark.parametrize(
@@ -917,8 +1029,10 @@ class TestGoldenV4Entries:
             ("golden_v4_vector.json", M_UR, 11),
             ("golden_v4_scalar.json", M_UR, 12),
             ("golden_v4_muo.json", M_UO, 13),
+            ("golden_v5_vector.json", M_UR, 11),
+            ("golden_v5_muo.json", M_UO, 13),
         ],
-        ids=["vector", "scalar", "muo"],
+        ids=["vector", "scalar", "muo", "v5-vector", "v5-muo"],
     )
     def test_v4_golden_entry_is_a_clean_miss(self, name, generator, seed, tmp_path):
         from repro.engine import STORE_VERSION, fsck_store
@@ -932,8 +1046,7 @@ class TestGoldenV4Entries:
         )
         assert entry.path == path
         assert entry.load_error is None
-        assert entry.sample_word_rows() == []
-        assert entry.get_decomposition() is None
+        assert len(entry.sample_word_rows()) == 0
         session = EstimationSession(database, constraints, generator, cache=entry)
         pool = session.cached_pool(group_seed)
         assert len(pool) == 0  # nothing preloaded
@@ -944,7 +1057,7 @@ class TestGoldenV4Entries:
         assert rewritten["version"] == STORE_VERSION
         assert "backend" not in rewritten and "rng_state" not in rewritten
         cold = EstimationSession(database, constraints, generator)
-        assert rewritten["samples"] == (
+        assert stored_rows(rewritten) == (
             cold.pool_for_seed(group_seed).packed_prefix(len(pool)).tolist()
         )
         assert fsck_store(str(tmp_path)).ok
@@ -959,25 +1072,32 @@ class TestGoldenV4Entries:
                 assert rows == MUR_SEED11_ROWS
 
 
-class TestGoldenV5Entries:
-    """v5 entries, one per plane, pin "a warm entry loads with zero draws".
+class TestGoldenV6Entries:
+    """v6 entries, one per plane, pin "a warm entry loads with zero draws".
 
-    Each ``tests/data/golden_v5_*.json`` was written by a cold
+    Each ``tests/data/golden_v6_*.json`` was written by a cold
     ``batch_estimate(golden_requests(generator), seed, cache_dir)``; the
     expected rows below are what it returned.  A warm run must load it,
     draw nothing, return the same rows and leave the file untouched — so
-    the on-disk v5 format and both planes' streams stay unchanged.
+    the on-disk v6 format and both planes' streams stay unchanged.
     """
 
     EXPECTED = {
-        "vector": ("golden_v5_vector.json", M_UR, 11, MUR_SEED11_ROWS),
-        "scalar": (
-            "golden_v5_muo.json",
-            M_UO,
-            13,
-            MUO_SEED13_ROWS,
-        ),
+        "vector": ("golden_v6_vector.json", M_UR, 11, MUR_SEED11_ROWS),
+        "scalar": ("golden_v6_muo.json", M_UO, 13, MUO_SEED13_ROWS),
     }
+
+    @pytest.mark.parametrize("plane", ["vector", "scalar"])
+    def test_golden_rows_equal_the_v5_rows(self, plane):
+        # The blob is a new encoding of the same stream: no row changed.
+        name = self.EXPECTED[plane][0]
+        data = os.path.join(os.path.dirname(__file__), "data")
+        with open(os.path.join(data, name)) as handle:
+            v6 = json.load(handle)
+        with open(os.path.join(data, name.replace("v6", "v5"))) as handle:
+            v5 = json.load(handle)
+        assert v6["batch"] == v5["batch"] and v6["words"] == v5["words"]
+        assert stored_rows(v6) == v5["samples"]
 
     @pytest.mark.parametrize("plane", ["vector", "scalar"])
     def test_golden_entry_warm_loads_without_drawing(
