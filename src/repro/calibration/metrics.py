@@ -248,11 +248,6 @@ class SharpnessSummary:
     mean_samples: float
     mean_floor_ratio: float
 
-    @property
-    def anytime_price(self) -> float:
-        """How much wider than the oracle the anytime interval stopped (≥ ~1)."""
-        return self.mean_floor_ratio
-
 
 def sharpness_summary(
     records: Sequence[tuple[float, int, float]] | Iterable[tuple[float, int, float]],

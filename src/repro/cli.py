@@ -71,6 +71,7 @@ from .counting.repair_count import (
 from .cqa.answers import ocqa_probability, operational_consistent_answers
 from .engine.batch import batch_estimate
 from .io import (
+    InstanceFormatError,
     batch_results_to_rows,
     instance_to_dict,
     load_instance,
@@ -347,7 +348,11 @@ def _arguments_batch(subparser: argparse.ArgumentParser) -> None:
 
 
 def command_batch(args: argparse.Namespace) -> int:
-    spec = load_workload_spec(args.workload)
+    try:
+        spec = load_workload_spec(args.workload)
+    except InstanceFormatError as error:
+        print(f"error: {args.workload}: {error}", file=sys.stderr)
+        return 2
     mode = args.mode if args.mode is not None else spec.mode
     cache_dir = args.cache_dir if args.cache_dir is not None else spec.cache_dir
     if cache_dir is not None and args.seed is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .database import Database
 from .facts import Fact
@@ -216,12 +216,3 @@ def _resolve_schema(database: Database, schema: Schema | None) -> Schema:
         raise SchemaError("a schema is required (database carries none)")
     return resolved
 
-
-def infer_schema(databases: Sequence[Database], names: dict[str, Sequence[str]]) -> Schema:
-    """Build a schema from explicit attribute names, checking arities."""
-    schema = Schema.from_spec(names)
-    for database in databases:
-        for f in database:
-            if not f.conforms_to(schema):
-                raise SchemaError(f"fact {f} does not conform to inferred schema")
-    return schema

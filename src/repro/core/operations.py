@@ -10,7 +10,7 @@ i.e. the removal is a non-empty subset of a currently conflicting pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .database import Database
 from .dependencies import FDSet
@@ -122,16 +122,3 @@ def apply_all(database: Database, operations: Iterable[Operation]) -> Database:
     for operation in operations:
         state = operation.apply(state)
     return state
-
-
-def operation_space_size(database: Database, constraints: FDSet) -> int:
-    """``|Ops_s(D, Σ)|`` at the state ``database`` (full operation space)."""
-    return len(justified_operations(database, constraints))
-
-
-def iter_operation_children(
-    database: Database, constraints: FDSet, singleton_only: bool = False
-) -> Iterator[tuple[Operation, Database]]:
-    """Pairs ``(op, op(D'))`` for each justified operation, in sorted order."""
-    for operation in sorted_justified_operations(database, constraints, singleton_only):
-        yield operation, operation.apply(database)

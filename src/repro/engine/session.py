@@ -183,9 +183,8 @@ class SamplePool:
     **One representation.**  Every sample is a row of a capacity-doubling
     packed ``(S, ceil(n/64))`` little-endian ``uint64`` matrix over the
     pool's :class:`~repro.core.interning.InstanceIndex` (bit ``i`` of a
-    row = fact ``i`` survives) — the row the cache store persists and a
-    :class:`~repro.sampling.vectorized.SharedSampleSegment` shares
-    (``shared=True``).  :meth:`packed_prefix` is the zero-copy view hit
+    row = fact ``i`` survives) — the row the cache store persists, held in
+    private process memory.  :meth:`packed_prefix` is the zero-copy view hit
     counting reduces over; :meth:`mask_at` decodes one row to an
     arbitrary-precision bitmask.
 
@@ -204,7 +203,6 @@ class SamplePool:
         *,
         batch_size: int = DEFAULT_BATCH_SIZE,
         preloaded_rows=None,
-        shared: bool = False,
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
@@ -214,8 +212,6 @@ class SamplePool:
         self._words = vectorized_plane.words_for(len(index))
         self._rows = None  # capacity-doubling packed matrix
         self._rows_length = 0  # valid rows in ``_rows``
-        self._shared = shared
-        self._segment = None  # SharedSampleSegment backing ``_rows`` when shared
         if preloaded_rows is not None and preloaded_rows.shape[0]:
             if preloaded_rows.shape[0] % batch_size:
                 raise ValueError("a preloaded prefix must be whole batches")
@@ -246,59 +242,17 @@ class SamplePool:
         return self._rows_length
 
     def _append_rows(self, rows) -> None:
-        """Grow the packed matrix amortized-linearly (capacity doubling).
-
-        Shared pools grow by allocating a fresh
-        :class:`~repro.sampling.vectorized.SharedSampleSegment`, copying
-        the valid prefix, and releasing the outgrown segment (which
-        unlinks its OS object — only the current capacity ever lives in
-        ``/dev/shm``).
-        """
+        """Grow the packed matrix amortized-linearly (capacity doubling)."""
         count = rows.shape[0]
         needed = self._rows_length + count
         if self._rows is None or needed > self._rows.shape[0]:
             capacity = max(needed, 2 * (self._rows.shape[0] if self._rows is not None else 0))
-            if self._shared:
-                segment = vectorized_plane.SharedSampleSegment.create(
-                    capacity, self._words
-                )
-                grown = segment.rows()
-            else:
-                segment = None
-                grown = vectorized_plane.np.empty((capacity, self._words), dtype="<u8")
+            grown = vectorized_plane.np.empty((capacity, self._words), dtype="<u8")
             if self._rows_length:
                 grown[: self._rows_length] = self._rows[: self._rows_length]
             self._rows = grown
-            if self._segment is not None:
-                self._segment.release()
-            self._segment = segment
         self._rows[self._rows_length : needed] = rows
         self._rows_length = needed
-
-    @property
-    def shared_segment(self):
-        """The live shared-memory segment backing this pool (or ``None``)."""
-        return self._segment
-
-    def release_shared(self) -> str | None:
-        """Detach from shared memory, keeping the pool fully usable.
-
-        The valid prefix is copied into a private heap matrix *before*
-        the segment is released, so holders that keep using the pool
-        after eviction (the registry's documented contract) see identical
-        samples — only the shared backing goes away.  Returns the name of
-        the released segment, or ``None`` if the pool was not shared.
-        """
-        if self._segment is None:
-            self._shared = False
-            return None
-        name = self._segment.name
-        if self._rows is not None:
-            self._rows = self._rows[: self._rows_length].copy()
-        segment, self._segment = self._segment, None
-        self._shared = False
-        segment.release()
-        return name
 
     def ensure(self, length: int) -> None:
         """Materialize the first ``length`` samples, a whole batch at a
@@ -502,28 +456,23 @@ class EstimationSession:
             f"no vector plane for generator {self.generator.name!r}"
         )
 
-    def pool_for_seed(
-        self, seed: int | None, *, shared: bool = False, batch_size: int | None = None
-    ) -> SamplePool:
+    def pool_for_seed(self, seed: int | None, *, batch_size: int | None = None) -> SamplePool:
         """A pool for an integer seed, on the generator's plane.
 
         The entry point :func:`~repro.engine.batch.batch_estimate` uses:
         the vector plane for the ``M_ur``/``M_us`` families (batches of
         :data:`DEFAULT_BATCH_SIZE`), the walk plane reseeded per sample
         otherwise.  ``seed=None`` draws one fresh entropy value and uses it
-        as the seed of every batch.  ``shared=True`` backs the packed
-        matrix with a :class:`~repro.sampling.vectorized.SharedSampleSegment`
-        so other processes (and the cache store) can read the rows
-        zero-copy.
+        as the seed of every batch.
         """
         if batch_size is None:
             batch_size = self._seeded_batch_size()
-        return self._seeded_pool(seed, shared, batch_size)
+        return self._seeded_pool(seed, batch_size)
 
     def _seeded_batch_size(self) -> int:
         return DEFAULT_BATCH_SIZE if self.seeded_plane == "vector" else 1
 
-    def _seeded_pool(self, seed, shared, batch_size, preloaded_rows=None) -> SamplePool:
+    def _seeded_pool(self, seed, batch_size, preloaded_rows=None) -> SamplePool:
         if self.seeded_plane == "vector":
             plane = self.vector_plane(seed)
         else:
@@ -531,14 +480,10 @@ class EstimationSession:
             rng = random.Random(walk_seed(seed, 0))  # reseeded before every batch
             plane = _WalkPlane(self._draw_mask(rng), rng, self.index(), seed)
         return SamplePool(
-            self.index(),
-            plane,
-            batch_size=batch_size,
-            preloaded_rows=preloaded_rows,
-            shared=shared,
+            self.index(), plane, batch_size=batch_size, preloaded_rows=preloaded_rows
         )
 
-    def cached_pool(self, seed: int | None, shared: bool = False) -> SamplePool:
+    def cached_pool(self, seed: int | None) -> SamplePool:
         """A pool warm-started from the session's cache entry (if possible).
 
         Persisted rows preload the stream and drawing resumes by batch
@@ -553,7 +498,7 @@ class EstimationSession:
         discarded and redrawn.
         """
         if self.cache is None or seed is None:
-            return self.pool_for_seed(seed, shared=shared)
+            return self.pool_for_seed(seed)
         cache = self.cache
         batch_size = self._seeded_batch_size()
         # The persisted blob IS the pool's matrix: preloaded as decoded.
@@ -561,7 +506,7 @@ class EstimationSession:
         if len(rows) and (cache.sample_batch() != batch_size or len(rows) % batch_size):
             cache.discard_samples()
             rows = None
-        pool = self._seeded_pool(seed, shared, batch_size, rows)
+        pool = self._seeded_pool(seed, batch_size, rows)
         cache.attach_pool(pool)
         return pool
 

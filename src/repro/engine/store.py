@@ -577,19 +577,6 @@ class CacheEntry:
         """Track a live pool so :meth:`save` persists newly drawn samples."""
         self._pool = pool
 
-    def pool_segment_name(self) -> str | None:
-        """The shared-memory segment backing the attached pool, if any.
-
-        Sharded workers back their pools with
-        :class:`~repro.sampling.vectorized.SharedSampleSegment` matrices;
-        the store's blob is that very matrix's bytes, so
-        :meth:`_sync_pool` already reads the shared rows directly.
-        This accessor exposes the segment name for cross-process
-        attachment and for eviction tests; ``None`` for private pools.
-        """
-        segment = self._pool.shared_segment if self._pool else None
-        return segment.name if segment is not None else None
-
     def _sync_pool(self) -> None:
         drawn = len(self._pool)
         # 0-word rows (a 0-fact instance) carry nothing to persist.

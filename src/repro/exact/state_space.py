@@ -185,10 +185,6 @@ class StateSpaceEngine:
             if probability > 0 and self.is_consistent(state)
         }
 
-    def visited_states(self) -> int:
-        """Number of distinct states expanded so far (for scaling benches)."""
-        return len(self._children_cache)
-
 
 # -- module-level conveniences -------------------------------------------------------
 

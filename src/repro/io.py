@@ -42,10 +42,10 @@ from typing import Any, Callable, Mapping
 
 from .chains.generators import ALL_GENERATORS
 from .core.database import Database
-from .core.dependencies import FDSet, FunctionalDependency
+from .core.dependencies import DependencyError, FDSet, FunctionalDependency
 from .core.facts import Constant, Fact
 from .core.queries import Atom, ConjunctiveQuery, QueryError, Variable
-from .core.schema import Schema
+from .core.schema import Schema, SchemaError
 from .engine.batch import BatchRequest
 
 
@@ -57,30 +57,47 @@ class InstanceFormatError(ValueError):
 
 
 def instance_from_dict(document: Mapping[str, Any]) -> tuple[Database, FDSet]:
-    """Parse an instance document into ``(Database, FDSet)``."""
+    """Parse an instance document into ``(Database, FDSet)``.
+
+    Every malformed field — a wrong JSON type, a fact that does not fit
+    its relation, an FD naming an unknown attribute — raises
+    :class:`InstanceFormatError`.
+    """
+    if not isinstance(document, Mapping):
+        raise InstanceFormatError("an instance document must be an object")
     try:
         schema_spec = document["schema"]
         fact_rows = document["facts"]
         fd_rows = document["fds"]
     except KeyError as missing:
         raise InstanceFormatError(f"instance document lacks key {missing}") from None
-    schema = Schema.from_spec({name: list(attrs) for name, attrs in schema_spec.items()})
+    if not isinstance(schema_spec, Mapping):
+        raise InstanceFormatError("'schema' must map relations to attribute lists")
+    spec = {
+        name: _names(attrs, f"relation {name!r}") for name, attrs in schema_spec.items()
+    }
     facts = []
-    for row in fact_rows:
-        if not isinstance(row, (list, tuple)) or len(row) < 2:
+    for row in _rows(fact_rows, "facts"):
+        if not _relation_row(row) or len(row) < 2:
             raise InstanceFormatError(f"malformed fact row {row!r}")
         relation, *values = row
-        facts.append(Fact(str(relation), tuple(_freeze(v) for v in values)))
+        facts.append(Fact(relation, tuple(_freeze(v) for v in values)))
     dependencies = []
-    for row in fd_rows:
-        if not isinstance(row, (list, tuple)) or len(row) != 3:
+    for row in _rows(fd_rows, "fds"):
+        if not _relation_row(row) or len(row) != 3:
             raise InstanceFormatError(f"malformed fd row {row!r}")
         relation, lhs, rhs = row
-        dependencies.append(
-            FunctionalDependency(str(relation), frozenset(lhs), frozenset(rhs))
+        what = f"fd row {row!r}"
+        dependencies.append((relation, _names(lhs, what), _names(rhs, what)))
+    try:
+        schema = Schema.from_spec(spec)
+        database = Database(facts, schema=schema)
+        constraints = FDSet(
+            schema, [FunctionalDependency(*dependency) for dependency in dependencies]
         )
-    database = Database(facts, schema=schema)
-    return database, FDSet(schema, dependencies)
+    except (SchemaError, DependencyError) as error:
+        raise InstanceFormatError(str(error)) from None
+    return database, constraints
 
 
 def instance_to_dict(database: Database, constraints: FDSet) -> dict[str, Any]:
@@ -110,7 +127,42 @@ def save_instance(path: str, database: Database, constraints: FDSet) -> None:
 def _freeze(value: Any) -> Constant:
     if isinstance(value, list):
         return tuple(_freeze(v) for v in value)
+    if isinstance(value, Mapping):
+        raise InstanceFormatError(f"constant {value!r} is an object, not a value")
     return value
+
+
+def _relation_row(row: Any) -> bool:
+    """Whether ``row`` is a non-empty array led by a relation name."""
+    return isinstance(row, (list, tuple)) and bool(row) and isinstance(row[0], str)
+
+
+def _rows(value: Any, what: str) -> list | tuple:
+    """``value`` as a JSON array, or :class:`InstanceFormatError`."""
+    if not isinstance(value, (list, tuple)):
+        raise InstanceFormatError(f"{what!r} must be a list, got {value!r}")
+    return value
+
+
+def _names(value: Any, what: str) -> list[str]:
+    """``value`` as a list of attribute-name strings."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise InstanceFormatError(f"{what} needs attribute names, got {value!r}")
+    return list(value)
+
+
+def _number(row: Mapping, defaults: Mapping, key: str, default, kind: Callable):
+    """Request field ``key`` (else its default) as ``kind`` (``float``/``int``).
+
+    Only a ``None`` default lets the field be ``null``.
+    """
+    value = row.get(key, defaults.get(key, default))
+    if value is None and default is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InstanceFormatError(f"{key!r} must be a number, got {value!r}") from None
 
 
 # -- batch workloads -------------------------------------------------------------------
@@ -220,18 +272,22 @@ def workload_from_dict(
                 f"instance {name!r} must be a document or a file path"
             )
     requests: list[BatchRequest] = []
-    for row in request_rows:
+    for row in _rows(request_rows, "requests"):
         if not isinstance(row, Mapping):
             raise InstanceFormatError(f"malformed request row {row!r}")
         name = row.get("instance")
-        if name not in instances:
+        if not isinstance(name, str) or name not in instances:
             raise InstanceFormatError(
                 f"request names unknown instance {name!r}; "
                 f"declared: {sorted(instances)}"
             )
         database, constraints = instances[name]
         generator_name = row.get("generator", defaults.get("generator", "M_ur"))
-        generator = _GENERATORS_BY_NAME.get(generator_name)
+        generator = (
+            _GENERATORS_BY_NAME.get(generator_name)
+            if isinstance(generator_name, str)
+            else None
+        )
         if generator is None:
             raise InstanceFormatError(
                 f"unknown generator {generator_name!r}; "
@@ -245,16 +301,15 @@ def workload_from_dict(
             raise InstanceFormatError(
                 f"unknown method {method!r}; choose from {_WORKLOAD_METHODS}"
             )
-        max_samples = row.get("max_samples", defaults.get("max_samples"))
         common = dict(
             database=database,
             constraints=constraints,
             generator=generator,
             query=query,
-            epsilon=float(row.get("epsilon", defaults.get("epsilon", 0.2))),
-            delta=float(row.get("delta", defaults.get("delta", 0.05))),
+            epsilon=_number(row, defaults, "epsilon", 0.2, float),
+            delta=_number(row, defaults, "delta", 0.05, float),
             method=method,
-            max_samples=None if max_samples is None else int(max_samples),
+            max_samples=_number(row, defaults, "max_samples", None, int),
             label=str(name),
         )
         if "answers" in row:
@@ -343,6 +398,8 @@ _ATOM_SHAPE = re.compile(r"\s*(?P<relation>\w+)\s*\((?P<terms>[^)]*)\)\s*")
 
 def parse_query(text: str) -> ConjunctiveQuery:
     """Parse ``Ans(?x) :- R(?x, a), S(1)`` into a :class:`ConjunctiveQuery`."""
+    if not isinstance(text, str):
+        raise InstanceFormatError(f"a query must be a string, got {text!r}")
     match = _QUERY_SHAPE.match(text)
     if match is None:
         raise InstanceFormatError(

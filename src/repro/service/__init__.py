@@ -33,7 +33,7 @@ engine warm in a long-running process:
   (:mod:`repro.service.sharding`) — the shards the server submits to:
   one in-process :class:`LocalShard` by default, or (``serve --workers
   N``) a pool of warm worker processes, each running a local shard,
-  with rendezvous-hashed placement over the registry key, shared-memory
+  with rendezvous-hashed placement over the registry key, per-worker
   sample pools, SIGTERM drains, and respawn + re-warm of dead workers —
   with served rows bit-identical at any worker count.
 * :class:`ServiceClient` (:mod:`repro.service.client`) — a small

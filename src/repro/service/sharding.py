@@ -161,9 +161,6 @@ class WorkerConfig:
     """Everything a worker needs to build its registry + batcher.
 
     Plain picklable fields only — the config crosses the spawn boundary.
-    ``shared_pools`` defaults on: worker pools live in
-    :class:`~repro.sampling.vectorized.SharedSampleSegment` matrices so
-    the store (and future readers) see sample rows zero-copy.
     """
 
     seed: int | None = None
@@ -171,7 +168,6 @@ class WorkerConfig:
     max_sessions: int = DEFAULT_MAX_SESSIONS
     max_queue: int | None = None
     max_pending: int | None = None
-    shared_pools: bool = True
     start_method: str | None = None
 
 
@@ -242,9 +238,8 @@ class LocalShard:
         self.batcher.fail_pending(error)
 
     async def stop(self) -> None:
-        """Spill warm sessions to the cache store and unlink shared
-        segments (after :meth:`drain`; spilling walks session locks, so
-        it runs off the event loop)."""
+        """Spill warm sessions to the cache store (after :meth:`drain`;
+        spilling walks session locks, so it runs off the event loop)."""
         await asyncio.get_running_loop().run_in_executor(None, self.registry.close)
 
 
@@ -275,7 +270,6 @@ async def _worker_loop(shard: int, conn, config: WorkerConfig) -> None:
             seed=config.seed,
             cache_dir=config.cache_dir,
             max_sessions=config.max_sessions,
-            shared_pools=config.shared_pools,
         ),
         index=shard,
         max_queue=config.max_queue,
@@ -349,7 +343,7 @@ async def _worker_loop(shard: int, conn, config: WorkerConfig) -> None:
         task.add_done_callback(tasks.discard)
 
     # Graceful drain: finish accepted frames (each estimate frame waits
-    # for its batch), then spill warm sessions and unlink shared segments.
+    # for its batch), then spill warm sessions.
     if tasks:
         await asyncio.gather(*tasks, return_exceptions=True)
     await local.stop()

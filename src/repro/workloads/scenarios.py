@@ -28,11 +28,6 @@ class IntegrationScenario:
     constraints: FDSet
     source_of: dict[Fact, str]
 
-    def query_name_by_id(self) -> ConjunctiveQuery:
-        """``Ans(n) :- Emp(i, n)`` specialized per employee id by binding."""
-        i, n = Variable("i"), Variable("n")
-        return cq((i, n), (atom("Emp", i, n),))
-
 
 def intro_example() -> IntegrationScenario:
     """The paper's introduction example: two sources disagree on id 1."""

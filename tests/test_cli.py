@@ -181,6 +181,18 @@ class TestBatchAllowErrors:
         assert main(["batch", str(path), "--seed", "5", "--allow-errors"]) == 0
         assert "ERROR" not in capsys.readouterr().out
 
+    def test_malformed_workload_is_a_clean_error(self, fig2_path, tmp_path, capsys):
+        document = {
+            "instances": {"fig2": fig2_path},
+            "requests": [{"instance": "fig2", "query": "Ans() :- R(a1, b1)", "epsilon": "x"}],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        assert main(["batch", str(path), "--seed", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'epsilon' must be a number" in captured.err
+
 
 class TestExamples:
     @pytest.mark.parametrize("name", ["figure2", "running", "intro", "pathological8"])

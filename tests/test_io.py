@@ -13,6 +13,7 @@ from repro.io import (
     load_instance,
     parse_query,
     save_instance,
+    workload_from_dict,
 )
 from repro.workloads import figure2_database
 
@@ -59,6 +60,30 @@ class TestInstanceRoundTrip:
                 {"schema": {"R": ["A", "B"]}, "facts": [], "fds": [["R", ["A"]]]}
             )
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"schema": ["R"]}, "'schema' must map"),
+            ({"schema": {"R": "AB"}}, "attribute names"),
+            ({"facts": [["R", "a1"]]}, "does not conform"),
+            ({"facts": [["S", "a1", "b1"]]}, "does not conform"),
+            ({"facts": [["R", "a1", {"b": 1}]]}, "is an object"),
+            ({"facts": {"R": ["a1", "b1"]}}, "'facts' must be a list"),
+            ({"fds": [["R", ["A9"], ["B"]]]}, "not in R"),
+            ({"fds": [["R", 5, ["B"]]]}, "attribute names"),
+            ({"fds": [["S", ["A"], ["B"]]]}, "no relation named"),
+        ],
+    )
+    def test_malformed_fields_rejected(self, change, message):
+        document = {
+            "schema": {"R": ["A", "B"]},
+            "facts": [["R", "a1", "b1"]],
+            "fds": [["R", ["A"], ["B"]]],
+            **change,
+        }
+        with pytest.raises(InstanceFormatError, match=message):
+            instance_from_dict(document)
+
     def test_nested_list_constants_frozen(self):
         document = {
             "schema": {"R": ["A", "B"]},
@@ -68,6 +93,50 @@ class TestInstanceRoundTrip:
         database, _ = instance_from_dict(document)
         f = next(iter(database))
         assert f.values[0] == ("edge", 0, 1)
+
+
+class TestWorkloadFields:
+    INSTANCE = {"schema": {"R": ["A", "B"]}, "facts": [["R", "a1", "b1"]], "fds": []}
+
+    def document(self, row=None, **top):
+        request = {"instance": "i", "query": "Ans(?x) :- R(?x, ?y)", "answer": ["a1"]}
+        return {
+            "instances": {"i": self.INSTANCE},
+            "requests": [{**request, **(row or {})}],
+            **top,
+        }
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ({"epsilon": "abc"}, "'epsilon' must be a number"),
+            ({"epsilon": [1]}, "'epsilon' must be a number"),
+            ({"delta": None}, "'delta' must be a number"),
+            ({"max_samples": "x"}, "'max_samples' must be a number"),
+            ({"generator": ["M_ur"]}, "unknown generator"),
+            ({"query": 5}, "must be a string"),
+            ({"answer": [{"a": 1}]}, "is an object"),
+            ({"instance": ["i"]}, "unknown instance"),
+        ],
+    )
+    def test_malformed_request_fields_rejected(self, row, message):
+        with pytest.raises(InstanceFormatError, match=message):
+            workload_from_dict(self.document(row))
+
+    def test_null_default_epsilon_rejected(self):
+        document = self.document(defaults={"epsilon": None})
+        with pytest.raises(InstanceFormatError, match="'epsilon' must be a number"):
+            workload_from_dict(document)
+
+    def test_non_list_requests_rejected(self):
+        document = self.document()
+        document["requests"] = 5
+        with pytest.raises(InstanceFormatError, match="'requests' must be a list"):
+            workload_from_dict(document)
+
+    def test_null_max_samples_means_unbounded(self):
+        (request,) = workload_from_dict(self.document({"max_samples": None}))
+        assert request.max_samples is None
 
 
 class TestQueryParsing:

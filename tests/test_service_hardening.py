@@ -622,3 +622,63 @@ class TestDegradedStorage:
             with pytest.raises(ServiceClientError) as caught:
                 client._call("POST", "/_fault", {"disk_bitflip": -3})
             assert caught.value.status == 400
+
+
+# -- malformed field types -----------------------------------------------------------------
+
+_INSTANCE = {
+    "schema": {"R": ["A1", "A2"]},
+    "facts": [["R", "a1", "b1"], ["R", "a1", "b2"]],
+    "fds": [["R", ["A1"], ["A2"]]],
+}
+_QUERY = "Ans(?x) :- R(?x, ?y)"
+
+
+def _single(**fields):
+    document = {"instance": _INSTANCE, "query": _QUERY, "answer": ["a1"]}
+    return {**document, **fields}
+
+
+def _workload(**fields):
+    document = {
+        "instances": {"i": _INSTANCE},
+        "requests": [{"instance": "i", "query": _QUERY, "answer": ["a1"]}],
+    }
+    return {**document, **fields}
+
+
+def _instance(**fields):
+    return _single(instance={**_INSTANCE, **fields})
+
+
+#: Every field a client sets, given a value of the wrong type or shape.
+MALFORMED_DOCUMENTS = {
+    "epsilon-string": _single(epsilon="abc"),
+    "epsilon-list": _single(epsilon=[1]),
+    "max-samples-string": _single(max_samples="x"),
+    "generator-list": _single(generator=["M_ur"]),
+    "query-number": _single(query=5),
+    "answer-object": _single(answer=[{"a": 1}]),
+    "default-epsilon-null": _workload(defaults={"epsilon": None}),
+    "requests-number": _workload(requests=5),
+    "schema-list": _instance(schema=["R"]),
+    "fact-arity": _instance(facts=[["R", "a1"]]),
+    "fact-undeclared-relation": _instance(facts=[["S", "a1", "b1"]]),
+    "fd-unknown-attribute": _instance(fds=[["R", ["A9"], ["A2"]]]),
+    "fd-lhs-number": _instance(fds=[["R", 5, ["A2"]]]),
+}
+
+
+class TestMalformedFields:
+    @pytest.fixture(scope="class")
+    def client(self):
+        with BackgroundServer(seed=SEED) as server:
+            with ServiceClient(server.url) as client:
+                yield client
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
+    def test_malformed_field_is_a_400(self, client, name):
+        with pytest.raises(ServiceClientError) as caught:
+            client._call("POST", "/estimate", MALFORMED_DOCUMENTS[name])
+        assert caught.value.status == 400
+        assert caught.value.payload.get("error")

@@ -8,9 +8,9 @@ The promises under test, in rough dependency order:
 * :func:`~repro.service.sharding.aggregate_shard_stats` sums per-shard
   registry/batching sections exactly (what ``/stats`` and ``/metrics``
   serve in sharded mode).
-* Shared-memory sample pools survive the full lifecycle: segments are
-  attachable while live, unlinked on eviction, and an evicted-but-held
-  handle still serves bit-identical rows from its private copy.
+* Sample pools are private to the process that draws them: an
+  evicted-but-held handle still serves bit-identical rows, and worker
+  processes create no shared-memory segments.
 * The micro-batcher drains on shutdown: queued work is either served
   normally or failed with the shutdown error — never silently dropped —
   and a SIGTERM'd ``serve`` subprocess exits cleanly (code 0).
@@ -23,7 +23,9 @@ The promises under test, in rough dependency order:
 
 import asyncio
 import json
+import os
 import signal
+import sys
 import threading
 import time
 import urllib.request
@@ -41,6 +43,7 @@ from repro.service import (
     ServiceClient,
     ServiceClientError,
     SessionRegistry,
+    WorkerConfig,
     WorkerPool,
     aggregate_shard_stats,
     shard_for_key,
@@ -145,30 +148,17 @@ class TestAggregateShardStats:
         assert merged["registry"]["sessions"] == 1
 
 
-# -- shared-memory sample pools ------------------------------------------------------------
+# -- private sample pools ------------------------------------------------------------------
 
 
-class TestSharedSegments:
-    def test_segment_roundtrip_attach_and_unlink(self):
-        from multiprocessing import shared_memory
+def shm_segments() -> set[str]:
+    """The POSIX shared-memory segments ``multiprocessing`` names ``psm_*``."""
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
 
-        from repro.sampling.vectorized import SharedSampleSegment
 
-        segment = SharedSampleSegment.create(4, 2)
-        rows = segment.rows()
-        rows[:] = 7
-        attached = SharedSampleSegment.attach(segment.name, 4, 2)
-        assert attached.rows().tolist() == rows.tolist()
-        name = segment.name
-        attached.release()
-        segment.release()  # owner: refcount hits zero -> unlink
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_eviction_unlinks_segment_but_handle_stays_usable(self):
-        from multiprocessing import shared_memory
-
-        registry = SessionRegistry(seed=7, max_sessions=1, shared_pools=True)
+class TestPrivatePools:
+    def test_evicted_handle_keeps_serving_identical_rows(self):
+        registry = SessionRegistry(seed=7, max_sessions=1)
         ur = fig2_requests(generators=(M_UR,))
         us = fig2_requests(generators=(M_US,))
         offline = batch_estimate(ur, seed=7)
@@ -176,36 +166,49 @@ class TestSharedSegments:
         first = [r.result for r in registry.estimate(ur)]
         assert first == [r.result for r in offline]
         (handle,) = registry.handles()
-        segment = handle.pool.shared_segment
-        assert segment is not None
-        name = segment.name
 
         # Admitting the second generator's group evicts the first
-        # (max_sessions=1); eviction must release the shared segment...
+        # (max_sessions=1)...
         registry.estimate(us)
         assert registry.evictions == 1
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-        assert handle.pool.shared_segment is None
+        assert handle not in registry.handles()
 
         # ...while the evicted handle (still held here, as a concurrent
-        # batch might) keeps serving identical rows from a private copy.
+        # batch might) keeps serving identical rows from its own pool.
         again = handle.run(ur, "fixed")
         assert [r.result for r in again] == [r.result for r in offline]
 
-    def test_registry_close_releases_segments(self):
-        from multiprocessing import shared_memory
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or not os.path.isdir("/dev/shm"),
+        reason="POSIX shared memory is listed under /dev/shm on Linux only",
+    )
+    def test_worker_pool_creates_no_shared_memory(self):
+        """Sharded workers keep every pool in private memory: serving the
+        fig2 workload through two worker processes adds no segment."""
+        database, constraints = figure2_database()
+        keys = SessionRegistry(seed=7)
+        before = shm_segments()
 
-        registry = SessionRegistry(seed=7, shared_pools=True)
-        registry.estimate(fig2_requests(generators=(M_UR,)))
-        names = [
-            handle.pool.shared_segment.name for handle in registry.handles()
-        ]
-        assert names
-        registry.close()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        async def scenario():
+            pool = WorkerPool(WorkerConfig(seed=7), 2)
+            await pool.start()
+            try:
+                rows = []
+                for generator in (M_UR, M_US):
+                    requests = fig2_requests(generators=(generator,))
+                    key = keys.key_for(database, constraints, generator)
+                    rows += await pool.submit(
+                        key, database, constraints, generator, requests, "fixed"
+                    )
+                # Checked while the workers still hold their warm pools.
+                return rows, shm_segments()
+            finally:
+                await pool.stop()
+
+        rows, during = asyncio.run(scenario())
+        offline = batch_estimate(fig2_requests(), seed=7)
+        assert [row.result for row in rows] == [r.result for r in offline]
+        assert during - before == set()
 
 
 # -- graceful shutdown ---------------------------------------------------------------------
