@@ -6,8 +6,10 @@ by thousands of independently seeded replications:
     (target) × (fixed | adaptive) × (cold | warm)
 
 Each cell also names the sample plane (``scalar`` | ``vector``) its pools
-were drawn on, which the target's generator decides: ``M_ur``/``M_us``
-targets audit the vector plane, the ``M_uo`` target the scalar one.
+were drawn on, which the target's sampling law decides
+(:func:`~repro.engine.session.sampling_law`): ``M_ur``/``M_us`` targets
+and the singleton law on keys audit the vector plane, the ``M_uo`` target
+the scalar one.
 
 *Targets* pair an instance/query with its truth — exact rationals from
 the polynomial ground-survival formulas on small instances, or a pinned
@@ -38,7 +40,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ..chains.generators import M_UO, M_UR, M_US, MarkovChainGenerator
+from ..chains.generators import M_UO, M_UO1, M_UR, M_US, MarkovChainGenerator
 from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.facts import fact
@@ -48,7 +50,7 @@ from ..counting.survival import (
     ground_survival_mus,
     ground_survival_mus1,
 )
-from ..engine import CacheStore, EstimationSession
+from ..engine import CacheStore, EstimationSession, sampling_law
 from ..exact import exact_ocqa
 from ..workloads import (
     block_membership_query,
@@ -82,7 +84,8 @@ WARMTHS = ("cold", "warm")
 _EXACT_SURVIVAL = {
     "M_ur": ground_survival_mur,
     "M_us": ground_survival_mus,
-    "M_us,1": ground_survival_mus1,
+    # The singleton law on primary keys: Π 1/|B| for every variant.
+    "M_ur,1": ground_survival_mus1,
 }
 
 #: Seed namespace for pinned reference truths — deliberately *not* the
@@ -112,21 +115,16 @@ def exact_ground_target(
     generator: MarkovChainGenerator,
     facts: Iterable,
 ) -> AuditTarget:
-    """A target whose truth is the polynomial ground-survival rational."""
+    """A target whose truth is the polynomial ground-survival rational
+    of the generator's :func:`~repro.engine.session.sampling_law`."""
     chosen = frozenset(facts)
-    formula = _EXACT_SURVIVAL.get(generator.name)
+    formula = _EXACT_SURVIVAL.get(sampling_law(generator, constraints).name)
     if formula is None:
-        if generator.name == "M_ur,1":
-            truth = ground_survival_mur(
-                database, constraints, chosen, singleton_only=True
-            )
-        else:
-            raise KeyError(
-                f"no polynomial survival formula for {generator.name!r}; "
-                "use reference_target"
-            )
-    else:
-        truth = formula(database, constraints, chosen)
+        raise KeyError(
+            f"no polynomial survival formula for {generator.name!r}; "
+            "use reference_target"
+        )
+    truth = formula(database, constraints, chosen)
     query = boolean_cq(
         *(Atom(f.relation, f.values) for f in sorted(chosen, key=repr))
     )
@@ -187,10 +185,11 @@ def default_targets(profile: str = "small") -> list[AuditTarget]:
     truths are exact textbook rationals, across three probability regimes:
     a conflicted fact under ``M_ur`` (p = 1/4), the same fact under
     ``M_us`` (p = 8/33 — the non-product semantics), and a conflict-free
-    fact (p = 1, the early-stop regime) — all on the vector plane — plus
-    the conflicted fact under the ``M_uo`` walk (p = 5/18, exact by
-    state-space enumeration), the scalar-plane target that keeps the
-    scalar warm-replay path audited.  ``full`` (the cron profile) adds
+    fact (p = 1, the early-stop regime), the conflicted fact under
+    ``M_uo,1`` (p = 1/3, the singleton law on keys) — all on the vector
+    plane — plus the conflicted fact under the ``M_uo`` walk (p = 5/18,
+    exact by state-space enumeration), the scalar-plane target that keeps
+    the scalar warm-replay path audited.  ``full`` (the cron profile) adds
     a larger random block instance with an exact joint-survival truth and
     a reference-truth membership query exercising non-ground answers.
     """
@@ -206,6 +205,9 @@ def default_targets(profile: str = "small") -> list[AuditTarget]:
         ),
         exact_ground_target(
             "fig2-sure", database, constraints, M_UR, [fact("R", "a2", "b1")]
+        ),
+        exact_ground_target(
+            "fig2-muo1", database, constraints, M_UO1, [fact("R", "a1", "b1")]
         ),
     ]
     walk_query = boolean_cq(Atom("R", ("a1", "b1")))
@@ -391,9 +393,10 @@ def run_audit(
             )
         store = CacheStore(cache_dir)
         for target in targets:
-            session = EstimationSession(
-                target.database, target.constraints, target.generator
-            )
+            # Audit the served path: the session and store entry of the
+            # target's sampling law.
+            law = sampling_law(target.generator, target.constraints)
+            session = EstimationSession(target.database, target.constraints, law)
             plane = session.seeded_plane
             grid_ids = [
                 f"{target.name}/{mode}/{plane}/{warmth}"
@@ -419,7 +422,7 @@ def run_audit(
                     session.cache = store.entry(
                         target.database,
                         target.constraints,
-                        target.generator.name,
+                        law.name,
                         seed,
                     )
                     pool = session.cached_pool(seed)

@@ -21,7 +21,7 @@ Example::
     python -m repro answers fig2.json -q 'Ans(?x) :- R(?x, ?y)' -g M_ur
 
 ``batch`` reads a workload file (see ``docs/FORMATS.md``), groups requests
-by (instance, generator), and scores each group against one shared sample
+by (instance, sampling law), and scores each group against one shared sample
 pool — optionally fanning groups out over worker processes.  With
 ``--mode adaptive`` every group runs sequential early-stopping estimators
 instead of fixed budgets, ``--cache-dir DIR`` (with ``--seed``) persists

@@ -1,9 +1,9 @@
 """Batched estimation engine: sessions, shared sample pools, workload planning.
 
-One :class:`EstimationSession` per ``(database, constraints, generator)``
-amortizes block decompositions, witness images and — via
-:class:`SamplePool` — the Monte-Carlo sampling pass itself across many
-``(query, answer)`` requests; :func:`batch_estimate` plans a mixed workload
+One :class:`EstimationSession` per ``(database, constraints, law)`` (the
+generator's :func:`sampling_law`) amortizes block decompositions, witness
+images and — via :class:`SamplePool` — the Monte-Carlo sampling pass
+itself across many ``(query, answer)`` requests; :func:`batch_estimate` plans a mixed workload
 over these sessions, optionally in adaptive early-stopping mode
 (``mode="adaptive"``) and/or against a persistent cross-run
 :class:`CacheStore` (``cache_dir=...``).  The store is crash-consistent
@@ -14,7 +14,7 @@ how this layer sits on top of the paper's samplers and bounds.
 """
 
 from .batch import BatchRequest, BatchResult, batch_estimate
-from .session import DEFAULT_BATCH_SIZE, EstimationSession, SamplePool
+from .session import DEFAULT_BATCH_SIZE, EstimationSession, SamplePool, sampling_law
 from .store import (
     STORE_VERSION,
     CacheEntry,
@@ -39,4 +39,5 @@ __all__ = [
     "batch_estimate",
     "fsck_store",
     "instance_cache_key",
+    "sampling_law",
 ]

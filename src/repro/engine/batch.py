@@ -2,13 +2,14 @@
 
 :func:`batch_estimate` takes a mixed workload of ``P_{M_Σ,Q}(D, c̄)``
 requests — possibly over several databases, constraint sets and generators —
-groups them by ``(database, constraints, generator)``, runs one
+groups them by ``(database, constraints, law)`` — the generator's
+:func:`~repro.engine.session.sampling_law` — runs one
 :class:`~repro.engine.session.EstimationSession` with a shared
 :class:`~repro.engine.session.SamplePool` per group, and optionally fans the
 groups out over a ``multiprocessing`` worker pool.
 
 Seeding is per group and *content-derived*: :func:`group_seed_for` hashes
-``(database, Σ, generator, workload seed)`` through
+``(database, Σ, law, workload seed)`` through
 :func:`~repro.engine.store.instance_cache_key`, so a group's seed — and
 hence its sample stream and estimates — is independent of the worker
 count, of how requests interleave across groups, and of which *other*
@@ -27,12 +28,12 @@ Two orthogonal switches extend the planner:
   doubling rounds over one shared pool (its length is the slowest stopping
   time, not the sum); per-request ``method`` is ignored in this mode.
 * ``cache_dir=...`` — persist possibility verdicts and pool sample
-  batches per ``(database, Σ, generator, seed)`` key in a
+  batches per ``(database, Σ, law, seed)`` key in a
   :class:`~repro.engine.store.CacheStore`, so reruns of the same workload
   warm-start (requires a workload ``seed``; unseeded runs are not
   reproducible and bypass the cache).
 
-The sample plane follows the generator: ``M_ur``/``M_us`` groups draw on
+The sample plane follows the law: ``M_ur``/``M_us`` groups draw on
 the vectorized numpy plane (whole ``uint64``-packed batches, fixed-mode
 prefixes pre-drawn in one chunked pass) and ``M_uo`` groups on the scalar
 interned kernel.
@@ -52,7 +53,7 @@ from ..chains.generators import MarkovChainGenerator
 from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.queries import ConjunctiveQuery
-from .session import EstimationSession
+from .session import EstimationSession, sampling_law
 from .store import STORE_ERRORS, CacheStore, instance_cache_key
 
 #: Environment override for the multiprocessing start method used by
@@ -81,8 +82,10 @@ class BatchRequest:
     label: str = ""
 
     def group_key(self) -> tuple[Database, FDSet, MarkovChainGenerator]:
-        """Requests with equal keys share a session and a sample pool."""
-        return (self.database, self.constraints, self.generator)
+        """Requests with equal keys share a session and a sample pool;
+        the key names the :func:`~repro.engine.session.sampling_law`."""
+        law = sampling_law(self.generator, self.constraints)
+        return (self.database, self.constraints, law)
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,7 @@ def batch_estimate(
     scheduler; ``cache_dir`` persists per-group state across processes and
     runs (see the module docstring).
 
-    Each group's generator picks its sample plane: ``M_ur``/``M_us``
+    Each group's sampling law picks its sample plane: ``M_ur``/``M_us``
     groups draw on the vectorized numpy plane — workers then draw in
     whole batches, and fixed mode pre-draws a group's longest fixed
     prefix in one chunked pass — and ``M_uo`` groups on the scalar plane.
@@ -155,12 +158,7 @@ def batch_estimate(
     for position, request in indexed:
         groups.setdefault(request.group_key(), []).append((position, request))
     payloads = [
-        (
-            members,
-            group_seed_for(seed, *group_key),
-            mode,
-            cache_dir,
-        )
+        (group_key, members, group_seed_for(seed, *group_key), mode, cache_dir)
         for group_key, members in groups.items()
     ]
     if workers and workers > 1 and len(payloads) > 1:
@@ -182,10 +180,12 @@ def group_seed_for(
     constraints: FDSet,
     generator: MarkovChainGenerator,
 ) -> int | None:
-    """The derived seed for one ``(database, Σ, generator)`` group.
+    """The derived seed for one ``(database, Σ, law)`` group.
 
-    A pure function of the group *content* and the workload seed (the
-    first 64 bits of :func:`~repro.engine.store.instance_cache_key`), so
+    ``generator`` is the group's law (the third item of
+    :meth:`BatchRequest.group_key`).  A pure function of the group
+    *content* and the workload seed (the first 64 bits of
+    :func:`~repro.engine.store.instance_cache_key`), so
     two runs — or a run and a long-lived service — that score the same
     group under the same workload seed draw the same stream even when the
     surrounding workloads differ.  ``None`` stays ``None`` (fresh entropy).
@@ -222,24 +222,18 @@ def _pool_context(start_method: str | None = None):
     return multiprocessing.get_context("spawn")
 
 
-def _estimate_group(
-    payload: tuple[
-        Sequence[tuple[int, BatchRequest]], int | None, str, str | None
-    ],
-) -> list[tuple[int, BatchResult]]:
-    """Run one group's requests against a shared session + pool (picklable)."""
+def _estimate_group(payload: tuple) -> list[tuple[int, BatchResult]]:
+    """Run one group's requests against a shared session + pool (picklable).
+
+    ``payload`` is ``(group key, members, group seed, mode, cache_dir)``.
+    """
     from ..approx.fpras import FPRASUnavailable
 
-    members, group_seed, mode, cache_dir = payload
-    first = members[0][1]
+    (database, constraints, law), members, group_seed, mode, cache_dir = payload
     cache = None
     if cache_dir is not None and group_seed is not None:
-        cache = CacheStore(cache_dir).entry(
-            first.database, first.constraints, first.generator.name, group_seed
-        )
-    session = EstimationSession(
-        first.database, first.constraints, first.generator, cache=cache
-    )
+        cache = CacheStore(cache_dir).entry(database, constraints, law.name, group_seed)
+    session = EstimationSession(database, constraints, law, cache=cache)
     try:
         if cache is not None:
             pool = session.cached_pool(group_seed)

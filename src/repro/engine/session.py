@@ -33,8 +33,8 @@ share the same database.  :class:`EstimationSession` binds one
   ``M_ur``/``M_us`` families through the vector plane
   (:mod:`repro.sampling.vectorized`, whole batches at once), the ``M_uo``
   walk (which has no block structure) through the walk plane
-  (``_WalkPlane``), one sample per batch.  The generator alone decides
-  the plane — the plane never changes *what* is computed, only how fast.
+  (``_WalkPlane``), one sample per batch.  The :func:`sampling_law`
+  alone decides the plane, which never changes *what* is computed.
 
 Determinism contracts:
 
@@ -96,6 +96,9 @@ from ..approx.montecarlo import (
     stopping_rule_estimate,
 )
 from ..chains.generators import (
+    M_UO1,
+    M_UR1,
+    M_US1,
     MarkovChainGenerator,
     UniformOperations,
     UniformRepairs,
@@ -124,6 +127,21 @@ def _unavailable(message: str) -> RuntimeError:
     from ..approx.fpras import FPRASUnavailable
 
     return FPRASUnavailable(message)
+
+
+def sampling_law(
+    generator: MarkovChainGenerator, constraints: FDSet
+) -> MarkovChainGenerator:
+    """The generator naming the law seeded pools of ``generator`` draw.
+
+    On primary keys ``M_us,1`` and ``M_uo,1`` have ``M_ur,1``'s law — one
+    uniform survivor per conflicting block, independently (Lemmas E.2,
+    E.9; exact for ``M_uo,1``) — and share its seed, store entry, registry
+    key, shard and plane.  Every other generator is its own law.
+    """
+    if generator in (M_US1, M_UO1) and constraints.is_primary_keys():
+        return M_UR1
+    return generator
 
 
 #: Samples per vector-plane batch: each batch is one seeded substream
@@ -429,16 +447,17 @@ class EstimationSession:
     def seeded_plane(self) -> str:
         """The plane seed-driven pools draw on: ``"vector"`` | ``"scalar"``.
 
-        The one place the plane is decided: the block-structured
-        ``M_ur``/``M_us`` families have a vector plane, the ``M_uo`` walk
-        does not and draws on the (scalar) walk plane.
+        The one place the plane is decided, from the :func:`sampling_law`:
+        the block-structured ``M_ur``/``M_us`` laws have a vector plane,
+        the ``M_uo`` walk does not and draws on the (scalar) walk plane.
         """
-        if isinstance(self.generator, (UniformRepairs, UniformSequences)):
+        law = sampling_law(self.generator, self.constraints)
+        if isinstance(law, (UniformRepairs, UniformSequences)):
             return "vector"
         return "scalar"
 
     def vector_plane(self, seed: int | None = None):
-        """A vectorized sample plane for this session's generator.
+        """A vectorized sample plane for this session's sampling law.
 
         One :class:`~repro.sampling.vectorized.VectorRepairPlane` /
         :class:`~repro.sampling.vectorized.VectorSequencePlane` over the
@@ -447,11 +466,12 @@ class EstimationSession:
         the same seed re-draws any pool batch exactly.
         """
         self.ensure_supported()
-        singleton = self.generator.singleton_only
-        if isinstance(self.generator, UniformRepairs):
+        law = sampling_law(self.generator, self.constraints)
+        if isinstance(law, UniformRepairs):
+            singleton = law.singleton_only
             return vectorized_plane.VectorRepairPlane(self.index(), singleton, seed)
-        if isinstance(self.generator, UniformSequences):
-            return vectorized_plane.VectorSequencePlane(self.index(), singleton, seed)
+        if isinstance(law, UniformSequences):
+            return vectorized_plane.VectorSequencePlane(self.index(), seed)
         raise ValueError(
             f"no vector plane for generator {self.generator.name!r}"
         )
@@ -460,7 +480,7 @@ class EstimationSession:
         """A pool for an integer seed, on the generator's plane.
 
         The entry point :func:`~repro.engine.batch.batch_estimate` uses:
-        the vector plane for the ``M_ur``/``M_us`` families (batches of
+        the vector plane for the ``M_ur``/``M_us`` laws (batches of
         :data:`DEFAULT_BATCH_SIZE`), the walk plane reseeded per sample
         otherwise.  ``seed=None`` draws one fresh entropy value and uses it
         as the seed of every batch.
@@ -492,7 +512,7 @@ class EstimationSession:
         degrades to a plain :meth:`pool_for_seed` (an unseeded stream is
         not reproducible, so persisting it would be meaningless).
 
-        The plane comes from the generator alone, never from what the
+        The plane comes from the sampling law alone, never from what the
         entry holds: a prefix drawn with another batch size (a foreign
         stream) or ending in a torn batch cannot be extended, so it is
         discarded and redrawn.

@@ -10,8 +10,9 @@ always recomputed from the instance.
 
 Layout: one JSON file per cache entry under the store directory, named by
 the entry key — the SHA-256 content hash of the canonical serialization of
-``(database, Σ, generator, seed)``.  Anything that could change a result
-changes the key, so a hit can never replay stale state.  (The seed is part
+``(database, Σ, law, seed)``, ``law`` being the group's
+:func:`~repro.engine.session.sampling_law`.  Anything that could change a
+result changes the key, so a hit can never replay stale state.  (The seed is part
 of the key because the sample stream depends on it.)  Each entry holds
 exactly these fields:
 

@@ -28,14 +28,15 @@ else), aggregated over equal-size blocks
 (:func:`~repro.counting.crs_count.aggregated_step_weights`); phase 2
 exploits that victims are drawn uniformly among live facts, so given the
 size trajectory each surviving block's survivor is uniform over its
-facts, independently across blocks.  In the singleton-operation variant
-(Lemma E.9) every block survives and phase 1 is skipped entirely.  The
-one approximation in the module: phase 1's category probabilities are
-exact rationals of astronomically large CRS counts, consumed here as
-correctly-rounded ``float64`` cumulative probabilities — a per-step
-total-variation error below ``2**-50``, orders of magnitude under any
-(ε, δ) of interest; the scalar plane remains exact
-(``tests/test_vectorized.py`` pins the rounding gap).
+facts, independently across blocks.  On primary keys every singleton
+variant draws on :class:`VectorRepairPlane` with ``singleton_only``
+(:func:`repro.engine.session.sampling_law`).  The one approximation in
+the module: phase 1's category probabilities are exact rationals of
+astronomically large CRS counts, consumed here as correctly-rounded
+``float64`` cumulative probabilities — a per-step total-variation error
+below ``2**-50``, orders of magnitude under any (ε, δ) of interest; the
+scalar plane remains exact (``tests/test_vectorized.py`` pins the
+rounding gap).
 
 **Reproducibility contract.**  A plane never consumes ``random.Random``:
 batch ``b`` is drawn from the counter-based seeded substream
@@ -170,14 +171,8 @@ class _BlockPlane:
     the pure-Python reference decode the parity harness replays.
     """
 
-    def __init__(
-        self,
-        index: InstanceIndex,
-        singleton_only: bool = False,
-        seed: int | None = None,
-    ):
+    def __init__(self, index: InstanceIndex, seed: int | None = None):
         self.index = index
-        self.singleton_only = singleton_only
         #: The entropy every batch substream derives from (the pool seed,
         #: or one fresh OS draw for unseeded planes — still internally
         #: consistent across batches).
@@ -284,9 +279,9 @@ class VectorRepairPlane(_BlockPlane):
         singleton_only: bool = False,
         seed: int | None = None,
     ):
-        super().__init__(index, singleton_only, seed)
-        extra = 0 if singleton_only else 1
-        self._bounds = self._sizes + extra
+        super().__init__(index, seed)
+        self.singleton_only = singleton_only
+        self._bounds = self._sizes + (0 if singleton_only else 1)
 
     def _draw_outcomes(self, generator, size: int):
         if self.n_blocks == 0:
@@ -306,18 +301,13 @@ class VectorSequencePlane(_BlockPlane):
     probabilities + ``searchsorted``), and the concrete block is picked
     uniformly among the group's live blocks of that size.  Phase 2 draws
     each surviving block's survivor uniformly (exchangeability of victim
-    choices) and marks emptied blocks with the sentinel outcome.  With
-    ``singleton_only`` (Lemma E.9) every block survives and the whole
-    draw is phase 2.
+    choices) and marks emptied blocks with the sentinel outcome.
     """
 
     def _draw_outcomes(self, generator, size: int):
         if self.n_blocks == 0:
             return np.zeros((size, 0), dtype=np.int64)
-        if self.singleton_only:
-            final_sizes = np.ones((size, self.n_blocks), dtype=np.int64)
-        else:
-            final_sizes = self._evolve_sizes(generator, size)
+        final_sizes = self._evolve_sizes(generator, size)
         survivors = generator.integers(
             0, self._sizes, size=(size, self.n_blocks), dtype=np.int64
         )

@@ -8,7 +8,8 @@ the session lock and re-enter the evaluation machinery ``k`` times.
 :class:`MicroBatcher` turns concurrency into width: requests arriving
 for a group *while a batch for that group is already being scored* pile
 into a pending list, and the next drain round executes all of them as a
-single coalesced pass.
+single coalesced pass.  A group is a registry key, which names the
+:func:`~repro.engine.session.sampling_law`, not the generator.
 
 Coalescing is free, correctness-wise: every request evaluates the group
 pool from position zero, so results are independent of how requests are
@@ -85,12 +86,11 @@ class QueueFull(RuntimeError):
 class _Waiter:
     """One submitted request bundle awaiting its coalesced batch."""
 
-    __slots__ = ("database", "constraints", "generator", "requests", "mode", "future")
+    __slots__ = ("group", "requests", "mode", "future")
 
-    def __init__(self, database, constraints, generator, requests, mode, future):
-        self.database = database
-        self.constraints = constraints
-        self.generator = generator
+    def __init__(self, group, requests, mode, future):
+        #: ``(database, constraints, generator)`` — the registry handle's args.
+        self.group = group
         self.requests = requests
         self.mode = mode
         self.future = future
@@ -185,7 +185,7 @@ class MicroBatcher:
         size = len(requests)
         self._admit(key, size)
         waiter = _Waiter(
-            database, constraints, generator, list(requests), mode, loop.create_future()
+            (database, constraints, generator), list(requests), mode, loop.create_future()
         )
         self._pending.setdefault(key, []).append(waiter)
         self._pending_sizes[key] = self._pending_sizes.get(key, 0) + size
@@ -262,11 +262,8 @@ class MicroBatcher:
         """
         from ..approx.fpras import FPRASUnavailable
 
-        first = waiters[0]
         try:
-            handle = self.registry.handle(
-                first.database, first.constraints, first.generator
-            )
+            handle = self.registry.handle(*waiters[0].group)
         except (FPRASUnavailable, ValueError) as error:
             message = str(error)
             return [

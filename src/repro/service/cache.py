@@ -3,9 +3,10 @@
 Served estimates are deterministic — bit-identical to an offline
 ``batch_estimate(seed=...)`` run — so a seeded server may memoize whole
 result *rows* keyed by everything that determines them:
-``(instance_cache_key, query, answer, ε, δ, method, max_samples, label,
-mode)`` — the instance key names the generator, which alone picks the
-sample plane.  A warm-pool recomputation is already cheap (one
+``(instance_cache_key, generator, query, answer, ε, δ, method,
+max_samples, label, mode)`` — the instance key names the sampling law,
+which alone picks the sample plane, and generators sharing a law still
+label their rows apart.  A warm-pool recomputation is already cheap (one
 hit-counting reduction); a cache hit makes the repeated-request hot
 path — the common case for dashboard-style traffic — a dictionary
 lookup that never touches the session lock or the executor.

@@ -6,10 +6,11 @@ enumeration, sample drawing — once, not per request.
 :class:`SessionRegistry` keeps one warm
 :class:`~repro.engine.session.EstimationSession` (plus its shared
 :class:`~repro.engine.session.SamplePool`) per
-``(database, Σ, generator)`` group, keyed by the same content hash the
-on-disk cache uses (:func:`~repro.engine.store.instance_cache_key` over
-the group's derived seed), and evicts least-recently-used groups beyond
-``max_sessions``.
+``(database, Σ, law)`` group (the generator's
+:func:`~repro.engine.session.sampling_law`), keyed by the same content
+hash the on-disk cache uses (:func:`~repro.engine.store.instance_cache_key`
+over the group's derived seed), and evicts least-recently-used groups
+beyond ``max_sessions``.
 
 **Determinism.**  Group seeds come from
 :func:`~repro.engine.batch.group_seed_for` — a pure function of the
@@ -57,7 +58,7 @@ from ..chains.generators import MarkovChainGenerator
 from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..engine.batch import BatchRequest, BatchResult, group_seed_for, run_group
-from ..engine.session import EstimationSession
+from ..engine.session import EstimationSession, sampling_law
 from ..engine.store import CacheStore, StoreErrorLog, instance_cache_key
 
 #: Default LRU capacity of a registry (warm groups kept in memory).
@@ -93,11 +94,6 @@ class SessionHandle:
         self.requests_served = 0
         self.batches_run = 0
         self.error_rows = 0
-
-    @property
-    def generator_name(self) -> str:
-        """The paper name of the group's generator (e.g. ``"M_ur"``)."""
-        return self.session.generator.name
 
     def run(
         self, requests: Sequence[BatchRequest], mode: str = "fixed"
@@ -148,7 +144,7 @@ class SessionHandle:
         """Serving counters for this group, JSON-native."""
         return {
             "key": self.key,
-            "generator": self.generator_name,
+            "generator": self.session.generator.name,  # the group's law
             "facts": len(self.session.database),
             "backend": self.session.seeded_plane,
             "pool_samples": len(self.pool),
@@ -184,11 +180,11 @@ class SessionRegistry:
         self.store = CacheStore(cache_dir) if cache_dir is not None else None
         self._handles: OrderedDict[str, SessionHandle] = OrderedDict()
         self._lock = threading.Lock()
-        # (database, constraints, generator) -> (group seed, registry key).
-        # Deriving them hashes the whole instance (canonical JSON +
+        # (database, constraints, generator) -> (group seed, registry key,
+        # law).  Deriving them hashes the whole instance (canonical JSON +
         # SHA-256, twice); memoizing makes the warm hot path — including
         # the micro-batcher's key lookups on the event loop — a dict hit.
-        self._keys: OrderedDict[tuple, tuple[int | None, str]] = OrderedDict()
+        self._keys: OrderedDict[tuple, tuple] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -198,21 +194,22 @@ class SessionRegistry:
         database: Database,
         constraints: FDSet,
         generator: MarkovChainGenerator,
-    ) -> tuple[int | None, str]:
+    ) -> tuple[int | None, str, MarkovChainGenerator]:
         group = (database, constraints, generator)
         with self._lock:
             cached = self._keys.get(group)
             if cached is not None:
                 self._keys.move_to_end(group)
                 return cached
-        seed = group_seed_for(self.seed, database, constraints, generator)
-        key = instance_cache_key(database, constraints, generator.name, seed)
+        law = sampling_law(generator, constraints)
+        seed = group_seed_for(self.seed, database, constraints, law)
+        key = instance_cache_key(database, constraints, law.name, seed)
         with self._lock:
-            self._keys[group] = (seed, key)
+            self._keys[group] = (seed, key, law)
             # Bounded well above the LRU so eviction churn stays cheap.
             while len(self._keys) > 4 * self.max_sessions:
                 self._keys.popitem(last=False)
-        return seed, key
+        return seed, key, law
 
     def group_seed(
         self,
@@ -229,7 +226,8 @@ class SessionRegistry:
         constraints: FDSet,
         generator: MarkovChainGenerator,
     ) -> str:
-        """The registry key — also the group's on-disk cache entry key."""
+        """The registry key of the generator's law — also its on-disk
+        cache entry key and shard route."""
         return self._derived(database, constraints, generator)[1]
 
     def handle(
@@ -241,19 +239,22 @@ class SessionRegistry:
         """The warm handle for this group, admitting (and possibly
         evicting) as needed.
 
+        The handle is the law's: on primary keys ``M_us,1`` and ``M_uo,1``
+        get the ``M_ur,1`` handle, whose session binds ``M_ur,1``.
+
         Raises :class:`~repro.approx.fpras.FPRASUnavailable` when the
         group is outside the paper's positive results — unsupported groups are
         never admitted, so they cannot flush warm sessions out of the
         LRU.
         """
-        seed, key = self._derived(database, constraints, generator)
+        seed, key, law = self._derived(database, constraints, generator)
         with self._lock:
             cached = self._handles.get(key)
             if cached is not None:
                 self._handles.move_to_end(key)
                 self.hits += 1
                 return cached
-        handle = self._admit(seed, key, database, constraints, generator)
+        handle = self._admit(seed, key, database, constraints, law)
         evicted: list[SessionHandle] = []
         with self._lock:
             raced = self._handles.get(key)
@@ -279,7 +280,7 @@ class SessionRegistry:
         key: str,
         database: Database,
         constraints: FDSet,
-        generator: MarkovChainGenerator,
+        law: MarkovChainGenerator,
     ) -> SessionHandle:
         """Build a cold group's session + pool (outside the registry lock).
 
@@ -293,7 +294,7 @@ class SessionRegistry:
         cache = None
         if self.store is not None and seed is not None:
             try:
-                cache = self.store.entry(database, constraints, generator.name, seed)
+                cache = self.store.entry(database, constraints, law.name, seed)
             except OSError as error:
                 self.storage.record("load", error)
             else:
@@ -301,14 +302,14 @@ class SessionRegistry:
                     self.storage.record("load", cache.load_error)
                 else:
                     self.storage.mark_ok()
-        session = EstimationSession(database, constraints, generator, cache=cache)
+        session = EstimationSession(database, constraints, law, cache=cache)
         # Raises FPRASUnavailable for out-of-scope groups before admission.
         if cache is not None:
             try:
                 pool = session.cached_pool(seed)
             except OSError as error:
                 self.storage.record("warm", error)
-                session = EstimationSession(database, constraints, generator)
+                session = EstimationSession(database, constraints, law)
                 pool = session.pool_for_seed(seed)
         else:
             pool = session.pool_for_seed(seed)
@@ -333,11 +334,10 @@ class SessionRegistry:
         for position, request in indexed:
             groups.setdefault(request.group_key(), []).append((position, request))
         results: list[BatchResult | None] = [None] * len(indexed)
-        for members in groups.values():
+        for group, members in groups.items():
             group_requests = [request for _, request in members]
-            first = group_requests[0]
             try:
-                handle = self.handle(first.database, first.constraints, first.generator)
+                handle = self.handle(*group)
             except (FPRASUnavailable, ValueError) as error:
                 for position, request in members:
                     results[position] = BatchResult(request, error=str(error))

@@ -1224,11 +1224,16 @@ class EstimationServer:
     # -- execution ---------------------------------------------------------------------
 
     def _cache_key(self, request: BatchRequest, mode: str) -> tuple:
-        """Everything that determines a served row, hashable."""
+        """Everything that determines a served row, hashable.
+
+        The registry key names the sampling law, which generators share;
+        the row also carries the generator's own name, so it is keyed too.
+        """
         return (
             self.registry.key_for(
                 request.database, request.constraints, request.generator
             ),
+            request.generator.name,
             request.query,
             request.answer,
             request.epsilon,
@@ -1272,17 +1277,15 @@ class EstimationServer:
     ) -> list[BatchResult]:
         """Fan one parsed request list out per group and reassemble.
 
-        Each group is one ``submit`` to the shards, keyed by its registry
-        key (coalescing happens in the owning shard's micro-batcher);
-        results come back in request order.
+        Each group (a sampling law) is one ``submit`` to the shards, keyed
+        by its registry key (coalescing happens in the owning shard's
+        micro-batcher); results come back in request order.
         """
         groups: dict[tuple, list[tuple[int, BatchRequest]]] = {}
         for position, request in enumerate(requests):
             groups.setdefault(request.group_key(), []).append((position, request))
         submissions = []
-        for members in groups.values():
-            first = members[0][1]
-            group = (first.database, first.constraints, first.generator)
+        for group, members in groups.items():
             submissions.append(
                 self.shards.submit(
                     self.registry.key_for(*group),

@@ -30,7 +30,7 @@ from repro.calibration import (
     run_audit,
     sharpness_summary,
 )
-from repro.chains.generators import M_UO, M_UR, M_US
+from repro.chains.generators import M_UO, M_UO1, M_UR, M_UR1, M_US, M_US1
 from repro.core.facts import fact
 from repro.workloads import block_membership_query, figure2_database
 
@@ -145,6 +145,7 @@ class TestTargets:
         assert targets["fig2-mus"].truth == pytest.approx(8 / 33)
         assert targets["fig2-sure"].truth == 1.0
         assert targets["fig2-muo"].truth == pytest.approx(5 / 18)
+        assert targets["fig2-muo1"].truth == pytest.approx(1 / 3)
         assert all(t.truth_kind == "exact" for t in targets.values())
 
     def test_full_profile_extends_small(self):
@@ -164,6 +165,16 @@ class TestTargets:
             exact_ground_target(
                 "bad", database, constraints, M_UO, [fact("R", "a1", "b1")]
             )
+
+    def test_singleton_targets_share_the_law_truth(self):
+        # On keys every singleton variant audits one law: Π 1/|B|.
+        database, constraints = figure2_database()
+        for generator in (M_UR1, M_US1, M_UO1):
+            target = exact_ground_target(
+                "one", database, constraints, generator, [fact("R", "a1", "b1")]
+            )
+            assert target.truth == pytest.approx(1 / 3)
+            assert target.generator is generator
 
     def test_reference_target_is_seed_deterministic(self):
         database, constraints = figure2_database()
@@ -196,9 +207,9 @@ class TestMicroAudit:
 
     def test_grid_shape(self, report):
         assert isinstance(report, AuditReport)
-        # 4 targets × 2 modes × 2 warmths, each on its generator's plane.
-        assert len(report.cells) == 16
-        assert len(report.anytime) == 4
+        # 5 targets × 2 modes × 2 warmths, each on its law's plane.
+        assert len(report.cells) == 20
+        assert len(report.anytime) == 5
         assert report.backends == ("scalar", "vector")
         for cell in report.cells:
             expected = "scalar" if cell.target == "fig2-muo" else "vector"
@@ -206,7 +217,7 @@ class TestMicroAudit:
 
     def test_warm_cells_replay_cold(self, report):
         warm = [c for c in report.cells if c.warmth == "warm"]
-        assert len(warm) == 8
+        assert len(warm) == 10
         assert all(c.replay_mismatches == 0 for c in warm)
 
     def test_adaptive_cells_carry_sharpness(self, report):
@@ -221,7 +232,7 @@ class TestMicroAudit:
         document = report_to_dict(report)
         json.dumps(document)  # must be JSON-serializable as-is
         assert document["kind"] == "repro-calibration-audit"
-        assert len(document["cells"]) == 16
+        assert len(document["cells"]) == 20
         text = render_report(report)
         assert "calibration audit" in text
         assert ("PASS" in text) or ("FAIL" in text)

@@ -175,17 +175,15 @@ class TestDecodeParity:
     def test_sequence_plane_scatter_matches_scalar_decode(self, instance, seed):
         database, constraints = instance
         session = EstimationSession(database, constraints, M_US)
-        for singleton in (False, True):
-            plane = vectorized.VectorSequencePlane(session.index(), singleton, seed)
-            outcomes, rows = plane.draw_batch(0, 64)
-            masks = vectorized.unpack_rows(rows)
-            assert masks == plane.decode_masks(outcomes)
-            # Sequence invariants: a block survives with exactly one fact
-            # or (pairs allowed) none; singleton mode never empties one.
-            for mask in masks:
-                for block in session.index().conflicting_block_ids():
-                    survivors = sum(1 for identifier in block if mask >> identifier & 1)
-                    assert survivors == 1 or (not singleton and survivors == 0)
+        plane = vectorized.VectorSequencePlane(session.index(), seed)
+        outcomes, rows = plane.draw_batch(0, 64)
+        masks = vectorized.unpack_rows(rows)
+        assert masks == plane.decode_masks(outcomes)
+        # Sequence invariant: a block survives with one fact or none.
+        for mask in masks:
+            for block in session.index().conflicting_block_ids():
+                survivors = sum(1 for identifier in block if mask >> identifier & 1)
+                assert survivors <= 1
 
     @given(instance=instances, seed=seeds)
     @settings(max_examples=15, deadline=None)
@@ -220,7 +218,7 @@ class TestDecodeParity:
 
         database, constraints = pk_instance([(a, b) for a in range(4) for b in range(3)])
         session = EstimationSession(database, constraints, M_US)
-        plane = vectorized.VectorSequencePlane(session.index(), False, 1)
+        plane = vectorized.VectorSequencePlane(session.index(), 1)
         rng = np.random.default_rng(0)
         counts = rng.integers(0, plane.n_blocks + 1, size=(100, 2))
         fast_states, fast_membership = plane._group_states(counts)
@@ -240,7 +238,7 @@ class TestDecodeParity:
         pairs = [(a, b) for a in range(24) for b in range(10)]
         database, constraints = pk_instance(pairs)
         session = EstimationSession(database, constraints, M_US)
-        plane = vectorized.VectorSequencePlane(session.index(), False, 5)
+        plane = vectorized.VectorSequencePlane(session.index(), 5)
         outcomes, rows = plane.draw_batch(0, 48)
         masks = vectorized.unpack_rows(rows)
         assert masks == plane.decode_masks(outcomes)

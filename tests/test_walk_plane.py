@@ -1,9 +1,11 @@
 """The walk plane's pool contract: sample ``i`` is a pure function of ``(seed, i)``.
 
-Seeded ``M_uo`` / ``M_uo,1`` pools draw on the walk plane, whose one
-``random.Random`` is reseeded with ``(seed mod 2**128) · 2**64 + i``
-before sample ``i`` is drawn.  The properties, on primary keys, on two
-keys per relation (``M_uo``) and on non-key FDs (``M_uo,1``):
+Seeded ``M_uo`` pools, and ``M_uo,1`` pools beyond primary keys (on
+keys ``M_uo,1`` shares ``M_ur,1``'s vector plane), draw on the walk
+plane, whose one ``random.Random`` is reseeded with
+``(seed mod 2**128) · 2**64 + i`` before sample ``i`` is drawn.  The
+properties, for ``M_uo`` on primary keys and on two keys per relation,
+and for ``M_uo,1`` on two keys per relation and on non-key FDs:
 
 * rows grown in any sequence of chunks equal a fresh pool's rows;
 * a pool warm-started from a persisted prefix of any length equals a
@@ -51,8 +53,8 @@ def non_key_fd(pairs):
 
 CASES = [
     (M_UO, primary_key),
-    (M_UO1, primary_key),
     (M_UO, two_keys),
+    (M_UO1, two_keys),
     (M_UO1, non_key_fd),
 ]
 CASE_IDS = [f"{g.name}-{build.__name__}" for g, build in CASES]
