@@ -132,11 +132,7 @@ def end_to_end(database, constraints, query, candidates):
     timings = {"scalar": 0.0, "vector": 0.0}
     seeded = []
     for generator in GENERATORS:
-        members = [
-            (index, request)
-            for index, request in enumerate(requests)
-            if request.generator is generator
-        ]
+        members = [request for request in requests if request.generator is generator]
         group_seed = group_seed_for(SEED, database, constraints, generator)
         for plane in ("scalar", "vector"):
             session = EstimationSession(database, constraints, generator)
@@ -145,7 +141,7 @@ def end_to_end(database, constraints, query, candidates):
                 pool = session.pool(random.Random(group_seed))
             else:
                 pool = session.pool_for_seed(group_seed)
-            results = [result for _, result in run_group(session, pool, members)]
+            results = run_group(session, pool, members)
             timings[plane] += time.perf_counter() - started
             assert all(r.ok for r in results)
             if plane == "vector":

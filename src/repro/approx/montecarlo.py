@@ -45,10 +45,11 @@ def chernoff_sample_size(epsilon: float, delta: float, p_lower: float) -> int:
     """``N`` making the sample mean an (ε, δ) relative approximation.
 
     The standard multiplicative-Chernoff count ``3 ln(2/δ) / (ε² p_lower)``
-    for means known to be at least ``p_lower`` when non-zero.
+    for means known to be at least ``p_lower`` when non-zero; the bound
+    holds for ``0 < ε < 1`` only.
     """
-    if not 0 < epsilon:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie in (0, 1)")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     if not 0 < p_lower <= 1:
@@ -120,6 +121,8 @@ def stopping_rule_estimate(
         raise ValueError("the stopping rule requires 0 < epsilon < 1")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
+    if max_samples is not None and max_samples < 1:
+        raise ValueError("max_samples must be positive")
     upsilon = 4.0 * (math.e - 2.0) * (math.log(2.0) - math.log(delta)) / (epsilon**2)
     threshold = 1.0 + (1.0 + epsilon) * upsilon
     total = 0.0

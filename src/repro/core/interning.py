@@ -16,9 +16,7 @@ derived integer structure the hot paths run on:
   decomposition (Lemma 5.2), in the exact iteration order the samplers
   draw in (the samplers derive their own id-block structure from the same
   decomposition + interning, which is what makes id-based draws consume
-  the RNG bit-for-bit identically to the object path);
-* **per-relation id indexes** — the ids of each relation's facts (grouped
-  lazily), for relation-local scans without rebuilding fact groupings.
+  the RNG bit-for-bit identically to the object path).
 
 The id order deliberately equals the canonical order
 :mod:`repro.engine.store` has always persisted sample rows in, so an interned
@@ -32,7 +30,7 @@ with the kernel on or off (``tests/test_interning.py`` asserts both).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .blocks import BlockDecomposition, block_decomposition
 from .database import Database
@@ -45,12 +43,8 @@ class InterningError(ValueError):
 
 
 def mask_ids(mask: int) -> list[int]:
-    """The set bit positions of an id bitmask, ascending.
-
-    The one implementation of mask → id-list in the codebase: the index's
-    views and the store's on-disk sample rows both go through it, so the
-    decode of a persisted row can never drift from the live encoding.
-    """
+    """The set bit positions of an id bitmask, ascending (the decode
+    behind :meth:`InstanceIndex.facts_of_mask`)."""
     ids = []
     while mask:
         low = mask & -mask
@@ -73,7 +67,6 @@ class InstanceIndex:
         "_id_of",
         "_conflicting_blocks",
         "_always_kept_mask",
-        "_relation_ids",
         "full_mask",
     )
 
@@ -87,7 +80,6 @@ class InstanceIndex:
         self._id_of: dict[Fact, int] = {f: i for i, f in enumerate(facts)}
         self._conflicting_blocks = conflicting_blocks
         self._always_kept_mask = always_kept_mask
-        self._relation_ids: dict[str, tuple[int, ...]] | None = None
         self.full_mask = (1 << len(facts)) - 1
 
     @classmethod
@@ -137,10 +129,6 @@ class InstanceIndex:
         """The inverse map ``Fact -> id``."""
         return self._id_of
 
-    def fact_of(self, identifier: int) -> Fact:
-        """The fact with the given id."""
-        return self._facts[identifier]
-
     def conflicting_block_ids(self) -> tuple[tuple[int, ...], ...]:
         """Conflicting blocks as id-tuples, in the samplers' draw order."""
         return self._conflicting_blocks
@@ -149,31 +137,7 @@ class InstanceIndex:
         """Mask of the facts in singleton blocks (kept by every repair)."""
         return self._always_kept_mask
 
-    def _relation_index(self) -> dict[str, tuple[int, ...]]:
-        if self._relation_ids is None:
-            grouped: dict[str, list[int]] = {}
-            for identifier, f in enumerate(self._facts):
-                grouped.setdefault(f.relation, []).append(identifier)
-            self._relation_ids = {
-                name: tuple(ids) for name, ids in grouped.items()
-            }
-        return self._relation_ids
-
-    def relation_ids(self, relation: str) -> tuple[int, ...]:
-        """Ids of the facts over one relation, ascending (grouped lazily)."""
-        return self._relation_index().get(relation, ())
-
-    def relation_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._relation_index()))
-
     # -- id/mask translation -----------------------------------------------------------
-
-    def id(self, fact: Fact) -> int:
-        """The id of ``fact`` (:class:`InterningError` for foreign facts)."""
-        identifier = self._id_of.get(fact)
-        if identifier is None:
-            raise InterningError(f"fact {fact} is not part of the interned database")
-        return identifier
 
     def mask_of(self, facts: Iterable[Fact]) -> int:
         """The bitmask of a fact set (every fact must be interned)."""
@@ -188,22 +152,7 @@ class InstanceIndex:
             mask |= 1 << identifier
         return mask
 
-    def mask_of_ids(self, ids: Iterable[int]) -> int:
-        """The bitmask with exactly the given id bits set."""
-        mask = 0
-        for identifier in ids:
-            mask |= 1 << identifier
-        return mask
-
-    def ids_of_mask(self, mask: int) -> Iterator[int]:
-        """The set ids of ``mask``, ascending."""
-        return iter(mask_ids(mask))
-
     def facts_of_mask(self, mask: int) -> frozenset[Fact]:
         """Reconstruct the fact set a mask stands for (object results on demand)."""
         facts = self._facts
         return frozenset(facts[i] for i in mask_ids(mask))
-
-    def sorted_ids_of_mask(self, mask: int) -> list[int]:
-        """The set ids as a sorted list (= :func:`mask_ids`)."""
-        return mask_ids(mask)

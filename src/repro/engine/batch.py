@@ -53,8 +53,8 @@ from ..chains.generators import MarkovChainGenerator
 from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.queries import ConjunctiveQuery
-from .session import EstimationSession, sampling_law
-from .store import STORE_ERRORS, CacheStore, instance_cache_key
+from .session import EstimationSession, SamplePool, sampling_law
+from .store import STORE_ERRORS, CacheStore, StoreErrorLog, instance_cache_key
 
 #: Environment override for the multiprocessing start method used by
 #: ``batch_estimate(workers=...)`` (same values as the ``start_method``
@@ -143,35 +143,54 @@ def batch_estimate(
     """
     if mode not in ("fixed", "adaptive"):
         raise ValueError(f"unknown mode {mode!r} (use 'fixed' or 'adaptive')")
-    if (
-        start_method is not None
-        and start_method not in multiprocessing.get_all_start_methods()
-    ):
-        # Validated eagerly (not only when the fan-out actually runs) so a
-        # typo fails the same way with one group as with many.
-        raise ValueError(
-            f"unknown start method {start_method!r}; this platform supports "
-            f"{multiprocessing.get_all_start_methods()}"
-        )
-    indexed = list(enumerate(requests))
-    groups: dict[tuple, list[tuple[int, BatchRequest]]] = {}
-    for position, request in indexed:
-        groups.setdefault(request.group_key(), []).append((position, request))
-    payloads = [
-        (group_key, members, group_seed_for(seed, *group_key), mode, cache_dir)
-        for group_key, members in groups.items()
-    ]
+    # Resolved eagerly (not only when the fan-out runs) so a start-method
+    # typo fails the same way with one group as with many.
+    context = _pool_context(start_method)
+    requests = list(requests)
+    groups = group_positions(requests)
+    payloads = []
+    for group, positions in groups.items():
+        members = [requests[p] for p in positions]
+        payloads.append((group, members, group_seed_for(seed, *group), mode, cache_dir))
     if workers and workers > 1 and len(payloads) > 1:
-        context = _pool_context(start_method)
         with context.Pool(min(workers, len(payloads))) as pool:
             chunks = pool.map(_estimate_group, payloads)
     else:
         chunks = [_estimate_group(payload) for payload in payloads]
-    results: list[BatchResult | None] = [None] * len(indexed)
-    for chunk in chunks:
-        for position, outcome in chunk:
-            results[position] = outcome
-    return results  # type: ignore[return-value]  # every slot is filled above
+    return in_request_order(groups, chunks, len(requests))
+
+
+def group_positions(requests: Sequence[BatchRequest]) -> dict[tuple, list[int]]:
+    """``{group key: [request positions]}``, groups in first-seen order.
+
+    The one place requests are grouped: every entry point (this planner,
+    the registry, the server) splits a request list here, runs each
+    group, and puts the rows back with :func:`in_request_order`.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for position, request in enumerate(requests):
+        groups.setdefault(request.group_key(), []).append(position)
+    return groups
+
+
+def in_request_order(
+    groups: dict[tuple, list[int]],
+    chunks: Iterable[list[BatchResult]],
+    count: int,
+) -> list[BatchResult]:
+    """Per-group row lists (in ``groups`` order) back in request order."""
+    rows: list[BatchResult | None] = [None] * count
+    for positions, chunk in zip(groups.values(), chunks):
+        for position, row in zip(positions, chunk):
+            rows[position] = row
+    return rows  # type: ignore[return-value]  # groups cover every position
+
+
+def error_rows(
+    requests: Iterable[BatchRequest], error: BaseException
+) -> list[BatchResult]:
+    """The rows of a group that cannot be served: one error row each."""
+    return [BatchResult(request, error=str(error)) for request in requests]
 
 
 def group_seed_for(
@@ -222,71 +241,97 @@ def _pool_context(start_method: str | None = None):
     return multiprocessing.get_context("spawn")
 
 
-def _estimate_group(payload: tuple) -> list[tuple[int, BatchResult]]:
+def _estimate_group(payload: tuple) -> list[BatchResult]:
     """Run one group's requests against a shared session + pool (picklable).
 
-    ``payload`` is ``(group key, members, group seed, mode, cache_dir)``.
+    ``payload`` is ``(group key, requests, group seed, mode, cache_dir)``.
     """
     from ..approx.fpras import FPRASUnavailable
 
-    (database, constraints, law), members, group_seed, mode, cache_dir = payload
-    cache = None
-    if cache_dir is not None and group_seed is not None:
-        cache = CacheStore(cache_dir).entry(database, constraints, law.name, group_seed)
-    session = EstimationSession(database, constraints, law, cache=cache)
+    (database, constraints, law), requests, group_seed, mode, cache_dir = payload
+    store = CacheStore(cache_dir) if cache_dir is not None else None
     try:
-        if cache is not None:
-            pool = session.cached_pool(group_seed)
-        else:
-            pool = session.pool_for_seed(group_seed)
+        session, pool = open_group(
+            database, constraints, law, group_seed, store, STORE_ERRORS
+        )
     except (FPRASUnavailable, ValueError) as error:
-        return [
-            (position, BatchResult(request, error=str(error)))
-            for position, request in members
-        ]
-    outcomes = run_group(session, pool, members, mode)
-    if cache is not None:
+        return error_rows(requests, error)
+    rows = run_group(session, pool, requests, mode)
+    if session.cache is not None:
         try:
-            cache.save()
+            session.cache.save()
         except OSError as error:
             # The cache is an accelerator, never an authority: an
             # unwritable cache_dir must not discard computed results.
             # Absorbed, but *accounted* (and narrowly: anything else is a
             # store bug and propagates).
             STORE_ERRORS.record("save", error)
-    return outcomes
+    return rows
+
+
+def open_group(
+    database: Database,
+    constraints: FDSet,
+    law: MarkovChainGenerator,
+    seed: int | None,
+    store: CacheStore | None,
+    log: StoreErrorLog,
+) -> tuple[EstimationSession, SamplePool]:
+    """Open one ``(database, Σ, law)`` group: its session and shared pool.
+
+    With a ``store`` and a ``seed`` the session binds the group's store
+    entry and the pool warm-starts from it; load failures are accounted in
+    ``log`` (the registry's own, or :data:`~repro.engine.store.STORE_ERRORS`
+    offline) and the group is served compute-without-cache — a broken
+    disk never turns into an error row.  A *damaged* entry stays attached:
+    it warm-starts empty and becomes the save target once the group
+    recomputes.  Raises
+    :class:`~repro.approx.fpras.FPRASUnavailable` for a group outside the
+    paper's positive results.
+    """
+    cache = None
+    if store is not None and seed is not None:
+        try:
+            cache = store.entry(database, constraints, law.name, seed)
+        except OSError as error:
+            log.record("load", error)
+        else:
+            if cache.load_error is not None:
+                log.record("load", cache.load_error)
+            else:
+                log.mark_ok()
+    session = EstimationSession(database, constraints, law, cache=cache)
+    return session, session.cached_pool(seed)
 
 
 def run_group(
     session: EstimationSession,
-    pool,
-    members: Sequence[tuple[int, BatchRequest]],
+    pool: SamplePool,
+    requests: Sequence[BatchRequest],
     mode: str = "fixed",
-) -> list[tuple[int, BatchResult]]:
+) -> list[BatchResult]:
     """Execute one group's requests against a warm session + shared pool.
 
     The single per-group execution path: both the offline planner above
     and the long-running service plane (:mod:`repro.service`) route every
     request through here, so a served estimate can never drift from its
-    ``batch_estimate`` twin.  ``members`` rows are ``(position, request)``;
-    the returned rows carry the positions back unchanged (fixed mode
-    preserves member order, adaptive mode reports invalid requests first).
-    Because every request evaluates the pool from position zero, results
-    are independent of how ``members`` is partitioned across calls — the
-    micro-batching server coalesces concurrent requests through this
+    ``batch_estimate`` twin.  Rows come back in request order.  Because
+    every request evaluates the pool from position zero, results are
+    independent of how a group's requests are partitioned across calls —
+    the micro-batching server coalesces concurrent requests through this
     exact property.
     """
     if mode == "adaptive":
-        return _run_adaptive_group(session, pool, members)
+        return _run_adaptive_group(session, pool, requests)
     if mode != "fixed":
         raise ValueError(f"unknown mode {mode!r} (use 'fixed' or 'adaptive')")
-    return _run_fixed_group(session, pool, members)
+    return _run_fixed_group(session, pool, requests)
 
 
 def _prefetch_fixed_prefix(
     session: EstimationSession,
-    pool,
-    members: Sequence[tuple[int, BatchRequest]],
+    pool: SamplePool,
+    requests: Sequence[BatchRequest],
 ) -> None:
     """Pre-draw the group's longest fixed-method prefix in one chunked pass.
 
@@ -301,7 +346,7 @@ def _prefetch_fixed_prefix(
     from ..approx.fpras import FPRASUnavailable
 
     longest = 0
-    for _, request in members:
+    for request in requests:
         try:
             if not session.is_possible(request.query, request.answer):
                 continue
@@ -318,14 +363,14 @@ def _prefetch_fixed_prefix(
 
 def _run_fixed_group(
     session: EstimationSession,
-    pool,
-    members: Sequence[tuple[int, BatchRequest]],
-) -> list[tuple[int, BatchResult]]:
+    pool: SamplePool,
+    requests: Sequence[BatchRequest],
+) -> list[BatchResult]:
     from ..approx.fpras import FPRASUnavailable
 
-    _prefetch_fixed_prefix(session, pool, members)
-    outcomes: list[tuple[int, BatchResult]] = []
-    for position, request in members:
+    _prefetch_fixed_prefix(session, pool, requests)
+    rows: list[BatchResult] = []
+    for request in requests:
         try:
             result = session.estimate_pooled(
                 pool,
@@ -337,17 +382,17 @@ def _run_fixed_group(
                 max_samples=request.max_samples,
             )
         except (FPRASUnavailable, ValueError) as error:
-            outcomes.append((position, BatchResult(request, error=str(error))))
+            rows.append(BatchResult(request, error=str(error)))
         else:
-            outcomes.append((position, BatchResult(request, result=result)))
-    return outcomes
+            rows.append(BatchResult(request, result=result))
+    return rows
 
 
 def _run_adaptive_group(
     session: EstimationSession,
-    pool,
-    members: Sequence[tuple[int, BatchRequest]],
-) -> list[tuple[int, BatchResult]]:
+    pool: SamplePool,
+    requests: Sequence[BatchRequest],
+) -> list[BatchResult]:
     """All requests of one group as concurrent early-stopping estimators.
 
     The whole group is scheduled in one :meth:`estimate_adaptive_many`
@@ -356,10 +401,9 @@ def _run_adaptive_group(
     """
     from ..approx.fpras import FPRASUnavailable
 
-    specs = []
-    spec_positions = []
-    outcomes: list[tuple[int, BatchResult]] = []
-    for position, request in members:
+    rows: list[BatchResult | None] = [None] * len(requests)
+    valid: list[int] = []
+    for position, request in enumerate(requests):
         try:
             # Eagerly rehearse estimator construction — (ε, δ), max_samples
             # *and* this query's positivity bound (which can underflow to
@@ -377,26 +421,22 @@ def _run_adaptive_group(
                     request.max_samples,
                 )
         except (FPRASUnavailable, ValueError) as error:
-            outcomes.append((position, BatchResult(request, error=str(error))))
-            continue
-        specs.append(
-            (
-                request.query,
-                request.answer,
-                request.epsilon,
-                request.delta,
-                request.max_samples,
-            )
-        )
-        spec_positions.append((position, request))
+            rows[position] = BatchResult(request, error=str(error))
+        else:
+            valid.append(position)
+    scheduled = [requests[position] for position in valid]
+    specs = [
+        (r.query, r.answer, r.epsilon, r.delta, r.max_samples) for r in scheduled
+    ]
     try:
-        results = session.estimate_adaptive_many(pool, specs)
+        outcomes = [
+            BatchResult(request, result=result)
+            for request, result in zip(
+                scheduled, session.estimate_adaptive_many(pool, specs)
+            )
+        ]
     except (FPRASUnavailable, ValueError) as error:
-        outcomes.extend(
-            (position, BatchResult(request, error=str(error)))
-            for position, request in spec_positions
-        )
-        return outcomes
-    for (position, request), result in zip(spec_positions, results):
-        outcomes.append((position, BatchResult(request, result=result)))
-    return outcomes
+        outcomes = error_rows(scheduled, error)
+    for position, row in zip(valid, outcomes):
+        rows[position] = row
+    return rows  # type: ignore[return-value]  # every position is filled above

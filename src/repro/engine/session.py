@@ -78,7 +78,7 @@ messages as the per-call API.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..approx.adaptive import AdaptiveResult, SequentialEstimator
 from ..approx.bounds import (
@@ -148,6 +148,9 @@ def sampling_law(
 #: (and one store row group); the value is part of the vector stream's
 #: reproducibility contract, so changing it re-keys warm vector pools.
 DEFAULT_BATCH_SIZE = 512
+
+#: The first shared position target of adaptive scheduling rounds.
+_FIRST_ROUND = 64
 
 
 class _WalkPlane:
@@ -764,48 +767,6 @@ class EstimationSession:
 
         return stopping_rule_estimate(draw, epsilon, delta, max_samples=max_samples)
 
-    def estimate_many(
-        self,
-        requests: Iterable[tuple[ConjunctiveQuery, tuple]],
-        *,
-        epsilon: float = 0.2,
-        delta: float = 0.05,
-        method: str = "auto",
-        rng: random.Random | None = None,
-        max_samples: int | None = None,
-        pool: SamplePool | None = None,
-        mode: str = "fixed",
-    ) -> list[EstimateResult | AdaptiveResult]:
-        """Score many ``(query, answer)`` pairs against one shared pool.
-
-        ``mode="fixed"`` (default) runs each request's classical estimator
-        against the pool; ``mode="adaptive"`` instead runs all requests as
-        concurrent sequential estimators scheduled in doubling rounds (see
-        :meth:`estimate_adaptive_many`), ignoring ``method``.
-        """
-        if pool is None:
-            pool = self.pool(rng)
-        if mode == "adaptive":
-            specs = [
-                (query, answer, epsilon, delta, max_samples)
-                for query, answer in requests
-            ]
-            return self.estimate_adaptive_many(pool, specs)
-        if mode != "fixed":
-            raise ValueError(f"unknown mode {mode!r} (use 'fixed' or 'adaptive')")
-        return [
-            self.estimate_pooled(
-                pool,
-                query,
-                answer,
-                epsilon=epsilon,
-                delta=delta,
-                method=method,
-                max_samples=max_samples,
-            )
-            for query, answer in requests
-        ]
-
     # -- adaptive estimation -----------------------------------------------------------
 
     def estimate_adaptive(
@@ -862,8 +823,6 @@ class EstimationSession:
         self,
         pool: SamplePool,
         specs: Sequence[tuple[ConjunctiveQuery, tuple, float, float, int | None]],
-        *,
-        initial_round: int = 64,
     ) -> list[AdaptiveResult]:
         """Run many sequential estimators against one pool in doubling rounds.
 
@@ -889,7 +848,7 @@ class EstimationSession:
             pending.append(
                 [index, self._evaluator(pool, query, answer), estimator, 0]
             )
-        target = initial_round
+        target = _FIRST_ROUND
         while pending:
             goal = min(target, max(state[2].sample_cap for state in pending))
             still_pending = []

@@ -154,12 +154,17 @@ def _names(value: Any, what: str) -> list[str]:
 def _number(row: Mapping, defaults: Mapping, key: str, default, kind: Callable):
     """Request field ``key`` (else its default) as ``kind`` (``float``/``int``).
 
-    Only a ``None`` default lets the field be ``null``.
+    Only a ``None`` default lets the field be ``null``.  Booleans are not
+    numbers here, and an ``int`` field takes only integral values.
     """
     value = row.get(key, defaults.get(key, default))
     if value is None and default is None:
         return None
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise InstanceFormatError(f"{key!r} must be an integer, got {value!r}")
     try:
+        if isinstance(value, bool):
+            raise TypeError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise InstanceFormatError(f"{key!r} must be a number, got {value!r}") from None

@@ -11,8 +11,7 @@ conflicting block, same arguments):
 
 * :meth:`RepairSampler.sample` — the object path, materializing a result
   :class:`~repro.core.database.Database` per draw;
-* :meth:`RepairSampler.sample_mask` / :meth:`~RepairSampler.sample_ids` —
-  the interned fast path over an
+* :meth:`RepairSampler.sample_mask` — the interned fast path over an
   :class:`~repro.core.interning.InstanceIndex`: the survivor set as an id
   bitmask, built by OR-ing one precomputed bit per kept fact, with no
   ``Database`` (or even ``frozenset``) construction.
@@ -106,10 +105,6 @@ class RepairSampler:
                 if pick < len(bits):
                     mask |= bits[pick]
         return mask
-
-    def sample_ids(self) -> frozenset[int]:
-        """One uniform draw, as the frozen set of surviving fact ids."""
-        return frozenset(self.index.ids_of_mask(self.sample_mask()))
 
     # -- object path -------------------------------------------------------------------
 

@@ -20,8 +20,7 @@ Two draw paths share that weight table and consume the RNG identically:
   :class:`~repro.core.operations.Operation` tuple (and, via
   :meth:`~SequenceSampler.sample_result`, a result
   :class:`~repro.core.database.Database`);
-* :meth:`SequenceSampler.sample_mask` / :meth:`~SequenceSampler.sample_ids`
-  — the interned fast path over an
+* :meth:`SequenceSampler.sample_mask` — the interned fast path over an
   :class:`~repro.core.interning.InstanceIndex`, returning the survivor set
   as an id bitmask without constructing a single ``Operation``.
 
@@ -147,10 +146,6 @@ class SequenceSampler:
                 del block[second]
                 del block[first]
         return self.index.full_mask & ~removed
-
-    def sample_ids(self) -> frozenset[int]:
-        """One uniform draw, as the frozen set of surviving fact ids."""
-        return frozenset(self.index.ids_of_mask(self.sample_mask()))
 
     # -- object path -------------------------------------------------------------------
 

@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 from ..chains.generators import MarkovChainGenerator
 from ..core.database import Database
 from ..core.dependencies import FDSet
-from ..engine.batch import BatchRequest, BatchResult
+from ..engine.batch import BatchRequest, BatchResult, error_rows
 from .registry import SessionRegistry
 
 #: The two per-request execution modes a waiter may ask for.
@@ -265,11 +265,7 @@ class MicroBatcher:
         try:
             handle = self.registry.handle(*waiters[0].group)
         except (FPRASUnavailable, ValueError) as error:
-            message = str(error)
-            return [
-                [BatchResult(request, error=message) for request in waiter.requests]
-                for waiter in waiters
-            ]
+            return [error_rows(waiter.requests, error) for waiter in waiters]
         outputs: list[list[BatchResult] | None] = [None] * len(waiters)
         for mode in MODES:
             flat: list[BatchRequest] = []

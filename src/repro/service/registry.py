@@ -57,7 +57,16 @@ from typing import Sequence
 from ..chains.generators import MarkovChainGenerator
 from ..core.database import Database
 from ..core.dependencies import FDSet
-from ..engine.batch import BatchRequest, BatchResult, group_seed_for, run_group
+from ..engine.batch import (
+    BatchRequest,
+    BatchResult,
+    error_rows,
+    group_positions,
+    group_seed_for,
+    in_request_order,
+    open_group,
+    run_group,
+)
 from ..engine.session import EstimationSession, sampling_law
 from ..engine.store import CacheStore, StoreErrorLog, instance_cache_key
 
@@ -106,16 +115,12 @@ class SessionHandle:
         zero, results are independent of how requests are split across
         calls.
         """
-        members = list(enumerate(requests))
         with self.lock:
-            outcomes = run_group(self.session, self.pool, members, mode)
-            results: list[BatchResult | None] = [None] * len(members)
-            for position, outcome in outcomes:
-                results[position] = outcome
+            results = run_group(self.session, self.pool, requests, mode)
             self.batches_run += 1
-            self.requests_served += len(members)
+            self.requests_served += len(results)
             self.error_rows += sum(1 for row in results if not row.ok)
-        return results  # type: ignore[return-value]  # run_group fills every slot
+        return results
 
     def spill(self) -> None:
         """Persist the session's cache entry, best-effort (the cache is
@@ -254,7 +259,12 @@ class SessionRegistry:
                 self._handles.move_to_end(key)
                 self.hits += 1
                 return cached
-        handle = self._admit(seed, key, database, constraints, law)
+        # Built outside the registry lock; raises FPRASUnavailable for
+        # out-of-scope groups before admission.
+        session, pool = open_group(
+            database, constraints, law, seed, self.store, self.storage
+        )
+        handle = SessionHandle(key, session, pool, seed, storage=self.storage)
         evicted: list[SessionHandle] = []
         with self._lock:
             raced = self._handles.get(key)
@@ -274,47 +284,6 @@ class SessionRegistry:
             old.spill()
         return handle
 
-    def _admit(
-        self,
-        seed: int | None,
-        key: str,
-        database: Database,
-        constraints: FDSet,
-        law: MarkovChainGenerator,
-    ) -> SessionHandle:
-        """Build a cold group's session + pool (outside the registry lock).
-
-        Degraded admission: if the store cannot even hand out an entry,
-        or warm-starting the pool fails, the group is served
-        compute-without-cache and the failure is accounted — a broken
-        disk must never turn into a 500.  A *damaged* entry
-        (``load_error`` set) stays attached: it warm-starts empty and
-        becomes the save target once the group recomputes.
-        """
-        cache = None
-        if self.store is not None and seed is not None:
-            try:
-                cache = self.store.entry(database, constraints, law.name, seed)
-            except OSError as error:
-                self.storage.record("load", error)
-            else:
-                if cache.load_error is not None:
-                    self.storage.record("load", cache.load_error)
-                else:
-                    self.storage.mark_ok()
-        session = EstimationSession(database, constraints, law, cache=cache)
-        # Raises FPRASUnavailable for out-of-scope groups before admission.
-        if cache is not None:
-            try:
-                pool = session.cached_pool(seed)
-            except OSError as error:
-                self.storage.record("warm", error)
-                session = EstimationSession(database, constraints, law)
-                pool = session.pool_for_seed(seed)
-        else:
-            pool = session.pool_for_seed(seed)
-        return SessionHandle(key, session, pool, seed, storage=self.storage)
-
     def estimate(
         self, requests: Sequence[BatchRequest], mode: str = "fixed"
     ) -> list[BatchResult]:
@@ -329,24 +298,18 @@ class SessionRegistry:
         """
         from ..approx.fpras import FPRASUnavailable
 
-        indexed = list(enumerate(requests))
-        groups: dict[tuple, list[tuple[int, BatchRequest]]] = {}
-        for position, request in indexed:
-            groups.setdefault(request.group_key(), []).append((position, request))
-        results: list[BatchResult | None] = [None] * len(indexed)
-        for group, members in groups.items():
-            group_requests = [request for _, request in members]
+        requests = list(requests)
+        groups = group_positions(requests)
+        chunks = []
+        for group, positions in groups.items():
+            members = [requests[p] for p in positions]
             try:
                 handle = self.handle(*group)
             except (FPRASUnavailable, ValueError) as error:
-                for position, request in members:
-                    results[position] = BatchResult(request, error=str(error))
-                continue
-            for (position, _), outcome in zip(
-                members, handle.run(group_requests, mode)
-            ):
-                results[position] = outcome
-        return results  # type: ignore[return-value]  # every slot is filled above
+                chunks.append(error_rows(members, error))
+            else:
+                chunks.append(handle.run(members, mode))
+        return in_request_order(groups, chunks, len(requests))
 
     def handles(self) -> list[SessionHandle]:
         """A stable snapshot of the warm handles, LRU-oldest first."""

@@ -80,7 +80,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..engine import fsfault as _fsfault
-from ..engine.batch import BatchRequest, BatchResult
+from ..engine.batch import BatchRequest, BatchResult, group_positions, in_request_order
 from ..io import (
     InstanceFormatError,
     batch_result_to_row,
@@ -510,7 +510,7 @@ class EstimationServer:
         self._m_store_errors = metrics.counter(
             "repro_store_errors_total",
             "Cache-store failures absorbed into degraded mode, by "
-            "operation (load/warm/spill/save) and kind.",
+            "operation (load/spill/save) and kind.",
             ("op", "kind"),
         )
         self.registry.storage.listener = (
@@ -1281,25 +1281,19 @@ class EstimationServer:
         by its registry key (coalescing happens in the owning shard's
         micro-batcher); results come back in request order.
         """
-        groups: dict[tuple, list[tuple[int, BatchRequest]]] = {}
-        for position, request in enumerate(requests):
-            groups.setdefault(request.group_key(), []).append((position, request))
-        submissions = []
-        for group, members in groups.items():
-            submissions.append(
+        groups = group_positions(requests)
+        chunks = await asyncio.gather(
+            *(
                 self.shards.submit(
                     self.registry.key_for(*group),
                     *group,
-                    [request for _, request in members],
+                    [requests[p] for p in positions],
                     mode,
                 )
+                for group, positions in groups.items()
             )
-        chunks = await asyncio.gather(*submissions)
-        results: list[BatchResult | None] = [None] * len(requests)
-        for members, chunk in zip(groups.values(), chunks):
-            for (position, _), outcome in zip(members, chunk):
-                results[position] = outcome
-        return results  # type: ignore[return-value]  # every slot is filled above
+        )
+        return in_request_order(groups, chunks, len(requests))
 
 
 def serve(

@@ -95,6 +95,9 @@ _BATCHING_MAX_KEYS = ("widest_batch", "batch_seconds_ewma")
 #: is likely being killed *by* it).
 _MAX_RETRIES = 2
 
+#: Recently routed groups remembered for re-warming a respawned shard.
+_WARM_KEYS = 256
+
 
 def shard_for_key(key: str, shards: int) -> int:
     """Rendezvous-hash a registry key to a shard in ``range(shards)``.
@@ -168,7 +171,6 @@ class WorkerConfig:
     max_sessions: int = DEFAULT_MAX_SESSIONS
     max_queue: int | None = None
     max_pending: int | None = None
-    start_method: str | None = None
 
 
 class WorkerDied(RuntimeError):
@@ -407,7 +409,6 @@ class WorkerPool:
         config: WorkerConfig,
         workers: int,
         *,
-        warm_keys: int = 256,
         on_restart: Callable[[int], None] | None = None,
     ):
         if workers < 1:
@@ -426,7 +427,6 @@ class WorkerPool:
         # key -> (database, constraints, generator): the bounded LRU of
         # recently routed groups used to re-warm a respawned shard.
         self._warm: OrderedDict[str, tuple] = OrderedDict()
-        self._warm_limit = warm_keys
         self._revivals: set[asyncio.Task] = set()
 
     # -- lifecycle ---------------------------------------------------------------------
@@ -436,8 +436,8 @@ class WorkerPool:
         from ..engine.batch import START_METHOD_ENV, _pool_context
 
         self._loop = asyncio.get_running_loop()
-        if self.config.start_method or os.environ.get(START_METHOD_ENV):
-            self._context = _pool_context(self.config.start_method)
+        if os.environ.get(START_METHOD_ENV):
+            self._context = _pool_context()
         else:
             # Never default to fork here, even when the process is still
             # single-threaded at resolution time: shards are forked
@@ -721,5 +721,5 @@ class WorkerPool:
     def _remember(self, key: str, group: tuple) -> None:
         self._warm[key] = group
         self._warm.move_to_end(key)
-        while len(self._warm) > self._warm_limit:
+        while len(self._warm) > _WARM_KEYS:
             self._warm.popitem(last=False)

@@ -23,6 +23,7 @@ from repro.approx.montecarlo import chernoff_sample_size
 from repro.chains.generators import M_UR, M_UR1, M_US
 from repro.core.queries import atom, boolean_cq, cq, var
 from repro.engine import BatchRequest, EstimationSession, batch_estimate
+from repro.engine.batch import run_group
 from repro.exact import rrfreq
 from repro.workloads import database_with_inconsistency, figure2_database
 
@@ -203,12 +204,9 @@ class TestScheduler:
         query = cq((x,), (atom("R", x, y),))
         candidates = sorted(query.answers(database), key=repr)
         session = EstimationSession(database, constraints, M_UR)
-        batched = session.estimate_many(
-            [(query, c) for c in candidates],
-            epsilon=EPSILON,
-            delta=DELTA,
-            mode="adaptive",
-            pool=session.pool(random.Random(13)),
+        batched = session.estimate_adaptive_many(
+            session.pool(random.Random(13)),
+            [(query, c, EPSILON, DELTA, None) for c in candidates],
         )
         singles_pool = session.pool(random.Random(13))
         singles = [
@@ -238,7 +236,7 @@ class TestScheduler:
         database, constraints = figure2_database()
         session = EstimationSession(database, constraints, M_UR)
         with pytest.raises(ValueError, match="unknown mode"):
-            session.estimate_many([], mode="bogus", pool=session.pool())
+            run_group(session, session.pool(), [], "bogus")
 
 
 class TestBatchAdaptiveMode:

@@ -14,7 +14,8 @@ from repro.approx.fpras import FPRASUnavailable, fixed_budget_estimate, fpras_oc
 from repro.chains.generators import M_UO, M_UO1, M_UR, M_UR1, M_US, M_US1
 from repro.core.interning import InstanceIndex
 from repro.core.queries import QueryError, atom, boolean_cq, cq, var
-from repro.engine import EstimationSession, SamplePool
+from repro.engine import BatchRequest, EstimationSession, SamplePool
+from repro.engine.batch import run_group
 from repro.workloads import figure2_database
 
 x, y = var("x"), var("y")
@@ -133,20 +134,25 @@ class TestSeededParity:
         assert result_fields(pooled) == result_fields(per_call)
         assert math.isnan(pooled.epsilon) and math.isnan(pooled.delta)
 
-    def test_estimate_many_equals_individual_pooled_calls(self, fig2):
+    def test_run_group_equals_individual_pooled_calls(self, fig2):
         database, constraints = fig2
         query = cq((x,), (atom("R", x, y),))
-        requests = [(query, c) for c in sorted(query.answers(database), key=repr)]
+        requests = [
+            BatchRequest(
+                database, constraints, M_UR, query, c, epsilon=EPSILON, delta=DELTA
+            )
+            for c in sorted(query.answers(database), key=repr)
+        ]
         session = EstimationSession(database, constraints, M_UR)
-        batch = session.estimate_many(
-            requests, epsilon=EPSILON, delta=DELTA, rng=random.Random(59)
-        )
+        batch = run_group(session, session.pool(random.Random(59)), requests)
         single_pool = session.pool(random.Random(59))
         singles = [
-            session.estimate_pooled(single_pool, q, a, epsilon=EPSILON, delta=DELTA)
-            for q, a in requests
+            session.estimate_pooled(
+                single_pool, r.query, r.answer, epsilon=EPSILON, delta=DELTA
+            )
+            for r in requests
         ]
-        assert batch == singles
+        assert [row.result for row in batch] == singles
 
 
 class TestCaching:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.chains.generators import M_UO, M_UO1, M_UR, M_UR1, M_US, M_US1
 from repro.core import Database, FDSet, Schema, fact, fd
 from repro.core.blocks import block_decomposition
-from repro.core.interning import InstanceIndex, InterningError
+from repro.core.interning import InstanceIndex, InterningError, mask_ids
 from repro.approx.montecarlo import fixed_sample_estimate, stopping_rule_estimate
 from repro.engine import BatchRequest, EstimationSession, batch_estimate
 from repro.engine.batch import group_seed_for, run_group
@@ -79,16 +79,11 @@ class TestInstanceIndex:
         subset = frozenset(database.sorted_facts()[::2])
         mask = index.mask_of(subset)
         assert index.facts_of_mask(mask) == subset
-        assert index.mask_of_ids(index.ids_of_mask(mask)) == mask
-        assert index.sorted_ids_of_mask(mask) == sorted(
-            index.id_of[f] for f in subset
-        )
+        assert mask_ids(mask) == sorted(index.id_of[f] for f in subset)
 
     def test_foreign_fact_rejected(self):
         database, constraints = figure2_database()
         index = InstanceIndex.of(database, constraints)
-        with pytest.raises(InterningError):
-            index.id(fact("R", "nope", "nope"))
         with pytest.raises(InterningError):
             index.mask_of([fact("R", "nope", "nope")])
 
@@ -104,16 +99,6 @@ class TestInstanceIndex:
         assert index.facts_of_mask(index.always_kept_mask()) == (
             decomposition.singleton_facts()
         )
-
-    def test_relation_ids_partition_the_ids(self):
-        database, constraints = figure2_database()
-        index = InstanceIndex.of(database, constraints)
-        everything = [
-            identifier
-            for name in index.relation_names()
-            for identifier in index.relation_ids(name)
-        ]
-        assert sorted(everything) == list(range(len(database)))
 
     def test_no_constraints_means_no_blocks(self):
         database, _ = figure2_database()
@@ -170,10 +155,8 @@ class TestSamplerDrawParity:
         database, constraints = instance
         sampler = RepairSampler(database, constraints, rng=random.Random(seed))
         twin = RepairSampler(database, constraints, rng=random.Random(seed))
-        ids = sampler.sample_ids()
-        assert frozenset(
-            sampler.index.fact_of(identifier) for identifier in ids
-        ) == twin.sample().facts
+        mask = sampler.sample_mask()
+        assert sampler.index.facts_of_mask(mask) == twin.sample().facts
 
     @pytest.mark.parametrize("generator", BLOCK_GENERATORS, ids=lambda g: g.name)
     def test_session_pool_masks_denote_object_samples(self, generator):
@@ -286,7 +269,7 @@ class TestKernelOnOffParity:
         session = EstimationSession(database, constraints, M_UR)
         group_seed = group_seed_for(seed, database, constraints, M_UR)
         pool = session.pool(random.Random(group_seed))
-        on = [result for _, result in run_group(session, pool, list(enumerate(requests)))]
+        on = run_group(session, pool, requests)
         assert all(r.ok for r in on)
         off = self.object_path_rows(database, constraints, requests, seed)
         assert [r.result for r in on] == off
@@ -332,12 +315,9 @@ class TestKernelOnOffParity:
         query = cq((x,), (atom("R", x, y),))
         candidates = sorted(query.answers(database), key=repr)
         session = EstimationSession(database, constraints, M_UR)
-        on = session.estimate_many(
-            [(query, c) for c in candidates],
-            epsilon=EPSILON,
-            delta=DELTA,
-            rng=random.Random(7),
-            mode="adaptive",
+        on = session.estimate_adaptive_many(
+            session.pool(random.Random(7)),
+            [(query, c, EPSILON, DELTA, None) for c in candidates],
         )
         # Each request reads one shared object stream from position zero.
         draw, stream = object_draws(session, random.Random(7)), []

@@ -34,6 +34,7 @@ from repro.engine import (
     SamplePool,
     batch_estimate,
 )
+from repro.engine.batch import run_group
 from repro.sampling.rng import CumulativeWeights, weighted_choice
 from repro.sampling import vectorized
 from repro.workloads import figure2_database
@@ -650,26 +651,20 @@ class TestVectorEstimationParity:
             assert 0 <= dklr[position].estimate <= 1
             assert adaptive[position].samples_used <= len(pool)
 
-    def test_estimate_many_modes_are_reproducible_on_vector_pools(self):
+    def test_run_group_modes_are_reproducible_on_vector_pools(self):
         database, constraints = figure2_database()
         query = cq((x,), (atom("R", x, y),))
-        requests = [(query, c) for c in sorted(query.answers(database), key=repr)]
+        requests = [
+            BatchRequest(
+                database, constraints, M_UR, query, c, epsilon=EPSILON, delta=DELTA
+            )
+            for c in sorted(query.answers(database), key=repr)
+        ]
         session = EstimationSession(database, constraints, M_UR)
         for mode in ("fixed", "adaptive"):
-            first = session.estimate_many(
-                requests,
-                epsilon=EPSILON,
-                delta=DELTA,
-                pool=session.pool_for_seed(29),
-                mode=mode,
-            )
-            second = session.estimate_many(
-                requests,
-                epsilon=EPSILON,
-                delta=DELTA,
-                pool=session.pool_for_seed(29),
-                mode=mode,
-            )
+            first = run_group(session, session.pool_for_seed(29), requests, mode)
+            second = run_group(session, session.pool_for_seed(29), requests, mode)
+            assert all(row.ok for row in first)
             assert first == second
 
 
