@@ -149,7 +149,7 @@ def test_e24_fixed_budget_grows_adaptive_stays_flat(benchmark):
     budgets = [budget for _, budget, _ in rows]
     adaptives = [used for _, _, used in rows]
     assert budgets == sorted(budgets) and budgets[-1] > 2 * budgets[0]
-    # Constant true p = 1/4: adaptive cost stays within one doubling round.
+    # Constant true p = 1/4: adaptive cost stays within a factor of two.
     assert max(adaptives) <= 2 * min(adaptives)
     for n_facts, budget, used in rows:
         emit("E24", facts=n_facts, fixed_budget=budget, adaptive_samples=used, true_p=0.25)

@@ -45,7 +45,12 @@ the true mean is zero or at least ``p_lower``.
 against the fixed-budget path on the E18/E21 workloads; the engine layer
 (:meth:`repro.engine.session.EstimationSession.estimate_adaptive` and
 ``batch_estimate(mode="adaptive")``) feeds these estimators from shared
-sample pools in doubling rounds.
+sample pools, each reading its pool from position zero.
+
+Only the zero certificate (``adaptive-zero``) sets ``certified_zero``: a
+run stopped by the cap, with or without hits, certifies nothing about a
+zero mean (an all-zero stream reaches the zero certificate before the
+Chernoff cap, so only a user truncation can stop one at the cap).
 """
 
 from __future__ import annotations
@@ -150,10 +155,10 @@ class SequentialEstimator:
 
     Feed samples one at a time with :meth:`offer`; once :attr:`decided` is
     true, :meth:`result` returns the :class:`AdaptiveResult`.  The consumer
-    drives the sample stream — which is what lets the engine grow one shared
-    :class:`~repro.engine.session.SamplePool` per *round* and feed many
-    concurrent estimators from it (see the module docstring for the
-    stopping rules and the δ-budget split).
+    drives the sample stream — which is what lets the engine feed every
+    request of a group from one shared
+    :class:`~repro.engine.session.SamplePool` (see the module docstring
+    for the stopping rules and the δ-budget split).
 
     ``p_lower`` (the paper's positivity bound) enables the zero certificate
     and the fixed-budget fallback cap; without it the estimator can run
@@ -184,7 +189,6 @@ class SequentialEstimator:
         self._sum_squares = 0.0
         self._decided = False
         self._method = ""
-        self._certified_zero = False
         # δ-budget split: half to the anytime confidence sequence, a quarter
         # each to the zero certificate and the Chernoff fallback cap.
         self._delta_sequence = delta / 2.0
@@ -260,7 +264,6 @@ class SequentialEstimator:
         #    μ >= p_lower at confidence 1 − δ/4.
         elif self._zero_cap is not None and self._n >= self._zero_cap:
             self._decided, self._method = True, "adaptive-zero"
-            self._certified_zero = True
             return True
         # 3. Fallback cap: the fixed-budget guarantee (or user truncation).
         if self.sample_cap is not None and self._n >= self.sample_cap:
@@ -269,7 +272,6 @@ class SequentialEstimator:
                 self._method = "adaptive-chernoff-cap"
             else:
                 self._method = "adaptive-truncated"
-            self._certified_zero = self._sum == 0.0
             return True
         return False
 
@@ -278,11 +280,11 @@ class SequentialEstimator:
         if not self._decided:
             raise RuntimeError("estimator has not stopped yet")
         mean = self.mean()
-        # Only the zero *certificate* justifies a point interval at zero; a
-        # user-truncated all-zero run still carries the honest anytime
-        # radius (its certified_zero flag mirrors the fixed path's
-        # ``dklr-truncated`` precedent, nothing stronger).
-        radius = 0.0 if self._method == "adaptive-zero" else self.radius()
+        # Only the zero *certificate* justifies a point interval at zero
+        # (and the certified_zero flag); a user-truncated all-zero run
+        # carries the honest anytime radius and certifies nothing.
+        certified_zero = self._method == "adaptive-zero"
+        radius = 0.0 if certified_zero else self.radius()
         return AdaptiveResult(
             estimate=mean,
             samples_used=self._n,
@@ -295,7 +297,7 @@ class SequentialEstimator:
                 confidence=1.0 - self.delta,
                 method="anytime-eb-hoeffding",
             ),
-            certified_zero=self._certified_zero,
+            certified_zero=certified_zero,
         )
 
 

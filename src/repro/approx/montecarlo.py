@@ -113,9 +113,10 @@ def stopping_rule_estimate(
     """Dagum–Karp–Luby–Ross stopping rule (their Stopping Rule Algorithm).
 
     Terminates once the running sum reaches ``Υ₁``; with ``max_samples`` set,
-    an all-zero truncated run returns 0 (flagged ``certified_zero``) and a
-    non-zero truncated run returns the plain sample mean (the caller chose
-    the truncation, so the (ε, δ) guarantee is theirs to interpret).
+    a truncated run returns the plain sample mean (0 for an all-zero run)
+    as ``dklr-truncated``.  The caller chose the truncation, so the (ε, δ)
+    guarantee is theirs to interpret, and a truncated zero is never
+    ``certified_zero``: no positivity bound sized the run.
     """
     if not 0 < epsilon < 1:
         raise ValueError("the stopping rule requires 0 < epsilon < 1")
@@ -136,7 +137,6 @@ def stopping_rule_estimate(
                 epsilon=epsilon,
                 delta=delta,
                 method="dklr-truncated",
-                certified_zero=(total == 0.0),
             )
         total += draw()
         n += 1

@@ -50,7 +50,7 @@ from ..counting.survival import (
     ground_survival_mus,
     ground_survival_mus1,
 )
-from ..engine import CacheStore, EstimationSession, sampling_law
+from ..engine import MODES, CacheStore, EstimationSession, sampling_law
 from ..exact import exact_ocqa
 from ..workloads import (
     block_membership_query,
@@ -78,7 +78,6 @@ __all__ = [
     "run_audit",
 ]
 
-MODES = ("fixed", "adaptive")
 WARMTHS = ("cold", "warm")
 
 _EXACT_SURVIVAL = {

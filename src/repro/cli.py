@@ -69,7 +69,7 @@ from .counting.repair_count import (
     count_singleton_repairs_primary_keys,
 )
 from .cqa.answers import ocqa_probability, operational_consistent_answers
-from .engine.batch import batch_estimate
+from .engine.batch import MODES, batch_estimate
 from .io import (
     InstanceFormatError,
     batch_results_to_rows,
@@ -328,7 +328,7 @@ def _arguments_batch(subparser: argparse.ArgumentParser) -> None:
     )
     subparser.add_argument(
         "--mode",
-        choices=("fixed", "adaptive"),
+        choices=MODES,
         default=None,
         help="estimation mode (default: the workload's 'mode' field, else fixed); "
         "'adaptive' uses sequential early-stopping estimators",

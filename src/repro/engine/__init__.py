@@ -13,7 +13,7 @@ accounted in a :class:`StoreErrorLog`.  See ``docs/ARCHITECTURE.md`` for
 how this layer sits on top of the paper's samplers and bounds.
 """
 
-from .batch import BatchRequest, BatchResult, batch_estimate
+from .batch import MODES, BatchRequest, BatchResult, batch_estimate
 from .session import DEFAULT_BATCH_SIZE, EstimationSession, SamplePool, sampling_law
 from .store import (
     STORE_VERSION,
@@ -33,6 +33,7 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "EstimationSession",
     "FsckReport",
+    "MODES",
     "STORE_VERSION",
     "SamplePool",
     "StoreErrorLog",

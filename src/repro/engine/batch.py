@@ -23,10 +23,10 @@ raising, as before).
 
 Two orthogonal switches extend the planner:
 
-* ``mode="adaptive"`` — run each group's requests as concurrent sequential
-  early-stopping estimators (:mod:`repro.approx.adaptive`), scheduled in
-  doubling rounds over one shared pool (its length is the slowest stopping
-  time, not the sum); per-request ``method`` is ignored in this mode.
+* ``mode="adaptive"`` — run each request as a sequential early-stopping
+  estimator (:mod:`repro.approx.adaptive`) over the group's shared pool
+  (its length is the slowest stopping time, not the sum); per-request
+  ``method`` is ignored in this mode.
 * ``cache_dir=...`` — persist possibility verdicts and pool sample
   batches per ``(database, Σ, law, seed)`` key in a
   :class:`~repro.engine.store.CacheStore`, so reruns of the same workload
@@ -34,9 +34,8 @@ Two orthogonal switches extend the planner:
   reproducible and bypass the cache).
 
 The sample plane follows the law: ``M_ur``/``M_us`` groups draw on
-the vectorized numpy plane (whole ``uint64``-packed batches, fixed-mode
-prefixes pre-drawn in one chunked pass) and ``M_uo`` groups on the scalar
-interned kernel.
+the vectorized numpy plane (whole ``uint64``-packed batches) and ``M_uo``
+groups on the scalar interned kernel.
 """
 
 from __future__ import annotations
@@ -60,6 +59,11 @@ from .store import STORE_ERRORS, CacheStore, StoreErrorLog, instance_cache_key
 #: ``batch_estimate(workers=...)`` (same values as the ``start_method``
 #: argument: ``fork`` / ``spawn`` / ``forkserver``).
 START_METHOD_ENV = "REPRO_UOCQA_START_METHOD"
+
+#: The estimation modes every entry point accepts: ``fixed`` runs each
+#: request's resolved fixed-budget or stopping-rule estimator, ``adaptive``
+#: its sequential early-stopping estimator (:mod:`repro.approx.adaptive`).
+MODES = ("fixed", "adaptive")
 
 
 @dataclass(frozen=True)
@@ -123,15 +127,14 @@ def batch_estimate(
     (``seed`` of ``None`` means fresh entropy per group, useful only when
     reproducibility does not matter).
 
-    ``mode="adaptive"`` switches every group to the early-stopping
-    scheduler; ``cache_dir`` persists per-group state across processes and
-    runs (see the module docstring).
+    ``mode`` is one of :data:`MODES`: ``"adaptive"`` switches every
+    request to its early-stopping estimator; ``cache_dir`` persists
+    per-group state across processes and runs (see the module docstring).
 
     Each group's sampling law picks its sample plane: ``M_ur``/``M_us``
-    groups draw on the vectorized numpy plane — workers then draw in
-    whole batches, and fixed mode pre-draws a group's longest fixed
-    prefix in one chunked pass — and ``M_uo`` groups on the scalar plane.
-    The plane never depends on what ``cache_dir`` holds.
+    groups draw on the vectorized numpy plane, in whole batches, and
+    ``M_uo`` groups on the scalar plane.  The plane never depends on what
+    ``cache_dir`` holds.
 
     ``start_method`` pins the ``multiprocessing`` start method for the
     worker fan-out (``"fork"`` / ``"spawn"`` / ``"forkserver"``); the
@@ -141,7 +144,7 @@ def batch_estimate(
     deadlock the children (and is deprecated on Python 3.12+) — and
     ``spawn`` otherwise.  Estimates never depend on the start method.
     """
-    if mode not in ("fixed", "adaptive"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r} (use 'fixed' or 'adaptive')")
     # Resolved eagerly (not only when the fan-out runs) so a start-method
     # typo fails the same way with one group as with many.
@@ -154,10 +157,15 @@ def batch_estimate(
         payloads.append((group, members, group_seed_for(seed, *group), mode, cache_dir))
     if workers and workers > 1 and len(payloads) > 1:
         with context.Pool(min(workers, len(payloads))) as pool:
-            chunks = pool.map(_estimate_group, payloads)
+            outcomes = pool.map(_estimate_group, payloads)
     else:
-        chunks = [_estimate_group(payload) for payload in payloads]
-    return in_request_order(groups, chunks, len(requests))
+        outcomes = [_estimate_group(payload) for payload in payloads]
+    # Store failures are counted where the caller can see them, whichever
+    # process ran the group.
+    for _, records in outcomes:
+        for op, kind in records:
+            STORE_ERRORS.record(op, kind)
+    return in_request_order(groups, (rows for rows, _ in outcomes), len(requests))
 
 
 def group_positions(requests: Sequence[BatchRequest]) -> dict[tuple, list[int]]:
@@ -241,21 +249,28 @@ def _pool_context(start_method: str | None = None):
     return multiprocessing.get_context("spawn")
 
 
-def _estimate_group(payload: tuple) -> list[BatchResult]:
+def _estimate_group(
+    payload: tuple,
+) -> tuple[list[BatchResult], list[tuple[str, str]]]:
     """Run one group's requests against a shared session + pool (picklable).
 
     ``payload`` is ``(group key, requests, group seed, mode, cache_dir)``.
+    Returns the rows and the group's absorbed store failures as
+    ``(op, kind)`` records, which the caller counts in its own
+    :data:`~repro.engine.store.STORE_ERRORS` — a worker process's copy of
+    that log is invisible to the caller.
     """
     from ..approx.fpras import FPRASUnavailable
 
     (database, constraints, law), requests, group_seed, mode, cache_dir = payload
+    records: list[tuple[str, str]] = []
+    log = StoreErrorLog()
+    log.listener = lambda op, kind: records.append((op, kind))
     store = CacheStore(cache_dir) if cache_dir is not None else None
     try:
-        session, pool = open_group(
-            database, constraints, law, group_seed, store, STORE_ERRORS
-        )
+        session, pool = open_group(database, constraints, law, group_seed, store, log)
     except (FPRASUnavailable, ValueError) as error:
-        return error_rows(requests, error)
+        return error_rows(requests, error), records
     rows = run_group(session, pool, requests, mode)
     if session.cache is not None:
         try:
@@ -265,8 +280,8 @@ def _estimate_group(payload: tuple) -> list[BatchResult]:
             # unwritable cache_dir must not discard computed results.
             # Absorbed, but *accounted* (and narrowly: anything else is a
             # store bug and propagates).
-            STORE_ERRORS.record("save", error)
-    return rows
+            log.record("save", error)
+    return rows, records
 
 
 def open_group(
@@ -281,8 +296,10 @@ def open_group(
 
     With a ``store`` and a ``seed`` the session binds the group's store
     entry and the pool warm-starts from it; load failures are accounted in
-    ``log`` (the registry's own, or :data:`~repro.engine.store.STORE_ERRORS`
-    offline) and the group is served compute-without-cache — a broken
+    ``log`` (the registry's own, or offline the group's own, which
+    :func:`batch_estimate` folds into
+    :data:`~repro.engine.store.STORE_ERRORS`) and the group is served
+    compute-without-cache — a broken
     disk never turns into an error row.  A *damaged* entry stays attached:
     it warm-starts empty and becomes the save target once the group
     recomputes.  Raises
@@ -315,128 +332,46 @@ def run_group(
     The single per-group execution path: both the offline planner above
     and the long-running service plane (:mod:`repro.service`) route every
     request through here, so a served estimate can never drift from its
-    ``batch_estimate`` twin.  Rows come back in request order.  Because
-    every request evaluates the pool from position zero, results are
-    independent of how a group's requests are partitioned across calls —
-    the micro-batching server coalesces concurrent requests through this
-    exact property.
+    ``batch_estimate`` twin.  Each request makes one session call over the
+    shared pool — :meth:`~EstimationSession.estimate_pooled` in fixed
+    mode, :meth:`~EstimationSession.estimate_adaptive` in adaptive mode —
+    and a request outside the paper's scope or with bad parameters gets
+    its own error row.  Rows come back in request order.  Because every
+    request reads the pool from position zero and sample ``i`` is a pure
+    function of ``(seed, i)``, results — and the pool's final length, the
+    longest prefix any request reads rounded up to the pool's batch — are
+    independent of request order and of how a group's requests are
+    partitioned across calls; the micro-batching server coalesces
+    concurrent requests through this exact property.
     """
-    if mode == "adaptive":
-        return _run_adaptive_group(session, pool, requests)
-    if mode != "fixed":
+    from ..approx.fpras import FPRASUnavailable
+
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r} (use 'fixed' or 'adaptive')")
-    return _run_fixed_group(session, pool, requests)
-
-
-def _prefetch_fixed_prefix(
-    session: EstimationSession,
-    pool: SamplePool,
-    requests: Sequence[BatchRequest],
-) -> None:
-    """Pre-draw the group's longest fixed-method prefix in one chunked pass.
-
-    Every fixed-method request reads its full Chernoff budget from
-    position zero, so the longest such budget is materialized eventually
-    anyway; drawing it up front lets vector pools fill whole batches
-    back-to-back (and leaves the final pool length — hence the persisted
-    cache entry — exactly what the per-request loop would produce).
-    Requests that will error, are certified impossible, or resolve to
-    the stopping rule contribute nothing.
-    """
-    from ..approx.fpras import FPRASUnavailable
-
-    longest = 0
-    for request in requests:
-        try:
-            if not session.is_possible(request.query, request.answer):
-                continue
-            resolved, budget, _ = session._resolve_method(
-                request.query, request.epsilon, request.delta, request.method, None
-            )
-        except (FPRASUnavailable, ValueError):
-            continue
-        if resolved == "fixed":
-            longest = max(longest, budget)
-    if longest:
-        pool.ensure(longest)
-
-
-def _run_fixed_group(
-    session: EstimationSession,
-    pool: SamplePool,
-    requests: Sequence[BatchRequest],
-) -> list[BatchResult]:
-    from ..approx.fpras import FPRASUnavailable
-
-    _prefetch_fixed_prefix(session, pool, requests)
     rows: list[BatchResult] = []
     for request in requests:
         try:
-            result = session.estimate_pooled(
-                pool,
-                request.query,
-                request.answer,
-                epsilon=request.epsilon,
-                delta=request.delta,
-                method=request.method,
-                max_samples=request.max_samples,
-            )
+            if mode == "fixed":
+                result = session.estimate_pooled(
+                    pool,
+                    request.query,
+                    request.answer,
+                    epsilon=request.epsilon,
+                    delta=request.delta,
+                    method=request.method,
+                    max_samples=request.max_samples,
+                )
+            else:
+                result = session.estimate_adaptive(
+                    request.query,
+                    request.answer,
+                    epsilon=request.epsilon,
+                    delta=request.delta,
+                    pool=pool,
+                    max_samples=request.max_samples,
+                )
         except (FPRASUnavailable, ValueError) as error:
             rows.append(BatchResult(request, error=str(error)))
         else:
             rows.append(BatchResult(request, result=result))
     return rows
-
-
-def _run_adaptive_group(
-    session: EstimationSession,
-    pool: SamplePool,
-    requests: Sequence[BatchRequest],
-) -> list[BatchResult]:
-    """All requests of one group as concurrent early-stopping estimators.
-
-    The whole group is scheduled in one :meth:`estimate_adaptive_many`
-    call, so pool growth happens in shared doubling rounds; a request with
-    invalid parameters is reported individually without sinking the group.
-    """
-    from ..approx.fpras import FPRASUnavailable
-
-    rows: list[BatchResult | None] = [None] * len(requests)
-    valid: list[int] = []
-    for position, request in enumerate(requests):
-        try:
-            # Eagerly rehearse estimator construction — (ε, δ), max_samples
-            # *and* this query's positivity bound (which can underflow to
-            # 0.0 on extreme instances) — so one bad request is reported
-            # alone instead of aborting the whole group.  Certified
-            # impossibilities skip the rehearsal: like the fixed path, the
-            # zero-test resolves them before any estimator exists.  The
-            # shared construction point guarantees the rehearsal validates
-            # exactly what the scheduler will build.
-            if session.is_possible(request.query, request.answer):
-                session.adaptive_estimator(
-                    request.query,
-                    request.epsilon,
-                    request.delta,
-                    request.max_samples,
-                )
-        except (FPRASUnavailable, ValueError) as error:
-            rows[position] = BatchResult(request, error=str(error))
-        else:
-            valid.append(position)
-    scheduled = [requests[position] for position in valid]
-    specs = [
-        (r.query, r.answer, r.epsilon, r.delta, r.max_samples) for r in scheduled
-    ]
-    try:
-        outcomes = [
-            BatchResult(request, result=result)
-            for request, result in zip(
-                scheduled, session.estimate_adaptive_many(pool, specs)
-            )
-        ]
-    except (FPRASUnavailable, ValueError) as error:
-        outcomes = error_rows(scheduled, error)
-    for position, row in zip(valid, outcomes):
-        rows[position] = row
-    return rows  # type: ignore[return-value]  # every position is filled above

@@ -59,10 +59,9 @@ Two layers sit on top of the fixed estimators:
 
 * **adaptive estimation** — :meth:`EstimationSession.estimate_adaptive`
   runs a sequential early-stopping estimator
-  (:mod:`repro.approx.adaptive`) over the pool prefix, and
-  :meth:`EstimationSession.estimate_adaptive_many` schedules many such
-  estimators in doubling rounds over one shared pool (its length is the
-  slowest stopping time, not the sum);
+  (:mod:`repro.approx.adaptive`) over the pool prefix; requests sharing
+  a pool each read it from position zero, so its length is the slowest
+  stopping time, not the sum;
 * **persistence** — an attached :class:`~repro.engine.store.CacheEntry`
   makes possibility verdicts and the pool's sample prefix (the packed
   matrix's own bytes) survive the process
@@ -78,7 +77,7 @@ messages as the per-call API.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 from ..approx.adaptive import AdaptiveResult, SequentialEstimator
 from ..approx.bounds import (
@@ -148,9 +147,6 @@ def sampling_law(
 #: (and one store row group); the value is part of the vector stream's
 #: reproducibility contract, so changing it re-keys warm vector pools.
 DEFAULT_BATCH_SIZE = 512
-
-#: The first shared position target of adaptive scheduling rounds.
-_FIRST_ROUND = 64
 
 
 class _WalkPlane:
@@ -277,8 +273,7 @@ class SamplePool:
 
     def ensure(self, length: int) -> None:
         """Materialize the first ``length`` samples, a whole batch at a
-        time — the batch planner pre-draws a group's longest fixed prefix
-        through this in one pass."""
+        time."""
         while self._rows_length < length:
             batch_index = self._rows_length // self._batch_size
             _, rows = self._plane.draw_batch(batch_index, self._batch_size)
@@ -793,79 +788,21 @@ class EstimationSession:
             pool = self.pool(rng)
         else:
             self.ensure_supported()
-        (result,) = self.estimate_adaptive_many(
-            pool, [(query, answer, epsilon, delta, max_samples)]
-        )
-        return result
-
-    def adaptive_estimator(
-        self,
-        query: ConjunctiveQuery,
-        epsilon: float,
-        delta: float,
-        max_samples: int | None = None,
-    ) -> SequentialEstimator:
-        """A sequential estimator for one request, with this query's bound.
-
-        The single construction point for adaptive estimators — the batch
-        planner rehearses through it for per-request error isolation, and
-        :meth:`estimate_adaptive_many` builds the real ones through it, so
-        the validated parameters can never drift apart.
-        """
-        return SequentialEstimator(
+        # The zero-test runs before the estimator validates (ε, δ), so an
+        # impossible answer is certified whatever its parameters.
+        if not self.is_possible(query, answer):
+            return self._certified_zero_adaptive(epsilon, delta)
+        estimator = SequentialEstimator(
             epsilon,
             delta,
             p_lower=self.positivity_bound(query),
             max_samples=max_samples,
         )
-
-    def estimate_adaptive_many(
-        self,
-        pool: SamplePool,
-        specs: Sequence[tuple[ConjunctiveQuery, tuple, float, float, int | None]],
-    ) -> list[AdaptiveResult]:
-        """Run many sequential estimators against one pool in doubling rounds.
-
-        ``specs`` rows are ``(query, answer, epsilon, delta, max_samples)``.
-        Rounds double a shared position target (capped by the largest
-        surviving estimator's own sample cap); every pending estimator
-        consumes the same pool prefix up to the round target, with samples
-        drawn on demand — so ``N`` concurrent adaptive requests cost one
-        sampling pass whose length is the *maximum* (not the sum) of their
-        stopping times, and nothing is drawn past the slowest stop.
-        Certified-impossible answers never touch the pool, and results are
-        identical to running :meth:`estimate_adaptive` per request against
-        the same pool.
-        """
-        self.ensure_supported()
-        results: list[AdaptiveResult | None] = [None] * len(specs)
-        pending: list[list] = []  # [index, hit, estimator, position]
-        for index, (query, answer, epsilon, delta, max_samples) in enumerate(specs):
-            if not self.is_possible(query, answer):
-                results[index] = self._certified_zero_adaptive(epsilon, delta)
-                continue
-            estimator = self.adaptive_estimator(query, epsilon, delta, max_samples)
-            pending.append(
-                [index, self._evaluator(pool, query, answer), estimator, 0]
-            )
-        target = _FIRST_ROUND
-        while pending:
-            goal = min(target, max(state[2].sample_cap for state in pending))
-            still_pending = []
-            for state in pending:
-                index, evaluator, estimator, position = state
-                while position < goal and not estimator.decided:
-                    entailed = evaluator.flag(position)
-                    position += 1
-                    estimator.offer(1.0 if entailed else 0.0)
-                state[3] = position
-                if estimator.decided:
-                    results[index] = estimator.result()
-                else:
-                    still_pending.append(state)
-            pending = still_pending
-            target *= 2
-        return results  # type: ignore[return-value]  # every slot is filled above
+        evaluator = self._evaluator(pool, query, answer)
+        position = 0
+        while not estimator.offer(1.0 if evaluator.flag(position) else 0.0):
+            position += 1
+        return estimator.result()
 
     @staticmethod
     def _certified_zero_adaptive(epsilon: float, delta: float) -> AdaptiveResult:
@@ -960,10 +897,9 @@ class EstimationSession:
     ) -> tuple[str, int | None, float]:
         """``(resolved method, fixed budget or None, positivity bound)``.
 
-        The one implementation of the ``auto`` dispatch — the estimate
-        paths and the batch planner's chunked pre-draw both read it, so
-        "which estimator will run, over how many samples" can never drift
-        between them.
+        The one implementation of the ``auto`` dispatch: the per-call and
+        pooled estimate paths both read it, so "which estimator will run,
+        over how many samples" can never drift between them.
         """
         from ..approx.fpras import AUTO_FIXED_BUDGET
 

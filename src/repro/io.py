@@ -46,7 +46,7 @@ from .core.dependencies import DependencyError, FDSet, FunctionalDependency
 from .core.facts import Constant, Fact
 from .core.queries import Atom, ConjunctiveQuery, QueryError, Variable
 from .core.schema import Schema, SchemaError
-from .engine.batch import BatchRequest
+from .engine.batch import MODES, BatchRequest
 
 
 class InstanceFormatError(ValueError):
@@ -174,7 +174,6 @@ def _number(row: Mapping, defaults: Mapping, key: str, default, kind: Callable):
 
 _GENERATORS_BY_NAME = {generator.name: generator for generator in ALL_GENERATORS}
 _WORKLOAD_METHODS = ("auto", "fixed", "dklr")
-_WORKLOAD_MODES = ("fixed", "adaptive")
 
 
 @dataclass(frozen=True)
@@ -203,9 +202,9 @@ def workload_spec_from_dict(
     """
     requests = workload_from_dict(document, base_dir=base_dir)
     mode = document.get("mode", "fixed")
-    if mode not in _WORKLOAD_MODES:
+    if mode not in MODES:
         raise InstanceFormatError(
-            f"unknown mode {mode!r}; choose from {_WORKLOAD_MODES}"
+            f"unknown mode {mode!r}; choose from {MODES}"
         )
     cache_dir = document.get("cache_dir")
     if cache_dir is not None:

@@ -53,11 +53,8 @@ from typing import Callable, Sequence
 from ..chains.generators import MarkovChainGenerator
 from ..core.database import Database
 from ..core.dependencies import FDSet
-from ..engine.batch import BatchRequest, BatchResult, error_rows
+from ..engine.batch import MODES, BatchRequest, BatchResult, error_rows
 from .registry import SessionRegistry
-
-#: The two per-request execution modes a waiter may ask for.
-MODES = ("fixed", "adaptive")
 
 #: Smoothing factor for the exponentially weighted batch-duration
 #: estimate behind ``Retry-After`` hints.

@@ -80,14 +80,20 @@ from typing import Any, Callable, Mapping, NamedTuple
 from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..engine import fsfault as _fsfault
-from ..engine.batch import BatchRequest, BatchResult, group_positions, in_request_order
+from ..engine.batch import (
+    MODES,
+    BatchRequest,
+    BatchResult,
+    group_positions,
+    in_request_order,
+)
 from ..io import (
     InstanceFormatError,
     batch_result_to_row,
     instance_from_dict,
     workload_from_dict,
 )
-from .batching import MODES, QueueFull
+from .batching import QueueFull
 from .cache import (
     DEFAULT_ANSWER_CACHE_SIZE,
     INSTANCE_MEMO_MAX_BYTES,

@@ -4,8 +4,9 @@ The adaptive layer's contract mirrors the fixed-budget path: with
 probability ``1 − δ`` the estimate has relative error at most ``ε``
 whenever the true probability is zero or at least the positivity bound.
 These tests pin the envelope against exact values on seeded runs, check
-the stopping rules fire where they should, and verify the doubling-round
-scheduler is indistinguishable from per-request sequential runs.
+the stopping rules fire where they should, and verify that a group's
+requests over one shared pool are indistinguishable from per-request
+sequential runs.
 """
 
 import random
@@ -106,15 +107,15 @@ class TestSequentialEstimator:
 
     def test_truncated_all_zero_run_keeps_an_honest_interval(self):
         # Two zero draws are no evidence for μ = 0 when the zero
-        # certificate needs nine — the interval must stay wide, even
-        # though the truncation flag mirrors the fixed path's precedent.
+        # certificate needs nine — the interval must stay wide, and the
+        # row must not claim a certified zero.
         estimator = SequentialEstimator(0.2, 0.05, p_lower=0.5, max_samples=2)
         while not estimator.offer(0.0):
             pass
         result = estimator.result()
         assert result.method == "adaptive-truncated"
-        assert result.certified_zero  # the dklr-truncated precedent
-        assert result.interval.upper > 0.3  # but no zero-width certainty claim
+        assert not result.certified_zero
+        assert result.interval.upper > 0.3  # no zero-width certainty claim
 
     def test_zero_certificate_interval_is_pointlike(self):
         estimator = SequentialEstimator(0.2, 0.05, p_lower=0.5)
@@ -198,22 +199,37 @@ class TestEnvelope:
         assert result.samples_used <= cap
 
 
+def candidate_requests(database, constraints, query):
+    return [
+        BatchRequest(
+            database, constraints, M_UR, query, answer=c, epsilon=EPSILON, delta=DELTA
+        )
+        for c in sorted(query.answers(database), key=repr)
+    ]
+
+
 class TestScheduler:
     def test_many_matches_per_request_runs(self):
         database, constraints = figure2_database()
         query = cq((x,), (atom("R", x, y),))
-        candidates = sorted(query.answers(database), key=repr)
+        requests = candidate_requests(database, constraints, query)
         session = EstimationSession(database, constraints, M_UR)
-        batched = session.estimate_adaptive_many(
-            session.pool(random.Random(13)),
-            [(query, c, EPSILON, DELTA, None) for c in candidates],
-        )
-        singles_pool = session.pool(random.Random(13))
+        batched = [
+            row.result
+            for row in run_group(
+                session, session.pool(random.Random(13)), requests, "adaptive"
+            )
+        ]
+        # Each request alone, on a fresh pool seeded like the shared one.
         singles = [
             session.estimate_adaptive(
-                query, c, epsilon=EPSILON, delta=DELTA, pool=singles_pool
+                query,
+                r.answer,
+                epsilon=EPSILON,
+                delta=DELTA,
+                pool=session.pool(random.Random(13)),
             )
-            for c in candidates
+            for r in requests
         ]
         assert batched == singles
         assert all(isinstance(r, AdaptiveResult) for r in batched)
@@ -221,14 +237,15 @@ class TestScheduler:
     def test_pool_length_is_the_slowest_stop_not_the_sum(self):
         database, constraints = figure2_database()
         query = cq((x,), (atom("R", x, y),))
-        candidates = sorted(query.answers(database), key=repr)
+        requests = candidate_requests(database, constraints, query)
         session = EstimationSession(database, constraints, M_UR)
         pool = session.pool(random.Random(29))
-        results = session.estimate_adaptive_many(
-            pool, [(query, c, EPSILON, DELTA, None) for c in candidates]
-        )
-        # Samples are drawn on demand inside shared rounds: the pool ends
-        # up exactly as long as the slowest request's stopping time.
+        results = [
+            row.result for row in run_group(session, pool, requests, "adaptive")
+        ]
+        # Samples are drawn on demand and every request reads from
+        # position zero: the pool ends up exactly as long as the slowest
+        # request's stopping time.
         assert len(pool) == max(r.samples_used for r in results)
         assert len(pool) < sum(r.samples_used for r in results)
 
@@ -242,21 +259,9 @@ class TestScheduler:
 class TestBatchAdaptiveMode:
     def request_rows(self):
         database, constraints = figure2_database()
-        query = cq((x,), (atom("R", x, y),))
-        return [
-            BatchRequest(
-                database,
-                constraints,
-                M_UR,
-                query,
-                answer=c,
-                epsilon=EPSILON,
-                delta=DELTA,
-            )
-            for c in sorted(query.answers(database), key=repr)
-        ]
+        return candidate_requests(database, constraints, cq((x,), (atom("R", x, y),)))
 
-    def test_batch_adaptive_matches_session_scheduler(self):
+    def test_batch_adaptive_matches_session_runs(self):
         requests = self.request_rows()
         results = batch_estimate(requests, seed=37, mode="adaptive")
         assert all(r.ok for r in results)
@@ -264,14 +269,22 @@ class TestBatchAdaptiveMode:
         session = EstimationSession(first.database, first.constraints, first.generator)
         from repro.engine.batch import group_seed_for
 
-        # The planner builds its pool via pool_for_seed (vector plane when
-        # numpy is available); mirror it exactly.
-        expected = session.estimate_adaptive_many(
-            session.pool_for_seed(
-                group_seed_for(37, first.database, first.constraints, first.generator)
-            ),
-            [(r.query, r.answer, r.epsilon, r.delta, r.max_samples) for r in requests],
+        # The planner builds its pool via pool_for_seed (the vector plane
+        # for M_ur); mirror it exactly, one estimate_adaptive per request.
+        pool = session.pool_for_seed(
+            group_seed_for(37, first.database, first.constraints, first.generator)
         )
+        expected = [
+            session.estimate_adaptive(
+                r.query,
+                r.answer,
+                epsilon=r.epsilon,
+                delta=r.delta,
+                pool=pool,
+                max_samples=r.max_samples,
+            )
+            for r in requests
+        ]
         assert [r.result for r in results] == expected
 
     def test_batch_adaptive_uses_fewer_samples_than_fixed(self):

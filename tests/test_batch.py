@@ -1,5 +1,6 @@
 """Batch planner, JSON workload parsing, and the ``repro batch`` command."""
 
+import dataclasses
 import json
 import random
 
@@ -39,6 +40,15 @@ def fig2_requests(epsilon=0.5, delta=0.2):
     ]
 
 
+def two_group_requests():
+    """The fig2 membership requests under M_ur and M_us: two groups."""
+    return [
+        dataclasses.replace(request, generator=generator)
+        for generator in (M_UR, M_US)
+        for request in fig2_requests()
+    ]
+
+
 class TestBatchEstimate:
     def test_results_in_input_order(self):
         requests = fig2_requests()
@@ -55,22 +65,7 @@ class TestBatchEstimate:
         assert [r.result for r in first] == [r.result for r in second]
 
     def test_worker_fanout_matches_serial(self):
-        database, constraints = figure2_database()
-        query = cq((x,), (atom("R", x, y),))
-        requests = []
-        for generator in (M_UR, M_US):  # two groups on one database
-            for candidate in sorted(query.answers(database), key=repr):
-                requests.append(
-                    BatchRequest(
-                        database,
-                        constraints,
-                        generator,
-                        query,
-                        answer=candidate,
-                        epsilon=0.5,
-                        delta=0.2,
-                    )
-                )
+        requests = two_group_requests()
         serial = batch_estimate(requests, seed=13)
         fanned = batch_estimate(requests, seed=13, workers=2)
         assert [r.result for r in serial] == [r.result for r in fanned]
@@ -87,25 +82,36 @@ class TestBatchEstimate:
         # deadlock workers, so the spawn path must work — payloads must
         # pickle under spawn and estimates must not depend on the start
         # method.
-        database, constraints = figure2_database()
-        query = cq((x,), (atom("R", x, y),))
-        requests = []
-        for generator in (M_UR, M_US):
-            for candidate in sorted(query.answers(database), key=repr):
-                requests.append(
-                    BatchRequest(
-                        database,
-                        constraints,
-                        generator,
-                        query,
-                        answer=candidate,
-                        epsilon=0.5,
-                        delta=0.2,
-                    )
-                )
+        requests = two_group_requests()
         serial = batch_estimate(requests, seed=13)
         spawned = batch_estimate(requests, seed=13, workers=2, start_method="spawn")
         assert [r.result for r in serial] == [r.result for r in spawned]
+
+    def test_worker_store_errors_reach_the_callers_log(self, tmp_path):
+        # A worker process records into its own copy of STORE_ERRORS, so
+        # each group hands its failures back to the caller to count.
+        from repro.engine.store import STORE_ERRORS
+
+        requests = two_group_requests()
+        batch_estimate(requests, seed=13, cache_dir=str(tmp_path))
+        entries = sorted(tmp_path.glob("*.json"))
+        assert len(entries) == 2
+
+        def added_errors(**options):
+            for entry in entries:
+                entry.write_text("{not json")
+            before = STORE_ERRORS.snapshot()["errors"]
+            batch_estimate(requests, seed=13, cache_dir=str(tmp_path), **options)
+            after = STORE_ERRORS.snapshot()["errors"]
+            return {
+                key: count - before.get(key, 0)
+                for key, count in after.items()
+                if count != before.get(key, 0)
+            }
+
+        serial = added_errors()
+        assert sum(count for key, count in serial.items() if key.startswith("load:")) == 2
+        assert added_errors(workers=2) == serial
 
     def test_start_method_env_override(self, monkeypatch):
         from repro.engine.batch import START_METHOD_ENV, _pool_context

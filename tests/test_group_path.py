@@ -9,12 +9,15 @@ singleton law, an out-of-scope group and an invalid request, through all
 of them and demand identical rows in request order.
 """
 
+import math
+import random
+
 import pytest
 
-from repro.chains.generators import M_UR, M_UR1, M_US, M_US1
+from repro.chains.generators import M_UO, M_UR, M_UR1, M_US, M_US1
 from repro.core import Database, FDSet, Schema, fact, fd
-from repro.core.queries import atom, cq, var
-from repro.engine import BatchRequest, EstimationSession, batch_estimate
+from repro.core.queries import atom, boolean_cq, cq, var
+from repro.engine import MODES, BatchRequest, EstimationSession, batch_estimate
 from repro.engine.batch import group_positions, run_group
 from repro.io import (
     InstanceFormatError,
@@ -28,10 +31,11 @@ from repro.service import (
     ServiceClientError,
     SessionRegistry,
 )
+from repro.reductions.graphs import path_graph
+from repro.reductions.vizing import independent_set_database
 from repro.workloads import figure2_database
 
 x, y = var("x"), var("y")
-MODES = ("fixed", "adaptive")
 
 
 def fd_instance():
@@ -114,6 +118,80 @@ class TestGroupHelpers:
         assert [row.ok for row in rows] == [True, False, True, False]
 
 
+def fact_query(item):
+    return boolean_cq(atom(item.relation, *item.values))
+
+
+def one_loop_requests(database, constraints, generator, facts, clash):
+    """Auto, fixed and dklr requests with different budgets, a truncated
+    one, an impossible answer (the conflicting pair ``clash``) and ε = 0."""
+    f0, f1, f2 = (fact_query(item) for item in facts)
+    impossible = boolean_cq(*(atom(item.relation, *item.values) for item in clash))
+    rows = [
+        (f0, dict(epsilon=0.4, delta=0.1, method="fixed")),
+        (f1, dict(epsilon=0.5, delta=0.2, method="auto")),
+        (f0, dict(epsilon=0.5, delta=0.2, method="dklr")),
+        (f2, dict(epsilon=0.6, delta=0.3, method="fixed")),
+        (f1, dict(epsilon=0.5, delta=0.2, method="dklr", max_samples=3)),
+        (impossible, dict(epsilon=0.5, delta=0.2)),
+        (f0, dict(epsilon=0.0, delta=0.2)),
+    ]
+    return [
+        BatchRequest(database, constraints, generator, query, **fields)
+        for query, fields in rows
+    ]
+
+
+def figure2_case():
+    database, constraints = figure2_database()
+    facts = sorted(database.facts, key=repr)
+    return database, constraints, M_UR, facts[:3], facts[:2]
+
+
+def multikey_case():
+    instance = independent_set_database(path_graph(4))
+    node = instance.node_to_fact
+    facts = [node[0], node[2], node[3]]
+    return instance.database, instance.constraints, M_UO, facts, [node[0], node[1]]
+
+
+#: Three pools: seeded vector (M_ur), seeded walk (multi-key M_uo) and a
+#: caller's random.Random; each factory opens a fresh pool, seeded alike.
+POOL_CASES = {
+    "seeded-vector": (figure2_case, lambda session: session.pool_for_seed(11)),
+    "seeded-walk": (multikey_case, lambda session: session.pool_for_seed(11)),
+    "caller-rng": (figure2_case, lambda session: session.pool(random.Random(11))),
+}
+
+
+class TestOneRequestLoop:
+    """Every request reads the shared pool from position zero, once."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("case", sorted(POOL_CASES))
+    def test_no_over_draw_and_partition_independence(self, case, mode):
+        build, open_pool = POOL_CASES[case]
+        database, constraints, generator, facts, clash = build()
+        requests = one_loop_requests(database, constraints, generator, facts, clash)
+        session = EstimationSession(database, constraints, generator)
+        pool = open_pool(session)
+        rows = run_group(session, pool, requests, mode)
+        assert [row.ok for row in rows] == [True] * 6 + [False]
+        assert rows[5].result.method == "possibility-zero"
+        assert not rows[4].result.certified_zero  # truncated: nothing certified
+        # The pool holds exactly the longest prefix any request read,
+        # rounded up to the pool's batch.
+        longest = max(row.result.samples_used for row in rows if row.ok)
+        batch = pool.batch_size
+        assert len(pool) == math.ceil(longest / batch) * batch
+        # Each request alone, on a fresh session and pool seeded alike.
+        singles = []
+        for request in requests:
+            alone = EstimationSession(database, constraints, generator)
+            singles += run_group(alone, open_pool(alone), [request], mode)
+        assert singles == rows
+
+
 class TestEntryPointParity:
     @pytest.mark.parametrize("mode", MODES)
     def test_every_entry_point_returns_identical_rows(self, mode, served):
@@ -184,6 +262,23 @@ class TestInvalidParameters:
             assert error.status == 400, error
             return
         assert "error" in row and not row.get("certified_zero"), row
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_truncated_all_zero_rows_are_not_certified(self, mode):
+        # P = 1/4, but two draws of seed 7 miss: an honest zero, not a
+        # certified one — only a positivity-sized run may certify.
+        document = {
+            "instances": {"bug": instance_to_dict(*key_instance())},
+            "requests": [
+                {"instance": "bug", "query": self.QUERY, "method": "dklr",
+                 "max_samples": 2}
+            ],
+        }
+        requests = workload_from_dict(document)
+        (row,) = batch_results_to_rows(batch_estimate(requests, seed=7, mode=mode))
+        assert row["method"].endswith("-truncated")
+        assert (row["estimate"], row["samples"]) == (0.0, 2)
+        assert row["certified_zero"] is False
 
     def test_parse_rejects_booleans_and_fractional_sample_caps(self):
         document = {

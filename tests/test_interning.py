@@ -21,6 +21,7 @@ from repro.chains.generators import M_UO, M_UO1, M_UR, M_UR1, M_US, M_US1
 from repro.core import Database, FDSet, Schema, fact, fd
 from repro.core.blocks import block_decomposition
 from repro.core.interning import InstanceIndex, InterningError, mask_ids
+from repro.approx.adaptive import SequentialEstimator
 from repro.approx.montecarlo import fixed_sample_estimate, stopping_rule_estimate
 from repro.engine import BatchRequest, EstimationSession, batch_estimate
 from repro.engine.batch import group_seed_for, run_group
@@ -315,16 +316,21 @@ class TestKernelOnOffParity:
         query = cq((x,), (atom("R", x, y),))
         candidates = sorted(query.answers(database), key=repr)
         session = EstimationSession(database, constraints, M_UR)
-        on = session.estimate_adaptive_many(
-            session.pool(random.Random(7)),
-            [(query, c, EPSILON, DELTA, None) for c in candidates],
-        )
+        pool = session.pool(random.Random(7))
+        on = [
+            session.estimate_adaptive(
+                query, c, epsilon=EPSILON, delta=DELTA, pool=pool
+            )
+            for c in candidates
+        ]
         # Each request reads one shared object stream from position zero.
         draw, stream = object_draws(session, random.Random(7)), []
         off = []
         for candidate in candidates:
             hit = object_hit(session, query, candidate)
-            estimator = session.adaptive_estimator(query, EPSILON, DELTA)
+            estimator = SequentialEstimator(
+                EPSILON, DELTA, p_lower=session.positivity_bound(query)
+            )
             position = 0
             while not estimator.decided:
                 while len(stream) <= position:

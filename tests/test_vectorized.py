@@ -629,17 +629,20 @@ class TestVectorEstimationParity:
             )
             for c in candidates
         ]
-        # A twin session re-reads the same pool with the stopping rule and
-        # the adaptive scheduler; all three must see the same hit stream.
+        # The same pool is re-read with the stopping rule and the adaptive
+        # estimator; all three must see the same hit stream.
         dklr = [
             session.estimate_pooled(
                 pool, query, c, epsilon=EPSILON, delta=DELTA, method="dklr"
             )
             for c in candidates
         ]
-        adaptive = session.estimate_adaptive_many(
-            pool, [(query, c, EPSILON, DELTA, None) for c in candidates]
-        )
+        adaptive = [
+            session.estimate_adaptive(
+                query, c, epsilon=EPSILON, delta=DELTA, pool=pool
+            )
+            for c in candidates
+        ]
         for position, candidate in enumerate(candidates):
             masks = session.witness_masks(query, candidate)
             reference = [
