@@ -11,7 +11,10 @@ such a bound:
 * Lemma D.8  — ``P_{M_uo,1} >= 1 / (e|D|)^{|Q|}``  (arbitrary FDs);
 * Prop. 7.3  — ``P_{M_uo} >= 1 / pol(|D|)``        (arbitrary keys), with the
   explicit (astronomically large, but polynomial) ``pol`` assembled in the
-  proof of Lemma 7.4 / Appendix D.2.
+  proof of Lemma 7.4 / Appendix D.2;
+* a local clock bound — ``P_{M_uo} >= Π_{n=1}^{|Q|Δ} n / (n + |Q|(n+1))``
+  (arbitrary keys), ``Δ`` the conflict graph's maximum degree — which
+  unlike Prop. 7.3's is large enough to size a sample.
 
 All bounds are returned as exact :class:`~fractions.Fraction` values; ``|D|``
 is the number of facts and ``|Q|`` the number of body atoms, matching the
@@ -90,6 +93,27 @@ def uo_keys_lower_bound(
         * (E_UPPER * max(size - 1, 1)) ** q
     )
     return 1 / (1 + pol_double_prime * pol_prime)
+
+
+def uo_keys_local_lower_bound(atoms: int, max_degree: int) -> Fraction:
+    """``Π_{n=1}^{q·Δ} n / (n + q(n+1))`` for ``M_uo`` over keys.
+
+    ``q = atoms`` (``|Q|``) and ``Δ = max_degree``, the conflict graph's
+    maximum degree.  A witness ``w`` (at most ``q`` facts) survives the
+    walk when every outside neighbour leaves before an operation hits
+    ``w``.  While ``n`` neighbours are live, the operations that destroy
+    ``w`` have total rate at most ``|w|(n+1)``, and each neighbour's own
+    singleton removal fires at rate 1, so some neighbour leaves first
+    with probability at least ``n / (n + |w|(n+1))``.  At most ``q·Δ``
+    neighbours must leave, every factor is below 1, and each shrinks as
+    ``|w|`` grows, so the product over ``n = 1 .. q·Δ`` at ``|w| = q``
+    bounds every witness.  For one fact of degree ``d`` it is ``Π k/(2k+1)``,
+    the exact survival probability of a star's centre.
+    """
+    bound = Fraction(1)
+    for n in range(1, atoms * max_degree + 1):
+        bound *= Fraction(n, n + atoms * (n + 1))
+    return bound
 
 
 def pathological_upper_bound(n: int) -> Fraction:

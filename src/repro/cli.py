@@ -25,7 +25,8 @@ by (instance, sampling law), and scores each group against one shared sample
 pool — optionally fanning groups out over worker processes.  With
 ``--mode adaptive`` every group runs sequential early-stopping estimators
 instead of fixed budgets, ``--cache-dir DIR`` (with ``--seed``) persists
-possibility verdicts and sample batches across runs, and
+each group's sample prefix across runs (store version 7: the samples
+and nothing else), and
 ``--allow-errors`` exits 0 even when some rows report out-of-scope errors
 (the rows still carry them).  The sample plane follows the generator:
 the vectorized numpy plane for ``M_ur``/``M_us``, the scalar walk plane
@@ -336,7 +337,7 @@ def _arguments_batch(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--cache-dir",
         default=None,
-        help="persist possibility verdicts/sample batches here across runs "
+        help="persist each group's sampled repairs here across runs "
         "(default: the workload's 'cache_dir' field; needs --seed to be effective)",
     )
     subparser.add_argument(

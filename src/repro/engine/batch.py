@@ -27,15 +27,17 @@ Two orthogonal switches extend the planner:
   estimator (:mod:`repro.approx.adaptive`) over the group's shared pool
   (its length is the slowest stopping time, not the sum); per-request
   ``method`` is ignored in this mode.
-* ``cache_dir=...`` — persist possibility verdicts and pool sample
-  batches per ``(database, Σ, law, seed)`` key in a
+* ``cache_dir=...`` — persist each group's pool sample prefix (and
+  nothing else) per ``(database, Σ, law, seed)`` key in a
   :class:`~repro.engine.store.CacheStore`, so reruns of the same workload
   warm-start (requires a workload ``seed``; unseeded runs are not
-  reproducible and bypass the cache).
+  reproducible and bypass the cache).  A group that draws nothing past
+  its stored prefix writes nothing.
 
 The sample plane follows the law: ``M_ur``/``M_us`` groups draw on
 the vectorized numpy plane (whole ``uint64``-packed batches) and ``M_uo``
-groups on the scalar interned kernel.
+groups on the object walk, one sample per batch, through the session's
+walk plane (``_WalkPlane``).
 """
 
 from __future__ import annotations

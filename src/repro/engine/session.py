@@ -63,11 +63,11 @@ Two layers sit on top of the fixed estimators:
   a pool each read it from position zero, so its length is the slowest
   stopping time, not the sum;
 * **persistence** — an attached :class:`~repro.engine.store.CacheEntry`
-  makes possibility verdicts and the pool's sample prefix (the packed
-  matrix's own bytes) survive the process
-  (:meth:`EstimationSession.cached_pool` resumes the stream bit-for-bit
-  by batch index); decompositions and positivity bounds are cheaper to
-  recompute than to load, so they stay per-process.
+  makes the pool's sample prefix (the packed matrix's own bytes) survive
+  the process (:meth:`EstimationSession.cached_pool` resumes the stream
+  bit-for-bit by batch index); decompositions, positivity bounds and
+  zero-test verdicts are cheaper to recompute than to load, so they stay
+  per-process.
 
 Scope enforcement is unchanged: combinations outside the paper's positive
 results raise :class:`~repro.approx.fpras.FPRASUnavailable` with the same
@@ -84,6 +84,7 @@ from ..approx.bounds import (
     rrfreq_lower_bound,
     singleton_frequency_lower_bound,
     srfreq_lower_bound,
+    uo_keys_local_lower_bound,
     uo_singleton_fd_lower_bound,
 )
 from ..approx.intervals import ConfidenceInterval
@@ -104,6 +105,7 @@ from ..chains.generators import (
     UniformSequences,
 )
 from ..core.blocks import BlockDecomposition, block_decomposition
+from ..core.conflict_graph import ConflictGraph
 from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.facts import Fact
@@ -535,8 +537,14 @@ class EstimationSession:
 
         Mirrors the per-call dispatch: Lemmas 5.3 / 6.3 for ``M_ur`` /
         ``M_us``, Lemmas E.3 / E.10 for their singleton variants, Lemma D.8
-        for ``M_uo,1``; for plain ``M_uo`` the pragmatic ``rrfreq`` floor
-        stands in for Prop 7.3's astronomically small polynomial.
+        for ``M_uo,1``.  Plain ``M_uo`` cannot size samples from Prop 7.3's
+        astronomically small polynomial.  On primary keys it takes the
+        ``rrfreq`` floor ``1/(2|D|)^|Q|``, which holds there: a block of
+        ``m`` facts keeps a given one with probability ``(1 − e_m)/m ≥
+        1/(2m)``, ``e_m ≤ 1/2`` being the chance the block ends empty.
+        Beyond primary keys it takes
+        :func:`~repro.approx.bounds.uo_keys_local_lower_bound` at the
+        conflict graph's maximum degree.
         """
         cached = self._bounds.get(query)
         if cached is not None:
@@ -557,8 +565,11 @@ class EstimationSession:
             )
         elif singleton:
             bound = uo_singleton_fd_lower_bound(self.database, query)
-        else:
+        elif self.constraints.is_primary_keys():
             bound = rrfreq_lower_bound(self.database, query)
+        else:
+            degree = ConflictGraph.of(self.database, self.constraints).max_degree()
+            bound = uo_keys_local_lower_bound(query.atom_count(), degree)
         value = float(bound)
         self._bounds[query] = value
         return value
@@ -628,15 +639,10 @@ class EstimationSession:
         key = (query, answer)
         cached = self._possible.get(key)
         if cached is None:
-            if self.cache is not None:
-                cached = self.cache.get_possible(query, answer)
-            if cached is None:
-                cached = any(
-                    image_is_consistent(witness, self.constraints)
-                    for witness in self.witnesses(query, answer)
-                )
-                if self.cache is not None:
-                    self.cache.set_possible(query, answer, cached)
+            cached = any(
+                image_is_consistent(witness, self.constraints)
+                for witness in self.witnesses(query, answer)
+            )
             self._possible[key] = cached
         return cached
 

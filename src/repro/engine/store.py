@@ -1,12 +1,13 @@
 """Persistent cross-run cache for estimation sessions.
 
-Every process so far started cold: possibility verdicts and — most
-expensively — the sampled-repair streams were recomputed on each CLI
-rerun, bench iteration or CI job.  :class:`CacheStore` persists them on
-disk so a repeated workload warm-starts for free.  Only what is slower to
-recompute than to load is persisted: the block decomposition (Lemma 5.2,
-a linear group-by-key) and the positivity bounds (closed forms) are
-always recomputed from the instance.
+Drawing operational repairs is what the paper's FPRASes pay for, so a
+seeded pool's drawn prefix is the one piece of state worth keeping
+between processes.  :class:`CacheStore` persists it on disk so a
+repeated workload warm-starts without drawing anew.  Everything else is
+recomputed from the instance: the block decomposition (Lemma 5.2, a
+linear group-by-key), the positivity bounds (closed forms) and the
+polynomial zero-test verdicts (a consistency check over the witnesses
+hit counting enumerates anyway).
 
 Layout: one JSON file per cache entry under the store directory, named by
 the entry key — the SHA-256 content hash of the canonical serialization of
@@ -17,9 +18,6 @@ of the key because the sample stream depends on it.)  Each entry holds
 exactly these fields:
 
 * ``version`` — the store format version; a mismatch invalidates the entry;
-* ``possibility`` — the cached polynomial zero-test verdicts, keyed by
-  ``"<query>|<answer JSON>"`` (they let an impossible answer skip witness
-  enumeration);
 * ``samples`` + ``batch`` — the materialized prefix of the shared
   :class:`~repro.engine.session.SamplePool`, as **the pool's own bytes**:
   ``samples`` is one base64 string of the pool's row-major
@@ -33,6 +31,11 @@ exactly these fields:
   extended.  Replayed estimates are identical to cold-run estimates;
 * ``words`` and ``digest`` — the durability envelope below.
 
+In memory an entry is just that prefix — a read-only ``(S, words)``
+``uint64`` matrix and its batch size; the base64 document exists only
+while a save commits it.  An entry whose pool drew nothing past the
+loaded prefix is clean, and its save writes nothing.
+
 The durability envelope: ``digest`` is the SHA-256 hex
 digest of the entry's canonical serialization (sorted keys, compact
 separators, the ``digest`` field itself excluded) — covering the sample
@@ -44,10 +47,10 @@ degrades to recomputation instead of replaying damaged samples.  One
 validator (:func:`_validate`) makes every database-free check, for the
 load path and for :func:`fsck_store` alike, so the offline audit flags
 exactly what a load would reject; a load adds only the checks that need
-the instance (``words`` matches it, and no row sets a bit beyond its
-fact count).
+the instance's fact count (``words`` matches it, and no row sets a bit
+beyond it).
 
-Only ``version == 6`` is read.  An entry at any other version is a plain
+Only ``version == 7`` is read.  An entry at any other version is a plain
 miss (not damage): it is recomputed and the next save overwrites it at
 the current version.
 
@@ -70,17 +73,16 @@ harness drives.  Failed writers may leave ``*.tmp`` files behind;
 opens a directory.
 
 Concurrent writers: two processes sharing a ``cache_dir`` for the same
-key both load, compute, and save — a blind write would silently drop
+key both load, draw, and save — a blind write would silently drop
 whatever the other process appended in between (last writer wins).
 :meth:`CacheEntry.save` therefore **reloads and merges** the on-disk
-document before writing: verdicts union (both writers computed them
-from the same instance, so values agree), and of two sample prefixes
-with the same ``batch`` the one with *more rows* wins — both are
-prefixes of the same deterministic stream, so the longer one extends
-the shorter.  On platforms with ``fcntl`` the reload-merge-write runs
-under an advisory ``flock`` on the store directory, making it atomic
-against other writers; elsewhere it degrades to best-effort (the merge
-still closes almost all of the window).
+prefix before writing: of two sample prefixes with the same ``batch``
+the one with *more rows* wins — both are prefixes of the same
+deterministic stream, so the longer one extends the shorter.  On
+platforms with ``fcntl`` the reload-merge-write runs under an advisory
+``flock`` on the store directory, making it atomic against other
+writers; elsewhere it degrades to best-effort (the merge still closes
+almost all of the window).
 """
 
 from __future__ import annotations
@@ -107,7 +109,6 @@ import numpy as np
 from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.facts import Fact
-from ..core.queries import ConjunctiveQuery
 from . import fsfault as _fsfault
 
 # The packed-word geometry is owned by the vector plane: the format's
@@ -120,15 +121,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session imports stor
     from .session import SamplePool
 
 #: Bump when the on-disk schema changes; old entries are then recomputed.
-#: v6: only the possibility verdicts and the sample prefix — the pool's
-#: packed ``uint64`` matrix as one base64 blob, plus its ``batch`` size —
-#: inside the durability envelope: ``digest`` (SHA-256 over the
-#: canonical serialization, verified on every load) and ``words``
-#: (packed row width, for database-free fsck).
-STORE_VERSION = 6
+#: v7: only the sample prefix — the pool's packed ``uint64`` matrix as
+#: one base64 blob, plus its ``batch`` size — inside the durability
+#: envelope: ``digest`` (SHA-256 over the canonical serialization,
+#: verified on every load) and ``words`` (packed row width, for
+#: database-free fsck).
+STORE_VERSION = 7
 
 #: The exact top-level keys of an entry document.
-_FIELDS = frozenset({"version", "digest", "words", "batch", "samples", "possibility"})
+_FIELDS = frozenset({"version", "digest", "words", "batch", "samples"})
 
 #: Orphaned ``*.tmp`` files older than this are swept when a
 #: :class:`CacheStore` opens a directory (long enough that a live
@@ -267,11 +268,6 @@ def _validate(document: Any) -> tuple[str | None, bytes]:
         return f"unknown store version {version!r}", b""
     if document.keys() != _FIELDS:
         return f"fields {sorted(document)} are not {sorted(_FIELDS)}", b""
-    possibility = document["possibility"]
-    if not isinstance(possibility, dict) or not all(
-        isinstance(verdict, bool) for verdict in possibility.values()
-    ):
-        return "malformed 'possibility' field", b""
     batch, words = document["batch"], document["words"]
     if batch is not None and (type(batch) is not int or batch < 1):
         return f"malformed 'batch' field {batch!r}", b""
@@ -369,35 +365,33 @@ def instance_cache_key(
 
 
 class CacheEntry:
-    """One persisted ``(database, Σ, generator, seed)`` bundle.
+    """One persisted ``(database, Σ, law, seed)`` sample prefix.
 
-    Obtained from :meth:`CacheStore.entry`.  A damaged or unreadable file
-    loads as an empty entry (see :attr:`load_error`); setters mark the
-    entry dirty; :meth:`save` writes atomically (and is a no-op when
-    nothing changed).
+    Obtained from :meth:`CacheStore.entry`, which sizes it by the
+    instance's fact count ``facts`` (all the load checks need).  A
+    damaged or unreadable file loads as an empty entry (see
+    :attr:`load_error`); :meth:`save` writes atomically, and is a no-op
+    when the attached pool drew nothing past the persisted prefix.
     """
 
-    def __init__(self, path: str, database: Database, constraints: FDSet):
+    def __init__(self, path: str, facts: int):
         self.path = path
-        self._database = database
-        self._constraints = constraints
+        self._facts = facts
+        self._words = _words_for(facts)
         self._dirty = False
         #: Why the on-disk entry was unusable, when it was: ``"corrupt"``
         #: (damage the validator or the instance checks caught) or an
         #: OSError kind from :func:`classify_store_error`.  ``None`` for a
         #: clean load *and* for a plain miss — absence is not an error.
         self.load_error: str | None = None
-        self._document, self._rows = self._load()
+        self._rows, self._batch = self._load()
         self._pool: "SamplePool | None" = None
 
     # -- load / save -----------------------------------------------------------------
 
-    def _load(self) -> tuple[dict[str, Any], Any]:
-        """The validated document and its sample rows (empty on any miss)."""
-        empty = (
-            {"version": STORE_VERSION, "possibility": {}, "samples": "", "batch": None},
-            _word_rows(b"", self._sample_words()),
-        )
+    def _load(self) -> tuple[Any, int | None]:
+        """The validated sample rows and their batch size (empty on any miss)."""
+        empty = (_word_rows(b"", self._words), None)
         try:
             raw = _fsfault.active().read_bytes(self.path)
         except FileNotFoundError:
@@ -413,17 +407,17 @@ class CacheEntry:
         if isinstance(document, dict) and document.get("version") != STORE_VERSION:
             return empty  # a legitimately old/new format, not damage
         detail, blob = _validate(document)
-        if detail is not None or document["words"] != self._sample_words():
+        if detail is not None or document["words"] != self._words:
             self.load_error = "corrupt"
             return empty
-        rows = _word_rows(blob, document["words"])
+        rows = _word_rows(blob, self._words)
         # Bits past the fact count are damage, not a bigger database.  (At
         # a multiple of 64 facts every bit of the last word is a fact.)
-        tail = len(self._fact_order()) % _WORD_BITS
+        tail = self._facts % _WORD_BITS
         if tail and (rows[:, -1] >> np.uint64(tail)).any():
             self.load_error = "corrupt"
             return empty
-        return document, rows
+        return rows, document["batch"]
 
     def save(self) -> bool:
         """Crash-consistently persist the entry if anything changed.
@@ -434,19 +428,20 @@ class CacheEntry:
         evidence the disk works.
 
         Never a blind write: under an advisory lock on the store
-        directory (where the platform has one) the on-disk document is
+        directory (where the platform has one) the on-disk prefix is
         reloaded and merged first, so a concurrent run that appended its
-        own sample batches or verdicts between our load and our save
-        keeps them — see :meth:`_merge_from_disk`.
+        own sample batches between our load and our save keeps them —
+        see :meth:`_merge_from_disk`.
 
         The commit sequence is write → fsync(temp) → ``os.replace`` →
         fsync(directory): a crash before the replace leaves the old
         entry untouched, a crash after it leaves the new entry complete
         (the temp file's contents are durable *before* the rename makes
         them visible), and the directory fsync makes the rename itself
-        durable.  The envelope (``digest`` over the canonical
-        serialization, ``words``) is stamped here.  Raises ``OSError`` on
-        filesystem failure (every field is a string, an int, a bool or
+        durable.  The document — the rows' bytes base64'd, inside the
+        envelope (``digest`` over the canonical serialization,
+        ``words``) — is built here and nowhere else.  Raises ``OSError``
+        on filesystem failure (every field is a string, an int or
         ``null``, so serialization cannot fail).
         """
         if self._pool is not None:
@@ -459,10 +454,11 @@ class CacheEntry:
         with _directory_lock(directory):
             self._merge_from_disk()
             payload = {
-                key: self._document[key] for key in ("possibility", "samples", "batch")
+                "version": STORE_VERSION,
+                "words": self._words,
+                "batch": self._batch,
+                "samples": base64.b64encode(self._rows.tobytes()).decode("ascii"),
             }
-            payload["version"] = STORE_VERSION
-            payload["words"] = self._sample_words()
             payload["digest"] = _document_digest(payload)
             # Written in the same canonical form the digest is computed
             # over: every byte of the file is semantic.
@@ -487,72 +483,33 @@ class CacheEntry:
                     pass
                 raise
             _fsync_directory(directory, ops)
-        self._document = payload
         self._dirty = False
         return True
 
     def _merge_from_disk(self) -> None:
-        """Fold a concurrent writer's on-disk progress into this document.
+        """Fold a concurrent writer's on-disk prefix into this entry.
 
-        Both writers hold the same ``(database, Σ, generator, seed)`` key,
-        so their computed values agree wherever they overlap; merging is
-        about *union*, not reconciliation:
-
-        * possibility verdicts: union, ours on (equal-valued) overlap;
-        * samples: prefixes of the same seeded stream extend each other,
-          so theirs is adopted (with its ``batch``) when we hold none, or
-          when it has our batch size and more rows.  A prefix of another
-          batch size is a different stream — ours wins outright.
+        Both writers hold the same ``(database, Σ, law, seed)`` key, so
+        prefixes of the same seeded stream extend each other: theirs is
+        adopted (with its ``batch``) when we hold none, or when it has
+        our batch size and more rows.  A prefix of another batch size is
+        a different stream — ours wins outright.
 
         A missing, corrupt, or stale-version file contributes nothing
         (the load path already validates and degrades to empty).
         """
-        disk = CacheEntry(self.path, self._database, self._constraints)
-        theirs = disk._document
-        document = self._document
-        document["possibility"] = {**theirs["possibility"], **document["possibility"]}
+        disk = CacheEntry(self.path, self._facts)
         if len(disk._rows) and (
             not len(self._rows)
-            or (
-                theirs["batch"] == document["batch"]
-                and len(disk._rows) > len(self._rows)
-            )
+            or (disk._batch == self._batch and len(disk._rows) > len(self._rows))
         ):
-            document["samples"], document["batch"] = theirs["samples"], theirs["batch"]
-            self._rows = disk._rows
+            self._rows, self._batch = disk._rows, disk._batch
 
-    # -- possibility verdicts ----------------------------------------------------------
-
-    @staticmethod
-    def _request_key(query: ConjunctiveQuery, answer: tuple) -> str:
-        # default=repr, not str: repr carries the type, so type-distinct
-        # constants that stringify equally (Decimal('1') vs '1') cannot
-        # collide onto one verdict key.
-        return f"{query}|{json.dumps(list(answer), default=repr)}"
-
-    def get_possible(self, query: ConjunctiveQuery, answer: tuple) -> bool | None:
-        """The cached zero-test verdict for ``(query, answer)``, if any."""
-        return self._document["possibility"].get(self._request_key(query, answer))
-
-    def set_possible(self, query: ConjunctiveQuery, answer: tuple, value: bool) -> None:
-        """Persist one zero-test verdict."""
-        self._document["possibility"][self._request_key(query, answer)] = bool(value)
-        self._dirty = True
-
-    # -- sample batches ---------------------------------------------------------------
-
-    def _fact_order(self) -> list[Fact]:
-        if not hasattr(self, "_sorted_facts"):
-            self._sorted_facts = self._database.sorted_facts()
-        return self._sorted_facts
-
-    def _sample_words(self) -> int:
-        """Packed words per sample row for this entry's database."""
-        return _words_for(len(self._fact_order()))
+    # -- sample prefix ----------------------------------------------------------------
 
     def sample_batch(self) -> int | None:
         """The batch size the persisted prefix was drawn with, if any."""
-        return self._document["batch"]
+        return self._batch
 
     def sample_word_rows(self):
         """The persisted sample prefix: a read-only ``(S, words)`` matrix.
@@ -568,10 +525,8 @@ class CacheEntry:
 
     def discard_samples(self) -> None:
         """Drop the persisted sample prefix (and its batch size)."""
-        if len(self._rows) or self._document["batch"] is not None:
-            self._document["samples"] = ""
-            self._document["batch"] = None
-            self._rows = _word_rows(b"", self._sample_words())
+        if len(self._rows) or self._batch is not None:
+            self._rows, self._batch = _word_rows(b"", self._words), None
             self._dirty = True
 
     def attach_pool(self, pool: "SamplePool") -> None:
@@ -583,13 +538,12 @@ class CacheEntry:
         # 0-word rows (a 0-fact instance) carry nothing to persist.
         if drawn <= len(self._rows) or not self._pool.words:
             return
-        # The blob IS the pool's packed uint64 matrix: its bytes, base64'd.
+        # The rows ARE the pool's packed uint64 matrix: a read-only view
+        # of its first ``drawn`` rows (later draws only append past them).
         # The prefix resumes by batch index, so the batch size (part of
         # the stream's contract) is all it needs besides.
-        blob = self._pool.packed_prefix(drawn).tobytes()
-        self._document["samples"] = base64.b64encode(blob).decode("ascii")
-        self._document["batch"] = self._pool.batch_size
-        self._rows = _word_rows(blob, self._pool.words)
+        self._rows = self._pool.packed_prefix(drawn)
+        self._batch = self._pool.batch_size
         self._dirty = True
 
 
@@ -651,7 +605,7 @@ class CacheStore:
         """Load (or initialize empty) the entry for this instance key."""
         key = instance_cache_key(database, constraints, generator_name, seed)
         path = os.path.join(self.directory, f"{key}.json")
-        return CacheEntry(path, database, constraints)
+        return CacheEntry(path, len(database))
 
 
 # -- fsck ------------------------------------------------------------------------------

@@ -981,8 +981,10 @@ def _run_phases(
         # Deterministic probe (the storm races): a unique-label request
         # misses the answer cache, re-admits its session, and reads the
         # bitflipped entry — a corrupt load served by recompute.  The
-        # recomputed session is dirty, so the spill that follows hits
-        # the injected ENOSPC.  Both must trip the degraded gauge.
+        # recomputed session redraws the samples the damaged entry held
+        # (an entry is only its sample prefix), so it is dirty and the
+        # spill that follows hits the injected ENOSPC.  Both must trip
+        # the degraded gauge.
         retrying = ServiceClient(
             url, timeout=config.request_timeout, max_retries=50, retry_after_cap=0.1
         )

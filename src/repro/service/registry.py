@@ -31,8 +31,8 @@ lock is what makes the registry safe for *direct* multi-threaded use
 too.
 
 **Persistence.**  With a ``cache_dir``, admissions warm-start from the
-:class:`~repro.engine.store.CacheStore` (verdicts and the persisted
-sample prefix) and evictions spill newly drawn
+:class:`~repro.engine.store.CacheStore` (the persisted sample
+prefix) and evictions spill newly drawn
 state back — so a group bouncing in and out of a small registry never
 redraws samples it already paid for.  Spills merge with concurrent
 writers instead of clobbering them (see :meth:`CacheEntry.save

@@ -1,5 +1,7 @@
 """Tests that the paper's positivity bounds hold against exact values."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,10 +12,12 @@ from repro.approx.bounds import (
     rrfreq_lower_bound,
     singleton_frequency_lower_bound,
     srfreq_lower_bound,
+    uo_keys_local_lower_bound,
     uo_keys_lower_bound,
     uo_singleton_fd_lower_bound,
 )
-from repro.core.queries import atom, boolean_cq
+from repro.core import Database
+from repro.core.queries import atom, boolean_cq, cq, var
 from repro.exact import (
     rrfreq,
     rrfreq1,
@@ -21,7 +25,9 @@ from repro.exact import (
     srfreq1,
     uniform_operations_answer_probability,
 )
+from repro.reductions.graphs import complete_graph, cycle_graph, path_graph, star_graph
 from repro.reductions.pathological import exact_centre_probability
+from repro.reductions.vizing import independent_set_database
 from repro.workloads import block_database, fd_star_database, multikey_database
 
 
@@ -130,3 +136,79 @@ class TestBoundDispatch:
             bound_for("M_xx", database, constraints, query)
         # M_uo,1 works for any FDs (Theorem 7.5).
         assert bound_for("M_uo,1", database, constraints, query) > 0
+
+
+def _key_instances():
+    """Small arbitrary-keys instances (Prop 5.5's encoding of a graph)."""
+    graphs = {
+        "star3": star_graph(3),
+        "star4": star_graph(4),
+        "path5": path_graph(5),
+        "cycle6": cycle_graph(6),
+        "K4": complete_graph(4),
+    }
+    instances = {name: independent_set_database(g) for name, g in graphs.items()}
+    for seed in (1, 2):
+        instances[f"multikey7-{seed}"] = multikey_database(7, 3, random.Random(seed))
+    return instances
+
+
+class TestSessionPositivityFloor:
+    """The floor plain ``M_uo`` sizes samples with must be a lower bound.
+
+    Beyond primary keys the ``rrfreq`` floor ``1/(2|D|)^|Q|`` is not one
+    (a star's centre survives with ``Π k/(2k+1)``, 0.0571 against 0.125
+    on star(3)); :func:`uo_keys_local_lower_bound` is, on every
+    single-fact answer and every pairwise-consistent two-fact witness.
+    """
+
+    @pytest.mark.parametrize("name", sorted(_key_instances()))
+    def test_floor_is_below_every_exact_probability(self, name):
+        from repro.chains.generators import M_UO
+        from repro.engine import EstimationSession
+        from repro.exact.state_space import StateSpaceEngine
+
+        instance = _key_instances()[name]
+        database, constraints = instance.database, instance.constraints
+        assert constraints.all_keys() and not constraints.is_primary_keys()
+        distribution = StateSpaceEngine(
+            database, constraints
+        ).uniform_operations_repair_distribution()
+
+        def survival(witness):
+            return float(
+                sum(p for repair, p in distribution.items() if witness <= repair.facts)
+            )
+
+        arity = len(next(iter(database)).values)
+        left = [var(f"u{i}") for i in range(arity)]
+        right = [var(f"v{i}") for i in range(arity)]
+        one = cq(tuple(left), (atom("R", *left),))
+        two = cq(tuple(left + right), (atom("R", *left), atom("R", *right)))
+        session = EstimationSession(database, constraints, M_UO)
+        facts = database.sorted_facts()
+        floor = session.positivity_bound(one)
+        for fact in facts:
+            assert 0 < floor <= survival(frozenset([fact])), fact
+        floor = session.positivity_bound(two)
+        consistent = [
+            frozenset(pair)
+            for pair in itertools.combinations(facts, 2)
+            if constraints.satisfied_by(Database(pair, schema=database.schema))
+        ]
+        assert consistent or name == "K4"  # in K4 every pair conflicts
+        for pair in consistent:
+            assert 0 < floor <= survival(pair), sorted(map(str, pair))
+
+    def test_local_bound_is_exact_on_stars(self):
+        from repro.exact.state_space import StateSpaceEngine
+
+        for n in (3, 4):
+            instance = independent_set_database(star_graph(n))
+            database, constraints = instance.database, instance.constraints
+            centre = instance.node_to_fact[0]
+            exact = StateSpaceEngine(database, constraints).uniform_operations_probability(
+                lambda repair: centre in repair
+            )
+            assert uo_keys_local_lower_bound(1, n) == exact
+        assert uo_keys_local_lower_bound(1, 0) == 1  # no conflicts: every fact stays

@@ -4,12 +4,11 @@ The PR 5 two-writer contract (concurrent saves merge, never clobber)
 must survive the durability plane: if writer B's save is killed at *any*
 fault point of a seeded plan, the store is still old-or-new, and once
 writer A subsequently saves, **nothing either writer durably committed
-is lost** — the longest committed sample prefix and every committed
-verdict survive exactly.  Saving again is idempotent (byte-identical
-file).
+is lost** — the longest committed sample prefix survives exactly.
+Saving again is idempotent (byte-identical file).
 
-Hypothesis draws the writers' sample-prefix lengths, which possibility
-verdicts each caches, and the save interleaving; every deterministic
+Hypothesis draws the writers' sample-prefix lengths and the save
+interleaving; every deterministic
 kill point of the interrupted save is then exercised for each drawn
 scenario.  Both planes run it: ``M_ur`` pools draw vector batches of 512,
 ``M_uo`` pools one walk sample per batch — one resume scheme for both.
@@ -24,23 +23,19 @@ from hypothesis import strategies as st
 
 
 from repro.chains.generators import M_UO, M_UR
-from repro.core.queries import atom, cq, var
 from repro.engine import CacheStore, EstimationSession
 from repro.engine import fsfault
 from repro.engine.batch import group_seed_for
 from repro.engine.fsfault import CrashPoint, FaultPlan
 from repro.workloads import figure2_database
 
-x, y = var("x"), var("y")
 SEED = 7
-CANDIDATES = (("a1",), ("a2",), ("a3",))
 
 
-def build_writer(cache_dir, grow_to, verdicts, generator=M_UR):
-    """A loaded-but-unsaved writer with ``grow_to`` samples drawn and
-    possibility verdicts cached for the chosen candidates.  Returns the
-    entry and the pool's materialized length (pools draw whole batches,
-    so it may exceed ``grow_to``)."""
+def build_writer(cache_dir, grow_to, generator=M_UR):
+    """A loaded-but-unsaved writer with ``grow_to`` samples drawn.
+    Returns the entry and the pool's materialized length (pools draw
+    whole batches, so it may exceed ``grow_to``)."""
     database, constraints = figure2_database()
     group_seed = group_seed_for(SEED, database, constraints, generator)
     entry = CacheStore(str(cache_dir)).entry(
@@ -49,9 +44,6 @@ def build_writer(cache_dir, grow_to, verdicts, generator=M_UR):
     session = EstimationSession(database, constraints, generator, cache=entry)
     pool = session.cached_pool(group_seed)
     pool.ensure(grow_to)
-    query = cq((x,), (atom("R", x, y),))
-    for candidate in sorted(verdicts):
-        session.is_possible(query, candidate)
     return entry, len(pool)
 
 
@@ -60,11 +52,7 @@ def entry_file(cache_dir):
     return os.path.join(cache_dir, names[0]) if names else None
 
 
-SCENARIO = dict(
-    verdicts_a=st.sets(st.sampled_from(CANDIDATES), max_size=2),
-    verdicts_b=st.sets(st.sampled_from(CANDIDATES), max_size=2),
-    a_saves_first=st.booleans(),
-)
+SCENARIO = dict(a_saves_first=st.booleans())
 SETTINGS = settings(
     max_examples=8,
     deadline=None,
@@ -79,11 +67,9 @@ SETTINGS = settings(
     **SCENARIO,
 )
 def test_interrupted_two_writer_merge_is_lossless_and_idempotent(
-    tmp_path_factory, grow_a, grow_b, verdicts_a, verdicts_b, a_saves_first
+    tmp_path_factory, grow_a, grow_b, a_saves_first
 ):
-    check_interrupted_merge(
-        tmp_path_factory, M_UR, grow_a, grow_b, verdicts_a, verdicts_b, a_saves_first
-    )
+    check_interrupted_merge(tmp_path_factory, M_UR, grow_a, grow_b, a_saves_first)
 
 
 @SETTINGS
@@ -95,22 +81,18 @@ def test_interrupted_two_writer_merge_is_lossless_and_idempotent(
     **SCENARIO,
 )
 def test_interrupted_two_writer_merge_on_the_walk_plane(
-    tmp_path_factory, grow_a, grow_b, verdicts_a, verdicts_b, a_saves_first
+    tmp_path_factory, grow_a, grow_b, a_saves_first
 ):
-    check_interrupted_merge(
-        tmp_path_factory, M_UO, grow_a, grow_b, verdicts_a, verdicts_b, a_saves_first
-    )
+    check_interrupted_merge(tmp_path_factory, M_UO, grow_a, grow_b, a_saves_first)
 
 
-def check_interrupted_merge(
-    tmp_path_factory, generator, grow_a, grow_b, verdicts_a, verdicts_b, a_saves_first
-):
+def check_interrupted_merge(tmp_path_factory, generator, grow_a, grow_b, a_saves_first):
     fsfault.reset()
     # Size the kill sweep: a "raise"-only plan never fires, so this dry
     # run is a real, fault-free execution of the B-save being attacked.
     dry_dir = tmp_path_factory.mktemp("dry")
-    writer_a, _ = build_writer(dry_dir, grow_a, verdicts_a, generator)
-    writer_b, _ = build_writer(dry_dir, grow_b, verdicts_b, generator)
+    writer_a, _ = build_writer(dry_dir, grow_a, generator)
+    writer_b, _ = build_writer(dry_dir, grow_b, generator)
     if a_saves_first:
         writer_a.save()
     with fsfault.injected(FaultPlan(crash="raise")) as dry:
@@ -120,8 +102,8 @@ def check_interrupted_merge(
 
     for kill_at in range(1, operations + 1):
         replay = tmp_path_factory.mktemp(f"kill-{kill_at}")
-        writer_a, pool_a = build_writer(replay, grow_a, verdicts_a, generator)
-        writer_b, pool_b = build_writer(replay, grow_b, verdicts_b, generator)
+        writer_a, pool_a = build_writer(replay, grow_a, generator)
+        writer_b, pool_b = build_writer(replay, grow_b, generator)
         if a_saves_first:
             writer_a.save()
         with fsfault.injected(FaultPlan(kill_at=kill_at, crash="raise")):
@@ -144,17 +126,13 @@ def check_interrupted_merge(
             assert probe.load_error is None, (kill_at, probe.load_error)
 
         # Writer A saves after the crash; the merge must preserve the
-        # longest committed prefix and the union of committed verdicts —
-        # exactly (no clobbered samples, no phantom verdicts).
+        # longest committed prefix exactly (no clobbered samples, no
+        # phantom rows).
         writer_a.save()
         document = json.load(open(entry_file(replay)))
         expected_samples = max(pool_a, pool_b if b_landed else 0)
-        expected_verdicts = set(verdicts_a) | (
-            set(verdicts_b) if b_landed else set()
-        )
         rows = len(base64.b64decode(document["samples"])) // (8 * document["words"])
         assert rows == expected_samples, (kill_at, spec_of())
-        assert len(document["possibility"]) == len(expected_verdicts)
 
         # Idempotence: an immediate re-save with nothing new must be a
         # byte-for-byte no-op.

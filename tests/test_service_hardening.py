@@ -13,6 +13,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.chains.generators import M_UR, M_US
 from repro.core.queries import atom, cq, var
@@ -682,3 +684,139 @@ class TestMalformedFields:
             client._call("POST", "/estimate", MALFORMED_DOCUMENTS[name])
         assert caught.value.status == 400
         assert caught.value.payload.get("error")
+
+
+# -- fuzzed request documents --------------------------------------------------------------
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    | st.text(max_size=6)
+)
+#: Any JSON value: what a client may put under any key.
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _or_junk(*valid):
+    """A valid value seven times in eight, else arbitrary JSON."""
+    return st.integers(0, 7).flatmap(lambda roll: st.one_of(*valid) if roll else _JSON)
+
+
+def _documents(required, optional):
+    """Documents with the ``required`` keys present four times in five,
+    else with any subset of the keys."""
+    return st.integers(0, 4).flatmap(
+        lambda roll: st.fixed_dictionaries(required, optional=optional)
+        if roll
+        else st.fixed_dictionaries({}, optional={**required, **optional})
+    )
+
+
+_FACTS = st.lists(
+    st.lists(st.sampled_from(["R", "S", "a1", "b1", "b2"]), min_size=1, max_size=4),
+    max_size=4,
+)
+_FUZZ_INSTANCE = _documents(
+    {
+        "schema": _or_junk(st.just(_INSTANCE["schema"])),
+        "facts": _or_junk(st.just(_INSTANCE["facts"]), _FACTS),
+        "fds": _or_junk(st.just(_INSTANCE["fds"]), st.just([["R", ["A9"], ["A2"]]])),
+    },
+    {},
+)
+_INSTANCE_DOCUMENT = _or_junk(st.just(_INSTANCE), _FUZZ_INSTANCE)
+_ANSWER = st.lists(st.sampled_from(["a1", "a2", "b1"]), max_size=3)
+#: The per-request keys; ``defaults`` takes five of them.
+_REQUEST_FIELDS = {
+    "query": _or_junk(
+        st.sampled_from(
+            [_QUERY, "Ans() :- R(?x, ?y)", "Ans(?x) :- R(?x, ?y), R(?z, ?y)", "Ans(?x :-"]
+        )
+    ),
+    "generator": _or_junk(st.sampled_from(["M_ur", "M_us", "M_uo", "M_uo,1", "M_xx"])),
+    "answer": _or_junk(_ANSWER),
+    "answers": _or_junk(st.just("all")),
+    "epsilon": _or_junk(st.floats(min_value=-1, max_value=2)),
+    "delta": _or_junk(st.floats(min_value=-1, max_value=2)),
+    "method": _or_junk(st.sampled_from(["auto", "fixed", "dklr", "exact"])),
+    "max_samples": _or_junk(st.integers(min_value=-5, max_value=10**6)),
+}
+_MODE = _or_junk(st.sampled_from(["fixed", "adaptive", "turbo"]))
+_OPTIONAL_FIELDS = {
+    key: value for key, value in _REQUEST_FIELDS.items() if key != "query"
+}
+_SINGLE_DOCUMENTS = _documents(
+    {"instance": _INSTANCE_DOCUMENT, "query": _REQUEST_FIELDS["query"]},
+    {**_OPTIONAL_FIELDS, "label": _or_junk(st.text(max_size=4)), "mode": _MODE},
+)
+_ROW = _documents(
+    {"instance": _or_junk(st.just("i")), "query": _REQUEST_FIELDS["query"]},
+    _OPTIONAL_FIELDS,
+)
+_WORKLOAD_DOCUMENTS = _documents(
+    {
+        "instances": _or_junk(
+            st.dictionaries(st.sampled_from(["i", "j"]), _INSTANCE_DOCUMENT, max_size=2)
+        ),
+        "requests": _or_junk(st.lists(_or_junk(_ROW), max_size=3)),
+    },
+    {
+        "defaults": _or_junk(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    key: _REQUEST_FIELDS[key]
+                    for key in ("generator", "epsilon", "delta", "method", "max_samples")
+                },
+            )
+        ),
+        "mode": _MODE,
+    },
+)
+
+
+class TestFuzzedRequestDocuments:
+    """Any JSON request document parses to requests or to a client error.
+
+    Both ``/estimate`` shapes, with every request key drawn from valid
+    values and arbitrary JSON alike: the server's parser returns requests
+    or raises its 400 error, and the workload parser returns requests or
+    raises :class:`~repro.io.InstanceFormatError` — never anything a
+    server would answer with a 500.
+    """
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(document=st.one_of(_SINGLE_DOCUMENTS, _WORKLOAD_DOCUMENTS))
+    def test_document_parses_or_is_a_client_error(self, document):
+        from repro.io import InstanceFormatError, instance_from_dict, workload_from_dict
+        from repro.service import server
+
+        try:
+            requests, mode = server._estimate_requests(document, instance_from_dict)
+        except server._BadRequest:
+            pass
+        else:
+            assert all(isinstance(request, BatchRequest) for request in requests)
+            assert mode in ("fixed", "adaptive")
+        instances = document.get("instances")
+        if isinstance(instances, dict) and any(
+            isinstance(spec, str) for spec in instances.values()
+        ):
+            return  # a file path: the offline parser loads it, the service refuses it
+        try:
+            requests = workload_from_dict(document)
+        except InstanceFormatError:
+            pass
+        else:
+            assert all(isinstance(request, BatchRequest) for request in requests)

@@ -160,6 +160,45 @@ class TestWarmStart:
         assert [r.result for r in warm] == [r.result for r in cold]
         assert [r.result for r in plain] == [r.result for r in cold]
 
+    @pytest.mark.parametrize("generator", [M_UR, M_UO], ids=lambda g: g.name)
+    def test_warm_run_of_a_new_query_rewrites_nothing(
+        self, tmp_path, monkeypatch, generator
+    ):
+        # The entry is the sample prefix and nothing else: a warm run of
+        # another query whose budgets the stored prefix covers draws
+        # nothing, so its save is the clean no-op and the file keeps its
+        # bytes (no per-query state is persisted).
+        from repro.engine.store import CacheEntry
+
+        batch_estimate(fig2_requests(generator), seed=7, cache_dir=str(tmp_path))
+        path = entry_path(tmp_path)
+        with open(path, "rb") as handle:
+            written = handle.read()
+        database, constraints = figure2_database()
+        query = cq((y,), (atom("R", x, y),))
+        requests = [
+            BatchRequest(
+                database, constraints, generator, query, answer=answer,
+                epsilon=EPSILON, delta=DELTA,
+            )
+            for answer in sorted(query.answers(database), key=repr)
+        ]
+        saves = []
+        original = CacheEntry.save
+
+        def recording(entry):
+            saves.append(original(entry))
+            return saves[-1]
+
+        monkeypatch.setattr(CacheEntry, "save", recording)
+        warm = batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
+        assert all(r.ok for r in warm)
+        assert saves == [False]
+        with open(path, "rb") as handle:
+            assert handle.read() == written
+        plain = batch_estimate(requests, seed=7)
+        assert [r.result for r in warm] == [r.result for r in plain]
+
     def test_longer_warm_run_extends_the_persisted_stream(self, tmp_path):
         # A vector prefix (M_ur) resumes by batch index.
         self.assert_warm_run_extends(tmp_path, M_UR)
@@ -210,25 +249,9 @@ class TestWarmStart:
         assert all(r.ok for r in results)
         assert os.listdir(tmp_path) == []
 
-    def test_possibility_keys_distinguish_type_distinct_answers(self, tmp_path):
-        # Decimal('1') and '1' stringify equally; a verdict cached for one
-        # must never be returned for the other (the one way a cache could
-        # have changed a result, even within a single run).
-        from decimal import Decimal
-
-        from repro.core.queries import cq
-
-        store = CacheStore(str(tmp_path))
-        database, constraints = figure2_database()
-        entry = store.entry(database, constraints, "M_ur", 7)
-        query = cq((x,), (atom("R", x, y),))
-        entry.set_possible(query, ("1",), False)
-        assert entry.get_possible(query, ("1",)) is False
-        assert entry.get_possible(query, (Decimal("1"),)) is None
-
-    def test_session_reuses_cached_bounds_and_possibility(self, tmp_path, monkeypatch):
-        # Verdicts persist across sessions through the entry; bounds are
-        # closed forms, cached per session and recomputed by the next.
+    def test_session_recomputes_bounds_and_verdicts(self, tmp_path, monkeypatch):
+        # Bounds and zero-test verdicts are cheap to recompute: each is
+        # cached per session, never persisted, and recomputed by the next.
         from repro.engine import session as session_module
 
         database, constraints = figure2_database()
@@ -241,23 +264,28 @@ class TestWarmStart:
         entry.save()
 
         calls = []
+        tests = []
         original = session_module.rrfreq_lower_bound
+        original_test = session_module.image_is_consistent
 
         def counting(*args):
             calls.append(1)
             return original(*args)
 
-        def no_zero_test(*args):
-            raise AssertionError("a persisted verdict must not be recomputed")
+        def counting_test(*args):
+            tests.append(1)
+            return original_test(*args)
 
         monkeypatch.setattr(session_module, "rrfreq_lower_bound", counting)
-        monkeypatch.setattr(session_module, "image_is_consistent", no_zero_test)
+        monkeypatch.setattr(session_module, "image_is_consistent", counting_test)
         fresh_entry = store.entry(database, constraints, "M_ur", 7)
         fresh = EstimationSession(database, constraints, M_UR, cache=fresh_entry)
         assert fresh.positivity_bound(query) == bound
         assert fresh.positivity_bound(query) == bound
         assert calls == [1]
         assert fresh.is_possible(query, ("a1",)) is True
+        assert fresh.is_possible(query, ("a1",)) is True
+        assert len(tests) == 1  # recomputed once, then the session memo
 
 
 class TestCorruption:
@@ -281,9 +309,10 @@ class TestCorruption:
         assert [r.result for r in damaged] == [r.result for r in baseline]
 
     def assert_dropped_field_is_damage(self, populated, field, value):
-        """An entry holds exactly its six fields: a digest-valid one that
-        carries a field v6 dropped is damage to fsck and to a load, and
-        the rerun recomputes it and rewrites the entry without it."""
+        """An entry holds exactly its five fields: a digest-valid one that
+        carries a field an earlier version persisted is damage to fsck and
+        to a load, and the rerun recomputes it and rewrites the entry
+        without it."""
         from repro.engine import fsck_store
 
         requests, baseline, path, cache_dir = populated
@@ -395,9 +424,13 @@ class TestCorruption:
     def test_wrong_field_types(self, populated):
         requests, baseline, path, cache_dir = populated
         document = json.load(open(path))
-        document["possibility"] = "not-a-dict"
-        json.dump(document, open(path, "w"))
+        write_digested(path, {**document, "batch": "not-an-int"})
         self.rerun_and_compare(requests, baseline, cache_dir)
+
+    def test_persisted_verdicts_are_damage(self, populated):
+        # v6 persisted zero-test verdicts; v7 recomputes them per session,
+        # so a v7-stamped entry that carries them is damage.
+        self.assert_dropped_field_is_damage(populated, "possibility", {"q|[]": True})
 
     def test_out_of_range_bound_degrades_to_recompute(self, populated):
         # Estimators reject p_lower outside (0, 1]; bounds are closed forms
@@ -565,9 +598,9 @@ class TestTwoWriters:
     silently dropped whatever the first appended (last writer wins).
     """
 
-    def _writer(self, tmp_path, seed, grow_to, query_answer):
-        """A (session, entry) pair that drew ``grow_to`` samples and
-        cached one possibility verdict — but has not saved yet."""
+    def _writer(self, tmp_path, seed, grow_to):
+        """An (entry, pool) pair that drew ``grow_to`` samples — but has
+        not saved yet."""
         from repro.engine.batch import group_seed_for
 
         database, constraints = figure2_database()
@@ -578,30 +611,26 @@ class TestTwoWriters:
         session = EstimationSession(database, constraints, M_UR, cache=entry)
         pool = session.cached_pool(group_seed)
         pool.ensure(grow_to)
-        query = cq((x,), (atom("R", x, y),))
-        session.is_possible(query, query_answer)
         return entry, pool
 
     @pytest.mark.parametrize("first_saves_longer", [True, False])
-    def test_interleaved_saves_keep_the_longer_prefix_and_all_verdicts(
-        self, tmp_path, first_saves_longer
-    ):
+    def test_interleaved_saves_keep_the_longer_prefix(self, tmp_path, first_saves_longer):
         lengths = (600, 40) if first_saves_longer else (40, 600)
         # Both writers load while the entry is empty — the racy interleave.
-        writer_a, pool_a = self._writer(tmp_path, 7, lengths[0], ("a1",))
-        writer_b, pool_b = self._writer(tmp_path, 7, lengths[1], ("a2",))
+        writer_a, pool_a = self._writer(tmp_path, 7, lengths[0])
+        writer_b, pool_b = self._writer(tmp_path, 7, lengths[1])
         writer_a.save()
         writer_b.save()
         with open(entry_path(tmp_path)) as handle:
             document = json.load(handle)
-        # No sample batch was lost: the longer prefix survived either way.
-        assert len(stored_rows(document)) == max(len(pool_a), len(pool_b))
-        # And neither writer's verdicts were dropped.
-        assert len(document["possibility"]) == 2
+        # No sample batch was lost: the longer prefix survived either way,
+        # and it is the cold stream's prefix.
+        longer = pool_a if len(pool_a) > len(pool_b) else pool_b
+        assert stored_rows(document) == longer.packed_prefix(len(longer)).tolist()
 
     def test_merged_entry_still_replays_bit_for_bit(self, tmp_path):
-        writer_a, _ = self._writer(tmp_path, 7, 40, ("a1",))
-        writer_b, _ = self._writer(tmp_path, 7, 600, ("a2",))
+        writer_a, _ = self._writer(tmp_path, 7, 40)
+        writer_b, _ = self._writer(tmp_path, 7, 600)
         writer_b.save()
         writer_a.save()  # shorter writer saves last: must not truncate
         requests = fig2_requests()
@@ -614,24 +643,16 @@ class TestTwoWriters:
         # degrade gracefully, never crash the save.
         from repro.engine import STORE_VERSION
 
-        database, constraints = figure2_database()
-        entry = CacheStore(str(tmp_path)).entry(database, constraints, "M_ur", 7)
-        size = len(database.sorted_facts())
+        entry, pool = self._writer(tmp_path, 7, 40)
         write_digested(
             entry.path,
-            {
-                "version": STORE_VERSION,
-                "possibility": {},
-                "samples": encode_rows([[0]] if size <= 64 else []),
-                "words": 1,
-            },
+            {"version": STORE_VERSION, "samples": encode_rows([[0]] * 1024), "words": 1},
         )
-        query = cq((x,), (atom("R", x, y),))
-        entry.set_possible(query, ("a1",), True)
-        entry.save()  # must not raise despite the absent resume fields
+        assert entry.save()  # must not raise despite the absent resume fields
         with open(entry.path) as handle:
             document = json.load(handle)
-        assert len(document["possibility"]) == 1
+        assert document["batch"] == pool.batch_size
+        assert stored_rows(document) == pool.packed_prefix(len(pool)).tolist()
 
     def test_cross_plane_writers_keep_their_own_prefix(self, tmp_path):
         # A caller-RNG walk-plane writer (batch 1) and a vector writer
@@ -791,9 +812,7 @@ class TestDurabilityEnvelope:
         assert document["version"] == STORE_VERSION
         assert isinstance(document["digest"], str) and len(document["digest"]) == 64
         assert document["words"] >= 1
-        assert set(document) == {
-            "version", "digest", "words", "batch", "samples", "possibility"
-        }
+        assert set(document) == {"version", "digest", "words", "batch", "samples"}
 
     def test_single_bitflip_sets_load_error_and_discards_rows(self, populated):
         requests, baseline, path, cache_dir = populated
@@ -913,9 +932,7 @@ class TestBlobEdgeCases:
 
     def test_zero_fact_instance_persists_no_rows(self, tmp_path):
         # 0 facts means 0-word rows: the blob cannot count them, and there
-        # is nothing to replay, so no rows are persisted — cold or warm.
-        from repro.engine import fsck_store
-
+        # is nothing to replay, so nothing is persisted — cold or warm.
         database, constraints = self.keyed_instance(0, 0)
         request = BatchRequest(
             database, constraints, M_UR, boolean_cq(atom("R", "k0", "v0")),
@@ -924,17 +941,14 @@ class TestBlobEdgeCases:
         cold = batch_estimate([request], seed=7, cache_dir=str(tmp_path))
         warm = batch_estimate([request], seed=7, cache_dir=str(tmp_path))
         assert cold[0].ok and [r.result for r in warm] == [r.result for r in cold]
-        document = json.load(open(entry_path(tmp_path)))
-        assert (document["words"], document["samples"], document["batch"]) == (0, "", None)
+        assert os.listdir(tmp_path) == []
 
         entry = CacheStore(str(tmp_path)).entry(database, constraints, "M_ur", 7)
         session = EstimationSession(database, constraints, M_UR, cache=entry)
         session.cached_pool(7).ensure(600)
         assert entry.save() is False  # drawn, but nothing to persist
-        warm_entry = CacheStore(str(tmp_path)).entry(database, constraints, "M_ur", 7)
-        assert warm_entry.load_error is None
-        assert warm_entry.sample_word_rows().shape == (0, 0)
-        assert fsck_store(str(tmp_path)).ok
+        assert entry.sample_word_rows().shape == (0, 0)
+        assert os.listdir(tmp_path) == []
 
 
 def golden_instance():
@@ -1011,16 +1025,18 @@ MUO_SEED13_ROWS = [
 
 
 class TestGoldenV4Entries:
-    """v4 and v5 entries written by earlier commits are clean misses at v6.
+    """v4–v6 entries written by earlier commits are clean misses at v7.
 
     ``golden_v4_vector.json`` is an ``M_ur`` entry (seed 11),
     ``golden_v4_muo.json`` an ``M_uo`` one (seed 13, a persisted RNG
     state), and ``golden_v4_scalar.json`` an ``M_ur`` entry drawn on the
     old scalar plane (seed 12).  ``golden_v5_vector.json`` and
     ``golden_v5_muo.json`` hold the same streams as JSON word rows, next
-    to a persisted decomposition and bounds.  Each must load as a plain
-    miss — no damage, nothing preloaded — be rewritten at the current
-    version, and change no row.
+    to a persisted decomposition and bounds; ``golden_v6_vector.json``
+    and ``golden_v6_muo.json`` hold them as one blob, next to persisted
+    zero-test verdicts.  Each must load as a plain miss — no damage,
+    nothing preloaded — be rewritten at the current version, and change
+    no row.
     """
 
     @pytest.mark.parametrize(
@@ -1031,8 +1047,10 @@ class TestGoldenV4Entries:
             ("golden_v4_muo.json", M_UO, 13),
             ("golden_v5_vector.json", M_UR, 11),
             ("golden_v5_muo.json", M_UO, 13),
+            ("golden_v6_vector.json", M_UR, 11),
+            ("golden_v6_muo.json", M_UO, 13),
         ],
-        ids=["vector", "scalar", "muo", "v5-vector", "v5-muo"],
+        ids=["vector", "scalar", "muo", "v5-vector", "v5-muo", "v6-vector", "v6-muo"],
     )
     def test_v4_golden_entry_is_a_clean_miss(self, name, generator, seed, tmp_path):
         from repro.engine import STORE_VERSION, fsck_store
@@ -1072,32 +1090,37 @@ class TestGoldenV4Entries:
                 assert rows == MUR_SEED11_ROWS
 
 
-class TestGoldenV6Entries:
-    """v6 entries, one per plane, pin "a warm entry loads with zero draws".
+class TestGoldenV7Entries:
+    """v7 entries, one per plane, pin "a warm entry loads with zero draws".
 
-    Each ``tests/data/golden_v6_*.json`` was written by a cold
+    Each ``tests/data/golden_v7_*.json`` was written by a cold
     ``batch_estimate(golden_requests(generator), seed, cache_dir)``; the
     expected rows below are what it returned.  A warm run must load it,
     draw nothing, return the same rows and leave the file untouched — so
-    the on-disk v6 format and both planes' streams stay unchanged.
+    the on-disk v7 format and both planes' streams stay unchanged.
     """
 
     EXPECTED = {
-        "vector": ("golden_v6_vector.json", M_UR, 11, MUR_SEED11_ROWS),
-        "scalar": ("golden_v6_muo.json", M_UO, 13, MUO_SEED13_ROWS),
+        "vector": ("golden_v7_vector.json", M_UR, 11, MUR_SEED11_ROWS),
+        "scalar": ("golden_v7_muo.json", M_UO, 13, MUO_SEED13_ROWS),
     }
 
     @pytest.mark.parametrize("plane", ["vector", "scalar"])
-    def test_golden_rows_equal_the_v5_rows(self, plane):
-        # The blob is a new encoding of the same stream: no row changed.
+    def test_golden_rows_equal_the_v5_and_v6_rows(self, plane):
+        # v7 drops v6's verdicts, not a row: every version since v5
+        # persists the same stream.
         name = self.EXPECTED[plane][0]
         data = os.path.join(os.path.dirname(__file__), "data")
         with open(os.path.join(data, name)) as handle:
+            v7 = json.load(handle)
+        with open(os.path.join(data, name.replace("v7", "v6"))) as handle:
             v6 = json.load(handle)
-        with open(os.path.join(data, name.replace("v6", "v5"))) as handle:
+        with open(os.path.join(data, name.replace("v7", "v5"))) as handle:
             v5 = json.load(handle)
-        assert v6["batch"] == v5["batch"] and v6["words"] == v5["words"]
-        assert stored_rows(v6) == v5["samples"]
+        assert v7["batch"] == v6["batch"] == v5["batch"]
+        assert v7["words"] == v6["words"] == v5["words"]
+        assert v7["samples"] == v6["samples"]
+        assert stored_rows(v7) == v5["samples"]
 
     @pytest.mark.parametrize("plane", ["vector", "scalar"])
     def test_golden_entry_warm_loads_without_drawing(
