@@ -13,11 +13,7 @@ from fractions import Fraction
 
 from repro.core import fact
 from repro.core.queries import Atom, boolean_cq
-from repro.counting.survival import (
-    ground_survival_mur,
-    ground_survival_mus,
-    ground_survival_mus1,
-)
+from repro.counting.survival import ground_survival_mur, ground_survival_mus
 from repro.exact import rrfreq, srfreq
 from repro.workloads import block_database, random_block_database
 

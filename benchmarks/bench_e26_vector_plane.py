@@ -1,29 +1,29 @@
-"""E26 — Vectorized sample plane vs. the PR 3 interned scalar kernel.
+"""E26 — Vectorized sample plane vs. the reference object samplers.
 
-The vector plane's pitch (PR 4): draw whole batches of repairs as packed
+The vector plane's pitch: draw whole batches of repairs as packed
 ``uint64`` bitset rows (one ``numpy`` call per batch instead of one
 ``randrange`` per block per sample) and count witness hits with column
 reductions instead of per-sample subset tests.  This bench reuses the E21
 inconsistency-sweep instance shape and scores the same all-candidates
-workload on both planes:
+workload both ways:
 
-* **interned scalar** — the interned kernel over a caller-driven
-  ``session.pool(random.Random(seed))``: mask draws one sample at a time,
-  integer subset tests per (candidate, sample);
-* **vector** — ``session.pool_for_seed(seed)``, the plane the generator
-  picks for ``M_ur``/``M_us``: the same witness semantics over the packed
+* **scalar** — the reference samplers
+  (``session.sampler(random.Random(seed))``: ``RepairSampler.sample`` /
+  ``SequenceSampler.sample_result``), one ``Database`` per draw, with
+  frozenset witness tests per (candidate, sample);
+* **vector** — ``session.pool_for_seed(seed)``, the plane every pool of
+  ``M_ur``/``M_us`` draws on: the same witness semantics over the packed
   sample matrix.
 
-The two planes are *different deterministic streams* (each reproducible
-under its own seed contract), so the cross-plane estimates agree
+The two are *different deterministic streams*, so the estimates agree
 statistically, not bit-for-bit.  The bit-for-bit assertion here is the
 **decode-parity harness**: every vector estimate is recomputed by decoding
-the plane's outcome matrices through the scalar mask construction and
-re-counting hits in pure Python — those recomputed estimates must equal
-the packed-plane estimates exactly.  Speedup is asserted at ≥ 3× per
-sample for both generators, and an end-to-end all-candidates group run
-is timed over both pools (the vector rows asserted identical to a
-``batch_estimate`` rerun).
+the plane's outcome matrices in pure Python (one OR per kept fact) and
+re-counting hits — those recomputed estimates must equal the packed-plane
+estimates exactly.  Speedup is asserted at ≥ 3× per sample for both
+generators, and an end-to-end all-candidates group run is timed over a
+pool of reference draws and over the vector pool (the vector rows
+asserted identical to a ``batch_estimate`` rerun).
 """
 
 import random
@@ -31,8 +31,16 @@ import time
 
 from repro.chains.generators import M_UR, M_US
 from repro.core.queries import atom, cq, var
-from repro.engine import DEFAULT_BATCH_SIZE, BatchRequest, EstimationSession, batch_estimate
+from repro.engine import (
+    DEFAULT_BATCH_SIZE,
+    BatchRequest,
+    EstimationSession,
+    SamplePool,
+    batch_estimate,
+)
 from repro.engine.batch import group_seed_for, run_group
+from repro.sampling.sequence_sampler import SequenceSampler
+from repro.sampling.vectorized import pack_masks, words_for
 from repro.workloads.inconsistency import database_with_inconsistency
 
 from bench_utils import emit
@@ -60,9 +68,9 @@ def build_workload():
 def prepare_session(database, constraints, generator, query, candidates):
     """A session with structure + witnesses warm.
 
-    Witness enumeration (homomorphism search) is identical on both planes
+    Witness enumeration (homomorphism search) is identical on both sides
     and cached per session; keeping it outside the timed region makes the
-    measurement about the draw-and-evaluate plane itself.
+    measurement about drawing and evaluating samples.
     """
     session = EstimationSession(database, constraints, generator)
     session.index()
@@ -71,13 +79,36 @@ def prepare_session(database, constraints, generator, query, candidates):
     return session
 
 
+def reference_draw(session, seed):
+    """One reference-sampler draw as a fact set, per call."""
+    sampler = session.sampler(random.Random(seed))
+    if isinstance(sampler, SequenceSampler):
+        return lambda: sampler.sample_result().facts
+    return lambda: sampler.sample().facts
+
+
 def run_scalar(session, query, candidates):
-    """The interned scalar kernel: a pool driven by the caller's RNG."""
-    pool = session.pool(random.Random(SEED))
-    return [
-        session.fixed_budget_pooled(pool, query, candidate, samples=SAMPLES).estimate
-        for candidate in candidates
-    ]
+    """The reference samplers: one object draw per sample, frozenset tests."""
+    draw = reference_draw(session, SEED)
+    samples = [draw() for _ in range(SAMPLES)]
+    estimates = []
+    for candidate in candidates:
+        witnesses = session.witnesses(query, candidate)
+        hits = sum(1 for facts in samples if any(w <= facts for w in witnesses))
+        estimates.append(hits / SAMPLES)
+    return estimates
+
+
+class ReferencePlane:
+    """A one-sample-per-batch plane over a reference sampler's draws."""
+
+    def __init__(self, session, seed):
+        self._draw = reference_draw(session, seed)
+        self._index = session.index()
+
+    def draw_batch(self, batch_index, size):
+        masks = [self._index.mask_of(self._draw()) for _ in range(size)]
+        return None, pack_masks(masks, words_for(len(self._index)))
 
 
 def run_vector(session, query, candidates):
@@ -89,7 +120,7 @@ def run_vector(session, query, candidates):
 
 
 def decode_parity_estimates(database, constraints, generator, query, candidates):
-    """Re-derive the vector estimates through the scalar decode path."""
+    """Re-derive the vector estimates through the pure-Python decode."""
     session = EstimationSession(database, constraints, generator)
     plane = session.vector_plane(SEED)
     masks = []
@@ -112,9 +143,9 @@ def decode_parity_estimates(database, constraints, generator, query, candidates)
 def end_to_end(database, constraints, query, candidates):
     """Wall-clock all-candidates group runs over both pools.
 
-    Each generator's group runs once over ``session.pool(random.Random(seed))``
-    and once over ``session.pool_for_seed(seed)``; the seeded rows must
-    equal a ``batch_estimate`` rerun bit for bit.
+    Each generator's group runs once over a pool of reference draws
+    (:class:`ReferencePlane`) and once over ``session.pool_for_seed(seed)``;
+    the seeded rows must equal a ``batch_estimate`` rerun bit for bit.
     """
     requests = [
         BatchRequest(
@@ -138,7 +169,8 @@ def end_to_end(database, constraints, query, candidates):
             session = EstimationSession(database, constraints, generator)
             started = time.perf_counter()
             if plane == "scalar":
-                pool = session.pool(random.Random(group_seed))
+                reference = ReferencePlane(session, group_seed)
+                pool = SamplePool(session.index(), reference, batch_size=1)
             else:
                 pool = session.pool_for_seed(group_seed)
             results = run_group(session, pool, members)
@@ -186,7 +218,7 @@ def test_e26_vector_plane(benchmark):
         # Decode parity: packed-plane hits equal pure-Python recounts of
         # the same outcome matrices, bit for bit.
         assert vector_estimates == decoded
-        # Cross-plane sanity: same distribution, so the all-candidate
+        # Cross-stream sanity: same distribution, so the all-candidate
         # means sit within Monte-Carlo noise of each other.
         gap = max(
             abs(a - b) for a, b in zip(scalar_estimates, vector_estimates)

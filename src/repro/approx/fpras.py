@@ -17,15 +17,14 @@ Combinations outside the table raise :class:`FPRASUnavailable` with the
 paper's negative/open status, rather than silently returning an estimate
 with no guarantee.
 
-Since the batched engine landed, each call is a thin per-call view over a
-fresh :class:`~repro.engine.session.EstimationSession`; callers estimating
-many answers over one instance should hold a session (or use
-:func:`~repro.engine.batch.batch_estimate`) to share the sampling pass —
-results are bit-for-bit identical either way under the same seed.  The
-session runs on the interned-fact kernel
-(:class:`~repro.core.interning.InstanceIndex`): draws are id bitmasks and
-witness checks integer subset tests, with the same bit-for-bit guarantee
-against the object path (``tests/test_interning.py``).
+Each call is a thin per-call view over a fresh
+:class:`~repro.engine.session.EstimationSession`: ``rng`` supplies one
+64-bit seed, and the estimate reads the seeded sample pool of the
+generator's sampling law — the pool
+:func:`~repro.engine.batch.batch_estimate` draws for that seed.  Callers
+estimating many answers over one instance should hold a session (or use
+``batch_estimate``) to share the sampling pass; results are bit-for-bit
+identical either way under the same seed.
 """
 
 from __future__ import annotations

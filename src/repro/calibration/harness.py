@@ -38,6 +38,7 @@ import contextlib
 import random
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from ..chains.generators import M_UO, M_UO1, M_UR, M_US, MarkovChainGenerator
@@ -45,11 +46,7 @@ from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.facts import fact
 from ..core.queries import Atom, ConjunctiveQuery, boolean_cq
-from ..counting.survival import (
-    ground_survival_mur,
-    ground_survival_mus,
-    ground_survival_mus1,
-)
+from ..counting.survival import ground_survival_mur, ground_survival_mus
 from ..engine import MODES, CacheStore, EstimationSession, sampling_law
 from ..exact import exact_ocqa
 from ..workloads import (
@@ -84,7 +81,7 @@ _EXACT_SURVIVAL = {
     "M_ur": ground_survival_mur,
     "M_us": ground_survival_mus,
     # The singleton law on primary keys: Π 1/|B| for every variant.
-    "M_ur,1": ground_survival_mus1,
+    "M_ur,1": partial(ground_survival_mur, singleton_only=True),
 }
 
 #: Seed namespace for pinned reference truths — deliberately *not* the

@@ -13,10 +13,8 @@ derived integer structure the hot paths run on:
   ``w & s == w``, one machine-word-striped AND instead of a frozenset
   containment walk;
 * **blocks as sorted id-tuples** — the conflicting blocks of the primary-key
-  decomposition (Lemma 5.2), in the exact iteration order the samplers
-  draw in (the samplers derive their own id-block structure from the same
-  decomposition + interning, which is what makes id-based draws consume
-  the RNG bit-for-bit identically to the object path).
+  decomposition (Lemma 5.2), in the exact iteration order the reference
+  samplers draw in; the vector plane's outcome columns follow them.
 
 The id order deliberately equals the canonical order
 :mod:`repro.engine.store` has always persisted sample rows in, so an interned
@@ -25,7 +23,8 @@ sample encodes to disk as the *same* sorted index list a fact-set sample did.
 The kernel is invisible at the public API surface: samplers and sessions
 reconstruct :class:`~repro.core.facts.Fact` / fact-set results on demand via
 :meth:`InstanceIndex.facts_of_mask`, and estimates are bit-for-bit identical
-with the kernel on or off (``tests/test_interning.py`` asserts both).
+with the kernel on or off (``tests/test_interning.py`` asserts both, over
+the seeded stream decoded to fact sets).
 """
 
 from __future__ import annotations

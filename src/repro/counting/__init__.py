@@ -28,7 +28,6 @@ from .survival import (
     fact_survival_probability,
     ground_survival_mur,
     ground_survival_mus,
-    ground_survival_mus1,
 )
 from .repair_count import (
     count_candidate_repairs_primary_keys,
@@ -42,7 +41,6 @@ __all__ = [
     "fact_survival_probability",
     "ground_survival_mur",
     "ground_survival_mus",
-    "ground_survival_mus1",
     "mus_edge_probability",
     "mus_outgoing_distribution",
     "mus_sequence_probability",

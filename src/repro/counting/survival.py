@@ -13,7 +13,8 @@ time, because blocks interact in a controlled way:
   outcome" and shuffle-multiplying length distributions gives the exact
   joint probability — a polynomial generalization of Example C.3;
 * ``M_us,1``: every singleton sequence keeps exactly one fact per block,
-  chosen uniformly by symmetry, so ``P = Π 1/|B_i|``.
+  chosen uniformly by symmetry — ``M_ur,1``'s law, so
+  ``ground_survival_mur(..., singleton_only=True)`` serves both.
 
 These serve as fast paths, as ground truth for sampler tests at sizes the
 exponential engines cannot reach, and as a small original extension of the
@@ -122,26 +123,6 @@ def ground_survival_mus(
     return Fraction(numerator, total * symmetry)
 
 
-def ground_survival_mus1(
-    database: Database,
-    constraints: FDSet,
-    facts: frozenset[Fact] | set[Fact],
-) -> Fraction:
-    """``P_{M_us,1}(all of ``facts`` survive)``: ``Π 1/|B_i|`` by symmetry."""
-    fact_set = frozenset(facts)
-    try:
-        _, hit = _hit_blocks(database, constraints, fact_set)
-    except BlockError as error:
-        if "share a block" in str(error):
-            return Fraction(0)
-        raise
-    probability = Fraction(1)
-    for block in hit:
-        if block.has_conflicts:
-            probability *= Fraction(1, len(block))
-    return probability
-
-
 def fact_survival_probability(
     database: Database,
     constraints: FDSet,
@@ -156,12 +137,10 @@ def fact_survival_probability(
     single = frozenset((fact,))
     if generator_name == "M_ur":
         return ground_survival_mur(database, constraints, single)
-    if generator_name == "M_ur,1":
+    if generator_name in ("M_ur,1", "M_us,1"):
         return ground_survival_mur(database, constraints, single, singleton_only=True)
     if generator_name == "M_us":
         return ground_survival_mus(database, constraints, single)
-    if generator_name == "M_us,1":
-        return ground_survival_mus1(database, constraints, single)
     raise KeyError(f"no polynomial survival formula for {generator_name!r}")
 
 

@@ -83,11 +83,11 @@ def operational_consistent_answers(
     Rows are sorted by decreasing probability, then by answer.
 
     The approximate route scores all candidates against one shared sample
-    pool (an :class:`~repro.engine.session.EstimationSession` on the
-    interned-fact kernel: the pool holds id bitmasks, one ``int`` per
-    draw, and candidates are checked with integer subset tests), so the
-    whole table costs a single sampling pass; each row still carries its
-    own (ε, δ) guarantee.  The pool retains its draws for replay, so when a
+    pool (an :class:`~repro.engine.session.EstimationSession` pool seeded
+    from ``rng``: packed survivor bitset rows, checked against each
+    candidate's witnesses with column tests), so the whole table costs a
+    single sampling pass; each row still carries its own (ε, δ)
+    guarantee.  The pool retains its draws for replay, so when a
     tiny positivity bound pushes the estimator onto the adaptive stopping
     rule, pass ``max_samples`` to bound the pass (and the memory).
     """

@@ -15,11 +15,11 @@ share the same database.  :class:`EstimationSession` binds one
   sampled repair ``S ⊆ D`` satisfies ``c̄ ∈ Q(S)`` iff it contains one of
   the inclusion-minimal images, so per-sample evaluation drops from a
   fresh backtracking join to a few subset tests.
-* **the interned kernel** — the session interns ``D`` once into an
-  :class:`~repro.core.interning.InstanceIndex` (dense fact ids), samplers
-  draw survivor *id bitmasks* without constructing ``Operation`` or
-  ``Database`` objects, and the minimal witness images become bitmasks too
-  — "repair entails answer" is the integer subset test
+* **interned samples** — the session interns ``D`` once into an
+  :class:`~repro.core.interning.InstanceIndex` (dense fact ids); samples
+  are survivor id bitmasks packed into rows, with no ``Operation`` or
+  ``Database`` objects per draw, and the minimal witness images become
+  bitmasks too — "repair entails answer" is the subset test
   ``w & s == w``.
 * **shared sample pools** — :class:`SamplePool` materializes one seeded
   stream of sampled repairs lazily; every request evaluates against the
@@ -28,32 +28,27 @@ share the same database.  :class:`EstimationSession` binds one
   Every pool holds its samples one way: a packed ``(S, ceil(n/64))``
   little-endian ``uint64`` bitset matrix, and witness hits are counted
   with column tests over the words each witness occupies.
-* **two sample planes** — every pool draws through a plane with one
+* **one plane per law** — every pool draws through a plane with one
   ``draw_batch(batch_index, size)`` shape: the block-structured
-  ``M_ur``/``M_us`` families through the vector plane
+  ``M_ur``/``M_us`` laws through the vector plane
   (:mod:`repro.sampling.vectorized`, whole batches at once), the ``M_uo``
   walk (which has no block structure) through the walk plane
   (``_WalkPlane``), one sample per batch.  The :func:`sampling_law`
   alone decides the plane, which never changes *what* is computed.
 
-Determinism contracts:
-
-* **seeded** — a seed-driven pool's batch ``b``
-  (:meth:`EstimationSession.pool_for_seed`, i.e. everything
-  :func:`~repro.engine.batch.batch_estimate` builds) is a pure function of
-  ``(instance structure, seed, b, batch size)``: vector batches come from
-  counter-based ``numpy`` substreams, walk batches from a ``random.Random``
-  reseeded per batch (both spelled out in :mod:`repro.sampling.rng`).  So
-  a pool resumes from any persisted prefix by batch index, in any
-  process, with no RNG state to carry; the vector stream is equal in
-  distribution to the scalar samplers' and decode-parity-checked against
-  their mask construction (``tests/test_vectorized.py``).
-* **caller RNG** — a pool driven by a caller's ``random.Random``
-  (``session.pool(rng)``) wraps that RNG in a walk plane that is never
-  reseeded, so it draws the exact stream a per-call run seeded
-  identically would, and pooled estimates are *bit-for-bit identical* to
-  per-call :func:`~repro.approx.fpras.fpras_ocqa` results under the same
-  seed (``tests/test_engine.py`` asserts this).
+One determinism contract: a pool's batch ``b`` is a pure function of
+``(instance structure, seed, b, batch size)`` — vector batches come from
+counter-based ``numpy`` substreams, walk batches from a ``random.Random``
+reseeded per batch (both spelled out in :mod:`repro.sampling.rng`).  So a
+pool resumes from any persisted prefix by batch index, in any process,
+with no RNG state to carry; the vector stream is equal in distribution to
+the reference object samplers' and decode-parity-checked against them
+(``tests/test_vectorized.py``).  A caller's ``random.Random``
+(:meth:`EstimationSession.pool`, and so every per-call estimate) only
+supplies the seed: one ``getrandbits(64)`` draw, after which the pool is
+the seeded pool :meth:`EstimationSession.pool_for_seed` builds for it.
+Per-call results are therefore reproducible per seed and equal pooled
+estimates over that pool.
 
 Two layers sit on top of the fixed estimators:
 
@@ -92,7 +87,6 @@ from ..approx.montecarlo import (
     EstimateResult,
     chernoff_sample_size,
     fixed_estimate_from_total,
-    fixed_sample_estimate,
     stopping_rule_estimate,
 )
 from ..chains.generators import (
@@ -155,13 +149,11 @@ class _WalkPlane:
     """The walk plane: one mask-drawing sampler around one ``random.Random``.
 
     Same ``draw_batch(batch_index, size)`` shape as the vector planes.
-    Seeded, the RNG is reseeded in place with
+    The RNG is reseeded in place with
     :func:`~repro.sampling.rng.walk_seed` ``(seed, b)`` before batch ``b``
     is drawn, so every batch is a pure function of ``(seed, b, size)``
-    and seeded ``M_uo`` pools (batch size 1) resume by position like
-    vector ones.  Around a caller's RNG (``seed=None``) it is never
-    reseeded: batches continue the caller's stream in the order they are
-    drawn — the order :class:`SamplePool` draws them, from batch 0 up.
+    and ``M_uo`` pools (batch size 1) resume by position like vector
+    ones.
     """
 
     def __init__(
@@ -169,7 +161,7 @@ class _WalkPlane:
         draw: Callable[[], int],
         rng: random.Random,
         index: InstanceIndex,
-        seed: int | None = None,
+        seed: int,
     ):
         self._draw = draw
         self._rng = rng
@@ -178,8 +170,7 @@ class _WalkPlane:
 
     def draw_batch(self, batch_index: int, size: int):
         """Draw batch ``batch_index`` of ``size`` samples as ``(None, rows)``."""
-        if self.seed is not None:
-            self._rng.seed(walk_seed(self.seed, batch_index))
+        self._rng.seed(walk_seed(self.seed, batch_index))
         masks = [self._draw() for _ in range(size)]
         return None, vectorized_plane.pack_masks(masks, self._words)
 
@@ -194,7 +185,7 @@ class SamplePool:
     results reproducible.
 
     Replay requires retention: the pool keeps every drawn sample for its
-    lifetime (unlike the per-call path, which streams and discards).  For
+    lifetime, per-call runs included (each reads a pool of its own).  For
     adaptive ``dklr`` requests on near-zero probabilities, pass
     ``max_samples`` to bound the prefix — an unbounded stopping-rule run
     would grow the pool without limit.
@@ -208,9 +199,8 @@ class SamplePool:
     arbitrary-precision bitmask.
 
     **One contract.**  ``plane`` draws batch ``b`` of ``batch_size``
-    samples (a vector plane, or the one-sample-per-batch walk plane,
-    which never draws past the position asked for).  ``preloaded_rows``
-    warm-starts the stream with whole batches persisted by a
+    samples (a vector plane, or the one-sample-per-batch walk plane).
+    ``preloaded_rows`` warm-starts the stream with whole batches persisted by a
     :class:`~repro.engine.store.CacheEntry`; new draws continue past them
     by batch index — no RNG state is needed to resume.
     """
@@ -405,7 +395,6 @@ class EstimationSession:
                 singleton,
                 rng,
                 decomposition=self.decomposition(),
-                index=self.index(),
             )
         if isinstance(self.generator, UniformSequences):
             return SequenceSampler(
@@ -414,38 +403,28 @@ class EstimationSession:
                 singleton,
                 rng,
                 decomposition=self.decomposition(),
-                index=self.index(),
             )
         return UniformOperationsSampler(self.database, self.constraints, singleton, rng)
 
-    def _draw_mask(self, rng: random.Random | None) -> Callable[[], int]:
-        """A thunk drawing one sampled repair as an id bitmask.
-
-        The block-structured samplers draw masks natively (no
-        ``Operation``/``Database`` objects per draw); the ``M_uo`` walk
-        draws objects and interns the result.
-        """
+    def _draw_mask(self, rng: random.Random) -> Callable[[], int]:
+        """A thunk drawing one ``M_uo`` walk result as an id bitmask."""
         sampler = self.sampler(rng)
-        if isinstance(sampler, (RepairSampler, SequenceSampler)):
-            return sampler.sample_mask
         index = self.index()
         return lambda: index.mask_of(sampler.sample().facts)
 
     def pool(self, rng: random.Random | None = None) -> SamplePool:
-        """One shared, lazily grown sample stream driven by a caller's RNG.
+        """One shared, lazily grown sample stream seeded from a caller's RNG.
 
-        A walk plane around ``rng``, never reseeded, one sample per
-        batch — so the pool draws exactly what a per-call run seeded
-        identically draws (the caller-RNG parity contract), on every
-        generator.  Seed-driven callers go through :meth:`pool_for_seed`.
+        ``rng`` supplies one ``getrandbits(64)`` draw, the seed of an
+        otherwise ordinary :meth:`pool_for_seed` pool — so the pool draws
+        on the sampling law's own plane, and per-call estimates (which
+        read such a pool) are reproducible per ``random.Random`` seed.
         """
-        rng = resolve_rng(rng)
-        plane = _WalkPlane(self._draw_mask(rng), rng, self.index())
-        return SamplePool(self.index(), plane, batch_size=1)
+        return self.pool_for_seed(resolve_rng(rng).getrandbits(64))
 
     @property
     def seeded_plane(self) -> str:
-        """The plane seed-driven pools draw on: ``"vector"`` | ``"scalar"``.
+        """The plane every pool draws on: ``"vector"`` | ``"scalar"``.
 
         The one place the plane is decided, from the :func:`sampling_law`:
         the block-structured ``M_ur``/``M_us`` laws have a vector plane,
@@ -476,7 +455,7 @@ class EstimationSession:
             f"no vector plane for generator {self.generator.name!r}"
         )
 
-    def pool_for_seed(self, seed: int | None, *, batch_size: int | None = None) -> SamplePool:
+    def pool_for_seed(self, seed: int | None) -> SamplePool:
         """A pool for an integer seed, on the generator's plane.
 
         The entry point :func:`~repro.engine.batch.batch_estimate` uses:
@@ -485,9 +464,7 @@ class EstimationSession:
         otherwise.  ``seed=None`` draws one fresh entropy value and uses it
         as the seed of every batch.
         """
-        if batch_size is None:
-            batch_size = self._seeded_batch_size()
-        return self._seeded_pool(seed, batch_size)
+        return self._seeded_pool(seed, self._seeded_batch_size())
 
     def _seeded_batch_size(self) -> int:
         return DEFAULT_BATCH_SIZE if self.seeded_plane == "vector" else 1
@@ -646,10 +623,6 @@ class EstimationSession:
             self._possible[key] = cached
         return cached
 
-    @staticmethod
-    def _entails_mask(witness_masks: tuple[int, ...], sample_mask: int) -> bool:
-        return any(witness & sample_mask == witness for witness in witness_masks)
-
     def _witness_eval(
         self, query: ConjunctiveQuery, answer: tuple
     ) -> tuple[int, tuple[int, ...], bool]:
@@ -703,20 +676,20 @@ class EstimationSession:
     ) -> EstimateResult:
         """Per-call twin of :func:`~repro.approx.fpras.fpras_ocqa`.
 
-        Draws a fresh sample stream from ``rng``; the result is bit-for-bit
-        identical to the per-call API under the same seed, the caches only
-        make it cheaper.
+        :meth:`estimate_pooled` over a fresh :meth:`pool` seeded from
+        ``rng``; the result equals the per-call API's under the same seed,
+        the caches only make it cheaper.
         """
-        rng = resolve_rng(rng)
-        draw_mask = self._draw_mask(rng)  # raises FPRASUnavailable first
-        if not self.is_possible(query, answer):
-            return self._certified_zero(epsilon, delta)
-        masks = self.witness_masks(query, answer)
-
-        def draw() -> float:
-            return 1.0 if self._entails_mask(masks, draw_mask()) else 0.0
-
-        return self._run(draw, query, epsilon, delta, method, p_lower, max_samples)
+        return self.estimate_pooled(
+            self.pool(rng),
+            query,
+            answer,
+            epsilon=epsilon,
+            delta=delta,
+            method=method,
+            p_lower=p_lower,
+            max_samples=max_samples,
+        )
 
     def estimate_pooled(
         self,
@@ -736,25 +709,18 @@ class EstimationSession:
         requests share one sampling pass instead of performing ``N``.  For
         a pool built from a caller's ``random.Random`` (:meth:`pool`) the
         result equals ``estimate(..., rng=random.Random(seed))`` under the
-        same seed; seeded pools are equally deterministic but follow the
-        seeded contract (module docstring), so their results replay seeded
-        runs, not ``random.Random`` ones.
+        same seed.
         """
         self.ensure_supported()
         if not self.is_possible(query, answer):
             return self._certified_zero(epsilon, delta)
         evaluator = self._evaluator(pool, query, answer)
-        resolved, budget, _ = self._resolve_method(
+        resolved, budget = self._resolve_method(
             query, epsilon, delta, method, p_lower
         )
         if resolved == "fixed":
             # One packed-prefix pass instead of ``budget``
-            # per-position tests.  The hit count is the exact float total
-            # ``fixed_sample_estimate`` would accumulate from the same
-            # indicator stream, built into a result by the same
-            # constructor — and the prefix drawn is exactly ``budget``
-            # long on a one-sample-per-batch pool, as the per-call loop
-            # draws.
+            # per-position tests.
             return fixed_estimate_from_total(
                 evaluator.count(budget), budget, epsilon, delta
             )
@@ -833,14 +799,9 @@ class EstimationSession:
         rng: random.Random | None = None,
     ) -> EstimateResult:
         """Per-call twin of :func:`~repro.approx.fpras.fixed_budget_estimate`."""
-        rng = resolve_rng(rng)
-        draw_mask = self._draw_mask(rng)
-        self._budget_witnesses(query, answer)
-        masks = self.witness_masks(query, answer)
-        hits = sum(
-            1 for _ in range(samples) if self._entails_mask(masks, draw_mask())
+        return self.fixed_budget_pooled(
+            self.pool(rng), query, answer, samples=samples
         )
-        return self._budget_result(hits, samples)
 
     def fixed_budget_pooled(
         self,
@@ -851,6 +812,8 @@ class EstimationSession:
         samples: int = 10_000,
     ) -> EstimateResult:
         """Fixed-budget estimate over a shared pool's first ``samples`` draws."""
+        if samples < 1:
+            raise ValueError("samples must be positive")
         self.ensure_supported()
         self._budget_witnesses(query, answer)
         hits = self._evaluator(pool, query, answer).count(samples)
@@ -900,13 +863,8 @@ class EstimationSession:
         delta: float,
         method: str,
         p_lower: float | None,
-    ) -> tuple[str, int | None, float]:
-        """``(resolved method, fixed budget or None, positivity bound)``.
-
-        The one implementation of the ``auto`` dispatch: the per-call and
-        pooled estimate paths both read it, so "which estimator will run,
-        over how many samples" can never drift between them.
-        """
+    ) -> tuple[str, int | None]:
+        """``(resolved method, fixed budget or None)``: the ``auto`` dispatch."""
         from ..approx.fpras import AUTO_FIXED_BUDGET
 
         bound = p_lower if p_lower is not None else self.positivity_bound(query)
@@ -914,27 +872,10 @@ class EstimationSession:
             budget = chernoff_sample_size(epsilon, delta, bound)
             method = "fixed" if budget <= AUTO_FIXED_BUDGET else "dklr"
         if method == "fixed":
-            return "fixed", chernoff_sample_size(epsilon, delta, bound), bound
+            return "fixed", chernoff_sample_size(epsilon, delta, bound)
         if method == "dklr":
-            return "dklr", None, bound
+            return "dklr", None
         raise ValueError(f"unknown method {method!r}")
-
-    def _run(
-        self,
-        draw: Callable[[], float],
-        query: ConjunctiveQuery,
-        epsilon: float,
-        delta: float,
-        method: str,
-        p_lower: float | None,
-        max_samples: int | None,
-    ) -> EstimateResult:
-        resolved, _, bound = self._resolve_method(
-            query, epsilon, delta, method, p_lower
-        )
-        if resolved == "fixed":
-            return fixed_sample_estimate(draw, epsilon, delta, bound)
-        return stopping_rule_estimate(draw, epsilon, delta, max_samples=max_samples)
 
 
 class _PoolEvaluator:
@@ -946,9 +887,8 @@ class _PoolEvaluator:
     :meth:`count` folds a known-length prefix in one pass, and
     :meth:`flag` serves positions out of the evaluated prefix.  Growth
     follows the pool's batch size — a vector pool grows a batch at a
-    time, a walk-plane pool exactly to the position asked for, so a pool
-    driven by a caller's ``random.Random`` draws what a per-call run
-    would.  Rows the pool already holds are evaluated ahead
+    time, a walk-plane pool exactly to the position asked for.  Rows the
+    pool already holds are evaluated ahead
     geometrically, so a warm prefix costs one pass per doubling, not one
     per position.
     """

@@ -14,19 +14,8 @@ block-size state (:func:`~repro.counting.crs_count.sequence_step_weights`).
 The singleton-operation variant (Lemma E.9) restricts to single-fact
 removals and uses the ``|CRS¹|`` counts.
 
-Two draw paths share that weight table and consume the RNG identically:
-
-* :meth:`SequenceSampler.sample` — the object path, materializing the
-  :class:`~repro.core.operations.Operation` tuple (and, via
-  :meth:`~SequenceSampler.sample_result`, a result
-  :class:`~repro.core.database.Database`);
-* :meth:`SequenceSampler.sample_mask` — the interned fast path over an
-  :class:`~repro.core.interning.InstanceIndex`, returning the survivor set
-  as an id bitmask without constructing a single ``Operation``.
-
-Under a shared seed the ``k``-th fast-path mask denotes exactly the
-``k``-th object-path result (``tests/test_interning.py`` asserts this
-bit-for-bit, including the post-draw RNG states).
+This is the reference sampler: estimation pools draw the same law in
+whole batches on :class:`~repro.sampling.vectorized.VectorSequencePlane`.
 """
 
 from __future__ import annotations
@@ -37,8 +26,6 @@ from itertools import combinations
 from ..core.blocks import BlockDecomposition, block_decomposition
 from ..core.database import Database
 from ..core.dependencies import FDSet
-from ..core.facts import Fact
-from ..core.interning import InstanceIndex
 from ..core.operations import Operation
 from ..core.sequences import RepairingSequence
 from ..counting.crs_count import (
@@ -47,17 +34,6 @@ from ..counting.crs_count import (
     sequence_step_cumulative,
 )
 from .rng import resolve_rng, uniform_choice
-
-
-def _pair_from_rank(rank: int, size: int) -> tuple[int, int]:
-    """The ``rank``-th pair of ``combinations(range(size), 2)`` (lex order)."""
-    first = 0
-    row = size - 1
-    while rank >= row:
-        rank -= row
-        first += 1
-        row -= 1
-    return first, first + 1 + rank
 
 
 class SequenceSampler:
@@ -70,7 +46,6 @@ class SequenceSampler:
         singleton_only: bool = False,
         rng: random.Random | None = None,
         decomposition: BlockDecomposition | None = None,
-        index: InstanceIndex | None = None,
     ):
         self.database = database
         self.constraints = constraints
@@ -78,9 +53,6 @@ class SequenceSampler:
         self.rng = resolve_rng(rng)
         if decomposition is None:
             decomposition = block_decomposition(database, constraints)
-        self._decomposition = decomposition
-        self._index = index
-        self._initial_block_ids: list[list[int]] | None = None
         self._initial_blocks = [
             block.sorted_facts() for block in decomposition.conflicting_blocks()
         ]
@@ -92,62 +64,6 @@ class SequenceSampler:
         if self.singleton_only:
             return count_crs1_for_block_sizes(sizes)
         return count_crs_for_block_sizes(sizes)
-
-    # -- interned fast path ------------------------------------------------------------
-
-    @property
-    def index(self) -> InstanceIndex:
-        """The fact interning this sampler's fast path runs on (built lazily)."""
-        if self._index is None:
-            self._index = InstanceIndex.of(
-                self.database, decomposition=self._decomposition
-            )
-        return self._index
-
-    def _block_ids(self) -> list[list[int]]:
-        if self._initial_block_ids is None:
-            id_of = self.index.id_of
-            self._initial_block_ids = [
-                [id_of[f] for f in block] for block in self._initial_blocks
-            ]
-        return self._initial_block_ids
-
-    def sample_mask(self) -> int:
-        """One uniform draw, as the survivor-set bitmask of ``s(D)``.
-
-        Runs entirely on integer ids: no ``Operation``, no intermediate
-        ``Database``.  Consumes the RNG exactly like :meth:`sample` — the
-        category draw reads the same memoized weight table, the victim
-        draws use the same ``randrange`` arguments — so seeded streams are
-        interchangeable between the two paths.
-        """
-        blocks = [list(block) for block in self._block_ids()]
-        rng = self.rng
-        removed = 0
-        while True:
-            active = [position for position, block in enumerate(blocks) if len(block) >= 2]
-            if not active:
-                break
-            sizes = tuple(len(blocks[position]) for position in active)
-            categories, cumulative = sequence_step_cumulative(
-                sizes, self.singleton_only
-            )
-            position, kind = categories[cumulative.pick(rng)]
-            block = blocks[active[position]]
-            size = len(block)
-            if kind == "single":
-                victim = rng.randrange(size)
-                removed |= 1 << block[victim]
-                del block[victim]
-            else:
-                rank = rng.randrange(size * (size - 1) // 2)
-                first, second = _pair_from_rank(rank, size)
-                removed |= (1 << block[first]) | (1 << block[second])
-                del block[second]
-                del block[first]
-        return self.index.full_mask & ~removed
-
-    # -- object path -------------------------------------------------------------------
 
     def sample(self) -> RepairingSequence:
         """One uniform draw; cost is polynomial in ``|D|`` per draw."""

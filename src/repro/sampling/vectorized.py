@@ -12,8 +12,9 @@ draws a **batch** of ``S`` samples in one shot:
 * a **packed bitset matrix** of shape ``(S, ceil(n_facts / 64))`` with
   dtype ``uint64``: row ``i`` is sample ``i``'s survivor-set bitmask,
   word ``w`` holding fact ids ``64w .. 64w + 63`` (little-endian word
-  order, so ``int.from_bytes(row.tobytes(), "little")`` is exactly the
-  scalar kernel's arbitrary-precision mask).
+  order, so ``int.from_bytes(row.tobytes(), "little")`` is the sample's
+  arbitrary-precision id bitmask over the
+  :class:`~repro.core.interning.InstanceIndex`).
 
 Witness evaluation batches the same way: "witness ⊆ sample" over a whole
 prefix is ``rows[:, j] & v == v`` for every non-zero word ``(j, v)`` of
@@ -35,8 +36,8 @@ the module: phase 1's category probabilities are exact rationals of
 astronomically large CRS counts, consumed here as correctly-rounded
 ``float64`` cumulative probabilities — a per-step total-variation error
 below ``2**-50``, orders of magnitude under any (ε, δ) of interest; the
-scalar plane remains exact (``tests/test_vectorized.py`` pins the
-rounding gap).
+reference ``SequenceSampler`` remains exact (``tests/test_vectorized.py``
+pins the rounding gap).
 
 **Reproducibility contract.**  A plane never consumes ``random.Random``:
 batch ``b`` is drawn from the counter-based seeded substream
@@ -45,7 +46,7 @@ hashed once per pool, counter ``b·2**192`` per batch), so the stream is
 a pure function of ``(instance structure, seed, batch index, batch
 size)`` — re-drawing batch ``b`` in any process, in any order, yields
 identical samples.  This is deliberately a *different* stream from the
-scalar plane's ``random.Random`` stream: the two planes agree in
+reference samplers' ``random.Random`` stream: the two agree in
 distribution (and bit-for-bit on how outcomes become masks — the decode
 parity asserted by ``tests/test_vectorized.py``), not sample-for-sample.
 """
@@ -135,9 +136,9 @@ def batch_hit_flags(
     The batched form of the session's classified witness test: a row hits
     iff ``always`` (an empty witness exists), or it intersects the OR-union
     of the single-fact witnesses, or it contains one of the multi-fact
-    witness masks (``row & w == w``).  Exactly the scalar
-    ``_entails_mask`` semantics, evaluated only over the words each
-    witness occupies: the union hits where ``rows[:, j] & v`` is non-zero
+    witness masks (``row & w == w``) — "some witness ``w`` has
+    ``w & s == w``", evaluated only over the words each witness
+    occupies: the union hits where ``rows[:, j] & v`` is non-zero
     for any of its words ``(j, v)``, and a multi-fact witness where
     ``rows[:, j] & v == v`` for all of its words.  Each word is one 1-D
     operation over a strided column, so the cost follows the witnesses'
@@ -246,9 +247,9 @@ class _BlockPlane:
     def decode_masks(self, outcomes) -> list[int]:
         """Pure-Python reference decode of an outcome matrix.
 
-        The parity harness: builds each sample's mask with the scalar
-        kernel's logic (one OR per kept fact over the same canonical block
-        order), never touching the packed matrix — so
+        The parity harness: builds each sample's mask one OR per kept
+        fact over the same canonical block order, never touching the
+        packed matrix — so
         ``unpack_rows(scatter(O)) == decode_masks(O)`` proves the scatter.
         """
         kept = self.index.always_kept_mask()

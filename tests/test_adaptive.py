@@ -243,11 +243,13 @@ class TestScheduler:
         results = [
             row.result for row in run_group(session, pool, requests, "adaptive")
         ]
-        # Samples are drawn on demand and every request reads from
-        # position zero: the pool ends up exactly as long as the slowest
-        # request's stopping time.
-        assert len(pool) == max(r.samples_used for r in results)
-        assert len(pool) < sum(r.samples_used for r in results)
+        # Samples are drawn on demand, a batch at a time, and every
+        # request reads from position zero: the pool ends up as long as
+        # the slowest request's stopping time, rounded up to whole batches.
+        slowest = max(r.samples_used for r in results)
+        assert len(pool) == -(-slowest // pool.batch_size) * pool.batch_size
+        # ... not the sum: every request re-read the one shared prefix.
+        assert slowest < sum(r.samples_used for r in results)
 
     def test_unknown_mode_rejected(self):
         database, constraints = figure2_database()

@@ -114,9 +114,10 @@ class TestSeededParity:
             for c in candidates
         ]
         assert pooled == per_call
-        # One sampling pass served every candidate: the pool holds exactly
-        # the longest prefix any single request consumed.
-        assert len(pool) == max(result.samples_used for result in pooled)
+        # One sampling pass served every candidate: the pool holds the
+        # longest prefix any single request consumed, in whole batches.
+        longest = max(result.samples_used for result in pooled)
+        assert len(pool) == -(-longest // pool.batch_size) * pool.batch_size
 
     def test_fixed_budget_matches_per_call(self, fig2, survival_query):
         database, constraints = fig2
@@ -245,18 +246,20 @@ class TestSamplePool:
         pool = session.pool(random.Random(73))
         assert len(pool) == 0
         first = pool.mask_at(0)
-        assert len(pool) == 1
+        assert len(pool) == pool.batch_size  # one whole batch drawn
         assert pool.mask_at(0) == first  # replay, not redraw
-        assert pool.packed_prefix(5).shape == (5, pool.words) and len(pool) == 5
+        assert pool.packed_prefix(5).shape == (5, pool.words)
+        assert len(pool) == pool.batch_size
 
     def test_pool_prefix_equals_fresh_sampler_stream(self, fig2):
         database, constraints = fig2
         session = EstimationSession(database, constraints, M_UR)
         pool = session.pool(random.Random(79))
-        sampler = session.sampler(random.Random(79))
-        index = session.index()
-        for position in range(20):
-            assert pool.mask_at(position) == index.mask_of(sampler.sample().facts)
+        # A fresh plane with the pool's seed re-draws its first batch.
+        plane = session.vector_plane(random.Random(79).getrandbits(64))
+        outcomes, _ = plane.draw_batch(0, pool.batch_size)
+        for position, mask in enumerate(plane.decode_masks(outcomes)[:20]):
+            assert pool.mask_at(position) == mask
 
     def test_standalone_pool_wraps_any_draw(self, fig2):
         from repro.sampling.vectorized import pack_masks, words_for

@@ -194,3 +194,27 @@ class TestPathologicalFailure:
         exact = float(exact_ocqa(database, constraints, M_UR, query))
         assert result.estimate == pytest.approx(exact, abs=0.05)
         assert result.samples_used == 4000
+
+
+class TestFixedBudget:
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_fixed_budget_rejects_non_positive_budgets(self, samples):
+        # A zero budget divided by zero and a negative one certified a
+        # false zero; every entry point now refuses both.
+        from repro.engine import EstimationSession
+
+        database, constraints = figure2_database()
+        query = boolean_cq(atom("R", "a1", "b1"))
+        session = EstimationSession(database, constraints, M_UR)
+        calls = [
+            lambda: fixed_budget_estimate(
+                database, constraints, M_UR, query, samples=samples
+            ),
+            lambda: session.fixed_budget(query, samples=samples),
+            lambda: session.fixed_budget_pooled(
+                session.pool_for_seed(3), query, samples=samples
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="samples must be positive"):
+                call()

@@ -155,8 +155,9 @@ def multikey_case():
     return instance.database, instance.constraints, M_UO, facts, [node[0], node[1]]
 
 
-#: Three pools: seeded vector (M_ur), seeded walk (multi-key M_uo) and a
-#: caller's random.Random; each factory opens a fresh pool, seeded alike.
+#: Three pools: seeded vector (M_ur), seeded walk (multi-key M_uo) and one
+#: seeded from a caller's random.Random (a vector pool too); each factory
+#: opens a fresh pool, seeded alike.
 POOL_CASES = {
     "seeded-vector": (figure2_case, lambda session: session.pool_for_seed(11)),
     "seeded-walk": (multikey_case, lambda session: session.pool_for_seed(11)),

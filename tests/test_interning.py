@@ -1,12 +1,11 @@
-"""Interned-fact kernel: id/mask structure and bit-for-bit parity.
+"""Interned facts: id/mask structure and bit-for-bit parity.
 
-The kernel's contract is that it is *purely* a speedup: id-based draws
-consume the RNG exactly like the object path (so seeded streams are
-interchangeable), mask evaluation agrees with frozenset evaluation, and
-the engine's results equal an object-path reference loop (object draws,
-frozenset witness tests) kept in this file — including through a warm
-:class:`~repro.engine.store.CacheStore`.  The parity properties are
-hypothesis-driven over random primary-key instances.
+Interning is *purely* a speedup: mask evaluation agrees with frozenset
+evaluation, and the engine's results equal a reference loop kept in this
+file (the seeded stream decoded to fact sets, frozenset witness tests) —
+including through a warm :class:`~repro.engine.store.CacheStore`.  The
+parity properties are hypothesis-driven over random primary-key
+instances.
 """
 
 import itertools
@@ -21,23 +20,19 @@ from repro.chains.generators import M_UO, M_UO1, M_UR, M_UR1, M_US, M_US1
 from repro.core import Database, FDSet, Schema, fact, fd
 from repro.core.blocks import block_decomposition
 from repro.core.interning import InstanceIndex, InterningError, mask_ids
+from repro.core.violations import is_consistent
 from repro.approx.adaptive import SequentialEstimator
 from repro.approx.montecarlo import fixed_sample_estimate, stopping_rule_estimate
 from repro.engine import BatchRequest, EstimationSession, batch_estimate
+from repro.engine.session import DEFAULT_BATCH_SIZE
 from repro.engine.batch import group_seed_for, run_group
 from repro.core.queries import atom, boolean_cq, cq, var
-from repro.sampling.repair_sampler import RepairSampler
 from repro.sampling.rng import walk_seed
-from repro.sampling.sequence_sampler import SequenceSampler
 from repro.workloads import figure2_database
 
 x, y = var("x"), var("y")
 
 EPSILON, DELTA = 0.5, 0.2
-
-#: The four block-structured generators with an interned fast path.
-BLOCK_GENERATORS = [M_UR, M_UR1, M_US, M_US1]
-
 
 def pk_instance(pairs) -> tuple[Database, FDSet]:
     """A primary-key instance over R(A, B) with key A → B.
@@ -109,118 +104,96 @@ class TestInstanceIndex:
         assert len(index) == len(database)
 
 
-class TestSamplerDrawParity:
-    """Property (a): interned draws equal object-path draws bit-for-bit."""
-
-    @given(instance=instances, seed=seeds)
-    @settings(max_examples=25, deadline=None)
-    def test_repair_sampler_masks_match_object_draws(self, instance, seed):
-        database, constraints = instance
-        for singleton in (False, True):
-            objects = RepairSampler(
-                database, constraints, singleton, random.Random(seed)
-            )
-            interned = RepairSampler(
-                database, constraints, singleton, random.Random(seed)
-            )
-            index = interned.index
-            for _ in range(8):
-                assert interned.sample_mask() == index.mask_of(
-                    objects.sample().facts
-                )
-            # Same number of RNG consumptions with identical arguments:
-            # the streams stay aligned indefinitely.
-            assert objects.rng.getstate() == interned.rng.getstate()
-
-    @given(instance=instances, seed=seeds)
-    @settings(max_examples=25, deadline=None)
-    def test_sequence_sampler_masks_match_object_draws(self, instance, seed):
-        database, constraints = instance
-        for singleton in (False, True):
-            objects = SequenceSampler(
-                database, constraints, singleton, random.Random(seed)
-            )
-            interned = SequenceSampler(
-                database, constraints, singleton, random.Random(seed)
-            )
-            index = interned.index
-            for _ in range(5):
-                assert interned.sample_mask() == index.mask_of(
-                    objects.sample_result().facts
-                )
-            assert objects.rng.getstate() == interned.rng.getstate()
-
-    @given(instance=instances, seed=seeds)
-    @settings(max_examples=15, deadline=None)
-    def test_sample_ids_name_the_same_facts(self, instance, seed):
-        database, constraints = instance
-        sampler = RepairSampler(database, constraints, rng=random.Random(seed))
-        twin = RepairSampler(database, constraints, rng=random.Random(seed))
-        mask = sampler.sample_mask()
-        assert sampler.index.facts_of_mask(mask) == twin.sample().facts
-
-    @pytest.mark.parametrize("generator", BLOCK_GENERATORS, ids=lambda g: g.name)
-    def test_session_pool_masks_denote_object_samples(self, generator):
-        database, constraints = figure2_database()
-        session = EstimationSession(database, constraints, generator)
-        pool = session.pool(random.Random(11))
-        sampler = session.sampler(random.Random(11))
-        for position in range(20):
-            drawn = (
-                sampler.sample_result()
-                if isinstance(sampler, SequenceSampler)
-                else sampler.sample()
-            )
-            mask = pool.mask_at(position)
-            assert session.index().facts_of_mask(mask) == drawn.facts
-            assert mask == session.index().mask_of(drawn.facts)
-
-
-def object_draws(session, rng):
-    """The object path: one ``Operation``/``Database`` structure per draw."""
-    sampler = session.sampler(rng)
-    draw = sampler.sample_result if isinstance(sampler, SequenceSampler) else sampler.sample
-    return lambda: draw().facts
-
-
 def object_hit(session, query, answer):
     """Frozenset witness containment — no masks anywhere."""
     witnesses = session.witnesses(query, answer)
     return lambda facts: 1.0 if any(w <= facts for w in witnesses) else 0.0
 
 
+def seeded_vector_draws(session, seed):
+    """The facts of a seeded vector pool's samples, never read off its
+    packed rows: a fresh ``session.vector_plane(seed)`` draws the engine's
+    batches, :meth:`decode_masks` builds each mask from the outcome matrix
+    and :meth:`~repro.core.interning.InstanceIndex.facts_of_mask` names
+    its facts."""
+    plane = session.vector_plane(seed)
+    index = session.index()
+    batches = itertools.count()
+    pending = []
+
+    def draw():
+        if not pending:
+            outcomes, _ = plane.draw_batch(next(batches), DEFAULT_BATCH_SIZE)
+            pending.extend(reversed(plane.decode_masks(outcomes)))
+        return index.facts_of_mask(pending.pop())
+
+    return draw
+
+
 def seeded_walk_draws(session, seed):
     """Object draws of a seeded walk-plane pool: the RNG is reseeded with
     ``walk_seed(seed, i)`` before sample ``i``, as the engine does."""
     rng = random.Random()
-    draw = object_draws(session, rng)
+    sampler = session.sampler(rng)
     positions = itertools.count()
 
     def reseeded():
         rng.seed(walk_seed(seed, next(positions)))
-        return draw()
+        return sampler.sample().facts
 
     return reseeded
 
 
-def object_path_estimate(session, query, answer, rng, method="auto", draw=None):
-    """The pre-kernel (ε, δ) loop over object draws, seeded like the engine."""
+def seeded_draws(session, seed):
+    """The seeded stream ``session.pool_for_seed(seed)`` holds, as facts."""
+    if session.seeded_plane == "vector":
+        return seeded_vector_draws(session, seed)
+    return seeded_walk_draws(session, seed)
+
+
+def rng_seed(seed):
+    """The pool seed a per-call run draws from ``random.Random(seed)``."""
+    return random.Random(seed).getrandbits(64)
+
+
+def object_path_estimate(session, query, answer, draw, method="auto"):
+    """The (ε, δ) loop over a stream of fact sets, with frozenset witness
+    tests."""
     if not session.is_possible(query, answer):
         return session._certified_zero(EPSILON, DELTA)
-    if draw is None:
-        draw = object_draws(session, rng)
     hit = object_hit(session, query, answer)
-    resolved, _, bound = session._resolve_method(query, EPSILON, DELTA, method, None)
+    resolved, _ = session._resolve_method(query, EPSILON, DELTA, method, None)
     if resolved == "fixed":
+        bound = session.positivity_bound(query)
         return fixed_sample_estimate(lambda: hit(draw()), EPSILON, DELTA, bound)
     return stopping_rule_estimate(lambda: hit(draw()), EPSILON, DELTA)
 
 
-class TestKernelOnOffParity:
-    """Property (b): the kernel's results equal the object path's.
+class TestSamplerDrawParity:
+    """A pool's packed rows name the facts its plane's outcomes denote."""
 
-    "Kernel off" is :func:`object_path_estimate` and friends above: object
-    samplers and frozenset witness tests, seeded exactly like the engine.
+    @pytest.mark.parametrize(
+        "generator", [M_UR, M_UR1, M_US, M_US1], ids=lambda g: g.name
+    )
+    def test_session_pool_masks_denote_object_samples(self, generator):
+        database, constraints = figure2_database()
+        session = EstimationSession(database, constraints, generator)
+        pool = session.pool(random.Random(11))
+        draw = seeded_vector_draws(session, rng_seed(11))
+        index = session.index()
+        for position in range(20):
+            facts = draw()
+            mask = pool.mask_at(position)
+            assert index.facts_of_mask(mask) == facts
+            assert mask == index.mask_of(facts)
+            assert is_consistent(Database(facts), constraints)
+
+
+class TestKernelOnOffParity:
+    """The engine's results equal a reference loop over the same samples.
+
+    "Kernel off" is :func:`object_path_estimate` and friends above: the
+    seeded stream decoded to fact sets, and frozenset witness tests.
     """
 
     def batch_requests(self, database, constraints, generator=M_UR):
@@ -240,21 +213,12 @@ class TestKernelOnOffParity:
 
     def object_path_rows(self, database, constraints, requests, seed, generator=M_UR):
         # Every request of a group reads the pool seeded with the group
-        # seed from position zero: one fresh object stream each — the
-        # caller-RNG stream for M_ur, the reseeded walk for M_uo.
+        # seed from position zero: one fresh seeded stream each.
         session = EstimationSession(database, constraints, generator)
         group_seed = group_seed_for(seed, database, constraints, generator)
         return [
             object_path_estimate(
-                session,
-                r.query,
-                r.answer,
-                random.Random(group_seed),
-                draw=(
-                    seeded_walk_draws(session, group_seed)
-                    if session.seeded_plane == "scalar"
-                    else None
-                ),
+                session, r.query, r.answer, seeded_draws(session, group_seed)
             )
             for r in requests
         ]
@@ -262,14 +226,13 @@ class TestKernelOnOffParity:
     @given(instance=instances, seed=seeds)
     @settings(max_examples=10, deadline=None)
     def test_batch_estimate_matches_with_kernel_on_and_off(self, instance, seed):
-        # The batch group path over a random.Random-driven (scalar) pool:
-        # the object path draws the same streams (the vector plane's own
-        # parity lives in tests/test_vectorized.py).
+        # The batch group path over a seeded vector pool, against its
+        # decoded stream.
         database, constraints = instance
         requests = self.batch_requests(database, constraints)
         session = EstimationSession(database, constraints, M_UR)
         group_seed = group_seed_for(seed, database, constraints, M_UR)
-        pool = session.pool(random.Random(group_seed))
+        pool = session.pool_for_seed(group_seed)
         on = run_group(session, pool, requests)
         assert all(r.ok for r in on)
         off = self.object_path_rows(database, constraints, requests, seed)
@@ -298,9 +261,12 @@ class TestKernelOnOffParity:
         session = EstimationSession(database, constraints, generator)
         assert session.estimate(
             query, epsilon=EPSILON, delta=DELTA, rng=random.Random(3)
-        ) == object_path_estimate(session, query, (), random.Random(3))
+        ) == object_path_estimate(
+            session, query, (), seeded_draws(session, rng_seed(3))
+        )
         budget = session.fixed_budget(query, samples=200, rng=random.Random(5))
-        draw, hit = object_draws(session, random.Random(5)), object_hit(session, query, ())
+        draw = seeded_draws(session, rng_seed(5))
+        hit = object_hit(session, query, ())
         hits = sum(hit(draw()) for _ in range(200))
         # ε/δ are NaN on fixed-budget results (and NaN != NaN): compare the
         # meaningful fields.
@@ -323,8 +289,8 @@ class TestKernelOnOffParity:
             )
             for c in candidates
         ]
-        # Each request reads one shared object stream from position zero.
-        draw, stream = object_draws(session, random.Random(7)), []
+        # Each request reads one shared seeded stream from position zero.
+        draw, stream = seeded_draws(session, rng_seed(7)), []
         off = []
         for candidate in candidates:
             hit = object_hit(session, query, candidate)
@@ -352,6 +318,7 @@ class TestKernelOnOffParity:
             sampler = session.sampler(random.Random(13))
             for _ in range(20):
                 repair = sampler.sample()
-                assert EstimationSession._entails_mask(
-                    masks, index.mask_of(repair.facts)
-                ) == query.entails(repair, candidate)
+                sample = index.mask_of(repair.facts)
+                assert any(w & sample == w for w in masks) == query.entails(
+                    repair, candidate
+                )

@@ -9,7 +9,6 @@ degrades to recomputation and can never change a result.
 import base64
 import json
 import os
-import random
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from repro.engine import (
     BatchRequest,
     CacheStore,
     EstimationSession,
+    SamplePool,
     batch_estimate,
     instance_cache_key,
 )
@@ -63,12 +63,12 @@ def fig2_requests(generator=M_UR):
 
 
 def write_scalar_entry(cache_dir, seed, length):
-    """Persist a caller-RNG Figure 2 ``M_ur`` prefix of ``length`` samples.
+    """Persist a batch-1 Figure 2 ``M_ur`` prefix of ``length`` samples.
 
     The entry sits under the key a ``batch_estimate(seed=seed)`` run uses,
-    but holds the ``random.Random`` stream :meth:`EstimationSession.pool`
-    draws, one sample per batch (``batch`` 1) — a foreign stream for
-    ``M_ur``, whose seeded pools draw vector batches of 512.
+    but holds a vector stream drawn one sample per batch (``batch`` 1) — a
+    foreign stream for ``M_ur``, whose seeded pools draw vector batches of
+    512.
     """
     from repro.engine.batch import group_seed_for
 
@@ -76,8 +76,7 @@ def write_scalar_entry(cache_dir, seed, length):
     group_seed = group_seed_for(seed, database, constraints, M_UR)
     entry = CacheStore(str(cache_dir)).entry(database, constraints, "M_ur", group_seed)
     session = EstimationSession(database, constraints, M_UR, cache=entry)
-    rng = random.Random(group_seed)
-    pool = session.pool(rng)
+    pool = SamplePool(session.index(), session.vector_plane(group_seed), batch_size=1)
     entry.attach_pool(pool)
     pool.ensure(length)
     return entry
@@ -655,9 +654,9 @@ class TestTwoWriters:
         assert stored_rows(document) == pool.packed_prefix(len(pool)).tolist()
 
     def test_cross_plane_writers_keep_their_own_prefix(self, tmp_path):
-        # A caller-RNG walk-plane writer (batch 1) and a vector writer
-        # (batch 512) share a key only when one of them draws a foreign
-        # stream; the merge must not splice streams.
+        # A batch-1 writer and a batch-512 vector writer share a key only
+        # when one of them draws a foreign stream; the merge must not
+        # splice streams.
         from repro.engine.batch import group_seed_for
 
         database, constraints = figure2_database()

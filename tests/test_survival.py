@@ -11,7 +11,6 @@ from repro.counting.survival import (
     fact_survival_probability,
     ground_survival_mur,
     ground_survival_mus,
-    ground_survival_mus1,
 )
 from repro.exact import rrfreq, rrfreq1, srfreq, srfreq1
 from repro.workloads import block_database, figure2_database, random_block_database
@@ -38,14 +37,15 @@ class TestSingleFact:
         assert ground_survival_mur(
             database, constraints, {f}, singleton_only=True
         ) == Fraction(1, 3)
-        assert ground_survival_mus1(database, constraints, {f}) == Fraction(1, 3)
 
     def test_isolated_fact_survives_surely(self, figure2):
         database, constraints = figure2
         iso = fact("R", "a2", "b1")
         assert ground_survival_mur(database, constraints, {iso}) == 1
         assert ground_survival_mus(database, constraints, {iso}) == 1
-        assert ground_survival_mus1(database, constraints, {iso}) == 1
+        assert ground_survival_mur(
+            database, constraints, {iso}, singleton_only=True
+        ) == 1
 
     def test_missing_fact_rejected(self, figure2):
         database, constraints = figure2
@@ -69,7 +69,9 @@ class TestJointGroundSets:
         pair = {fact("R", "a1", "b1"), fact("R", "a1", "b2")}
         assert ground_survival_mur(database, constraints, pair) == 0
         assert ground_survival_mus(database, constraints, pair) == 0
-        assert ground_survival_mus1(database, constraints, pair) == 0
+        assert ground_survival_mur(
+            database, constraints, pair, singleton_only=True
+        ) == 0
 
     def test_cross_block_matches_exact(self, figure2):
         database, constraints = figure2
@@ -81,9 +83,9 @@ class TestJointGroundSets:
         assert ground_survival_mus(database, constraints, pair) == srfreq(
             database, constraints, query
         )
-        assert ground_survival_mus1(database, constraints, pair) == srfreq1(
-            database, constraints, query
-        )
+        assert ground_survival_mur(
+            database, constraints, pair, singleton_only=True
+        ) == srfreq1(database, constraints, query)
 
     def test_mus_joint_is_not_a_product(self):
         """Interleavings couple block outcomes: the M_us joint differs from
@@ -121,9 +123,9 @@ class TestJointGroundSets:
         assert ground_survival_mus(database, constraints, chosen) == srfreq(
             database, constraints, query
         )
-        assert ground_survival_mus1(database, constraints, chosen) == srfreq1(
-            database, constraints, query
-        )
+        assert ground_survival_mur(
+            database, constraints, chosen, singleton_only=True
+        ) == srfreq1(database, constraints, query)
         assert ground_survival_mur(
             database, constraints, chosen, singleton_only=True
         ) == rrfreq1(database, constraints, query)

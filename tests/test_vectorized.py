@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chains.generators import M_UO, M_UR, M_UR1, M_US, M_US1
+from repro.approx.fpras import fpras_ocqa
+from repro.chains.generators import M_UO, M_UO1, M_UR, M_UR1, M_US, M_US1
 from repro.core import Database, FDSet, Schema, fact, fd
 from repro.core.queries import atom, cq, var
 from repro.counting.crs_count import (
@@ -400,7 +401,7 @@ class TestVectorPools:
     def test_accessors_agree_with_packed_rows(self):
         database, constraints = figure2_database()
         session = EstimationSession(database, constraints, M_UR)
-        pool = session.pool_for_seed(3, batch_size=8)
+        pool = SamplePool(session.index(), session.vector_plane(3), batch_size=8)
         prefix = vectorized.unpack_rows(pool.packed_prefix(20))
         assert len(pool) == 24  # whole batches
         assert [pool.mask_at(i) for i in range(20)] == prefix
@@ -425,8 +426,8 @@ class TestVectorPools:
     def test_same_seed_same_stream_regardless_of_growth_pattern(self):
         database, constraints = figure2_database()
         session = EstimationSession(database, constraints, M_US)
-        eager = session.pool_for_seed(11, batch_size=16)
-        lazy = session.pool_for_seed(11, batch_size=16)
+        eager = SamplePool(session.index(), session.vector_plane(11), batch_size=16)
+        lazy = SamplePool(session.index(), session.vector_plane(11), batch_size=16)
         eager.ensure(48)
         for position in (0, 7, 31, 40):
             assert lazy.mask_at(position) == eager.mask_at(position)
@@ -478,12 +479,34 @@ class TestBackendResolution:
         with pytest.raises(TypeError, match="backend"):
             batch_estimate(fig2_requests(), seed=1, backend="scalar")
 
-    def test_rng_driven_pools_keep_the_scalar_plane(self):
+    @pytest.mark.parametrize(
+        "generator", [M_UR, M_UR1, M_US, M_US1, M_UO, M_UO1], ids=lambda g: g.name
+    )
+    def test_rng_driven_pools_draw_on_the_laws_plane(self, generator):
+        # A caller's random.Random only seeds the law's own pool: on keys
+        # M_us,1 and M_uo,1 draw M_ur,1's vector plane, M_uo the walk.
         database, constraints = figure2_database()
-        session = EstimationSession(database, constraints, M_UR)
+        session = EstimationSession(database, constraints, generator)
         pool = session.pool(random.Random(1))
-        assert not isinstance(pool.plane, vectorized._BlockPlane)
-        assert pool.batch_size == 1
+        vector = generator is not M_UO
+        assert isinstance(pool.plane, vectorized._BlockPlane) == vector
+        assert pool.batch_size == (DEFAULT_BATCH_SIZE if vector else 1)
+        seeded = session.pool_for_seed(random.Random(1).getrandbits(64))
+        assert (pool.packed_prefix(600) == seeded.packed_prefix(600)).all()
+        query = cq((x,), (atom("R", x, y),))
+        per_call = fpras_ocqa(
+            database,
+            constraints,
+            generator,
+            query,
+            ("a1",),
+            epsilon=EPSILON,
+            delta=DELTA,
+            rng=random.Random(1),
+        )
+        assert per_call == session.estimate_pooled(
+            seeded, query, ("a1",), epsilon=EPSILON, delta=DELTA
+        )
 
 
 class TestStoreV3:
