@@ -86,7 +86,6 @@ from .chains.local import (
     local_repair_distribution,
 )
 from .chains.trust import TrustWeightedOperations
-from .counting.survival import fact_survival_probability
 from .analysis import (
     compare_generators,
     expected_answer_count,
@@ -121,7 +120,6 @@ __all__ = [
     "compare_generators",
     "expected_answer_count",
     "expected_repair_size",
-    "fact_survival_probability",
     "batch_estimate",
     "inconsistency_report",
     "load_instance",

@@ -16,7 +16,6 @@ from .composition import (
 )
 from .bounds import (
     E_UPPER,
-    bound_for,
     pathological_upper_bound,
     rrfreq_lower_bound,
     singleton_frequency_lower_bound,
@@ -66,7 +65,6 @@ __all__ = [
     "FPRASUnavailable",
     "additive_estimate",
     "bernoulli_stream",
-    "bound_for",
     "chernoff_sample_size",
     "empirical_mean",
     "fixed_budget_estimate",

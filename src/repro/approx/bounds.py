@@ -122,30 +122,3 @@ def pathological_upper_bound(n: int) -> Fraction:
         raise ValueError("the family D_n is defined for n >= 1")
     return Fraction(1, 2 ** (n - 1))
 
-
-def bound_for(
-    generator_name: str,
-    database: Database,
-    constraints: FDSet,
-    query: ConjunctiveQuery,
-) -> Fraction:
-    """The applicable positivity bound for a generator name (e.g. ``M_ur``).
-
-    Raises :class:`KeyError` for combinations without a proven bound
-    (``M_uo`` over non-key FDs, ``M_ur``/``M_us`` over non-primary keys).
-    """
-    if generator_name in ("M_ur", "M_us"):
-        if not constraints.is_primary_keys():
-            raise KeyError(f"no positivity bound for {generator_name} beyond primary keys")
-        return rrfreq_lower_bound(database, query)
-    if generator_name in ("M_ur,1", "M_us,1"):
-        if not constraints.is_primary_keys():
-            raise KeyError(f"no positivity bound for {generator_name} beyond primary keys")
-        return singleton_frequency_lower_bound(database, query)
-    if generator_name == "M_uo":
-        if not constraints.all_keys():
-            raise KeyError("Prop 7.3's bound needs keys; see Prop D.6 for FDs")
-        return uo_keys_lower_bound(database, constraints, query)
-    if generator_name == "M_uo,1":
-        return uo_singleton_fd_lower_bound(database, query)
-    raise KeyError(f"unknown generator {generator_name!r}")

@@ -1,8 +1,9 @@
 """FPRAS wrappers for uniform operational CQA.
 
 Each positive theorem in the paper pairs a polynomial-time sampler with a
-positivity lower bound; :func:`fpras_ocqa` assembles the right pair for a
-(generator, constraint-class) combination and runs a Monte-Carlo estimate:
+positivity lower bound; :func:`fpras_ocqa` reads the pair (and the scope
+below) from the generator's sampling-law entry in
+:data:`repro.engine.LAWS` and runs a Monte-Carlo estimate:
 
 =====================  ====================  ======================================
 Generator              Constraint class      Paper result
@@ -15,7 +16,8 @@ Generator              Constraint class      Paper result
 
 Combinations outside the table raise :class:`FPRASUnavailable` with the
 paper's negative/open status, rather than silently returning an estimate
-with no guarantee.
+with no guarantee.  On primary keys ``M_us,1`` and ``M_uo,1`` have
+``M_ur,1``'s law, so they share its bound (Lemma E.3) and sample plane.
 
 Each call is a thin per-call view over a fresh
 :class:`~repro.engine.session.EstimationSession`: ``rng`` supplies one

@@ -38,7 +38,6 @@ import contextlib
 import random
 import tempfile
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from ..chains.generators import M_UO, M_UO1, M_UR, M_US, MarkovChainGenerator
@@ -46,8 +45,7 @@ from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.facts import fact
 from ..core.queries import Atom, ConjunctiveQuery, boolean_cq
-from ..counting.survival import ground_survival_mur, ground_survival_mus
-from ..engine import MODES, CacheStore, EstimationSession, sampling_law
+from ..engine import LAWS, MODES, CacheStore, EstimationSession, sampling_law
 from ..exact import exact_ocqa
 from ..workloads import (
     block_membership_query,
@@ -77,13 +75,6 @@ __all__ = [
 
 WARMTHS = ("cold", "warm")
 
-_EXACT_SURVIVAL = {
-    "M_ur": ground_survival_mur,
-    "M_us": ground_survival_mus,
-    # The singleton law on primary keys: Π 1/|B| for every variant.
-    "M_ur,1": partial(ground_survival_mur, singleton_only=True),
-}
-
 #: Seed namespace for pinned reference truths — deliberately *not* the
 #: audit's base seed, so changing ``--seed`` re-randomizes the audited
 #: replications without silently moving the truth they are judged against.
@@ -112,9 +103,10 @@ def exact_ground_target(
     facts: Iterable,
 ) -> AuditTarget:
     """A target whose truth is the polynomial ground-survival rational
-    of the generator's :func:`~repro.engine.session.sampling_law`."""
+    of the generator's :func:`~repro.engine.session.sampling_law` (its
+    :attr:`~repro.engine.session.Law.survival`)."""
     chosen = frozenset(facts)
-    formula = _EXACT_SURVIVAL.get(sampling_law(generator, constraints).name)
+    formula = LAWS[sampling_law(generator, constraints).name].survival
     if formula is None:
         raise KeyError(
             f"no polynomial survival formula for {generator.name!r}; "

@@ -240,3 +240,4 @@ M_US1 = UniformSequences(singleton_only=True)
 M_UO1 = UniformOperations(singleton_only=True)
 
 ALL_GENERATORS = (M_UR, M_US, M_UO, M_UR1, M_US1, M_UO1)
+GENERATORS_BY_NAME = {generator.name: generator for generator in ALL_GENERATORS}

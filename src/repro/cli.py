@@ -28,9 +28,8 @@ instead of fixed budgets, ``--cache-dir DIR`` (with ``--seed``) persists
 each group's sample prefix across runs (store version 7: the samples
 and nothing else), and
 ``--allow-errors`` exits 0 even when some rows report out-of-scope errors
-(the rows still carry them).  The sample plane follows the generator:
-the vectorized numpy plane for ``M_ur``/``M_us``, the scalar walk plane
-for ``M_uo``.
+(the rows still carry them).  The sample plane follows the generator's
+sampling law (:data:`repro.engine.LAWS`), never a flag.
 
 ``serve`` starts the estimation service (:mod:`repro.service`): a warm
 session registry behind a micro-batching HTTP JSON API sharing the
@@ -61,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .chains.generators import M_UO, M_UO1, M_UR, M_UR1, M_US, M_US1
+from .chains.generators import GENERATORS_BY_NAME
 from .core.conflict_graph import ConflictGraph
 from .core.violations import violations
 from .counting import count_crs, count_crs1
@@ -82,16 +81,6 @@ from .io import (
 from .sampling.operations_sampler import UniformOperationsSampler
 from .sampling.repair_sampler import RepairSampler
 from .sampling.sequence_sampler import SequenceSampler
-
-GENERATORS = {
-    "M_ur": M_UR,
-    "M_us": M_US,
-    "M_uo": M_UO,
-    "M_ur,1": M_UR1,
-    "M_us,1": M_US1,
-    "M_uo,1": M_UO1,
-}
-
 
 @dataclass(frozen=True)
 class Command:
@@ -120,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_generator_options(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
-        "-g", "--generator", choices=sorted(GENERATORS), default="M_ur"
+        "-g", "--generator", choices=sorted(GENERATORS_BY_NAME), default="M_ur"
     )
     subparser.add_argument(
         "--method", choices=("exact", "approx"), default="exact"
@@ -207,7 +196,7 @@ def command_answers(args: argparse.Namespace) -> int:
     rows = operational_consistent_answers(
         database,
         constraints,
-        GENERATORS[args.generator],
+        GENERATORS_BY_NAME[args.generator],
         query,
         method=args.method,
         epsilon=args.epsilon,
@@ -241,7 +230,7 @@ def command_probability(args: argparse.Namespace) -> int:
     value = ocqa_probability(
         database,
         constraints,
-        GENERATORS[args.generator],
+        GENERATORS_BY_NAME[args.generator],
         query,
         _parse_answer(args.answer),
         method=args.method,

@@ -25,7 +25,6 @@ from .mus_transitions import (
     mus_sequence_probability,
 )
 from .survival import (
-    fact_survival_probability,
     ground_survival_mur,
     ground_survival_mus,
 )
@@ -38,7 +37,6 @@ from .repair_count import (
 
 __all__ = [
     "block_length_distribution",
-    "fact_survival_probability",
     "ground_survival_mur",
     "ground_survival_mus",
     "mus_edge_probability",

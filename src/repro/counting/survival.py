@@ -12,13 +12,16 @@ time, because blocks interact in a controlled way:
   couple block lengths), but conditioning each hit block on "non-empty
   outcome" and shuffle-multiplying length distributions gives the exact
   joint probability — a polynomial generalization of Example C.3;
-* ``M_us,1``: every singleton sequence keeps exactly one fact per block,
-  chosen uniformly by symmetry — ``M_ur,1``'s law, so
-  ``ground_survival_mur(..., singleton_only=True)`` serves both.
+* ``M_us,1`` and ``M_uo,1``: on primary keys both have ``M_ur,1``'s law
+  (one uniform survivor per block), so
+  ``ground_survival_mur(..., singleton_only=True)`` serves all three.
 
-These serve as fast paths, as ground truth for sampler tests at sizes the
-exponential engines cannot reach, and as a small original extension of the
-paper's algorithmic toolbox (clearly flagged as such in DESIGN.md).
+Which formula a law uses is its :data:`repro.engine.LAWS` entry's
+``survival`` (``None`` for ``M_uo``, which has no product/shuffle
+structure).  These serve as ground truth for the calibration audit and
+sampler tests at sizes the exponential engines cannot reach, and as a
+small original extension of the paper's algorithmic toolbox (clearly
+flagged as such in DESIGN.md).
 """
 
 from __future__ import annotations
@@ -121,27 +124,6 @@ def ground_survival_mus(
     for block in hit_conflicting:
         symmetry *= len(block)
     return Fraction(numerator, total * symmetry)
-
-
-def fact_survival_probability(
-    database: Database,
-    constraints: FDSet,
-    fact: Fact,
-    generator_name: str = "M_ur",
-) -> Fraction:
-    """Survival probability of a single fact under a named uniform semantics.
-
-    Supports ``M_ur``, ``M_ur,1``, ``M_us``, ``M_us,1`` (all polynomial).
-    ``M_uo`` has no product/shuffle structure; use the exact DP or sampler.
-    """
-    single = frozenset((fact,))
-    if generator_name == "M_ur":
-        return ground_survival_mur(database, constraints, single)
-    if generator_name in ("M_ur,1", "M_us,1"):
-        return ground_survival_mur(database, constraints, single, singleton_only=True)
-    if generator_name == "M_us":
-        return ground_survival_mus(database, constraints, single)
-    raise KeyError(f"no polynomial survival formula for {generator_name!r}")
 
 
 def _nonempty_length_distribution(m: int) -> dict[int, int]:

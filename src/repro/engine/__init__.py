@@ -14,7 +14,7 @@ how this layer sits on top of the paper's samplers and bounds.
 """
 
 from .batch import MODES, BatchRequest, BatchResult, batch_estimate
-from .session import DEFAULT_BATCH_SIZE, EstimationSession, SamplePool, sampling_law
+from .session import DEFAULT_BATCH_SIZE, LAWS, EstimationSession, Law, SamplePool, sampling_law
 from .store import (
     STORE_VERSION,
     CacheEntry,
@@ -33,6 +33,8 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "EstimationSession",
     "FsckReport",
+    "LAWS",
+    "Law",
     "MODES",
     "STORE_VERSION",
     "SamplePool",

@@ -34,10 +34,10 @@ Two orthogonal switches extend the planner:
   reproducible and bypass the cache).  A group that draws nothing past
   its stored prefix writes nothing.
 
-The sample plane follows the law: ``M_ur``/``M_us`` groups draw on
-the vectorized numpy plane (whole ``uint64``-packed batches) and ``M_uo``
-groups on the object walk, one sample per batch, through the session's
-walk plane (``_WalkPlane``).
+The sample plane follows the group's sampling law — its
+:data:`~repro.engine.session.LAWS` entry: vector laws draw whole
+``uint64``-packed batches, the ``M_uo`` walk one sample per batch through
+the session's walk plane (``_WalkPlane``).
 """
 
 from __future__ import annotations
@@ -133,10 +133,9 @@ def batch_estimate(
     request to its early-stopping estimator; ``cache_dir`` persists
     per-group state across processes and runs (see the module docstring).
 
-    Each group's sampling law picks its sample plane: ``M_ur``/``M_us``
-    groups draw on the vectorized numpy plane, in whole batches, and
-    ``M_uo`` groups on the scalar plane.  The plane never depends on what
-    ``cache_dir`` holds.
+    Each group's sampling law picks its sample plane (its
+    :data:`~repro.engine.session.LAWS` entry), never what ``cache_dir``
+    holds.
 
     ``start_method`` pins the ``multiprocessing`` start method for the
     worker fan-out (``"fork"`` / ``"spawn"`` / ``"forkserver"``); the

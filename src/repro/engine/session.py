@@ -28,13 +28,13 @@ share the same database.  :class:`EstimationSession` binds one
   Every pool holds its samples one way: a packed ``(S, ceil(n/64))``
   little-endian ``uint64`` bitset matrix, and witness hits are counted
   with column tests over the words each witness occupies.
-* **one plane per law** — every pool draws through a plane with one
-  ``draw_batch(batch_index, size)`` shape: the block-structured
-  ``M_ur``/``M_us`` laws through the vector plane
-  (:mod:`repro.sampling.vectorized`, whole batches at once), the ``M_uo``
-  walk (which has no block structure) through the walk plane
-  (``_WalkPlane``), one sample per batch.  The :func:`sampling_law`
-  alone decides the plane, which never changes *what* is computed.
+* **one law table** — the :func:`sampling_law`'s :data:`LAWS` entry
+  alone decides scope, positivity bound, plane and exact truth.  Every
+  pool draws through a plane with one ``draw_batch(batch_index, size)``
+  shape: the block-structured ``M_ur``/``M_us`` laws through the vector
+  plane (:mod:`repro.sampling.vectorized`, whole batches at once), the
+  ``M_uo`` walk through the walk plane (``_WalkPlane``), one sample per
+  batch.  The plane never changes *what* is computed.
 
 One determinism contract: a pool's batch ``b`` is a pure function of
 ``(instance structure, seed, b, batch size)`` — vector batches come from
@@ -64,14 +64,16 @@ Two layers sit on top of the fixed estimators:
   zero-test verdicts are cheaper to recompute than to load, so they stay
   per-process.
 
-Scope enforcement is unchanged: combinations outside the paper's positive
-results raise :class:`~repro.approx.fpras.FPRASUnavailable` with the same
-messages as the per-call API.
+Combinations outside the paper's positive results raise
+:class:`~repro.approx.fpras.FPRASUnavailable` with the law's message.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from ..approx.adaptive import AdaptiveResult, SequentialEstimator
@@ -94,7 +96,6 @@ from ..chains.generators import (
     M_UR1,
     M_US1,
     MarkovChainGenerator,
-    UniformOperations,
     UniformRepairs,
     UniformSequences,
 )
@@ -105,6 +106,7 @@ from ..core.dependencies import FDSet
 from ..core.facts import Fact
 from ..core.interning import InstanceIndex
 from ..core.queries import ConjunctiveQuery, QueryError, _bind_answer
+from ..counting.survival import ground_survival_mur, ground_survival_mus
 from ..exact.possibility import image_is_consistent
 from ..sampling import vectorized as vectorized_plane
 from ..sampling.operations_sampler import UniformOperationsSampler
@@ -114,14 +116,6 @@ from ..sampling.sequence_sampler import SequenceSampler
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (store imports session's pool)
     from .store import CacheEntry
-
-
-def _unavailable(message: str) -> RuntimeError:
-    # Deferred import: fpras.py routes through this module, so the class
-    # stays at its public home without a circular module-level import.
-    from ..approx.fpras import FPRASUnavailable
-
-    return FPRASUnavailable(message)
 
 
 def sampling_law(
@@ -137,6 +131,92 @@ def sampling_law(
     if generator in (M_US1, M_UO1) and constraints.is_primary_keys():
         return M_UR1
     return generator
+
+
+@dataclass(frozen=True)
+class Law:
+    """One sampling law: its scope, positivity bound, plane and exact truth.
+
+    Outside ``in_scope(Σ)`` sessions raise
+    :class:`~repro.approx.fpras.FPRASUnavailable` with ``unavailable``;
+    ``bound(D, Σ, Q)`` sizes fixed budgets; ``plane(index, seed=...)`` is
+    the vector plane (``None``: the ``M_uo`` walk); ``survival(D, Σ,
+    facts)`` is the exact ground-survival rational (``None``: no closed
+    form).
+    """
+
+    name: str
+    in_scope: Callable[[FDSet], bool]
+    unavailable: str
+    bound: Callable[[Database, FDSet, ConjunctiveQuery], Fraction]
+    plane: Callable[..., vectorized_plane._BlockPlane] | None = None
+    survival: Callable[[Database, FDSet, frozenset[Fact]], Fraction] | None = None
+
+
+def _uo_bound(database: Database, constraints: FDSet, query) -> Fraction:
+    """``M_uo``'s bound (Prop 7.3's is too small to size a sample).
+
+    On primary keys the ``rrfreq`` floor ``1/(2|D|)^|Q|`` holds: a block of
+    ``m`` facts keeps a given one with probability ``(1 − e_m)/m ≥ 1/(2m)``
+    (``e_m ≤ 1/2``: it ends empty).  Beyond them, the local clock bound.
+    """
+    if constraints.is_primary_keys():
+        return rrfreq_lower_bound(database, query)
+    degree = ConflictGraph.of(database, constraints).max_degree()
+    return uo_keys_local_lower_bound(query.atom_count(), degree)
+
+
+_MUR = Law(
+    "M_ur",
+    FDSet.is_primary_keys,
+    "M_ur beyond primary keys: no FPRAS for FDs unless RP = NP (Theorem "
+    "5.1(3)); keys are open (Prop 5.5 rules out repair counting).",
+    lambda db, fds, q: rrfreq_lower_bound(db, q),  # Lemma 5.3
+    vectorized_plane.VectorRepairPlane,
+    ground_survival_mur,
+)
+_MUR1 = replace(  # one uniform survivor per conflicting block (Lemma E.3)
+    _MUR,
+    name="M_ur,1",
+    bound=lambda db, fds, q: singleton_frequency_lower_bound(db, q),
+    plane=partial(vectorized_plane.VectorRepairPlane, singleton_only=True),
+    survival=partial(ground_survival_mur, singleton_only=True),
+)
+_MUS = Law(
+    "M_us",
+    FDSet.is_primary_keys,
+    "M_us beyond primary keys is open; the paper conjectures no FPRAS even "
+    "for keys (Section 6).",
+    lambda db, fds, q: srfreq_lower_bound(db, q),  # Lemma 6.3
+    vectorized_plane.VectorSequencePlane,
+    ground_survival_mus,
+)
+
+#: One :class:`Law` per :func:`sampling_law` name.  On primary keys
+#: ``M_us,1`` has ``M_ur,1``'s law, so its own entry only reports the scope.
+LAWS: dict[str, Law] = {
+    law.name: law
+    for law in (
+        _MUR,
+        _MUR1,
+        _MUS,
+        replace(_MUR1, name="M_us,1", unavailable=_MUS.unavailable),
+        Law(
+            "M_uo",
+            FDSet.all_keys,
+            "M_uo with non-key FDs: the target probability can be exponentially "
+            "small (Prop D.6), so Monte Carlo cannot give an FPRAS; use M_uo,1 "
+            "(Theorem 7.5) instead.",
+            _uo_bound,
+        ),
+        Law(
+            "M_uo,1",
+            lambda fds: True,  # arbitrary FDs (Theorem 7.5)
+            "",
+            lambda db, fds, q: uo_singleton_fd_lower_bound(db, q),  # Lemma D.8
+        ),
+    )
+}
 
 
 #: Samples per vector-plane batch: each batch is one seeded substream
@@ -310,6 +390,7 @@ class EstimationSession:
         self.database = database
         self.constraints = constraints
         self.generator = generator
+        self.law = sampling_law(generator, constraints)
         self.cache = cache
         self._decomposition: BlockDecomposition | None = None
         self._index: InstanceIndex | None = None
@@ -351,37 +432,18 @@ class EstimationSession:
                 self._index = InstanceIndex.of(self.database)
         return self._index
 
-    def ensure_supported(self) -> None:
-        """Raise :class:`FPRASUnavailable` outside the paper's positive results.
+    def ensure_supported(self) -> Law:
+        """The session's :class:`Law`; :class:`FPRASUnavailable` outside it."""
+        law = LAWS.get(self.law.name)
+        if law is not None and law.in_scope(self.constraints):
+            return law
+        from ..approx.fpras import FPRASUnavailable  # fpras.py imports this module
 
-        The checks and messages match :func:`repro.approx.fpras.fpras_ocqa`
-        exactly (Theorems 5.1(2), 6.1(2), 7.1(2), 7.5, E.1(2), E.8(2)).
-        """
-        generator = self.generator
-        if isinstance(generator, UniformRepairs):
-            if not self.constraints.is_primary_keys():
-                raise _unavailable(
-                    "M_ur beyond primary keys: no FPRAS for FDs unless RP = NP "
-                    "(Theorem 5.1(3)); keys are open (Prop 5.5 rules out repair "
-                    "counting)."
-                )
-        elif isinstance(generator, UniformSequences):
-            if not self.constraints.is_primary_keys():
-                raise _unavailable(
-                    "M_us beyond primary keys is open; the paper conjectures no "
-                    "FPRAS even for keys (Section 6)."
-                )
-        elif isinstance(generator, UniformOperations):
-            if not generator.singleton_only and not self.constraints.all_keys():
-                raise _unavailable(
-                    "M_uo with non-key FDs: the target probability can be "
-                    "exponentially small (Prop D.6), so Monte Carlo cannot give "
-                    "an FPRAS; use M_uo,1 (Theorem 7.5) instead."
-                )
-        else:
-            raise _unavailable(
-                f"no FPRAS dispatch for generator {generator.name!r}"
-            )
+        raise FPRASUnavailable(
+            law.unavailable
+            if law is not None
+            else f"no FPRAS dispatch for generator {self.generator.name!r}"
+        )
 
     def sampler(self, rng: random.Random | None = None):
         """A sampler for the session's generator, reusing cached structure."""
@@ -424,16 +486,10 @@ class EstimationSession:
 
     @property
     def seeded_plane(self) -> str:
-        """The plane every pool draws on: ``"vector"`` | ``"scalar"``.
-
-        The one place the plane is decided, from the :func:`sampling_law`:
-        the block-structured ``M_ur``/``M_us`` laws have a vector plane,
-        the ``M_uo`` walk does not and draws on the (scalar) walk plane.
-        """
-        law = sampling_law(self.generator, self.constraints)
-        if isinstance(law, (UniformRepairs, UniformSequences)):
-            return "vector"
-        return "scalar"
+        """The plane every pool draws on: ``"vector"`` when the :class:`Law`
+        has one (``M_ur``/``M_us``), else ``"scalar"`` (the ``M_uo`` walk)."""
+        law = LAWS.get(self.law.name)
+        return "scalar" if law is None or law.plane is None else "vector"
 
     def vector_plane(self, seed: int | None = None):
         """A vectorized sample plane for this session's sampling law.
@@ -444,19 +500,13 @@ class EstimationSession:
         Also the handle the decode-parity harness uses: a fresh plane with
         the same seed re-draws any pool batch exactly.
         """
-        self.ensure_supported()
-        law = sampling_law(self.generator, self.constraints)
-        if isinstance(law, UniformRepairs):
-            singleton = law.singleton_only
-            return vectorized_plane.VectorRepairPlane(self.index(), singleton, seed)
-        if isinstance(law, UniformSequences):
-            return vectorized_plane.VectorSequencePlane(self.index(), seed)
-        raise ValueError(
-            f"no vector plane for generator {self.generator.name!r}"
-        )
+        law = self.ensure_supported()
+        if law.plane is None:
+            raise ValueError(f"no vector plane for generator {self.generator.name!r}")
+        return law.plane(self.index(), seed=seed)
 
     def pool_for_seed(self, seed: int | None) -> SamplePool:
-        """A pool for an integer seed, on the generator's plane.
+        """A pool for an integer seed, on the sampling law's plane.
 
         The entry point :func:`~repro.engine.batch.batch_estimate` uses:
         the vector plane for the ``M_ur``/``M_us`` laws (batches of
@@ -510,46 +560,14 @@ class EstimationSession:
     # -- per-(query, answer) caches --------------------------------------------------
 
     def positivity_bound(self, query: ConjunctiveQuery) -> float:
-        """The paper's positivity lower bound for this generator and query.
-
-        Mirrors the per-call dispatch: Lemmas 5.3 / 6.3 for ``M_ur`` /
-        ``M_us``, Lemmas E.3 / E.10 for their singleton variants, Lemma D.8
-        for ``M_uo,1``.  Plain ``M_uo`` cannot size samples from Prop 7.3's
-        astronomically small polynomial.  On primary keys it takes the
-        ``rrfreq`` floor ``1/(2|D|)^|Q|``, which holds there: a block of
-        ``m`` facts keeps a given one with probability ``(1 − e_m)/m ≥
-        1/(2m)``, ``e_m ≤ 1/2`` being the chance the block ends empty.
-        Beyond primary keys it takes
-        :func:`~repro.approx.bounds.uo_keys_local_lower_bound` at the
-        conflict graph's maximum degree.
-        """
+        """The law's :attr:`Law.bound` for ``query``: per-call, pooled and
+        served runs of one request draw one budget."""
         cached = self._bounds.get(query)
-        if cached is not None:
-            return cached
-        self.ensure_supported()
-        singleton = self.generator.singleton_only
-        if isinstance(self.generator, UniformRepairs):
-            bound = (
-                singleton_frequency_lower_bound(self.database, query)
-                if singleton
-                else rrfreq_lower_bound(self.database, query)
-            )
-        elif isinstance(self.generator, UniformSequences):
-            bound = (
-                singleton_frequency_lower_bound(self.database, query)
-                if singleton
-                else srfreq_lower_bound(self.database, query)
-            )
-        elif singleton:
-            bound = uo_singleton_fd_lower_bound(self.database, query)
-        elif self.constraints.is_primary_keys():
-            bound = rrfreq_lower_bound(self.database, query)
-        else:
-            degree = ConflictGraph.of(self.database, self.constraints).max_degree()
-            bound = uo_keys_local_lower_bound(query.atom_count(), degree)
-        value = float(bound)
-        self._bounds[query] = value
-        return value
+        if cached is None:
+            law = self.ensure_supported()
+            cached = float(law.bound(self.database, self.constraints, query))
+            self._bounds[query] = cached
+        return cached
 
     def witnesses(
         self, query: ConjunctiveQuery, answer: tuple = ()

@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from .chains.generators import ALL_GENERATORS
+from .chains.generators import GENERATORS_BY_NAME
 from .core.database import Database
 from .core.dependencies import DependencyError, FDSet, FunctionalDependency
 from .core.facts import Constant, Fact
@@ -172,7 +172,6 @@ def _number(row: Mapping, defaults: Mapping, key: str, default, kind: Callable):
 
 # -- batch workloads -------------------------------------------------------------------
 
-_GENERATORS_BY_NAME = {generator.name: generator for generator in ALL_GENERATORS}
 _WORKLOAD_METHODS = ("auto", "fixed", "dklr")
 
 
@@ -241,7 +240,7 @@ def workload_from_dict(
     ``Q(D)`` in deterministic order.  ``defaults`` supplies fallback values
     for ``generator``, ``epsilon``, ``delta``, ``method`` and
     ``max_samples``.  There is no sample-plane field: a document carrying
-    ``backend`` is rejected, because the plane follows the generator.
+    ``backend`` is rejected, because the plane follows the sampling law.
     ``parse_instance`` parses each inline instance document; the service
     passes a memoizing wrapper of :func:`instance_from_dict`.
     """
@@ -255,7 +254,7 @@ def workload_from_dict(
     if "backend" in document:
         raise InstanceFormatError(
             "'backend' is not a workload field: the sample plane follows the "
-            "generator (vector for M_ur/M_us, scalar for M_uo)"
+            "generator's sampling law (repro.engine.LAWS)"
         )
     defaults = document.get("defaults", {})
     if not isinstance(defaults, Mapping):
@@ -288,14 +287,14 @@ def workload_from_dict(
         database, constraints = instances[name]
         generator_name = row.get("generator", defaults.get("generator", "M_ur"))
         generator = (
-            _GENERATORS_BY_NAME.get(generator_name)
+            GENERATORS_BY_NAME.get(generator_name)
             if isinstance(generator_name, str)
             else None
         )
         if generator is None:
             raise InstanceFormatError(
                 f"unknown generator {generator_name!r}; "
-                f"choose from {sorted(_GENERATORS_BY_NAME)}"
+                f"choose from {sorted(GENERATORS_BY_NAME)}"
             )
         if "query" not in row:
             raise InstanceFormatError(f"request row lacks a 'query': {row!r}")

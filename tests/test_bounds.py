@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from repro.approx.bounds import (
-    bound_for,
     pathological_upper_bound,
     rrfreq_lower_bound,
     singleton_frequency_lower_bound,
@@ -16,8 +15,11 @@ from repro.approx.bounds import (
     uo_keys_lower_bound,
     uo_singleton_fd_lower_bound,
 )
+from repro.approx.fpras import FPRASUnavailable
+from repro.chains.generators import M_UO, M_UO1, M_UR, MarkovChainGenerator
 from repro.core import Database
 from repro.core.queries import atom, boolean_cq, cq, var
+from repro.engine import LAWS, EstimationSession
 from repro.exact import (
     rrfreq,
     rrfreq1,
@@ -110,32 +112,47 @@ class TestUniformOperationsBounds:
             pathological_upper_bound(0)
 
 
+class _Unknown(MarkovChainGenerator):
+    """A generator no :data:`LAWS` entry names."""
+
+    @property
+    def base_name(self) -> str:
+        return "M_xx"
+
+    def _annotate(self, root, constraints) -> None:
+        raise NotImplementedError
+
+
 class TestBoundDispatch:
+    """The law table's bounds, and its scope checks where no bound holds."""
+
     def test_primary_key_dispatch(self, figure2):
         database, constraints = figure2
         query = boolean_cq(atom("R", "a1", "b1"))
-        assert bound_for("M_ur", database, constraints, query) == Fraction(1, 12)
-        assert bound_for("M_us", database, constraints, query) == Fraction(1, 12)
-        assert bound_for("M_ur,1", database, constraints, query) == Fraction(1, 6)
-        assert bound_for("M_us,1", database, constraints, query) == Fraction(1, 6)
+        assert LAWS["M_ur"].bound(database, constraints, query) == Fraction(1, 12)
+        assert LAWS["M_us"].bound(database, constraints, query) == Fraction(1, 12)
+        assert LAWS["M_ur,1"].bound(database, constraints, query) == Fraction(1, 6)
+        assert LAWS["M_us,1"].bound(database, constraints, query) == Fraction(1, 6)
 
     def test_uo_dispatch(self, figure2):
         database, constraints = figure2
         query = boolean_cq(atom("R", "a1", "b1"))
-        assert bound_for("M_uo", database, constraints, query) > 0
-        assert bound_for("M_uo,1", database, constraints, query) > 0
+        assert LAWS["M_uo"].bound(database, constraints, query) > 0
+        assert LAWS["M_uo,1"].bound(database, constraints, query) > 0
 
     def test_unsupported_combinations_raise(self, running_example):
         database, constraints, _ = running_example  # non-key FDs
         query = boolean_cq(atom("R", "a1", "b1", "c1"))
-        with pytest.raises(KeyError):
-            bound_for("M_ur", database, constraints, query)
-        with pytest.raises(KeyError):
-            bound_for("M_uo", database, constraints, query)
-        with pytest.raises(KeyError):
-            bound_for("M_xx", database, constraints, query)
+        with pytest.raises(FPRASUnavailable):
+            EstimationSession(database, constraints, M_UR).positivity_bound(query)
+        with pytest.raises(FPRASUnavailable):
+            EstimationSession(database, constraints, M_UO).positivity_bound(query)
+        with pytest.raises(FPRASUnavailable, match="no FPRAS dispatch"):
+            EstimationSession(database, constraints, _Unknown()).ensure_supported()
         # M_uo,1 works for any FDs (Theorem 7.5).
-        assert bound_for("M_uo,1", database, constraints, query) > 0
+        session = EstimationSession(database, constraints, M_UO1)
+        assert session.ensure_supported() is LAWS["M_uo,1"]
+        assert session.positivity_bound(query) > 0
 
 
 def _key_instances():

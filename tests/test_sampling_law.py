@@ -4,16 +4,19 @@ On primary keys ``M_ur,1``, ``M_us,1`` and ``M_uo,1`` all keep one
 uniformly chosen survivor per conflicting block, independently across
 blocks.  These tests pin that law exactly (state-space enumeration for
 ``M_uo,1``) and check that every seeded path — grouping, store entry,
-registry handle, plane, HTTP — treats the three as one pool.
+registry handle, plane, HTTP — treats the three as one pool, and that
+per-call runs size their samples from that one law.
 """
 
 import math
 import os
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from repro.approx.fpras import fpras_ocqa
 from repro.chains.generators import (
     ALL_GENERATORS,
     M_UO,
@@ -157,6 +160,51 @@ class TestOneLawOnePool:
         assert registry.handle(database, constraints, M_UO1) is handle
         assert handle.session.generator is M_UR1
         assert registry.key_for(database, constraints, M_UO1) == handle.key
+
+
+class TestOneLawOneBudget:
+    """Per-call runs size samples from the law, as batched runs do."""
+
+    def test_per_call_rows_match_across_singletons_and_batch(self):
+        database, constraints = figure2_database()
+        x, y = var("x"), var("y")
+        query = cq((x, y), (atom("R", x, y),))
+        answer = ("a1", "b1")
+        sessions = [
+            EstimationSession(database, constraints, generator)
+            for generator in SINGLETONS
+        ]
+        assert len({session.positivity_bound(query) for session in sessions}) == 1
+        offline = batch_estimate(
+            [
+                BatchRequest(
+                    database, constraints, generator, query, answer=answer,
+                    epsilon=0.3, delta=0.1, method="fixed",
+                )
+                for generator in SINGLETONS
+            ],
+            seed=7,
+        )
+        budgets = {row.result.samples_used for row in offline}
+        assert len(budgets) == 1
+        for seed in (0, 1, 2):
+            fixed = [
+                fpras_ocqa(
+                    database, constraints, generator, query, answer,
+                    epsilon=0.3, delta=0.1, method="fixed",
+                    rng=random.Random(seed),
+                )
+                for generator in SINGLETONS
+            ]
+            assert len({(r.estimate, r.samples_used) for r in fixed}) == 1, fixed
+            assert {r.samples_used for r in fixed} == budgets
+            adaptive = [
+                session.estimate_adaptive(
+                    query, answer, epsilon=0.3, delta=0.1, rng=random.Random(seed)
+                )
+                for session in sessions
+            ]
+            assert len({(r.estimate, r.samples_used) for r in adaptive}) == 1
 
 
 def test_served_singleton_rows_share_one_session_and_keep_their_labels():

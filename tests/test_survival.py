@@ -8,10 +8,10 @@ import pytest
 from repro.core import fact
 from repro.core.queries import Atom, boolean_cq
 from repro.counting.survival import (
-    fact_survival_probability,
     ground_survival_mur,
     ground_survival_mus,
 )
+from repro.engine import LAWS
 from repro.exact import rrfreq, rrfreq1, srfreq, srfreq1
 from repro.workloads import block_database, figure2_database, random_block_database
 
@@ -52,15 +52,16 @@ class TestSingleFact:
         with pytest.raises(Exception):
             ground_survival_mur(database, constraints, {fact("R", "zz", "zz")})
 
-    def test_dispatch_helper(self, figure2):
+    def test_law_table_survival(self, figure2):
         database, constraints = figure2
-        f = fact("R", "a1", "b1")
-        assert fact_survival_probability(database, constraints, f, "M_ur") == Fraction(1, 4)
-        assert fact_survival_probability(database, constraints, f, "M_us") == Fraction(24, 99)
-        assert fact_survival_probability(database, constraints, f, "M_ur,1") == Fraction(1, 3)
-        assert fact_survival_probability(database, constraints, f, "M_us,1") == Fraction(1, 3)
+        f = frozenset([fact("R", "a1", "b1")])
+        assert LAWS["M_ur"].survival(database, constraints, f) == Fraction(1, 4)
+        assert LAWS["M_us"].survival(database, constraints, f) == Fraction(24, 99)
+        assert LAWS["M_ur,1"].survival(database, constraints, f) == Fraction(1, 3)
+        assert LAWS["M_us,1"].survival(database, constraints, f) == Fraction(1, 3)
+        assert LAWS["M_uo"].survival is None
         with pytest.raises(KeyError):
-            fact_survival_probability(database, constraints, f, "M_uo")
+            LAWS["M_xx"]
 
 
 class TestJointGroundSets:
