@@ -102,13 +102,16 @@ def run_scalar(session, query, candidates):
 class ReferencePlane:
     """A one-sample-per-batch plane over a reference sampler's draws."""
 
+    batch_size = 1
+
     def __init__(self, session, seed):
         self._draw = reference_draw(session, seed)
-        self._index = session.index()
+        self.index = session.index()
+        self.words = words_for(len(self.index))
 
     def draw_batch(self, batch_index, size):
-        masks = [self._index.mask_of(self._draw()) for _ in range(size)]
-        return None, pack_masks(masks, words_for(len(self._index)))
+        masks = [self.index.mask_of(self._draw()) for _ in range(size)]
+        return None, pack_masks(masks, self.words)
 
 
 def run_vector(session, query, candidates):
@@ -122,7 +125,7 @@ def run_vector(session, query, candidates):
 def decode_parity_estimates(database, constraints, generator, query, candidates):
     """Re-derive the vector estimates through the pure-Python decode."""
     session = EstimationSession(database, constraints, generator)
-    plane = session.vector_plane(SEED)
+    plane = session.plane(SEED)
     masks = []
     batch = 0
     while len(masks) < SAMPLES:
@@ -169,8 +172,7 @@ def end_to_end(database, constraints, query, candidates):
             session = EstimationSession(database, constraints, generator)
             started = time.perf_counter()
             if plane == "scalar":
-                reference = ReferencePlane(session, group_seed)
-                pool = SamplePool(session.index(), reference, batch_size=1)
+                pool = SamplePool(ReferencePlane(session, group_seed))
             else:
                 pool = session.pool_for_seed(group_seed)
             results = run_group(session, pool, members)

@@ -13,8 +13,9 @@ accounted in a :class:`StoreErrorLog`.  See ``docs/ARCHITECTURE.md`` for
 how this layer sits on top of the paper's samplers and bounds.
 """
 
+from ..sampling.vectorized import DEFAULT_BATCH_SIZE
 from .batch import MODES, BatchRequest, BatchResult, batch_estimate
-from .session import DEFAULT_BATCH_SIZE, LAWS, EstimationSession, Law, SamplePool, sampling_law
+from .session import LAWS, EstimationSession, Law, SamplePool, sampling_law
 from .store import (
     STORE_VERSION,
     CacheEntry,

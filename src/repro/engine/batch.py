@@ -35,9 +35,10 @@ Two orthogonal switches extend the planner:
   its stored prefix writes nothing.
 
 The sample plane follows the group's sampling law — its
-:data:`~repro.engine.session.LAWS` entry: vector laws draw whole
-``uint64``-packed batches, the ``M_uo`` walk one sample per batch through
-the session's walk plane (``_WalkPlane``).
+:data:`~repro.engine.session.LAWS` entry names one plane class, and the
+group's pool takes its batch size from that plane: vector laws draw whole
+``uint64``-packed batches of 512, the ``M_uo`` walk one sample per batch
+(``_WalkPlane``).
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ from .session import EstimationSession, SamplePool, sampling_law
 from .store import STORE_ERRORS, CacheStore, StoreErrorLog, instance_cache_key
 
 #: Environment override for the multiprocessing start method used by
-#: ``batch_estimate(workers=...)`` (same values as the ``start_method``
-#: argument: ``fork`` / ``spawn`` / ``forkserver``).
+#: ``batch_estimate(workers=...)`` and the sharded service (``fork`` /
+#: ``spawn`` / ``forkserver``).
 START_METHOD_ENV = "REPRO_UOCQA_START_METHOD"
 
 #: The estimation modes every entry point accepts: ``fixed`` runs each
@@ -119,7 +120,6 @@ def batch_estimate(
     workers: int | None = None,
     mode: str = "fixed",
     cache_dir: str | None = None,
-    start_method: str | None = None,
 ) -> list[BatchResult]:
     """Estimate every request, sharing one sample pool per instance group.
 
@@ -137,19 +137,19 @@ def batch_estimate(
     :data:`~repro.engine.session.LAWS` entry), never what ``cache_dir``
     holds.
 
-    ``start_method`` pins the ``multiprocessing`` start method for the
-    worker fan-out (``"fork"`` / ``"spawn"`` / ``"forkserver"``); the
-    ``REPRO_UOCQA_START_METHOD`` environment variable is the deployment-
-    level equivalent.  Left unset, ``fork`` is used only when the calling
-    process is single-threaded — forking a process with live threads can
-    deadlock the children (and is deprecated on Python 3.12+) — and
-    ``spawn`` otherwise.  Estimates never depend on the start method.
+    The ``REPRO_UOCQA_START_METHOD`` environment variable pins the
+    ``multiprocessing`` start method for the worker fan-out (``"fork"`` /
+    ``"spawn"`` / ``"forkserver"``).  Left unset, ``fork`` is used only
+    when the calling process is single-threaded — forking a process with
+    live threads can deadlock the children (and is deprecated on Python
+    3.12+) — and ``spawn`` otherwise.  Estimates never depend on the start
+    method.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r} (use 'fixed' or 'adaptive')")
     # Resolved eagerly (not only when the fan-out runs) so a start-method
     # typo fails the same way with one group as with many.
-    context = _pool_context(start_method)
+    context = _pool_context()
     requests = list(requests)
     groups = group_positions(requests)
     payloads = []
@@ -223,18 +223,17 @@ def group_seed_for(
     return int(instance_cache_key(database, constraints, generator.name, seed)[:16], 16)
 
 
-def _pool_context(start_method: str | None = None):
+def _pool_context():
     """The multiprocessing context for the worker fan-out.
 
-    Precedence: the explicit ``start_method`` argument, then the
-    ``REPRO_UOCQA_START_METHOD`` environment variable, then a safe
-    default — ``fork`` (cheap, no import re-execution) only while the
+    The ``REPRO_UOCQA_START_METHOD`` environment variable when set, else a
+    safe default — ``fork`` (cheap, no import re-execution) only while the
     calling process is single-threaded, ``spawn`` otherwise.  A forked
     child inherits a snapshot of the parent's locks; with live threads
     (exactly the service case) a lock captured mid-acquire deadlocks the
     child, and CPython 3.12+ warns about the combination.
     """
-    method = start_method or os.environ.get(START_METHOD_ENV) or None
+    method = os.environ.get(START_METHOD_ENV) or None
     if method is not None:
         if method not in multiprocessing.get_all_start_methods():
             raise ValueError(

@@ -30,11 +30,14 @@ share the same database.  :class:`EstimationSession` binds one
   with column tests over the words each witness occupies.
 * **one law table** — the :func:`sampling_law`'s :data:`LAWS` entry
   alone decides scope, positivity bound, plane and exact truth.  Every
-  pool draws through a plane with one ``draw_batch(batch_index, size)``
-  shape: the block-structured ``M_ur``/``M_us`` laws through the vector
-  plane (:mod:`repro.sampling.vectorized`, whole batches at once), the
-  ``M_uo`` walk through the walk plane (``_WalkPlane``), one sample per
-  batch.  The plane never changes *what* is computed.
+  plane is built the same way, ``Law.plane(session, seed)``, draws with
+  one ``draw_batch(batch_index, size)`` shape and carries its
+  ``batch_size`` and ``label`` as class attributes: the block-structured
+  ``M_ur``/``M_us`` laws on a vector plane (:mod:`repro.sampling.vectorized`,
+  batches of 512, ``"vector"``), the ``M_uo`` walks on the walk plane
+  (``_WalkPlane``, one sample per batch, ``"scalar"``).  A pool takes its
+  batch size from its plane, and the plane never changes *what* is
+  computed.
 
 One determinism contract: a pool's batch ``b`` is a pure function of
 ``(instance structure, seed, b, batch size)`` — vector batches come from
@@ -133,23 +136,53 @@ def sampling_law(
     return generator
 
 
+class _WalkPlane:
+    """The walk plane: ``M_uo``'s local walk (Lemma 7.2), one sample per batch.
+
+    Same shape as the vector planes (:class:`~repro.sampling.vectorized._BlockPlane`):
+    built from ``(session, seed)``, carrying ``index``, ``words`` and
+    ``seed``, drawing batch ``b`` with ``draw_batch(b, size)``.  The
+    session's sampler runs on one ``random.Random`` reseeded in place with
+    :func:`~repro.sampling.rng.walk_seed` ``(seed, b)`` before batch ``b``
+    is drawn, so every batch is a pure function of ``(seed, b, size)`` and
+    walk pools resume by position like vector ones.
+    """
+
+    batch_size = 1
+    label = "scalar"
+
+    def __init__(self, session: "EstimationSession", seed: int | None = None):
+        self.index = session.index()
+        self.words = vectorized_plane.words_for(len(self.index))
+        self.seed = fresh_entropy() if seed is None else seed
+        self._rng = random.Random(walk_seed(self.seed, 0))  # reseeded per batch
+        self._sampler = session.sampler(self._rng)
+
+    def draw_batch(self, batch_index: int, size: int):
+        """Draw batch ``batch_index`` of ``size`` samples as ``(None, rows)``."""
+        self._rng.seed(walk_seed(self.seed, batch_index))
+        masks = [self.index.mask_of(self._sampler.sample().facts) for _ in range(size)]
+        return None, vectorized_plane.pack_masks(masks, self.words)
+
+
 @dataclass(frozen=True)
 class Law:
     """One sampling law: its scope, positivity bound, plane and exact truth.
 
     Outside ``in_scope(Σ)`` sessions raise
     :class:`~repro.approx.fpras.FPRASUnavailable` with ``unavailable``;
-    ``bound(D, Σ, Q)`` sizes fixed budgets; ``plane(index, seed=...)`` is
-    the vector plane (``None``: the ``M_uo`` walk); ``survival(D, Σ,
-    facts)`` is the exact ground-survival rational (``None``: no closed
-    form).
+    ``bound(D, Σ, Q)`` sizes fixed budgets; ``plane(session, seed)`` builds
+    the law's plane — a vector plane for the block laws, :class:`_WalkPlane`
+    for the ``M_uo`` walks — whose ``batch_size`` and ``label`` are class
+    attributes; ``survival(D, Σ, facts)`` is the exact ground-survival
+    rational (``None``: no closed form).
     """
 
     name: str
     in_scope: Callable[[FDSet], bool]
     unavailable: str
     bound: Callable[[Database, FDSet, ConjunctiveQuery], Fraction]
-    plane: Callable[..., vectorized_plane._BlockPlane] | None = None
+    plane: type
     survival: Callable[[Database, FDSet, frozenset[Fact]], Fraction] | None = None
 
 
@@ -179,7 +212,6 @@ _MUR1 = replace(  # one uniform survivor per conflicting block (Lemma E.3)
     _MUR,
     name="M_ur,1",
     bound=lambda db, fds, q: singleton_frequency_lower_bound(db, q),
-    plane=partial(vectorized_plane.VectorRepairPlane, singleton_only=True),
     survival=partial(ground_survival_mur, singleton_only=True),
 )
 _MUS = Law(
@@ -208,51 +240,17 @@ LAWS: dict[str, Law] = {
             "small (Prop D.6), so Monte Carlo cannot give an FPRAS; use M_uo,1 "
             "(Theorem 7.5) instead.",
             _uo_bound,
+            _WalkPlane,
         ),
         Law(
             "M_uo,1",
             lambda fds: True,  # arbitrary FDs (Theorem 7.5)
             "",
             lambda db, fds, q: uo_singleton_fd_lower_bound(db, q),  # Lemma D.8
+            _WalkPlane,
         ),
     )
 }
-
-
-#: Samples per vector-plane batch: each batch is one seeded substream
-#: (and one store row group); the value is part of the vector stream's
-#: reproducibility contract, so changing it re-keys warm vector pools.
-DEFAULT_BATCH_SIZE = 512
-
-
-class _WalkPlane:
-    """The walk plane: one mask-drawing sampler around one ``random.Random``.
-
-    Same ``draw_batch(batch_index, size)`` shape as the vector planes.
-    The RNG is reseeded in place with
-    :func:`~repro.sampling.rng.walk_seed` ``(seed, b)`` before batch ``b``
-    is drawn, so every batch is a pure function of ``(seed, b, size)``
-    and ``M_uo`` pools (batch size 1) resume by position like vector
-    ones.
-    """
-
-    def __init__(
-        self,
-        draw: Callable[[], int],
-        rng: random.Random,
-        index: InstanceIndex,
-        seed: int,
-    ):
-        self._draw = draw
-        self._rng = rng
-        self._words = vectorized_plane.words_for(len(index))
-        self.seed = seed
-
-    def draw_batch(self, batch_index: int, size: int):
-        """Draw batch ``batch_index`` of ``size`` samples as ``(None, rows)``."""
-        self._rng.seed(walk_seed(self.seed, batch_index))
-        masks = [self._draw() for _ in range(size)]
-        return None, vectorized_plane.pack_masks(masks, self._words)
 
 
 class SamplePool:
@@ -272,44 +270,34 @@ class SamplePool:
 
     **One representation.**  Every sample is a row of a capacity-doubling
     packed ``(S, ceil(n/64))`` little-endian ``uint64`` matrix over the
-    pool's :class:`~repro.core.interning.InstanceIndex` (bit ``i`` of a
+    plane's :class:`~repro.core.interning.InstanceIndex` (bit ``i`` of a
     row = fact ``i`` survives) — the row the cache store persists, held in
     private process memory.  :meth:`packed_prefix` is the zero-copy view hit
     counting reduces over; :meth:`mask_at` decodes one row to an
     arbitrary-precision bitmask.
 
-    **One contract.**  ``plane`` draws batch ``b`` of ``batch_size``
-    samples (a vector plane, or the one-sample-per-batch walk plane).
-    ``preloaded_rows`` warm-starts the stream with whole batches persisted by a
+    **One contract.**  ``plane`` — any of the :class:`Law` planes — draws
+    batch ``b`` of ``batch_size`` samples (the plane's own ``batch_size``
+    unless overridden: 512 for a vector plane, 1 for the walk) and names
+    the row width (``plane.words``).  ``preloaded_rows`` warm-starts the
+    stream with whole batches persisted by a
     :class:`~repro.engine.store.CacheEntry`; new draws continue past them
     by batch index — no RNG state is needed to resume.
     """
 
-    def __init__(
-        self,
-        index: InstanceIndex,
-        plane,
-        *,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        preloaded_rows=None,
-    ):
+    def __init__(self, plane, *, batch_size: int | None = None, preloaded_rows=None):
+        batch_size = plane.batch_size if batch_size is None else batch_size
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         self._plane = plane
         self._batch_size = batch_size
-        self._index = index
-        self._words = vectorized_plane.words_for(len(index))
+        self._words = plane.words
         self._rows = None  # capacity-doubling packed matrix
         self._rows_length = 0  # valid rows in ``_rows``
         if preloaded_rows is not None and preloaded_rows.shape[0]:
             if preloaded_rows.shape[0] % batch_size:
                 raise ValueError("a preloaded prefix must be whole batches")
             self._append_rows(preloaded_rows)
-
-    @property
-    def index(self) -> InstanceIndex:
-        """The interning the sample rows refer to."""
-        return self._index
 
     @property
     def words(self) -> int:
@@ -468,12 +456,6 @@ class EstimationSession:
             )
         return UniformOperationsSampler(self.database, self.constraints, singleton, rng)
 
-    def _draw_mask(self, rng: random.Random) -> Callable[[], int]:
-        """A thunk drawing one ``M_uo`` walk result as an id bitmask."""
-        sampler = self.sampler(rng)
-        index = self.index()
-        return lambda: index.mask_of(sampler.sample().facts)
-
     def pool(self, rng: random.Random | None = None) -> SamplePool:
         """One shared, lazily grown sample stream seeded from a caller's RNG.
 
@@ -486,49 +468,30 @@ class EstimationSession:
 
     @property
     def seeded_plane(self) -> str:
-        """The plane every pool draws on: ``"vector"`` when the :class:`Law`
-        has one (``M_ur``/``M_us``), else ``"scalar"`` (the ``M_uo`` walk)."""
-        law = LAWS.get(self.law.name)
-        return "scalar" if law is None or law.plane is None else "vector"
+        """The ``label`` of the law's plane: ``"vector"`` (``M_ur``/``M_us``)
+        or ``"scalar"`` (the ``M_uo`` walk)."""
+        return self.ensure_supported().plane.label
 
-    def vector_plane(self, seed: int | None = None):
-        """A vectorized sample plane for this session's sampling law.
+    def plane(self, seed: int | None = None):
+        """A fresh plane of the session's sampling law (its :attr:`Law.plane`).
 
-        One :class:`~repro.sampling.vectorized.VectorRepairPlane` /
-        :class:`~repro.sampling.vectorized.VectorSequencePlane` over the
-        session's interning, seeded per the plane's substream contract.
-        Also the handle the decode-parity harness uses: a fresh plane with
-        the same seed re-draws any pool batch exactly.
+        A :class:`~repro.sampling.vectorized.VectorRepairPlane` /
+        :class:`~repro.sampling.vectorized.VectorSequencePlane` for the
+        block laws, the :class:`_WalkPlane` for the ``M_uo`` walks, over
+        the session's interning and seeded per the plane's contract
+        (``seed=None``: one fresh entropy value).  Also the handle the
+        decode-parity harness uses: a fresh plane with the same seed
+        re-draws any pool batch exactly.
         """
-        law = self.ensure_supported()
-        if law.plane is None:
-            raise ValueError(f"no vector plane for generator {self.generator.name!r}")
-        return law.plane(self.index(), seed=seed)
+        return self.ensure_supported().plane(self, seed)
 
     def pool_for_seed(self, seed: int | None) -> SamplePool:
         """A pool for an integer seed, on the sampling law's plane.
 
-        The entry point :func:`~repro.engine.batch.batch_estimate` uses:
-        the vector plane for the ``M_ur``/``M_us`` laws (batches of
-        :data:`DEFAULT_BATCH_SIZE`), the walk plane reseeded per sample
-        otherwise.  ``seed=None`` draws one fresh entropy value and uses it
-        as the seed of every batch.
+        The entry point :func:`~repro.engine.batch.batch_estimate` uses;
+        the pool's batch size is its plane's.
         """
-        return self._seeded_pool(seed, self._seeded_batch_size())
-
-    def _seeded_batch_size(self) -> int:
-        return DEFAULT_BATCH_SIZE if self.seeded_plane == "vector" else 1
-
-    def _seeded_pool(self, seed, batch_size, preloaded_rows=None) -> SamplePool:
-        if self.seeded_plane == "vector":
-            plane = self.vector_plane(seed)
-        else:
-            seed = fresh_entropy() if seed is None else seed
-            rng = random.Random(walk_seed(seed, 0))  # reseeded before every batch
-            plane = _WalkPlane(self._draw_mask(rng), rng, self.index(), seed)
-        return SamplePool(
-            self.index(), plane, batch_size=batch_size, preloaded_rows=preloaded_rows
-        )
+        return SamplePool(self.plane(seed))
 
     def cached_pool(self, seed: int | None) -> SamplePool:
         """A pool warm-started from the session's cache entry (if possible).
@@ -540,20 +503,21 @@ class EstimationSession:
         not reproducible, so persisting it would be meaningless).
 
         The plane comes from the sampling law alone, never from what the
-        entry holds: a prefix drawn with another batch size (a foreign
-        stream) or ending in a torn batch cannot be extended, so it is
-        discarded and redrawn.
+        entry holds: a prefix drawn with another batch size than the
+        plane's (a foreign stream) or ending in a torn batch cannot be
+        extended, so it is discarded and redrawn.
         """
         if self.cache is None or seed is None:
             return self.pool_for_seed(seed)
         cache = self.cache
-        batch_size = self._seeded_batch_size()
+        plane = self.plane(seed)
+        batch_size = plane.batch_size
         # The persisted blob IS the pool's matrix: preloaded as decoded.
         rows = cache.sample_word_rows()
         if len(rows) and (cache.sample_batch() != batch_size or len(rows) % batch_size):
             cache.discard_samples()
             rows = None
-        pool = self._seeded_pool(seed, batch_size, rows)
+        pool = SamplePool(plane, preloaded_rows=rows)
         cache.attach_pool(pool)
         return pool
 

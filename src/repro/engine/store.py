@@ -524,10 +524,13 @@ class CacheEntry:
         return self._rows
 
     def discard_samples(self) -> None:
-        """Drop the persisted sample prefix (and its batch size)."""
-        if len(self._rows) or self._batch is not None:
-            self._rows, self._batch = _word_rows(b"", self._words), None
-            self._dirty = True
+        """Drop the persisted sample prefix (and its batch size).
+
+        Leaves the entry clean: discarding draws nothing, so a pool that
+        draws nothing after it commits nothing, and the first draw marks
+        the entry dirty (:meth:`_sync_pool`).
+        """
+        self._rows, self._batch = _word_rows(b"", self._words), None
 
     def attach_pool(self, pool: "SamplePool") -> None:
         """Track a live pool so :meth:`save` persists newly drawn samples."""

@@ -39,6 +39,14 @@ below ``2**-50``, orders of magnitude under any (ε, δ) of interest; the
 reference ``SequenceSampler`` remains exact (``tests/test_vectorized.py``
 pins the rounding gap).
 
+**One plane contract.**  Both planes are entries of the engine's law
+table (:data:`repro.engine.session.LAWS`), as the ``M_uo`` walk plane is:
+each is built from ``(session, seed)`` — the session supplies the
+interning and, for :class:`VectorRepairPlane`, its law's
+``singleton_only`` — and carries ``batch_size``
+(:data:`DEFAULT_BATCH_SIZE`) and ``label`` (``"vector"``) as class
+attributes, so a pool takes its batch size from its plane.
+
 **Reproducibility contract.**  A plane never consumes ``random.Random``:
 batch ``b`` is drawn from the counter-based seeded substream
 :func:`repro.sampling.rng.numpy_substream` ``(seed, b)`` (a Philox key
@@ -54,13 +62,15 @@ parity asserted by ``tests/test_vectorized.py``), not sample-for-sample.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from ..core.interning import InstanceIndex
 from ..counting.crs_count import aggregated_step_weights
 from .rng import fresh_entropy, numpy_substream, philox_key
+
+if TYPE_CHECKING:  # pragma: no cover - type-only (the session imports this module)
+    from ..engine.session import EstimationSession
 
 #: Bits per packed word (the dtype of every bitset matrix is ``uint64``).
 WORD_BITS = 64
@@ -68,6 +78,11 @@ WORD_BITS = 64
 #: geometry has one source of truth.
 _WORD_SHIFT = WORD_BITS.bit_length() - 1
 _WORD_MASK = (1 << WORD_BITS) - 1
+
+#: Samples per vector-plane batch: each batch is one seeded substream
+#: (and one store row group); the value is part of the vector stream's
+#: reproducibility contract, so changing it re-keys warm vector pools.
+DEFAULT_BATCH_SIZE = 512
 
 
 def words_for(n_facts: int) -> int:
@@ -167,12 +182,20 @@ def batch_hit_flags(
 class _BlockPlane:
     """Shared machinery of the two block-structured vector planes.
 
-    Holds the interned block structure in the scalar samplers' canonical
-    order, the batch substream seeding, the outcome→bitset scatter, and
-    the pure-Python reference decode the parity harness replays.
+    Built from ``(session, seed)`` like every plane of the law table
+    (:data:`repro.engine.session.LAWS`): holds the session's interning
+    (``index``) with its blocks in the scalar samplers' canonical order,
+    the batch substream seeding, the outcome→bitset scatter, and the
+    pure-Python reference decode the parity harness replays.
     """
 
-    def __init__(self, index: InstanceIndex, seed: int | None = None):
+    #: Samples per batch of every pool on this plane.
+    batch_size = DEFAULT_BATCH_SIZE
+    #: The plane's name in ``/stats`` ``backend`` and audit cell ids.
+    label = "vector"
+
+    def __init__(self, session: "EstimationSession", seed: int | None = None):
+        index = session.index()
         self.index = index
         #: The entropy every batch substream derives from (the pool seed,
         #: or one fresh OS draw for unseeded planes — still internally
@@ -269,20 +292,14 @@ class VectorRepairPlane(_BlockPlane):
     """Batched uniform candidate repairs (Lemma 5.2 / Lemma E.2).
 
     Each conflicting block contributes one independent uniform outcome
-    among its ``|B| + 1`` choices (``|B|`` with ``singleton_only``), drawn
-    for the whole batch in one ``Generator.integers`` call with per-block
-    upper bounds.
+    among its ``|B| + 1`` choices (``|B|`` when the session's law is
+    ``singleton_only``), drawn for the whole batch in one
+    ``Generator.integers`` call with per-block upper bounds.
     """
 
-    def __init__(
-        self,
-        index: InstanceIndex,
-        singleton_only: bool = False,
-        seed: int | None = None,
-    ):
-        super().__init__(index, seed)
-        self.singleton_only = singleton_only
-        self._bounds = self._sizes + (0 if singleton_only else 1)
+    def __init__(self, session: "EstimationSession", seed: int | None = None):
+        super().__init__(session, seed)
+        self._bounds = self._sizes + (0 if session.law.singleton_only else 1)
 
     def _draw_outcomes(self, generator, size: int):
         if self.n_blocks == 0:

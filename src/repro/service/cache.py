@@ -138,10 +138,12 @@ class AnswerCache:
 class Memo:
     """A thread-safe LRU map bounded by entry count.
 
-    The instance memos at both ends of the serve path: the server's maps
-    an inline instance document's text to its parsed pair, the client's
-    maps an instance pair to its encoded text.  A miss costs one lookup;
-    the caller computes the value and decides whether to :meth:`put` it.
+    The serve path's LRUs: the instance memos at both ends (the server's
+    maps an inline instance document's text to its parsed pair, the
+    client's maps an instance pair to its encoded text), the registry's
+    derived group keys, and the worker pool's recently routed groups.  A
+    miss costs one lookup; the caller computes the value and decides
+    whether to :meth:`put` it.
     """
 
     def __init__(self, max_entries: int):
@@ -168,3 +170,8 @@ class Memo:
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
+
+    def items(self) -> list[tuple[Any, Any]]:
+        """A snapshot of the ``(key, value)`` pairs, LRU-oldest first."""
+        with self._lock:
+            return list(self._entries.items())

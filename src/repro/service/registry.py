@@ -69,6 +69,7 @@ from ..engine.batch import (
 )
 from ..engine.session import EstimationSession, sampling_law
 from ..engine.store import CacheStore, StoreErrorLog, instance_cache_key
+from .cache import Memo
 
 #: Default LRU capacity of a registry (warm groups kept in memory).
 DEFAULT_MAX_SESSIONS = 32
@@ -151,7 +152,7 @@ class SessionHandle:
             "key": self.key,
             "generator": self.session.generator.name,  # the group's law
             "facts": len(self.session.database),
-            "backend": self.session.seeded_plane,
+            "backend": self.pool.plane.label,
             "pool_samples": len(self.pool),
             "requests_served": self.requests_served,
             "batches_run": self.batches_run,
@@ -189,7 +190,8 @@ class SessionRegistry:
         # law).  Deriving them hashes the whole instance (canonical JSON +
         # SHA-256, twice); memoizing makes the warm hot path — including
         # the micro-batcher's key lookups on the event loop — a dict hit.
-        self._keys: OrderedDict[tuple, tuple] = OrderedDict()
+        # Bounded well above the LRU so eviction churn stays cheap.
+        self._keys = Memo(4 * max_sessions)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -201,20 +203,13 @@ class SessionRegistry:
         generator: MarkovChainGenerator,
     ) -> tuple[int | None, str, MarkovChainGenerator]:
         group = (database, constraints, generator)
-        with self._lock:
-            cached = self._keys.get(group)
-            if cached is not None:
-                self._keys.move_to_end(group)
-                return cached
-        law = sampling_law(generator, constraints)
-        seed = group_seed_for(self.seed, database, constraints, law)
-        key = instance_cache_key(database, constraints, law.name, seed)
-        with self._lock:
-            self._keys[group] = (seed, key, law)
-            # Bounded well above the LRU so eviction churn stays cheap.
-            while len(self._keys) > 4 * self.max_sessions:
-                self._keys.popitem(last=False)
-        return seed, key, law
+        derived = self._keys.get(group)
+        if derived is None:
+            law = sampling_law(generator, constraints)
+            seed = group_seed_for(self.seed, database, constraints, law)
+            derived = (seed, instance_cache_key(database, constraints, law.name, seed), law)
+            self._keys.put(group, derived)
+        return derived
 
     def group_seed(
         self,

@@ -62,11 +62,11 @@ import os
 import pickle
 import signal
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .batching import MicroBatcher, QueueFull
+from .cache import Memo
 from .registry import DEFAULT_MAX_SESSIONS, SessionRegistry
 
 __all__ = [
@@ -426,7 +426,7 @@ class WorkerPool:
         self.restarts = [0] * workers
         # key -> (database, constraints, generator): the bounded LRU of
         # recently routed groups used to re-warm a respawned shard.
-        self._warm: OrderedDict[str, tuple] = OrderedDict()
+        self._warm = Memo(_WARM_KEYS)
         self._revivals: set[asyncio.Task] = set()
 
     # -- lifecycle ---------------------------------------------------------------------
@@ -580,7 +580,7 @@ class WorkerPool:
         unchanged) and :class:`WorkerDied` when the shard keeps dying.
         """
         shard = shard_for_key(key, self.workers)
-        self._remember(key, (database, constraints, generator))
+        self._warm.put(key, (database, constraints, generator))
         status, payload = await self._request(
             shard, "estimate", (database, constraints, generator, list(requests), mode)
         )
@@ -699,7 +699,7 @@ class WorkerPool:
         self._shards[shard] = replacement
         # Re-warm the shard's recently routed groups from the store
         # (fire-and-forget: a warm failure just means a cold first hit).
-        for key, group in list(self._warm.items()):
+        for key, group in self._warm.items():
             if shard_for_key(key, self.workers) == shard:
                 request_id = next(self._ids)
                 self._post(replacement, request_id, "warm", group)
@@ -717,9 +717,3 @@ class WorkerPool:
                 )
             else:
                 self._dispatch(shard, future, kind, payload, retries + 1)
-
-    def _remember(self, key: str, group: tuple) -> None:
-        self._warm[key] = group
-        self._warm.move_to_end(key)
-        while len(self._warm) > _WARM_KEYS:
-            self._warm.popitem(last=False)

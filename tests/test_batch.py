@@ -77,14 +77,17 @@ class TestBatchEstimate:
         results = batch_estimate(fig2_requests(), seed=17)
         assert len({r.result.samples_used for r in results}) == 1
 
-    def test_spawn_context_matches_serial(self):
+    def test_spawn_context_matches_serial(self, monkeypatch):
+        from repro.engine.batch import START_METHOD_ENV
+
         # The service-plane regression: fork from a threaded process can
         # deadlock workers, so the spawn path must work — payloads must
         # pickle under spawn and estimates must not depend on the start
         # method.
         requests = two_group_requests()
         serial = batch_estimate(requests, seed=13)
-        spawned = batch_estimate(requests, seed=13, workers=2, start_method="spawn")
+        monkeypatch.setenv(START_METHOD_ENV, "spawn")
+        spawned = batch_estimate(requests, seed=13, workers=2)
         assert [r.result for r in serial] == [r.result for r in spawned]
 
     def test_worker_store_errors_reach_the_callers_log(self, tmp_path):
@@ -118,14 +121,15 @@ class TestBatchEstimate:
 
         monkeypatch.setenv(START_METHOD_ENV, "spawn")
         assert _pool_context().get_start_method() == "spawn"
-        monkeypatch.delenv(START_METHOD_ENV)
-        assert _pool_context("fork").get_start_method() == "fork"
+        monkeypatch.setenv(START_METHOD_ENV, "fork")
+        assert _pool_context().get_start_method() == "fork"
 
-    def test_unknown_start_method_rejected(self):
+    def test_unknown_start_method_rejected(self, monkeypatch):
+        from repro.engine.batch import START_METHOD_ENV
+
+        monkeypatch.setenv(START_METHOD_ENV, "teleport")
         with pytest.raises(ValueError, match="unknown start method"):
-            batch_estimate(
-                fig2_requests(), seed=3, workers=2, start_method="teleport"
-            )
+            batch_estimate(fig2_requests(), seed=3, workers=2)
 
     def test_default_context_avoids_fork_with_live_threads(self):
         import threading

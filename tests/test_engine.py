@@ -256,7 +256,7 @@ class TestSamplePool:
         session = EstimationSession(database, constraints, M_UR)
         pool = session.pool(random.Random(79))
         # A fresh plane with the pool's seed re-draws its first batch.
-        plane = session.vector_plane(random.Random(79).getrandbits(64))
+        plane = session.plane(random.Random(79).getrandbits(64))
         outcomes, _ = plane.draw_batch(0, pool.batch_size)
         for position, mask in enumerate(plane.decode_masks(outcomes)[:20]):
             assert pool.mask_at(position) == mask
@@ -269,11 +269,14 @@ class TestSamplePool:
 
         class PositionPlane:
             # Any object with the planes' draw_batch shape can back a pool.
+            batch_size = 1
+            words = words_for(len(index))
+
             def draw_batch(self, batch_index, size):
                 masks = [1 << (batch_index % len(index))] * size
-                return None, pack_masks(masks, words_for(len(index)))
+                return None, pack_masks(masks, self.words)
 
-        pool = SamplePool(index, PositionPlane(), batch_size=1)
+        pool = SamplePool(PositionPlane())
         assert pool.mask_at(2) == 1 << 2
         assert pool.mask_at(0) == 1 << 0
         assert len(pool) == 3  # drawn exactly to the position asked for

@@ -23,8 +23,7 @@ from repro.core.interning import InstanceIndex, InterningError, mask_ids
 from repro.core.violations import is_consistent
 from repro.approx.adaptive import SequentialEstimator
 from repro.approx.montecarlo import fixed_sample_estimate, stopping_rule_estimate
-from repro.engine import BatchRequest, EstimationSession, batch_estimate
-from repro.engine.session import DEFAULT_BATCH_SIZE
+from repro.engine import DEFAULT_BATCH_SIZE, BatchRequest, EstimationSession, batch_estimate
 from repro.engine.batch import group_seed_for, run_group
 from repro.core.queries import atom, boolean_cq, cq, var
 from repro.sampling.rng import walk_seed
@@ -112,11 +111,11 @@ def object_hit(session, query, answer):
 
 def seeded_vector_draws(session, seed):
     """The facts of a seeded vector pool's samples, never read off its
-    packed rows: a fresh ``session.vector_plane(seed)`` draws the engine's
+    packed rows: a fresh ``session.plane(seed)`` draws the engine's
     batches, :meth:`decode_masks` builds each mask from the outcome matrix
     and :meth:`~repro.core.interning.InstanceIndex.facts_of_mask` names
     its facts."""
-    plane = session.vector_plane(seed)
+    plane = session.plane(seed)
     index = session.index()
     batches = itertools.count()
     pending = []

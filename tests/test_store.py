@@ -76,7 +76,7 @@ def write_scalar_entry(cache_dir, seed, length):
     group_seed = group_seed_for(seed, database, constraints, M_UR)
     entry = CacheStore(str(cache_dir)).entry(database, constraints, "M_ur", group_seed)
     session = EstimationSession(database, constraints, M_UR, cache=entry)
-    pool = SamplePool(session.index(), session.vector_plane(group_seed), batch_size=1)
+    pool = SamplePool(session.plane(group_seed), batch_size=1)
     entry.attach_pool(pool)
     pool.ensure(length)
     return entry
@@ -683,6 +683,26 @@ class TestTwoWriters:
         assert [r.result for r in warm] == [r.result for r in plain]
         with open(entry_path(tmp_path)) as handle:
             assert json.load(handle)["batch"] == 512
+
+    def test_discarded_foreign_prefix_is_not_rewritten_without_draws(self, tmp_path):
+        # Discarding a foreign-batch prefix draws nothing by itself, so a
+        # group that draws nothing after it commits nothing: the merge
+        # would only re-adopt the on-disk prefix byte for byte.
+        from repro.engine.batch import group_seed_for
+
+        write_scalar_entry(tmp_path, 7, 40).save()
+        path = entry_path(tmp_path)
+        before = os.stat(path)
+        database, constraints = figure2_database()
+        group_seed = group_seed_for(7, database, constraints, M_UR)
+        entry = CacheStore(str(tmp_path)).entry(database, constraints, "M_ur", group_seed)
+        pool = EstimationSession(database, constraints, M_UR, cache=entry).cached_pool(
+            group_seed
+        )
+        assert len(pool) == 0  # the batch-1 prefix was discarded
+        assert entry.save() is False
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
 class TestWorkloadSpecAndCli:

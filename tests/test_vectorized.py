@@ -166,9 +166,9 @@ class TestDecodeParity:
     @settings(max_examples=20, deadline=None)
     def test_repair_plane_scatter_matches_scalar_decode(self, instance, seed):
         database, constraints = instance
-        session = EstimationSession(database, constraints, M_UR)
-        for singleton in (False, True):
-            plane = vectorized.VectorRepairPlane(session.index(), singleton, seed)
+        for generator in (M_UR, M_UR1):
+            session = EstimationSession(database, constraints, generator)
+            plane = vectorized.VectorRepairPlane(session, seed)
             outcomes, rows = plane.draw_batch(0, 64)
             assert vectorized.unpack_rows(rows) == plane.decode_masks(outcomes)
 
@@ -177,7 +177,7 @@ class TestDecodeParity:
     def test_sequence_plane_scatter_matches_scalar_decode(self, instance, seed):
         database, constraints = instance
         session = EstimationSession(database, constraints, M_US)
-        plane = vectorized.VectorSequencePlane(session.index(), seed)
+        plane = vectorized.VectorSequencePlane(session, seed)
         outcomes, rows = plane.draw_batch(0, 64)
         masks = vectorized.unpack_rows(rows)
         assert masks == plane.decode_masks(outcomes)
@@ -192,7 +192,7 @@ class TestDecodeParity:
     def test_batched_hit_flags_match_scalar_hit_tests(self, instance, seed):
         database, constraints = instance
         session = EstimationSession(database, constraints, M_UR)
-        plane = vectorized.VectorRepairPlane(session.index(), False, seed)
+        plane = vectorized.VectorRepairPlane(session, seed)
         _, rows = plane.draw_batch(0, 64)
         masks = vectorized.unpack_rows(rows)
         rng = random.Random(seed)
@@ -220,7 +220,7 @@ class TestDecodeParity:
 
         database, constraints = pk_instance([(a, b) for a in range(4) for b in range(3)])
         session = EstimationSession(database, constraints, M_US)
-        plane = vectorized.VectorSequencePlane(session.index(), 1)
+        plane = vectorized.VectorSequencePlane(session, 1)
         rng = np.random.default_rng(0)
         counts = rng.integers(0, plane.n_blocks + 1, size=(100, 2))
         fast_states, fast_membership = plane._group_states(counts)
@@ -240,7 +240,7 @@ class TestDecodeParity:
         pairs = [(a, b) for a in range(24) for b in range(10)]
         database, constraints = pk_instance(pairs)
         session = EstimationSession(database, constraints, M_US)
-        plane = vectorized.VectorSequencePlane(session.index(), 5)
+        plane = vectorized.VectorSequencePlane(session, 5)
         outcomes, rows = plane.draw_batch(0, 48)
         masks = vectorized.unpack_rows(rows)
         assert masks == plane.decode_masks(outcomes)
@@ -266,7 +266,7 @@ class TestDecodeParity:
         ]
 
         replay = EstimationSession(database, constraints, generator)
-        plane = replay.vector_plane(17)
+        plane = replay.plane(17)
         masks: list[int] = []
         batch = 0
         while len(masks) < samples:
@@ -401,11 +401,11 @@ class TestVectorPools:
     def test_accessors_agree_with_packed_rows(self):
         database, constraints = figure2_database()
         session = EstimationSession(database, constraints, M_UR)
-        pool = SamplePool(session.index(), session.vector_plane(3), batch_size=8)
+        pool = SamplePool(session.plane(3), batch_size=8)
         prefix = vectorized.unpack_rows(pool.packed_prefix(20))
         assert len(pool) == 24  # whole batches
         assert [pool.mask_at(i) for i in range(20)] == prefix
-        replay = session.vector_plane(3)
+        replay = session.plane(3)
         redrawn = [replay.draw_batch(b, 8)[1] for b in range(3)]
         assert prefix == [m for rows in redrawn for m in vectorized.unpack_rows(rows)][:20]
 
@@ -426,8 +426,8 @@ class TestVectorPools:
     def test_same_seed_same_stream_regardless_of_growth_pattern(self):
         database, constraints = figure2_database()
         session = EstimationSession(database, constraints, M_US)
-        eager = SamplePool(session.index(), session.vector_plane(11), batch_size=16)
-        lazy = SamplePool(session.index(), session.vector_plane(11), batch_size=16)
+        eager = SamplePool(session.plane(11), batch_size=16)
+        lazy = SamplePool(session.plane(11), batch_size=16)
         eager.ensure(48)
         for position in (0, 7, 31, 40):
             assert lazy.mask_at(position) == eager.mask_at(position)
@@ -437,15 +437,14 @@ class TestVectorPools:
         database, constraints = figure2_database()
         session = EstimationSession(database, constraints, M_UR)
         with pytest.raises(TypeError):
-            SamplePool(session.index())
+            SamplePool()
         with pytest.raises(TypeError):
-            SamplePool(session.index(), draw=lambda: 0)
+            SamplePool(draw=lambda: 0)
         with pytest.raises(TypeError):
-            SamplePool(plane=session.vector_plane(1))
+            SamplePool(session.index(), session.plane(1))
         with pytest.raises(ValueError, match="whole batches"):
             SamplePool(
-                session.index(),
-                session.vector_plane(1),
+                session.plane(1),
                 batch_size=4,
                 preloaded_rows=vectorized.np.zeros((3, 1), dtype="<u8"),
             )
@@ -468,8 +467,7 @@ class TestBackendResolution:
         pool = walk.pool_for_seed(5)
         assert not isinstance(pool.plane, vectorized._BlockPlane)
         assert pool.batch_size == 1
-        with pytest.raises(ValueError, match="vector"):
-            walk.vector_plane(5)
+        assert type(walk.plane(5)) is type(pool.plane)
 
     def test_unknown_backend_rejected_everywhere(self):
         # The generator alone picks the plane: there is no knob to pass.

@@ -111,4 +111,6 @@ def test_row_i_is_one_draw_after_the_reseed(case, pairs, seed, length):
     pool = session.pool_for_seed(seed)
     for position in range(length):
         rng = random.Random((seed % 2**128) << 64 | position)
-        assert pool.mask_at(position) == session._draw_mask(rng)()
+        assert pool.mask_at(position) == session.index().mask_of(
+            session.sampler(rng).sample().facts
+        )
