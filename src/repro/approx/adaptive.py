@@ -310,8 +310,8 @@ def adaptive_estimate(
 ) -> AdaptiveResult:
     """Run a :class:`SequentialEstimator` to completion over ``draw()`` calls.
 
-    The standalone twin of the engine's pooled adaptive path: pulls one
-    sample at a time until a stopping rule fires and returns the
+    The engine's adaptive executor runs it over a pool's hit flags: it
+    pulls one sample at a time until a stopping rule fires and returns the
     ``(estimate, interval, samples_used)`` bundle.
     """
     estimator = SequentialEstimator(

@@ -46,7 +46,7 @@ __all__ = [
     "fpras_ocqa",
 ]
 
-#: Above this fixed-N budget, ``method="auto"`` switches to the adaptive
+#: Above this fixed-N budget, ``method="auto"`` switches to the ``dklr``
 #: stopping rule so the theoretical-but-huge bounds stay usable in practice.
 AUTO_FIXED_BUDGET = 2_000_000
 

@@ -22,11 +22,8 @@ Zero detection: if the true mean is 0 or ``>= p_min``, then after
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
-
-from ..sampling.rng import resolve_rng
 
 
 @dataclass(frozen=True)
@@ -194,8 +191,3 @@ def additive_estimate(
         method="additive-hoeffding",
         certified_zero=(total == 0.0),
     )
-
-
-def seeded(seed: int | None) -> random.Random:
-    """A seeded RNG (thin re-export so approx callers avoid two imports)."""
-    return resolve_rng(random.Random(seed) if seed is not None else None)

@@ -414,40 +414,30 @@ def run_audit(
                         seed,
                     )
                     pool = session.cached_pool(seed)
-                    fixed = session.estimate_pooled(
-                        pool,
-                        target.query,
-                        target.answer,
-                        epsilon=epsilon,
-                        delta=delta,
-                        method="fixed",
-                    )
-                    adaptive = session.estimate_adaptive(
-                        target.query,
-                        target.answer,
-                        epsilon=epsilon,
-                        delta=delta,
-                        pool=pool,
-                    )
+                    passes[warmth] = {
+                        mode: session.estimate_pooled(
+                            pool,
+                            target.query,
+                            target.answer,
+                            epsilon=epsilon,
+                            delta=delta,
+                            method="fixed",
+                            mode=mode,
+                        )
+                        for mode in MODES
+                    }
                     if warmth == "cold":
                         session.cache.save()
-                    passes[warmth] = (fixed, adaptive)
-                    tallies[("fixed", warmth)].record(
-                        fixed.estimate, fixed.samples_used, target.truth, epsilon
-                    )
-                    tallies[("adaptive", warmth)].record(
-                        adaptive.estimate,
-                        adaptive.samples_used,
-                        target.truth,
-                        epsilon,
-                    )
+                    for mode, result in passes[warmth].items():
+                        tallies[(mode, warmth)].record(
+                            result.estimate, result.samples_used, target.truth, epsilon
+                        )
                     tallies[("adaptive", warmth)].sharpness.append(
-                        _adaptive_sharpness(adaptive)
+                        _adaptive_sharpness(passes[warmth]["adaptive"])
                     )
-                if not _results_match(passes["cold"][0], passes["warm"][0]):
-                    tallies[("fixed", "warm")].replay_mismatches += 1
-                if not _results_match(passes["cold"][1], passes["warm"][1]):
-                    tallies[("adaptive", "warm")].replay_mismatches += 1
+                for mode in MODES:
+                    if not _results_match(passes["cold"][mode], passes["warm"][mode]):
+                        tallies[(mode, "warm")].replay_mismatches += 1
             session.cache = None
             for (mode, warmth), tally in tallies.items():
                 cell_id = f"{target.name}/{mode}/{plane}/{warmth}"

@@ -88,8 +88,9 @@ def operational_consistent_answers(
     candidate's witnesses with column tests), so the whole table costs a
     single sampling pass; each row still carries its own (ε, δ)
     guarantee.  The pool retains its draws for replay, so when a
-    tiny positivity bound pushes the estimator onto the adaptive stopping
-    rule, pass ``max_samples`` to bound the pass (and the memory).
+    tiny positivity bound pushes the estimator onto the
+    Dagum–Karp–Luby–Ross stopping rule (``dklr``), pass ``max_samples``
+    to bound the pass (and the memory).
     """
     if method == "exact":
         table = exact_operational_consistent_answers(database, constraints, generator, query)

@@ -26,7 +26,7 @@ Two orthogonal switches extend the planner:
 * ``mode="adaptive"`` — run each request as a sequential early-stopping
   estimator (:mod:`repro.approx.adaptive`) over the group's shared pool
   (its length is the slowest stopping time, not the sum); per-request
-  ``method`` is ignored in this mode.
+  ``method`` is still checked in this mode, but not used.
 * ``cache_dir=...`` — persist each group's pool sample prefix (and
   nothing else) per ``(database, Σ, law, seed)`` key in a
   :class:`~repro.engine.store.CacheStore`, so reruns of the same workload
@@ -55,18 +55,13 @@ from ..chains.generators import MarkovChainGenerator
 from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.queries import ConjunctiveQuery
-from .session import EstimationSession, SamplePool, sampling_law
+from .session import MODES, EstimationSession, SamplePool, check_mode, sampling_law
 from .store import STORE_ERRORS, CacheStore, StoreErrorLog, instance_cache_key
 
 #: Environment override for the multiprocessing start method used by
 #: ``batch_estimate(workers=...)`` and the sharded service (``fork`` /
 #: ``spawn`` / ``forkserver``).
 START_METHOD_ENV = "REPRO_UOCQA_START_METHOD"
-
-#: The estimation modes every entry point accepts: ``fixed`` runs each
-#: request's resolved fixed-budget or stopping-rule estimator, ``adaptive``
-#: its sequential early-stopping estimator (:mod:`repro.approx.adaptive`).
-MODES = ("fixed", "adaptive")
 
 
 @dataclass(frozen=True)
@@ -145,8 +140,7 @@ def batch_estimate(
     3.12+) — and ``spawn`` otherwise.  Estimates never depend on the start
     method.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r} (use 'fixed' or 'adaptive')")
+    check_mode(mode)
     # Resolved eagerly (not only when the fan-out runs) so a start-method
     # typo fails the same way with one group as with many.
     context = _pool_context()
@@ -332,44 +326,35 @@ def run_group(
     The single per-group execution path: both the offline planner above
     and the long-running service plane (:mod:`repro.service`) route every
     request through here, so a served estimate can never drift from its
-    ``batch_estimate`` twin.  Each request makes one session call over the
-    shared pool — :meth:`~EstimationSession.estimate_pooled` in fixed
-    mode, :meth:`~EstimationSession.estimate_adaptive` in adaptive mode —
-    and a request outside the paper's scope or with bad parameters gets
-    its own error row.  Rows come back in request order.  Because every
-    request reads the pool from position zero and sample ``i`` is a pure
-    function of ``(seed, i)``, results — and the pool's final length, the
-    longest prefix any request reads rounded up to the pool's batch — are
+    ``batch_estimate`` twin.  Each request makes one plan-and-run call
+    over the shared pool, :meth:`~EstimationSession.estimate_pooled` with
+    the group's ``mode`` (its :meth:`~EstimationSession.plan` checks the
+    request's parameters before any draw), and a request outside the
+    paper's scope or with bad parameters gets its own error row.  Rows
+    come back in request order.  Because every request reads the pool
+    from position zero and sample ``i`` is a pure function of
+    ``(seed, i)``, results — and the pool's final length, the longest
+    prefix any request reads rounded up to the pool's batch — are
     independent of request order and of how a group's requests are
     partitioned across calls; the micro-batching server coalesces
     concurrent requests through this exact property.
     """
     from ..approx.fpras import FPRASUnavailable
 
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r} (use 'fixed' or 'adaptive')")
+    check_mode(mode)
     rows: list[BatchResult] = []
     for request in requests:
         try:
-            if mode == "fixed":
-                result = session.estimate_pooled(
-                    pool,
-                    request.query,
-                    request.answer,
-                    epsilon=request.epsilon,
-                    delta=request.delta,
-                    method=request.method,
-                    max_samples=request.max_samples,
-                )
-            else:
-                result = session.estimate_adaptive(
-                    request.query,
-                    request.answer,
-                    epsilon=request.epsilon,
-                    delta=request.delta,
-                    pool=pool,
-                    max_samples=request.max_samples,
-                )
+            result = session.estimate_pooled(
+                pool,
+                request.query,
+                request.answer,
+                epsilon=request.epsilon,
+                delta=request.delta,
+                method=request.method,
+                max_samples=request.max_samples,
+                mode=mode,
+            )
         except (FPRASUnavailable, ValueError) as error:
             rows.append(BatchResult(request, error=str(error)))
         else:

@@ -53,13 +53,15 @@ the seeded pool :meth:`EstimationSession.pool_for_seed` builds for it.
 Per-call results are therefore reproducible per seed and equal pooled
 estimates over that pool.
 
-Two layers sit on top of the fixed estimators:
+Two layers sit on top of the estimators:
 
-* **adaptive estimation** — :meth:`EstimationSession.estimate_adaptive`
-  runs a sequential early-stopping estimator
-  (:mod:`repro.approx.adaptive`) over the pool prefix; requests sharing
-  a pool each read it from position zero, so its length is the slowest
-  stopping time, not the sum;
+* **request plans** — :meth:`EstimationSession.plan` decides, before any
+  draw, how a request runs (a certified zero, a fixed Chernoff budget,
+  the ``dklr`` stopping rule or the sequential early-stopping estimator
+  of :mod:`repro.approx.adaptive`) and the most samples it may read; one
+  executor runs the plan over the pool prefix, which requests sharing a
+  pool each read from position zero, so its length is the longest run,
+  not the sum;
 * **persistence** — an attached :class:`~repro.engine.store.CacheEntry`
   makes the pool's sample prefix (the packed matrix's own bytes) survive
   the process (:meth:`EstimationSession.cached_pool` resumes the stream
@@ -77,9 +79,10 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from itertools import count
 from typing import TYPE_CHECKING, Callable
 
-from ..approx.adaptive import AdaptiveResult, SequentialEstimator
+from ..approx.adaptive import AdaptiveResult, SequentialEstimator, adaptive_estimate
 from ..approx.bounds import (
     rrfreq_lower_bound,
     singleton_frequency_lower_bound,
@@ -264,8 +267,8 @@ class SamplePool:
 
     Replay requires retention: the pool keeps every drawn sample for its
     lifetime, per-call runs included (each reads a pool of its own).  For
-    adaptive ``dklr`` requests on near-zero probabilities, pass
-    ``max_samples`` to bound the prefix — an unbounded stopping-rule run
+    ``dklr`` requests on near-zero probabilities, pass ``max_samples`` to
+    bound the prefix (the plan's ``cap``) — an unbounded stopping-rule run
     would grow the pool without limit.
 
     **One representation.**  Every sample is a row of a capacity-doubling
@@ -359,6 +362,39 @@ class SamplePool:
         """The ``position``-th sample as an id bitmask (decoded from its row)."""
         row = self.packed_prefix(position + 1)[position]
         return int.from_bytes(row.tobytes(), "little")
+
+
+#: The estimation modes: ``fixed`` runs each request's resolved method,
+#: ``adaptive`` its sequential early-stopping estimator.
+MODES = ("fixed", "adaptive")
+#: The methods a request may name (``auto``: ``fixed`` or ``dklr``).
+METHODS = ("auto", "fixed", "dklr")
+
+
+def check_mode(mode: str) -> None:
+    """Reject a mode outside :data:`MODES`."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r} (use 'fixed' or 'adaptive')")
+
+
+@dataclass(frozen=True)
+class RequestPlan:
+    """One request's run, decided by :meth:`EstimationSession.plan` before any draw.
+
+    ``kind``: ``possibility-zero``, ``fixed`` (one count over ``budget``
+    samples), ``dklr`` or ``adaptive``; ``mode`` picks the result type.
+    ``cap`` is the most samples the run may read: the budget, the
+    :class:`~repro.approx.adaptive.SequentialEstimator`'s ``sample_cap``,
+    ``max_samples`` for ``dklr`` (``None``: uncapped), 0 for a certified zero.
+    """
+
+    kind: str
+    mode: str
+    epsilon: float
+    delta: float
+    bound: float | None
+    budget: int | None
+    cap: int | None
 
 
 class EstimationSession:
@@ -636,11 +672,86 @@ class EstimationSession:
             self._witness_plans[key] = plan
         return plan
 
-    def _evaluator(
-        self, pool: SamplePool, query: ConjunctiveQuery, answer: tuple
-    ) -> "_PoolEvaluator":
-        """Hit evaluation of one request against one pool."""
-        return _PoolEvaluator(self, pool, query, answer)
+    # -- request plans -----------------------------------------------------------------
+
+    def plan(
+        self,
+        query: ConjunctiveQuery,
+        answer: tuple = (),
+        *,
+        epsilon: float = 0.2,
+        delta: float = 0.05,
+        method: str = "auto",
+        mode: str = "fixed",
+        max_samples: int | None = None,
+        p_lower: float | None = None,
+    ) -> RequestPlan:
+        """How one request runs, decided before any draw (this draws nothing).
+
+        In order: :meth:`ensure_supported`; the zero-test, so an impossible
+        answer is certified whatever its parameters; one check of
+        ``method`` (in both modes, though adaptive runs ignore it), ε, δ
+        and ``max_samples``; the ``auto`` split at
+        :data:`~repro.approx.fpras.AUTO_FIXED_BUDGET`.  ``p_lower``
+        overrides :meth:`positivity_bound`.
+        """
+        from ..approx.fpras import AUTO_FIXED_BUDGET  # fpras.py imports this module
+
+        check_mode(mode)
+        self.ensure_supported()
+        if not self.is_possible(query, answer):
+            return RequestPlan("possibility-zero", mode, epsilon, delta, None, None, 0)
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        if not 0 < epsilon < 1:
+            raise ValueError("epsilon must lie in (0, 1)")
+        if not 0 < delta < 1:
+            raise ValueError("delta must lie in (0, 1)")
+        if max_samples is not None and max_samples < 1:
+            raise ValueError("max_samples must be positive")
+        bound = p_lower if p_lower is not None else self.positivity_bound(query)
+        if mode == "adaptive":
+            cap = SequentialEstimator(
+                epsilon, delta, p_lower=bound, max_samples=max_samples
+            ).sample_cap
+            return RequestPlan("adaptive", mode, epsilon, delta, bound, None, cap)
+        if method != "dklr":
+            budget = chernoff_sample_size(epsilon, delta, bound)
+            if method == "fixed" or budget <= AUTO_FIXED_BUDGET:
+                return RequestPlan("fixed", mode, epsilon, delta, bound, budget, budget)
+        return RequestPlan("dklr", mode, epsilon, delta, bound, None, max_samples)
+
+    def _run(
+        self,
+        plan: RequestPlan,
+        pool: SamplePool,
+        query: ConjunctiveQuery,
+        answer: tuple,
+    ) -> EstimateResult | AdaptiveResult:
+        """Execute ``plan`` over ``pool``, reading it from position zero."""
+        if plan.kind == "possibility-zero":
+            # No conflict-free image of the query exists, so the probability
+            # is exactly 0 under every generator: certified without a sample.
+            zero = EstimateResult(
+                0.0, 0, plan.epsilon, plan.delta, plan.kind, certified_zero=True
+            )
+            if plan.mode == "fixed":
+                return zero
+            point = ConfidenceInterval(0.0, 0.0, 1.0, plan.kind)
+            return AdaptiveResult(**vars(zero), interval=point)
+        evaluator = _PoolEvaluator(self, pool, query, answer)
+        if plan.kind == "fixed":
+            # One packed-prefix pass instead of ``budget`` per-position tests.
+            hits = evaluator.count(plan.budget)
+            return fixed_estimate_from_total(hits, plan.budget, plan.epsilon, plan.delta)
+        draws = (1.0 if evaluator.flag(position) else 0.0 for position in count())
+        if plan.kind == "dklr":
+            return stopping_rule_estimate(
+                draws.__next__, plan.epsilon, plan.delta, max_samples=plan.cap
+            )
+        return adaptive_estimate(
+            draws.__next__, plan.epsilon, plan.delta, plan.bound, plan.cap
+        )
 
     # -- estimation ------------------------------------------------------------------
 
@@ -684,37 +795,28 @@ class EstimationSession:
         method: str = "auto",
         p_lower: float | None = None,
         max_samples: int | None = None,
-    ) -> EstimateResult:
+        mode: str = "fixed",
+    ) -> EstimateResult | AdaptiveResult:
         """Like :meth:`estimate`, but drawing from a shared :class:`SamplePool`.
 
-        Each request reads the pool from position zero, so ``N`` pooled
-        requests share one sampling pass instead of performing ``N``.  For
-        a pool built from a caller's ``random.Random`` (:meth:`pool`) the
-        result equals ``estimate(..., rng=random.Random(seed))`` under the
-        same seed.
+        :meth:`plan`, then the one executor over ``pool``.  Each request
+        reads the pool from position zero, so ``N`` pooled requests share
+        one sampling pass instead of performing ``N``.  For a pool built
+        from a caller's ``random.Random`` (:meth:`pool`) the result equals
+        ``estimate(..., rng=random.Random(seed))`` under the same seed.
+        ``mode="adaptive"`` is :meth:`estimate_adaptive` over ``pool``.
         """
-        self.ensure_supported()
-        if not self.is_possible(query, answer):
-            return self._certified_zero(epsilon, delta)
-        evaluator = self._evaluator(pool, query, answer)
-        resolved, budget = self._resolve_method(
-            query, epsilon, delta, method, p_lower
+        plan = self.plan(
+            query,
+            answer,
+            epsilon=epsilon,
+            delta=delta,
+            method=method,
+            mode=mode,
+            max_samples=max_samples,
+            p_lower=p_lower,
         )
-        if resolved == "fixed":
-            # One packed-prefix pass instead of ``budget``
-            # per-position tests.
-            return fixed_estimate_from_total(
-                evaluator.count(budget), budget, epsilon, delta
-            )
-        position = 0
-
-        def draw() -> float:
-            nonlocal position
-            entailed = evaluator.flag(position)
-            position += 1
-            return 1.0 if entailed else 0.0
-
-        return stopping_rule_estimate(draw, epsilon, delta, max_samples=max_samples)
+        return self._run(plan, pool, query, answer)
 
     # -- adaptive estimation -----------------------------------------------------------
 
@@ -738,38 +840,14 @@ class EstimationSession:
         small fraction of it.  Reading the pool from position zero keeps
         adaptive runs replayable against fixed runs on the same seed.
         """
-        if pool is None:
-            pool = self.pool(rng)
-        else:
-            self.ensure_supported()
-        # The zero-test runs before the estimator validates (ε, δ), so an
-        # impossible answer is certified whatever its parameters.
-        if not self.is_possible(query, answer):
-            return self._certified_zero_adaptive(epsilon, delta)
-        estimator = SequentialEstimator(
-            epsilon,
-            delta,
-            p_lower=self.positivity_bound(query),
-            max_samples=max_samples,
-        )
-        evaluator = self._evaluator(pool, query, answer)
-        position = 0
-        while not estimator.offer(1.0 if evaluator.flag(position) else 0.0):
-            position += 1
-        return estimator.result()
-
-    @staticmethod
-    def _certified_zero_adaptive(epsilon: float, delta: float) -> AdaptiveResult:
-        return AdaptiveResult(
-            estimate=0.0,
-            samples_used=0,
+        return self.estimate_pooled(
+            self.pool(rng) if pool is None else pool,
+            query,
+            answer,
             epsilon=epsilon,
             delta=delta,
-            method="possibility-zero",
-            interval=ConfidenceInterval(
-                lower=0.0, upper=0.0, confidence=1.0, method="possibility-zero"
-            ),
-            certified_zero=True,
+            max_samples=max_samples,
+            mode="adaptive",
         )
 
     def fixed_budget(
@@ -793,28 +871,19 @@ class EstimationSession:
         *,
         samples: int = 10_000,
     ) -> EstimateResult:
-        """Fixed-budget estimate over a shared pool's first ``samples`` draws."""
+        """Fixed-budget estimate over a shared pool's first ``samples`` draws.
+
+        No plan and no zero-test: a wrong-arity answer raises ``QueryError``.
+        """
         if samples < 1:
             raise ValueError("samples must be positive")
         self.ensure_supported()
-        self._budget_witnesses(query, answer)
-        hits = self._evaluator(pool, query, answer).count(samples)
-        return self._budget_result(hits, samples)
-
-    def _budget_witnesses(
-        self, query: ConjunctiveQuery, answer: tuple
-    ) -> tuple[frozenset[Fact], ...]:
-        # The budget estimators keep entails()'s arity error, which the
-        # (ε, δ) path never reaches (its zero-test returns first).
         if len(answer) != len(query.answer_variables):
             raise QueryError(
                 f"answer arity {len(answer)} does not match "
                 f"|x̄| = {len(query.answer_variables)}"
             )
-        return self.witnesses(query, answer)
-
-    @staticmethod
-    def _budget_result(hits: int, samples: int) -> EstimateResult:
+        hits = _PoolEvaluator(self, pool, query, answer).count(samples)
         return EstimateResult(
             estimate=hits / samples,
             samples_used=samples,
@@ -823,41 +892,6 @@ class EstimationSession:
             method="fixed-budget",
             certified_zero=(hits == 0),
         )
-
-    @staticmethod
-    def _certified_zero(epsilon: float, delta: float) -> EstimateResult:
-        # The polynomial zero-test: no conflict-free image of the query
-        # exists, so the probability is exactly 0 under every generator —
-        # certify without spending a single sample.
-        return EstimateResult(
-            estimate=0.0,
-            samples_used=0,
-            epsilon=epsilon,
-            delta=delta,
-            method="possibility-zero",
-            certified_zero=True,
-        )
-
-    def _resolve_method(
-        self,
-        query: ConjunctiveQuery,
-        epsilon: float,
-        delta: float,
-        method: str,
-        p_lower: float | None,
-    ) -> tuple[str, int | None]:
-        """``(resolved method, fixed budget or None)``: the ``auto`` dispatch."""
-        from ..approx.fpras import AUTO_FIXED_BUDGET
-
-        bound = p_lower if p_lower is not None else self.positivity_bound(query)
-        if method == "auto":
-            budget = chernoff_sample_size(epsilon, delta, bound)
-            method = "fixed" if budget <= AUTO_FIXED_BUDGET else "dklr"
-        if method == "fixed":
-            return "fixed", chernoff_sample_size(epsilon, delta, bound)
-        if method == "dklr":
-            return "dklr", None
-        raise ValueError(f"unknown method {method!r}")
 
 
 class _PoolEvaluator:

@@ -47,6 +47,7 @@ from .core.facts import Constant, Fact
 from .core.queries import Atom, ConjunctiveQuery, QueryError, Variable
 from .core.schema import Schema, SchemaError
 from .engine.batch import MODES, BatchRequest
+from .engine.session import METHODS
 
 
 class InstanceFormatError(ValueError):
@@ -171,9 +172,6 @@ def _number(row: Mapping, defaults: Mapping, key: str, default, kind: Callable):
 
 
 # -- batch workloads -------------------------------------------------------------------
-
-_WORKLOAD_METHODS = ("auto", "fixed", "dklr")
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -300,9 +298,9 @@ def workload_from_dict(
             raise InstanceFormatError(f"request row lacks a 'query': {row!r}")
         query = parse_query(row["query"])
         method = row.get("method", defaults.get("method", "auto"))
-        if method not in _WORKLOAD_METHODS:
+        if method not in METHODS:
             raise InstanceFormatError(
-                f"unknown method {method!r}; choose from {_WORKLOAD_METHODS}"
+                f"unknown method {method!r}; choose from {METHODS}"
             )
         common = dict(
             database=database,

@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 from ..chains.generators import MarkovChainGenerator
 from ..core.database import Database
 from ..core.dependencies import FDSet
-from ..engine.batch import MODES, BatchRequest, BatchResult, error_rows
+from ..engine.batch import MODES, BatchRequest, BatchResult, check_mode, error_rows
 from .registry import SessionRegistry
 
 #: Smoothing factor for the exponentially weighted batch-duration
@@ -175,8 +175,7 @@ class MicroBatcher:
         genuine internal failures raise, and a full queue raises
         :class:`QueueFull` before enqueueing anything.
         """
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r} (use 'fixed' or 'adaptive')")
+        check_mode(mode)
         loop = asyncio.get_running_loop()
         key = self.registry.key_for(database, constraints, generator)
         size = len(requests)

@@ -10,11 +10,18 @@ import random
 
 import pytest
 
-from repro.approx.fpras import FPRASUnavailable, fixed_budget_estimate, fpras_ocqa
+from repro.approx.adaptive import SequentialEstimator
+from repro.approx.fpras import (
+    AUTO_FIXED_BUDGET,
+    FPRASUnavailable,
+    fixed_budget_estimate,
+    fpras_ocqa,
+)
+from repro.approx.montecarlo import chernoff_sample_size
 from repro.chains.generators import M_UO, M_UO1, M_UR, M_UR1, M_US, M_US1
 from repro.core.interning import InstanceIndex
 from repro.core.queries import QueryError, atom, boolean_cq, cq, var
-from repro.engine import BatchRequest, EstimationSession, SamplePool
+from repro.engine import MODES, BatchRequest, EstimationSession, SamplePool
 from repro.engine.batch import run_group
 from repro.workloads import figure2_database
 
@@ -237,6 +244,84 @@ class TestScopeAndZeros:
         session = EstimationSession(database, constraints, M_UR)
         with pytest.raises(QueryError):
             session.fixed_budget(survival_query, ("extra",), samples=10)
+
+
+class TestRequestPlan:
+    """``plan()`` decides a request's run, and its cap, before any draw."""
+
+    IMPOSSIBLE = boolean_cq(atom("R", "a1", "b1"), atom("R", "a1", "b2"))
+
+    @pytest.mark.parametrize("generator", ALL_SIX, ids=lambda g: g.name)
+    def test_caps_match_the_primitives_without_drawing(
+        self, fig2, survival_query, generator
+    ):
+        database, constraints = fig2
+        session = EstimationSession(database, constraints, generator)
+        pool = session.pool_for_seed(7)
+        bound = session.positivity_bound(survival_query)
+        budget = chernoff_sample_size(EPSILON, DELTA, bound)
+        cases = [({}, ("fixed", budget)), ({"method": "fixed"}, ("fixed", budget))]
+        for cap in (None, 3, 10**9):
+            sequential = SequentialEstimator(
+                EPSILON, DELTA, p_lower=bound, max_samples=cap
+            )
+            cases += [
+                ({"method": "dklr", "max_samples": cap}, ("dklr", cap)),
+                (
+                    {"mode": "adaptive", "max_samples": cap},
+                    ("adaptive", sequential.sample_cap),
+                ),
+            ]
+        for fields, expected in cases:
+            plan = session.plan(survival_query, epsilon=EPSILON, delta=DELTA, **fields)
+            assert (plan.kind, plan.cap, plan.bound) == (*expected, bound), fields
+        for mode in MODES:
+            zero = session.plan(self.IMPOSSIBLE, epsilon=EPSILON, delta=DELTA, mode=mode)
+            assert (zero.kind, zero.cap) == ("possibility-zero", 0)
+        assert len(pool) == 0  # planning draws nothing
+        # A fixed run reads its whole cap; a 3-sample dklr run truncates at it.
+        for fields in ({"method": "fixed"}, {"method": "dklr", "max_samples": 3}):
+            plan = session.plan(survival_query, epsilon=EPSILON, delta=DELTA, **fields)
+            result = session.estimate_pooled(
+                pool, survival_query, epsilon=EPSILON, delta=DELTA, **fields
+            )
+            assert result.samples_used == plan.cap
+
+    def test_auto_switches_to_dklr_above_the_fixed_budget(self, fig2, survival_query):
+        database, constraints = fig2
+        session = EstimationSession(database, constraints, M_UR)
+        bound = session.positivity_bound(survival_query)
+        assert chernoff_sample_size(1e-3, DELTA, bound) > AUTO_FIXED_BUDGET
+        plan = session.plan(survival_query, epsilon=1e-3, delta=DELTA)
+        assert (plan.kind, plan.budget, plan.cap) == ("dklr", None, None)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"method": "bogus"}, "unknown method 'bogus'"),
+            ({"epsilon": 0.0}, "epsilon must lie in"),
+            ({"delta": 1.0}, "delta must lie in"),
+            ({"max_samples": 0}, "max_samples must be positive"),
+            ({"method": "fixed", "max_samples": -5}, "max_samples must be positive"),
+        ],
+    )
+    def test_one_parameter_check_in_every_mode(
+        self, fig2, survival_query, mode, fields, message
+    ):
+        database, constraints = fig2
+        session = EstimationSession(database, constraints, M_UR)
+        with pytest.raises(ValueError, match=message):
+            session.plan(survival_query, mode=mode, **fields)
+        # The zero-test runs first: an impossible answer is certified anyway.
+        zero = session.plan(self.IMPOSSIBLE, mode=mode, **fields)
+        assert (zero.kind, zero.cap) == ("possibility-zero", 0)
+
+    def test_unknown_mode_rejected(self, fig2):
+        database, constraints = fig2
+        session = EstimationSession(database, constraints, M_UR)
+        with pytest.raises(ValueError, match="unknown mode"):
+            session.plan(self.IMPOSSIBLE, mode="bogus")
 
 
 class TestSamplePool:

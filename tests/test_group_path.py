@@ -23,6 +23,7 @@ from repro.io import (
     InstanceFormatError,
     batch_results_to_rows,
     instance_to_dict,
+    parse_query,
     workload_from_dict,
 )
 from repro.service import (
@@ -220,6 +221,8 @@ INVALID_FIELDS = [
     {"method": "dklr", "max_samples": 0},
     {"method": "dklr", "max_samples": -5},
     {"method": "dklr", "max_samples": 2.5},
+    {"max_samples": 0},
+    {"method": "fixed", "max_samples": -5},
 ]
 
 
@@ -263,6 +266,16 @@ class TestInvalidParameters:
             assert error.status == 400, error
             return
         assert "error" in row and not row.get("certified_zero"), row
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_unknown_method_is_an_error_row_in_every_mode(self, mode):
+        # Documents reject it at parse time; the Python API reaches the plan.
+        database, constraints = key_instance()
+        request = BatchRequest(
+            database, constraints, M_UR, parse_query(self.QUERY), method="bogus"
+        )
+        (row,) = batch_estimate([request], seed=7, mode=mode)
+        assert row.error == "unknown method 'bogus'", row
 
     @pytest.mark.parametrize("mode", MODES)
     def test_truncated_all_zero_rows_are_not_certified(self, mode):

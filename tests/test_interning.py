@@ -22,7 +22,11 @@ from repro.core.blocks import block_decomposition
 from repro.core.interning import InstanceIndex, InterningError, mask_ids
 from repro.core.violations import is_consistent
 from repro.approx.adaptive import SequentialEstimator
-from repro.approx.montecarlo import fixed_sample_estimate, stopping_rule_estimate
+from repro.approx.montecarlo import (
+    EstimateResult,
+    fixed_sample_estimate,
+    stopping_rule_estimate,
+)
 from repro.engine import DEFAULT_BATCH_SIZE, BatchRequest, EstimationSession, batch_estimate
 from repro.engine.batch import group_seed_for, run_group
 from repro.core.queries import atom, boolean_cq, cq, var
@@ -157,14 +161,15 @@ def rng_seed(seed):
 
 def object_path_estimate(session, query, answer, draw, method="auto"):
     """The (ε, δ) loop over a stream of fact sets, with frozenset witness
-    tests."""
-    if not session.is_possible(query, answer):
-        return session._certified_zero(EPSILON, DELTA)
+    tests, run as the session's plan says."""
+    plan = session.plan(query, answer, epsilon=EPSILON, delta=DELTA, method=method)
+    if plan.kind == "possibility-zero":
+        return EstimateResult(
+            0.0, 0, EPSILON, DELTA, "possibility-zero", certified_zero=True
+        )
     hit = object_hit(session, query, answer)
-    resolved, _ = session._resolve_method(query, EPSILON, DELTA, method, None)
-    if resolved == "fixed":
-        bound = session.positivity_bound(query)
-        return fixed_sample_estimate(lambda: hit(draw()), EPSILON, DELTA, bound)
+    if plan.kind == "fixed":
+        return fixed_sample_estimate(lambda: hit(draw()), EPSILON, DELTA, plan.bound)
     return stopping_rule_estimate(lambda: hit(draw()), EPSILON, DELTA)
 
 

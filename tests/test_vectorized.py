@@ -36,6 +36,7 @@ from repro.engine import (
     batch_estimate,
 )
 from repro.engine.batch import run_group
+from repro.engine.session import _PoolEvaluator
 from repro.sampling.rng import CumulativeWeights, weighted_choice
 from repro.sampling import vectorized
 from repro.workloads import figure2_database
@@ -388,10 +389,14 @@ class TestWordSupportHitFlags:
             }
             expected = [any(mask & row == mask for mask in masks) for row in rows]
             # Per-position growth on a fresh pool, batch by batch.
-            evaluator = session._evaluator(session.pool_for_seed(11), query, answer)
+            evaluator = _PoolEvaluator(
+                session, session.pool_for_seed(11), query, answer
+            )
             assert [evaluator.flag(i) for i in range(length)] == expected
             # Chunked count() growth, drawing as it goes.
-            counting = session._evaluator(session.pool_for_seed(11), query, answer)
+            counting = _PoolEvaluator(
+                session, session.pool_for_seed(11), query, answer
+            )
             for chunk in (1, 100, 511, 513, 1024, length):
                 assert counting.count(chunk) == sum(expected[:chunk])
         assert {(0, 1), (0, 2), (1, 2)} <= spans
