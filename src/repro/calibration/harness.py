@@ -46,6 +46,8 @@ from ..core.dependencies import FDSet
 from ..core.facts import fact
 from ..core.queries import Atom, ConjunctiveQuery, boolean_cq
 from ..engine import LAWS, MODES, CacheStore, EstimationSession, sampling_law
+from ..engine.batch import open_group
+from ..engine.store import StoreErrorLog
 from ..exact import exact_ocqa
 from ..workloads import (
     block_membership_query,
@@ -380,12 +382,14 @@ def run_audit(
                 tempfile.TemporaryDirectory(prefix="repro-audit-")
             )
         store = CacheStore(cache_dir)
+        log = StoreErrorLog()
         for target in targets:
             # Audit the served path: the session and store entry of the
             # target's sampling law.
             law = sampling_law(target.generator, target.constraints)
-            session = EstimationSession(target.database, target.constraints, law)
-            plane = session.seeded_plane
+            plane = EstimationSession(
+                target.database, target.constraints, law
+            ).seeded_plane
             grid_ids = [
                 f"{target.name}/{mode}/{plane}/{warmth}"
                 for mode in MODES
@@ -404,16 +408,14 @@ def run_audit(
                 seed = replication_seed(base_seed, f"{target.name}/{plane}", index)
                 passes = {}
                 for warmth in WARMTHS:
-                    # Both passes open the entry through a *fresh* handle:
-                    # the cold one draws and saves, the warm one must
-                    # replay that stream bit-for-bit.
-                    session.cache = store.entry(
-                        target.database,
-                        target.constraints,
-                        law.name,
-                        seed,
+                    # Both passes open the group as a served one is opened,
+                    # through a *fresh* entry handle: the cold one draws and
+                    # saves, the warm one must replay that stream bit-for-bit.
+                    session, pool = open_group(
+                        target.database, target.constraints, law, seed, store, log
                     )
-                    pool = session.cached_pool(seed)
+                    if session.cache is None:  # the entry could not be opened
+                        raise OSError(log.last_error)
                     passes[warmth] = {
                         mode: session.estimate_pooled(
                             pool,
@@ -438,7 +440,6 @@ def run_audit(
                 for mode in MODES:
                     if not _results_match(passes["cold"][mode], passes["warm"][mode]):
                         tallies[(mode, "warm")].replay_mismatches += 1
-            session.cache = None
             for (mode, warmth), tally in tallies.items():
                 cell_id = f"{target.name}/{mode}/{plane}/{warmth}"
                 if not wanted(cell_id):

@@ -382,8 +382,9 @@ class RequestPlan:
     """One request's run, decided by :meth:`EstimationSession.plan` before any draw.
 
     ``kind``: ``possibility-zero``, ``fixed`` (one count over ``budget``
-    samples), ``dklr`` or ``adaptive``; ``mode`` picks the result type.
-    ``cap`` is the most samples the run may read: the budget, the
+    samples), ``dklr``, ``adaptive`` or ``budget`` (:meth:`fixed_budget_pooled`'s
+    count); ``mode`` picks the result type.  ``cap`` (≤ ``max_samples``) is
+    the most samples the run may read: the budget, the
     :class:`~repro.approx.adaptive.SequentialEstimator`'s ``sample_cap``,
     ``max_samples`` for ``dklr`` (``None``: uncapped), 0 for a certified zero.
     """
@@ -690,10 +691,11 @@ class EstimationSession:
 
         In order: :meth:`ensure_supported`; the zero-test, so an impossible
         answer is certified whatever its parameters; one check of
-        ``method`` (in both modes, though adaptive runs ignore it), ε, δ
-        and ``max_samples``; the ``auto`` split at
-        :data:`~repro.approx.fpras.AUTO_FIXED_BUDGET`.  ``p_lower``
-        overrides :meth:`positivity_bound`.
+        ``method`` (in both modes, though adaptive runs ignore it), ε, δ,
+        ``max_samples`` and ``p_lower`` (overriding :meth:`positivity_bound`);
+        the kind.  ``auto`` runs ``fixed`` when the budget is at most both
+        :data:`~repro.approx.fpras.AUTO_FIXED_BUDGET` and ``max_samples``,
+        and a ``fixed`` budget over ``max_samples`` is a ``ValueError``.
         """
         from ..approx.fpras import AUTO_FIXED_BUDGET  # fpras.py imports this module
 
@@ -709,6 +711,8 @@ class EstimationSession:
             raise ValueError("delta must lie in (0, 1)")
         if max_samples is not None and max_samples < 1:
             raise ValueError("max_samples must be positive")
+        if p_lower is not None and not 0 < p_lower <= 1:
+            raise ValueError("p_lower must lie in (0, 1]")
         bound = p_lower if p_lower is not None else self.positivity_bound(query)
         if mode == "adaptive":
             cap = SequentialEstimator(
@@ -717,7 +721,10 @@ class EstimationSession:
             return RequestPlan("adaptive", mode, epsilon, delta, bound, None, cap)
         if method != "dklr":
             budget = chernoff_sample_size(epsilon, delta, bound)
-            if method == "fixed" or budget <= AUTO_FIXED_BUDGET:
+            over = max_samples is not None and budget > max_samples
+            if method == "fixed" and over:
+                raise ValueError(f"the fixed budget {budget} exceeds {max_samples=}")
+            if method == "fixed" or (not over and budget <= AUTO_FIXED_BUDGET):
                 return RequestPlan("fixed", mode, epsilon, delta, bound, budget, budget)
         return RequestPlan("dklr", mode, epsilon, delta, bound, None, max_samples)
 
@@ -740,10 +747,13 @@ class EstimationSession:
             point = ConfidenceInterval(0.0, 0.0, 1.0, plan.kind)
             return AdaptiveResult(**vars(zero), interval=point)
         evaluator = _PoolEvaluator(self, pool, query, answer)
-        if plan.kind == "fixed":
-            # One packed-prefix pass instead of ``budget`` per-position tests.
-            hits = evaluator.count(plan.budget)
-            return fixed_estimate_from_total(hits, plan.budget, plan.epsilon, plan.delta)
+        if plan.budget is not None:  # ``fixed``/``budget``: one packed-prefix pass
+            hits, n = evaluator.count(plan.budget), plan.budget
+            if plan.kind == "budget":  # no bound sized ``n``: it certifies nothing
+                return EstimateResult(
+                    hits / n, n, plan.epsilon, plan.delta, "fixed-budget"
+                )
+            return fixed_estimate_from_total(hits, n, plan.epsilon, plan.delta)
         draws = (1.0 if evaluator.flag(position) else 0.0 for position in count())
         if plan.kind == "dklr":
             return stopping_rule_estimate(
@@ -873,7 +883,8 @@ class EstimationSession:
     ) -> EstimateResult:
         """Fixed-budget estimate over a shared pool's first ``samples`` draws.
 
-        No plan and no zero-test: a wrong-arity answer raises ``QueryError``.
+        No zero-test (a wrong-arity answer raises ``QueryError``): a
+        ``budget`` plan, ε and δ NaN, run through :meth:`_run`'s fixed count.
         """
         if samples < 1:
             raise ValueError("samples must be positive")
@@ -883,15 +894,9 @@ class EstimationSession:
                 f"answer arity {len(answer)} does not match "
                 f"|x̄| = {len(query.answer_variables)}"
             )
-        hits = _PoolEvaluator(self, pool, query, answer).count(samples)
-        return EstimateResult(
-            estimate=hits / samples,
-            samples_used=samples,
-            epsilon=float("nan"),
-            delta=float("nan"),
-            method="fixed-budget",
-            certified_zero=(hits == 0),
-        )
+        nan = float("nan")
+        plan = RequestPlan("budget", "fixed", nan, nan, None, samples, samples)
+        return self._run(plan, pool, query, answer)
 
 
 class _PoolEvaluator:

@@ -342,16 +342,13 @@ def workload_from_dict(
 
 
 def load_workload(path: str) -> list[BatchRequest]:
-    """Load a batch workload from a JSON file (see ``docs/FORMATS.md``).
+    """The requests of :func:`load_workload_spec` (see ``docs/FORMATS.md``).
 
     Relative instance paths inside the workload resolve against the
-    workload file's own directory.
+    workload file's own directory; an invalid ``mode`` or ``cache_dir``
+    raises :class:`InstanceFormatError` here too.
     """
-    with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
-    return workload_from_dict(
-        document, base_dir=os.path.dirname(os.path.abspath(path))
-    )
+    return load_workload_spec(path).requests
 
 
 def batch_result_to_row(outcome) -> dict[str, Any]:

@@ -96,8 +96,8 @@ class _Waiter:
 class MicroBatcher:
     """Coalesces concurrent :meth:`submit` calls per instance group.
 
-    Construct one per server over its :class:`SessionRegistry`; an
-    ``executor`` of ``None`` uses the event loop's default thread pool.
+    Construct one per server over its :class:`SessionRegistry`; batches
+    run on the event loop's default thread pool.
     ``max_queue`` / ``max_pending`` bound the queued *requests* per
     group / in total (``None`` = unbounded, the pre-hardening behavior);
     ``on_batch(key, seconds, width)`` is an optional observation hook
@@ -107,7 +107,6 @@ class MicroBatcher:
     def __init__(
         self,
         registry: SessionRegistry,
-        executor=None,
         *,
         max_queue: int | None = None,
         max_pending: int | None = None,
@@ -120,7 +119,6 @@ class MicroBatcher:
         self.registry = registry
         self.max_queue = max_queue
         self.max_pending = max_pending
-        self._executor = executor
         self._on_batch = on_batch
         self._pending: dict[str, list[_Waiter]] = {}
         self._pending_sizes: dict[str, int] = {}
@@ -219,7 +217,7 @@ class MicroBatcher:
                 started = time.perf_counter()
                 try:
                     outputs = await loop.run_in_executor(
-                        self._executor, self._run_batch, waiters
+                        None, self._run_batch, waiters
                     )
                 except Exception as error:
                     # One poisoned batch fails only its own waiters; the

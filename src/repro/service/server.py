@@ -371,7 +371,6 @@ class EstimationServer:
         *,
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
-        executor=None,
         max_queue: int | None = None,
         max_pending: int | None = None,
         max_inflight: int | None = None,
@@ -411,7 +410,6 @@ class EstimationServer:
         else:
             self.shards = LocalShard(
                 self.registry,
-                executor=executor,
                 max_queue=max_queue,
                 max_pending=max_pending,
                 on_batch=self._observe_batch,

@@ -215,6 +215,18 @@ class TestWorkloadParsing:
         assert requests[0].database == database
 
     @pytest.mark.parametrize(
+        "option, message",
+        [({"mode": "bogus"}, "unknown mode"), ({"cache_dir": 3}, "cache_dir")],
+    )
+    def test_file_loader_checks_the_execution_options(self, tmp_path, option, message):
+        # load_workload is load_workload_spec's requests, so both loaders
+        # reject a file whose top-level options are invalid.
+        workload_path = tmp_path / "workload.json"
+        workload_path.write_text(json.dumps({**workload_document(), **option}))
+        with pytest.raises(InstanceFormatError, match=message):
+            load_workload(str(workload_path))
+
+    @pytest.mark.parametrize(
         "mutate, message",
         [
             (lambda d: d.pop("requests"), "needs 'instances' and 'requests'"),

@@ -23,6 +23,7 @@ from repro.core.interning import InstanceIndex
 from repro.core.queries import QueryError, atom, boolean_cq, cq, var
 from repro.engine import MODES, BatchRequest, EstimationSession, SamplePool
 from repro.engine.batch import run_group
+from repro.engine.session import METHODS
 from repro.workloads import figure2_database
 
 x, y = var("x"), var("y")
@@ -287,6 +288,40 @@ class TestRequestPlan:
             )
             assert result.samples_used == plan.cap
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("generator", ALL_SIX, ids=lambda g: g.name)
+    def test_max_samples_bounds_every_plan(self, fig2, survival_query, generator, mode):
+        database, constraints = fig2
+        session = EstimationSession(database, constraints, generator)
+        pool = session.pool_for_seed(7)
+        bound = session.positivity_bound(survival_query)
+        budget = chernoff_sample_size(EPSILON, DELTA, bound)
+        for method in METHODS:
+            for cap in (1, 3, budget - 1, budget, 10**9):
+                fields = dict(
+                    epsilon=EPSILON, delta=DELTA, method=method, mode=mode, max_samples=cap
+                )
+                if (mode, method) == ("fixed", "fixed") and budget > cap:
+                    message = f"fixed budget {budget} exceeds max_samples={cap}"
+                    with pytest.raises(ValueError, match=message):
+                        session.plan(survival_query, **fields)
+                    continue
+                plan = session.plan(survival_query, **fields)
+                assert plan.cap <= cap, fields
+                result = session.estimate_pooled(pool, survival_query, **fields)
+                assert result.samples_used <= plan.cap, fields
+        # A cap below the budget: auto picks capped dklr, not fixed.
+        plan = session.plan(survival_query, mode=mode, max_samples=3)
+        kind = "dklr" if mode == "fixed" else "adaptive"
+        assert (plan.kind, plan.budget, plan.cap) == (kind, None, 3)
+
+    def test_dklr_plan_checks_p_lower(self, fig2, survival_query):
+        database, constraints = fig2
+        session = EstimationSession(database, constraints, M_UR)
+        for p_lower in (5.0, 0.0):
+            with pytest.raises(ValueError, match=r"p_lower must lie in \(0, 1\]"):
+                session.plan(survival_query, method="dklr", p_lower=p_lower)
+
     def test_auto_switches_to_dklr_above_the_fixed_budget(self, fig2, survival_query):
         database, constraints = fig2
         session = EstimationSession(database, constraints, M_UR)
@@ -304,6 +339,7 @@ class TestRequestPlan:
             ({"delta": 1.0}, "delta must lie in"),
             ({"max_samples": 0}, "max_samples must be positive"),
             ({"method": "fixed", "max_samples": -5}, "max_samples must be positive"),
+            ({"method": "fixed", "p_lower": 5.0}, r"p_lower must lie in \(0, 1\]"),
         ],
     )
     def test_one_parameter_check_in_every_mode(

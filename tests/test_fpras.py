@@ -197,6 +197,17 @@ class TestPathologicalFailure:
 
 
 class TestFixedBudget:
+    def test_fixed_budget_zero_is_not_certified(self):
+        # No positivity bound sized a caller's budget, so two all-miss
+        # samples of a P = 1/4 answer certify nothing.
+        database, constraints = figure2_database()
+        query = boolean_cq(atom("R", "a1", "b1"))
+        result = fixed_budget_estimate(
+            database, constraints, M_UR, query, samples=2, rng=random.Random(4)
+        )
+        assert (result.estimate, result.samples_used) == (0.0, 2)
+        assert (result.method, result.certified_zero) == ("fixed-budget", False)
+
     @pytest.mark.parametrize("samples", [0, -1])
     def test_fixed_budget_rejects_non_positive_budgets(self, samples):
         # A zero budget divided by zero and a negative one certified a
