@@ -158,10 +158,6 @@ class ConjunctiveQuery:
 
     def entails(self, database: Database, answer: tuple[Constant, ...] = ()) -> bool:
         """Whether ``answer ∈ Q(D)`` (``D |= Q`` for Boolean queries)."""
-        if len(answer) != len(self.answer_variables):
-            raise QueryError(
-                f"answer arity {len(answer)} does not match |x̄| = {len(self.answer_variables)}"
-            )
         fixed = _bind_answer(self.answer_variables, answer)
         if fixed is None:
             return False
@@ -188,7 +184,14 @@ def boolean_cq(*atoms: Atom) -> ConjunctiveQuery:
 def _bind_answer(
     answer_variables: tuple[Variable, ...], answer: tuple[Constant, ...]
 ) -> dict[Variable, Constant] | None:
-    """Bind answer variables to an answer tuple; ``None`` on repeat-variable clash."""
+    """Bind answer variables to an answer tuple; ``None`` on repeat-variable clash.
+
+    Raises :class:`QueryError` when the tuple's arity is not ``|x̄|``.
+    """
+    if len(answer) != len(answer_variables):
+        raise QueryError(
+            f"answer arity {len(answer)} does not match |x̄| = {len(answer_variables)}"
+        )
     fixed: dict[Variable, Constant] = {}
     for v, c in zip(answer_variables, answer):
         if v in fixed and fixed[v] != c:

@@ -10,11 +10,14 @@ share the same database.  :class:`EstimationSession` binds one
 * **structural caches** — the block decomposition (Lemma 5.2) is computed
   once and shared by every sampler the session builds; the CRS counting
   DPs (Lemma C.1) are memoized process-wide already and hit warm.
-* **witness caches** — for each ``(Q, c̄)`` the session enumerates the
-  homomorphism images ``h(Q)`` with ``h(x̄) = c̄`` once, over ``D``.  A
-  sampled repair ``S ⊆ D`` satisfies ``c̄ ∈ Q(S)`` iff it contains one of
-  the inclusion-minimal images, so per-sample evaluation drops from a
-  fresh backtracking join to a few subset tests.
+* **one witness record per answer** — for each ``(Q, c̄)`` the session
+  enumerates the homomorphism images ``h(Q)`` with ``h(x̄) = c̄`` once,
+  over ``D``.  A sampled repair ``S ⊆ D`` satisfies ``c̄ ∈ Q(S)`` iff it
+  contains one of the inclusion-minimal images, so per-sample evaluation
+  drops from a fresh backtracking join to a few subset tests; ``P > 0``
+  iff one of them is conflict-free.  One frozen record per ``(Q, c̄)``
+  holds what the witnesses decide: their id masks, the zero-test verdict
+  and their packed hit supports.
 * **interned samples** — the session interns ``D`` once into an
   :class:`~repro.core.interning.InstanceIndex` (dense fact ids); samples
   are survivor id bitmasks packed into rows, with no ``Operation`` or
@@ -111,7 +114,7 @@ from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.facts import Fact
 from ..core.interning import InstanceIndex
-from ..core.queries import ConjunctiveQuery, QueryError, _bind_answer
+from ..core.queries import ConjunctiveQuery, _bind_answer
 from ..counting.survival import ground_survival_mur, ground_survival_mus
 from ..exact.possibility import image_is_consistent
 from ..sampling import vectorized as vectorized_plane
@@ -398,6 +401,22 @@ class RequestPlan:
     cap: int | None
 
 
+@dataclass(frozen=True)
+class _AnswerWitnesses:
+    """What one ``(query, answer)``'s minimal witnesses decide, derived once.
+
+    ``masks``: the :meth:`EstimationSession.witnesses` as id bitmasks over
+    the session's index; ``possible``: the zero-test verdict (some witness
+    is conflict-free, Lemmas 5.4 / E.4); ``packed``: the masks'
+    :func:`~repro.sampling.vectorized.pack_witnesses` supports, the hit
+    test every pool evaluation reads.
+    """
+
+    masks: tuple[int, ...]
+    possible: bool
+    packed: tuple
+
+
 class EstimationSession:
     """Shared-state estimator for one ``(database, constraints, generator)``.
 
@@ -422,11 +441,7 @@ class EstimationSession:
         self._witnesses: dict[
             tuple[ConjunctiveQuery, tuple], tuple[frozenset[Fact], ...]
         ] = {}
-        self._witness_masks: dict[tuple[ConjunctiveQuery, tuple], tuple[int, ...]] = {}
-        self._witness_plans: dict[
-            tuple[ConjunctiveQuery, tuple], tuple[int, tuple[int, ...], bool]
-        ] = {}
-        self._possible: dict[tuple[ConjunctiveQuery, tuple], bool] = {}
+        self._answers: dict[tuple[ConjunctiveQuery, tuple], _AnswerWitnesses] = {}
         self._bounds: dict[ConjunctiveQuery, float] = {}
 
     # -- structural caches ---------------------------------------------------------
@@ -578,7 +593,8 @@ class EstimationSession:
         Every sampled repair is a subset of ``D``, so a sample ``S`` entails
         the answer iff ``w ⊆ S`` for some witness ``w`` — evaluated once per
         sample with subset tests instead of a backtracking join.  An empty
-        tuple means no homomorphism exists (probability zero everywhere).
+        tuple means no homomorphism exists (probability zero everywhere); a
+        wrong-arity answer raises :class:`~repro.core.queries.QueryError`.
         """
         key = (query, answer)
         cached = self._witnesses.get(key)
@@ -590,8 +606,6 @@ class EstimationSession:
     def _compute_witnesses(
         self, query: ConjunctiveQuery, answer: tuple
     ) -> tuple[frozenset[Fact], ...]:
-        if len(answer) != len(query.answer_variables):
-            return ()
         # The same binding ``entails`` uses, so the witness semantics can
         # never drift from direct query evaluation.
         fixed = _bind_answer(query.answer_variables, answer)
@@ -606,72 +620,39 @@ class EstimationSession:
         minimal.sort(key=lambda image: (len(image), sorted(map(str, image))))
         return tuple(minimal)
 
+    def _answer(self, query: ConjunctiveQuery, answer: tuple) -> _AnswerWitnesses:
+        """The :class:`_AnswerWitnesses` record of ``(query, answer)``, built once."""
+        key = (query, answer)
+        record = self._answers.get(key)
+        if record is None:
+            witnesses = self.witnesses(query, answer)
+            masks = tuple(map(self.index().mask_of, witnesses))
+            record = _AnswerWitnesses(
+                masks,
+                any(image_is_consistent(w, self.constraints) for w in witnesses),
+                vectorized_plane.pack_witnesses(masks),
+            )
+            self._answers[key] = record
+        return record
+
     def witness_masks(
         self, query: ConjunctiveQuery, answer: tuple = ()
     ) -> tuple[int, ...]:
         """The :meth:`witnesses` images as id bitmasks over :meth:`index`.
 
         A sample mask ``s`` entails the answer iff ``w & s == w`` for some
-        witness mask ``w`` — the integer form of the subset test, cached per
-        ``(query, answer)`` like the object witnesses themselves.
+        witness mask ``w``.
         """
-        key = (query, answer)
-        cached = self._witness_masks.get(key)
-        if cached is None:
-            index = self.index()
-            cached = tuple(
-                index.mask_of(witness) for witness in self.witnesses(query, answer)
-            )
-            self._witness_masks[key] = cached
-        return cached
+        return self._answer(query, answer).masks
 
     def is_possible(self, query: ConjunctiveQuery, answer: tuple = ()) -> bool:
-        """Cached polynomial zero-test (see :mod:`repro.exact.possibility`).
+        """The polynomial zero-test (see :mod:`repro.exact.possibility`).
 
         ``P > 0`` under every uniform generator iff some witness image is
         conflict-free; pairwise consistency is closed under subsets, so
         checking the inclusion-minimal witnesses is equivalent.
         """
-        key = (query, answer)
-        cached = self._possible.get(key)
-        if cached is None:
-            cached = any(
-                image_is_consistent(witness, self.constraints)
-                for witness in self.witnesses(query, answer)
-            )
-            self._possible[key] = cached
-        return cached
-
-    def _witness_eval(
-        self, query: ConjunctiveQuery, answer: tuple
-    ) -> tuple[int, tuple[int, ...], bool]:
-        """The witness masks classified for the hot loop (cached).
-
-        Returns ``(singles, complexes, always)``: the OR-union of all
-        single-fact witness masks (a sample hits one iff ``mask & singles``
-        is non-zero — one AND for the whole group, the overwhelmingly
-        common case for per-fact survival workloads), the remaining
-        multi-fact witness masks (each needing its own subset test), and
-        whether an *empty* witness exists (the query is entailed by every
-        sample) — the classification the per-word column tests of
-        :func:`~repro.sampling.vectorized.batch_hit_flags` consume.
-        """
-        key = (query, answer)
-        plan = self._witness_plans.get(key)
-        if plan is None:
-            singles = 0
-            complexes = []
-            always = False
-            for witness in self.witness_masks(query, answer):
-                if witness == 0:
-                    always = True
-                elif witness & (witness - 1) == 0:
-                    singles |= witness
-                else:
-                    complexes.append(witness)
-            plan = (singles, tuple(complexes), always)
-            self._witness_plans[key] = plan
-        return plan
+        return self._answer(query, answer).possible
 
     # -- request plans -----------------------------------------------------------------
 
@@ -883,17 +864,12 @@ class EstimationSession:
     ) -> EstimateResult:
         """Fixed-budget estimate over a shared pool's first ``samples`` draws.
 
-        No zero-test (a wrong-arity answer raises ``QueryError``): a
-        ``budget`` plan, ε and δ NaN, run through :meth:`_run`'s fixed count.
+        No zero-test: a ``budget`` plan, ε and δ NaN, run through
+        :meth:`_run`'s fixed count.
         """
         if samples < 1:
             raise ValueError("samples must be positive")
         self.ensure_supported()
-        if len(answer) != len(query.answer_variables):
-            raise QueryError(
-                f"answer arity {len(answer)} does not match "
-                f"|x̄| = {len(query.answer_variables)}"
-            )
         nan = float("nan")
         plan = RequestPlan("budget", "fixed", nan, nan, None, samples, samples)
         return self._run(plan, pool, query, answer)
@@ -904,7 +880,8 @@ class _PoolEvaluator:
 
     Hits are computed with per-word column tests
     (:func:`repro.sampling.vectorized.batch_hit_flags`) over only the
-    words the witnesses occupy in the pool's rows, and cached:
+    words the witnesses occupy in the pool's rows — the answer record's
+    ``packed`` supports, packed once per session — and cached:
     :meth:`count` folds a known-length prefix in one pass, and
     :meth:`flag` serves positions out of the evaluated prefix.  Growth
     follows the pool's batch size — a vector pool grows a batch at a
@@ -914,15 +891,7 @@ class _PoolEvaluator:
     per position.
     """
 
-    __slots__ = (
-        "_pool",
-        "_always",
-        "_singles",
-        "_complexes",
-        "_witness_support",
-        "_flags",
-        "_evaluated",
-    )
+    __slots__ = ("_pool", "_packed", "_flags", "_evaluated")
 
     def __init__(
         self,
@@ -932,14 +901,7 @@ class _PoolEvaluator:
         answer: tuple,
     ):
         self._pool = pool
-        self._singles, self._complexes, self._always = session._witness_eval(
-            query, answer
-        )
-        # Packed once per evaluator: the witnesses' word supports are
-        # fixed for its lifetime, so growth pays only the column tests.
-        self._witness_support = vectorized_plane.pack_witnesses(
-            self._singles, self._complexes
-        )
+        self._packed = session._answer(query, answer).packed
         self._flags = vectorized_plane.np.zeros(0, dtype=bool)
         self._evaluated = 0
 
@@ -947,13 +909,7 @@ class _PoolEvaluator:
         if self._evaluated >= length:
             return
         rows = self._pool.packed_prefix(length)
-        fresh = vectorized_plane.batch_hit_flags(
-            rows[self._evaluated :],
-            self._singles,
-            self._complexes,
-            self._always,
-            packed=self._witness_support,
-        )
+        fresh = vectorized_plane.batch_hit_flags(rows[self._evaluated :], self._packed)
         if length > self._flags.shape[0]:
             # Capacity doubling: chunked dklr/adaptive growth stays
             # amortized-linear instead of re-concatenating per chunk.

@@ -188,6 +188,14 @@ class WorkloadSpec:
     cache_dir: str | None = None
 
 
+def mode_from_dict(document: Mapping[str, Any]) -> str:
+    """A document's ``mode`` (default ``"fixed"``), one of :data:`MODES`."""
+    mode = document.get("mode", "fixed")
+    if mode not in MODES:
+        raise InstanceFormatError(f"unknown mode {mode!r}; choose from {MODES}")
+    return mode
+
+
 def workload_spec_from_dict(
     document: Mapping[str, Any], *, base_dir: str | None = None
 ) -> WorkloadSpec:
@@ -198,11 +206,7 @@ def workload_spec_from_dict(
     directory when loaded from disk).
     """
     requests = workload_from_dict(document, base_dir=base_dir)
-    mode = document.get("mode", "fixed")
-    if mode not in MODES:
-        raise InstanceFormatError(
-            f"unknown mode {mode!r}; choose from {MODES}"
-        )
+    mode = mode_from_dict(document)
     cache_dir = document.get("cache_dir")
     if cache_dir is not None:
         if not isinstance(cache_dir, str):

@@ -62,7 +62,7 @@ parity asserted by ``tests/test_vectorized.py``), not sample-for-sample.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -125,53 +125,48 @@ def _word_support(mask: int):
     return tuple(support)
 
 
-def pack_witnesses(singles_mask: int, complex_masks: Sequence[int]):
-    """Witness word supports pre-packed for repeated :func:`batch_hit_flags` calls.
+def pack_witnesses(masks: Iterable[int]):
+    """Witness masks classified and packed once for :func:`batch_hit_flags`.
 
-    Returns ``(singles, complexes)``: ``singles`` is the single-fact
-    union's non-zero words as ``(word index, value)`` pairs (empty when
-    there are no single-fact witnesses), and ``complexes`` holds one such
-    tuple per multi-fact witness.  Hit counting then reads only the
-    columns a witness occupies, never the whole row.  Evaluators hold one
-    per request so chunked prefix growth pays only the column tests,
-    never re-packing.
+    Returns ``(singles, supports)``: ``singles`` is the OR-union of the
+    single-fact witnesses as ``(word index, value)`` pairs (a row hits one
+    iff it shares a bit with the union — one AND per word for the whole
+    group, the common case for per-fact survival workloads), and
+    ``supports`` holds every other witness's non-zero words.  An empty
+    witness (the query holds in every sample) has no words, so every row
+    contains it.  Hit counting then reads only the columns a witness
+    occupies, never the whole row.
     """
-    return _word_support(singles_mask), tuple(map(_word_support, complex_masks))
+    union = 0
+    supports = []
+    for mask in masks:
+        if mask and mask & (mask - 1) == 0:
+            union |= mask
+        else:
+            supports.append(_word_support(mask))
+    return _word_support(union), tuple(supports)
 
 
-def batch_hit_flags(
-    rows,
-    singles_mask: int,
-    complex_masks: Sequence[int],
-    always: bool,
-    packed=None,
-):
+def batch_hit_flags(rows, packed):
     """Per-row witness hits over a packed prefix, as a boolean vector.
 
-    The batched form of the session's classified witness test: a row hits
-    iff ``always`` (an empty witness exists), or it intersects the OR-union
-    of the single-fact witnesses, or it contains one of the multi-fact
-    witness masks (``row & w == w``) — "some witness ``w`` has
-    ``w & s == w``", evaluated only over the words each witness
-    occupies: the union hits where ``rows[:, j] & v`` is non-zero
-    for any of its words ``(j, v)``, and a multi-fact witness where
-    ``rows[:, j] & v == v`` for all of its words.  Each word is one 1-D
-    operation over a strided column, so the cost follows the witnesses'
-    word support, not the row width.  ``packed`` takes a
-    :func:`pack_witnesses` result to skip per-call packing — this is the
-    one hit-counting implementation, shared by the engine's evaluators
-    and the parity tests.
+    ``packed`` is a :func:`pack_witnesses` result.  A row hits iff it
+    intersects the single-fact union or contains one of the other
+    witnesses — "some witness ``w`` has ``w & s == w``", evaluated only
+    over the words each witness occupies: the union hits where
+    ``rows[:, j] & v`` is non-zero for any of its words ``(j, v)``, and
+    another witness where ``rows[:, j] & v == v`` for all of its words.
+    Each word is one 1-D operation over a strided column, so the cost
+    follows the witnesses' word support, not the row width.  This is the
+    one hit-counting implementation, shared by the engine's evaluators and
+    the parity tests.
     """
     count = rows.shape[0]
-    if always:
-        return np.ones(count, dtype=bool)
-    singles, complexes = (
-        packed if packed is not None else pack_witnesses(singles_mask, complex_masks)
-    )
+    singles, supports = packed
     flags = np.zeros(count, dtype=bool)
     for word, value in singles:
         flags |= (rows[:, word] & value) != 0
-    for support in complexes:
+    for support in supports:
         contained = np.ones(count, dtype=bool)
         for word, value in support:
             contained &= (rows[:, word] & value) == value

@@ -154,14 +154,14 @@ class _CounterChild:
 
 
 class Gauge:
-    """A settable or callback-sampled instantaneous value.
+    """A callback-sampled instantaneous value, read at every render.
 
-    A *labeled* gauge must be callback-driven: the callback returns a
-    mapping from label-value tuples (or a single string for one label)
-    to numbers, re-sampled at every render — the shape the router uses
-    for per-shard series, whose children appear and disappear with
-    worker respawns (gauges carry no monotonicity contract, so that
-    churn is legal where a labeled counter reset would not be).
+    An unlabeled gauge's callback returns a number.  A *labeled* gauge's
+    returns a mapping from label-value tuples (or a single string for one
+    label) to numbers — the shape the router uses for per-shard series,
+    whose children appear and disappear with worker respawns (gauges
+    carry no monotonicity contract, so that churn is legal where a
+    labeled counter reset would not be).
     """
 
     kind = "gauge"
@@ -170,32 +170,13 @@ class Gauge:
         self,
         name: str,
         help: str,
-        callback: Callable[[], float] | None = None,
+        callback: Callable[[], float],
         labelnames: Sequence[str] = (),
     ):
-        if labelnames and callback is None:
-            raise ValueError("labeled gauges must be callback-sampled")
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
         self._callback = callback
-        self._lock = threading.Lock()
-        self._value: float = 0
-
-    def set(self, value: float) -> None:
-        if self._callback is not None:
-            raise ValueError(f"{self.name} is callback-driven")
-        with self._lock:
-            self._value = value
-
-    def inc(self, amount: float = 1) -> None:
-        if self._callback is not None:
-            raise ValueError(f"{self.name} is callback-driven")
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.inc(-amount)
 
     def _sampled(self) -> dict[tuple[str, ...], float]:
         mapping: Mapping = self._callback() or {}
@@ -208,10 +189,7 @@ class Gauge:
     def value(self, *labelvalues) -> float:
         if self.labelnames:
             return self._sampled().get(tuple(str(v) for v in labelvalues), 0)
-        if self._callback is not None:
-            return self._callback()
-        with self._lock:
-            return self._value
+        return self._callback()
 
     def render(self) -> list[str]:
         lines = [f"# HELP {self.name} {self.help}", f"# TYPE {self.name} {self.kind}"]
@@ -344,7 +322,7 @@ class MetricsRegistry:
         self,
         name: str,
         help: str,
-        callback: Callable[[], float] | None = None,
+        callback: Callable[[], float],
         labelnames: Sequence[str] = (),
     ) -> Gauge:
         return self._register(Gauge(name, help, callback, labelnames))

@@ -81,7 +81,6 @@ from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..engine import fsfault as _fsfault
 from ..engine.batch import (
-    MODES,
     BatchRequest,
     BatchResult,
     group_positions,
@@ -91,6 +90,7 @@ from ..io import (
     InstanceFormatError,
     batch_result_to_row,
     instance_from_dict,
+    mode_from_dict,
     workload_from_dict,
 )
 from .batching import QueueFull
@@ -249,13 +249,6 @@ def _reject_instance_paths(instances: Any) -> None:
                 )
 
 
-def _parse_mode(document: Mapping[str, Any]) -> str:
-    mode = document.get("mode", "fixed")
-    if mode not in MODES:
-        raise _BadRequest(f"unknown mode {mode!r}; choose from {MODES}")
-    return mode
-
-
 def _estimate_requests(
     document: Mapping[str, Any], parse_instance: Callable
 ) -> tuple[list[BatchRequest], str]:
@@ -264,7 +257,7 @@ def _estimate_requests(
         _reject_instance_paths(document.get("instances"))
         try:
             requests = workload_from_dict(document, parse_instance=parse_instance)
-            return requests, _parse_mode(document)
+            return requests, mode_from_dict(document)
         except InstanceFormatError as error:
             raise _BadRequest(str(error)) from None
     return _single_request(document, parse_instance)
@@ -297,9 +290,9 @@ def _single_request(
         wrapped["backend"] = document["backend"]  # rejected by the parser
     try:
         requests = workload_from_dict(wrapped, parse_instance=parse_instance)
+        return requests, mode_from_dict(document)
     except InstanceFormatError as error:
         raise _BadRequest(str(error)) from None
-    return requests, _parse_mode(document)
 
 
 class _ShardCounters:

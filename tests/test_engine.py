@@ -21,9 +21,10 @@ from repro.approx.montecarlo import chernoff_sample_size
 from repro.chains.generators import M_UO, M_UO1, M_UR, M_UR1, M_US, M_US1
 from repro.core.interning import InstanceIndex
 from repro.core.queries import QueryError, atom, boolean_cq, cq, var
-from repro.engine import MODES, BatchRequest, EstimationSession, SamplePool
+from repro.engine import MODES, BatchRequest, EstimationSession, SamplePool, batch_estimate
 from repro.engine.batch import run_group
 from repro.engine.session import METHODS
+from repro.sampling import vectorized
 from repro.workloads import figure2_database
 
 x, y = var("x"), var("y")
@@ -201,6 +202,41 @@ class TestCaching:
                     witness <= repair.facts for witness in witnesses
                 ) == query.entails(repair, candidate)
 
+    @pytest.mark.parametrize("generator", [M_UR, M_US, M_UO], ids=lambda g: g.name)
+    def test_one_enumeration_and_one_packing_per_answer(
+        self, fig2, generator, monkeypatch
+    ):
+        calls = {"enumerate": 0, "pack": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            EstimationSession,
+            "_compute_witnesses",
+            counted("enumerate", EstimationSession._compute_witnesses),
+        )
+        monkeypatch.setattr(
+            vectorized, "pack_witnesses", counted("pack", vectorized.pack_witnesses)
+        )
+        database, constraints = fig2
+        query = cq((x,), (atom("R", x, y),))
+        candidates = sorted(query.answers(database), key=repr)
+        session = EstimationSession(database, constraints, generator)
+        pool = session.pool_for_seed(5)
+        for candidate in candidates:
+            for mode in MODES:
+                for method in ("auto", "dklr"):
+                    for _ in range(2):  # a repeated request for the same answer
+                        fields = dict(epsilon=EPSILON, delta=DELTA, method=method, mode=mode)
+                        session.plan(query, candidate, **fields)
+                        session.estimate_pooled(pool, query, candidate, **fields)
+        assert calls == {"enumerate": len(candidates), "pack": len(candidates)}
+
     def test_witnesses_are_inclusion_minimal_subsets_of_d(self, fig2):
         database, constraints = fig2
         query = boolean_cq(atom("R", x, y))
@@ -239,6 +275,29 @@ class TestScopeAndZeros:
         session = EstimationSession(database, constraints, M_UR)
         with pytest.raises(ValueError):
             session.estimate(survival_query, method="bogus")
+
+    @pytest.mark.parametrize("generator", [M_UR, M_UO], ids=lambda g: g.name)
+    def test_wrong_arity_raises_in_every_entry_point(self, fig2, generator):
+        # A wrong-arity answer is a usage error, never a certified zero,
+        # whatever the other parameters (epsilon=5 is itself invalid).
+        database, constraints = fig2
+        query, answer = cq((x,), (atom("R", x, y),)), ("a1", "b1")
+        session = EstimationSession(database, constraints, generator)
+        with pytest.raises(QueryError, match="arity 2"):
+            session.plan(query, answer)
+        with pytest.raises(QueryError, match="arity 2"):
+            session.estimate(query, answer, rng=random.Random(1))
+        with pytest.raises(QueryError, match="arity 2"):
+            session.estimate_adaptive(query, answer, rng=random.Random(1))
+        with pytest.raises(QueryError, match="arity 2"):
+            fpras_ocqa(
+                database, constraints, generator, query, answer,
+                epsilon=5, rng=random.Random(1),
+            )
+        request = BatchRequest(database, constraints, generator, query, answer)
+        for mode in MODES:
+            (row,) = batch_estimate([request], seed=1, mode=mode)
+            assert row.result is None and "arity 2" in row.error, row
 
     def test_fixed_budget_keeps_arity_error(self, fig2, survival_query):
         database, constraints = fig2

@@ -72,20 +72,9 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = Gauge("g", "help")
-        gauge.set(5)
-        gauge.inc(2)
-        gauge.dec()
-        assert gauge.value() == 6
-
     def test_callback_gauge_is_read_only(self):
         gauge = Gauge("g", "help", callback=lambda: 1.5)
         assert gauge.value() == 1.5
-        with pytest.raises(ValueError):
-            gauge.set(0)
-        with pytest.raises(ValueError):
-            gauge.inc()
 
 
 class TestHistogram:
@@ -145,14 +134,14 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("dup_total", "help")
         with pytest.raises(ValueError):
-            registry.gauge("dup_total", "help")
+            registry.gauge("dup_total", "help", callback=lambda: 0)
 
     def test_render_parse_roundtrip(self):
         registry = MetricsRegistry()
         requests = registry.counter("req_total", "help", ("endpoint", "status"))
         requests.labels("/estimate", "200").inc(3)
         requests.labels("other", "404").inc()
-        registry.gauge("up", "help").set(1)
+        registry.gauge("up", "help", callback=lambda: 1)
         latency = registry.histogram("lat_seconds", "help", buckets=(1.0,))
         latency.observe(0.5)
         parsed = parse_metrics_text(registry.render())

@@ -205,7 +205,8 @@ class TestDecodeParity:
             if mask and mask & (mask - 1)
         )
         for always in (False, True):
-            flags = vectorized.batch_hit_flags(rows, singles, complexes, always)
+            packed = vectorized.pack_witnesses(witness_list(singles, complexes, always))
+            flags = vectorized.batch_hit_flags(rows, packed)
             expected = [
                 always
                 or bool(mask & singles)
@@ -289,6 +290,13 @@ class TestDecodeParity:
         assert vector_estimates == decoded_estimates
 
 
+def witness_list(singles, complexes, always):
+    """The witness masks with single-fact union ``singles``, the multi-fact
+    ``complexes`` and (when ``always``) the empty witness."""
+    bits = [1 << i for i in range(singles.bit_length()) if singles >> i & 1]
+    return bits + list(complexes) + ([0] if always else [])
+
+
 @st.composite
 def hit_cases(draw):
     """Packed rows of 0–4 words plus witnesses aimed at them.
@@ -346,22 +354,23 @@ class TestWordSupportHitFlags:
         for witness_row in vectorized.pack_masks(complexes, words):
             expected |= ((rows & witness_row) == witness_row).all(axis=1)
 
-        packed = vectorized.pack_witnesses(singles, complexes)
-        for flags in (
-            vectorized.batch_hit_flags(rows, singles, complexes, always),
-            vectorized.batch_hit_flags(rows, singles, complexes, always, packed=packed),
-        ):
-            assert flags.dtype == np.bool_ and flags.shape == (rows.shape[0],)
-            assert flags.tolist() == expected.tolist()
+        packed = vectorized.pack_witnesses(witness_list(singles, complexes, always))
+        flags = vectorized.batch_hit_flags(rows, packed)
+        assert flags.dtype == np.bool_ and flags.shape == (rows.shape[0],)
+        assert flags.tolist() == expected.tolist()
 
     def test_support_holds_only_non_zero_words(self):
-        singles, complexes = vectorized.pack_witnesses(
-            1 << 3 | 1 << 130, [1 << 63 | 1 << 64]
-        )
+        singles, complexes = vectorized.pack_witnesses([1 << 3, 1 << 63 | 1 << 64, 1 << 130])
         assert [(word, int(value)) for word, value in singles] == [(0, 8), (2, 4)]
         assert [[(word, int(value)) for word, value in support] for support in complexes] == [
             [(0, 1 << 63), (1, 1)]
         ]
+
+    def test_empty_witness_hits_every_row(self):
+        rows = vectorized.pack_masks([0, 1 << 5, 1 << 70], 2)
+        packed = vectorized.pack_witnesses([0, 1 << 5])
+        assert packed[1] == ((),)  # no words to test: contained in every row
+        assert vectorized.batch_hit_flags(rows, packed).tolist() == [True] * 3
 
     def test_evaluator_matches_recount_on_straddling_witnesses(self):
         # 70 R facts then 70 S facts: 140 facts, 3 words.  A witness
