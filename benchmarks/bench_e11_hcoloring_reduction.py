@@ -9,8 +9,8 @@ computation on these instances (the ♯P-hardness shape).
 
 import time
 
+from repro.core.graphs import complete_graph, cycle_graph, path_graph
 from repro.exact import rrfreq, srfreq, uniform_operations_answer_probability
-from repro.reductions.graphs import complete_graph, cycle_graph, path_graph
 from repro.reductions.hcoloring import (
     count_h_colorings,
     hcoloring_instance,

@@ -7,7 +7,7 @@ the Misra–Gries edge colouring, and times the polynomial construction.
 
 import random
 
-from repro.core.conflict_graph import ConflictGraph
+from repro.core.graphs import conflict_graph
 from repro.exact import count_candidate_repairs
 from repro.reductions.vizing import independent_set_database
 from repro.workloads.graphs import random_connected_bounded_degree_graph
@@ -36,7 +36,7 @@ def test_e13_identity(benchmark):
         independent_sets = graph.count_independent_sets()
         assert corep == independent_sets  # Lemma 5.4 via Prop 5.5
         assert corep1 == independent_sets - 1  # Lemma E.4
-        conflict = ConflictGraph.of(instance.database, instance.constraints)
+        conflict = conflict_graph(instance.database, instance.constraints)
         assert conflict.edge_count() == graph.edge_count()
         emit(
             "E13",

@@ -9,9 +9,9 @@ Monte-Carlo oracle (recovering it within the ε schedule).
 import random
 from fractions import Fraction
 
+from repro.core.graphs import cycle_graph, path_graph
 from repro.exact import count_candidate_repairs, rrfreq
 from repro.reductions.fd_amplifier import amplify, repair_count_via_rrfreq
-from repro.reductions.graphs import cycle_graph, path_graph
 from repro.reductions.vizing import independent_set_database
 from repro.sampling.operations_sampler import UniformOperationsSampler
 

@@ -19,9 +19,9 @@ These are empirical probes, not theorems; they chart where the open
 problems' difficulty does *not* come from.
 """
 
+from repro.core.graphs import star_graph
 from repro.core.queries import Atom, boolean_cq
 from repro.exact import rrfreq, srfreq
-from repro.reductions.graphs import star_graph
 from repro.reductions.pathological import pathological_instance
 from repro.reductions.vizing import independent_set_database
 

@@ -16,12 +16,12 @@ Run:  python examples/hardness_gallery.py
 
 import random
 
+from repro.core import cycle_graph
 from repro.exact import count_candidate_repairs, rrfreq, rrfreq1
 from repro.reductions import (
     Pos2DNF,
     amplify,
     count_h_colorings,
-    cycle_graph,
     exact_centre_probability,
     hcoloring_instance,
     hom_count_via_oracle,

@@ -42,7 +42,6 @@ from .chains import (
     UniformSequences,
 )
 from .core import (
-    ConflictGraph,
     ConjunctiveQuery,
     Database,
     FDSet,
@@ -53,9 +52,11 @@ from .core import (
     RelationSchema,
     RepairingSequence,
     Schema,
+    UndirectedGraph,
     Variable,
     atom,
     boolean_cq,
+    conflict_graph,
     cq,
     fact,
     fd,
@@ -135,7 +136,6 @@ __all__ = [
     "workload_spec_from_dict",
     "BatchRequest",
     "BatchResult",
-    "ConflictGraph",
     "ConjunctiveQuery",
     "Database",
     "EstimateResult",
@@ -161,11 +161,13 @@ __all__ = [
     "UniformOperations",
     "UniformRepairs",
     "UniformSequences",
+    "UndirectedGraph",
     "Variable",
     "__version__",
     "atom",
     "boolean_cq",
     "classical_relative_frequency",
+    "conflict_graph",
     "consistent_answers",
     "cq",
     "exact_ocqa",

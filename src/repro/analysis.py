@@ -15,9 +15,9 @@ from typing import Callable, Iterable
 
 from .chains.generators import MarkovChainGenerator, UniformOperations
 from .chains.local import LocalChainGenerator, local_repair_distribution
-from .core.conflict_graph import ConflictGraph
 from .core.database import Database
 from .core.dependencies import FDSet
+from .core.graphs import conflict_graph
 from .core.violations import violations
 from .exact.enumerate import candidate_repairs
 from .exact.state_space import StateSpaceEngine
@@ -45,7 +45,7 @@ class InconsistencyReport:
 
 def inconsistency_report(database: Database, constraints: FDSet) -> InconsistencyReport:
     """Measure how (and how badly) a database violates its FDs."""
-    graph = ConflictGraph.of(database, constraints)
+    graph = conflict_graph(database, constraints)
     components = graph.nontrivial_components()
     return InconsistencyReport(
         facts=len(database),

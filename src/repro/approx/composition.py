@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from typing import Callable, Sequence, TypeVar
 
-from ..core.conflict_graph import ConflictGraph
 from ..core.database import Database
 from ..core.dependencies import FDSet
-from ..reductions.graphs import UndirectedGraph
+from ..core.graphs import UndirectedGraph, conflict_graph
 
 Component = TypeVar("Component")
 
@@ -73,24 +72,13 @@ def count_independent_sets_composed(
     Isolated nodes contribute an exact factor of 2 each; every non-trivial
     component goes through ``component_counter`` with the tightened budget.
     """
-    components = graph.connected_components()
-    nontrivial = []
-    isolated = 0
-    for nodes in components:
-        if len(nodes) == 1:
-            isolated += 1
-        else:
-            subgraph = UndirectedGraph(
-                tuple(sorted(nodes, key=repr)),
-                frozenset(edge for edge in graph.edges if edge <= nodes),
-            )
-            nontrivial.append(subgraph)
+    nontrivial = [graph.subgraph(nodes) for nodes in graph.nontrivial_components()]
     return composed_estimate(
         nontrivial,
         component_counter,
         epsilon,
         delta,
-        trivial_factor=float(2**isolated),
+        trivial_factor=float(2 ** len(graph.isolated_nodes())),
     )
 
 
@@ -107,7 +95,7 @@ def count_repairs_composed(
     Components are passed to ``component_counter`` as sub-databases;
     conflict-free facts contribute factor 1 (they survive every repair).
     """
-    graph = ConflictGraph.of(database, constraints)
+    graph = conflict_graph(database, constraints)
     components = [
         Database(nodes, schema=database.schema)
         for nodes in graph.nontrivial_components()

@@ -61,7 +61,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .chains.generators import GENERATORS_BY_NAME
-from .core.conflict_graph import ConflictGraph
+from .core.graphs import conflict_graph
 from .core.violations import violations
 from .counting import count_crs, count_crs1
 from .counting.repair_count import (
@@ -171,7 +171,7 @@ def command_inspect(args: argparse.Namespace) -> int:
         print(f"  {violation}")
     if len(found) > 20:
         print(f"  ... and {len(found) - 20} more")
-    graph = ConflictGraph.of(database, constraints)
+    graph = conflict_graph(database, constraints)
     components = graph.nontrivial_components()
     print(f"conflict components: {len(components)} "
           f"(sizes {sorted(len(c) for c in components)})")

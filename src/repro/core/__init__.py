@@ -3,10 +3,18 @@ operational-repair building blocks (violations, operations, sequences,
 conflict graphs, blocks)."""
 
 from .blocks import Block, BlockDecomposition, BlockError, block_decomposition
-from .conflict_graph import ConflictGraph
 from .database import Database
 from .dependencies import DependencyError, FDSet, FunctionalDependency, fd, key
 from .facts import Constant, Fact, fact
+from .graphs import (
+    UndirectedGraph,
+    complete_graph,
+    conflict_graph,
+    cycle_graph,
+    path_graph,
+    relabel,
+    star_graph,
+)
 from .interning import InstanceIndex, InterningError
 from .operations import (
     Operation,
@@ -41,7 +49,6 @@ __all__ = [
     "Block",
     "BlockDecomposition",
     "BlockError",
-    "ConflictGraph",
     "ConjunctiveQuery",
     "Constant",
     "Database",
@@ -58,13 +65,17 @@ __all__ = [
     "RepairingSequence",
     "Schema",
     "SchemaError",
+    "UndirectedGraph",
     "Variable",
     "Violation",
     "apply_all",
     "atom",
     "block_decomposition",
     "boolean_cq",
+    "complete_graph",
+    "conflict_graph",
     "cq",
+    "cycle_graph",
     "fact",
     "facts_in_violation",
     "fd",
@@ -72,9 +83,12 @@ __all__ = [
     "is_justified",
     "justified_operations",
     "key",
+    "path_graph",
+    "relabel",
     "remove",
     "sequence",
     "sorted_justified_operations",
+    "star_graph",
     "var",
     "violating_fact_pairs",
     "violations",

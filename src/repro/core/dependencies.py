@@ -11,7 +11,6 @@ Satisfaction: ``D |= R : X -> Y`` iff any two ``R``-facts agreeing on all of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .database import Database
@@ -187,24 +186,6 @@ class FDSet:
     def pair_satisfies(self, f: Fact, g: Fact) -> bool:
         """Whether ``{f, g} |= Σ``."""
         return all(d.pair_satisfies(f, g, self._schema) for d in self._fds)
-
-    def violating_pairs(self, database: Database) -> Iterator[tuple[Fact, Fact]]:
-        """All unordered pairs ``{f, g} ⊆ D`` with ``{f, g} ̸|= Σ``.
-
-        Pairs are emitted in a deterministic order, each exactly once, as
-        ``(f, g)`` with ``f`` before ``g`` in the database's sorted order.
-        """
-        by_relation = database.by_relation()
-        seen: set[frozenset[Fact]] = set()
-        for dependency in self:
-            facts = sorted(by_relation.get(dependency.relation, ()), key=str)
-            for f, g in combinations(facts, 2):
-                pair = frozenset((f, g))
-                if pair in seen:
-                    continue
-                if not dependency.pair_satisfies(f, g, self._schema):
-                    seen.add(pair)
-                    yield f, g
 
     def __str__(self) -> str:
         return "{" + "; ".join(str(d) for d in self) + "}"

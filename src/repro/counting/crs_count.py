@@ -96,9 +96,10 @@ def sequence_step_weights(
     (process-wide, like the CRS distribution caches it sits on): every
     draw whose remaining blocks have the same ordered sizes reuses it, so
     the sampler recomputes counts once per size state instead of once per
-    step of every draw.  Both the object path and the interned fast path of
-    :class:`~repro.sampling.sequence_sampler.SequenceSampler` read this one
-    table, which is what keeps their RNG consumption bit-for-bit aligned.
+    step of every draw.  :class:`~repro.sampling.sequence_sampler.SequenceSampler`
+    draws from it through :func:`sequence_step_cumulative`, and
+    :func:`aggregated_step_weights` is the same weights summed over
+    equal-size blocks for the vector plane.
     """
     count = count_crs1_for_block_sizes if singleton_only else count_crs_for_block_sizes
     categories: list[tuple[int, str]] = []
@@ -119,8 +120,8 @@ def sequence_step_cumulative(sizes: tuple[int, ...], singleton_only: bool = Fals
 
     Returns ``(categories, cumulative)`` where ``cumulative`` is a
     :class:`~repro.sampling.rng.CumulativeWeights` over the same category
-    order — the build-once table both scalar draw paths of
-    :class:`~repro.sampling.sequence_sampler.SequenceSampler` pick from
+    order — the build-once table
+    :class:`~repro.sampling.sequence_sampler.SequenceSampler` picks from
     (one ``randrange`` + one ``bisect`` per step instead of an ``O(k)``
     cumulative scan).  Memoized per live block-size state, like the weight
     table itself.

@@ -17,11 +17,13 @@ time, because blocks interact in a controlled way:
   ``ground_survival_mur(..., singleton_only=True)`` serves all three.
 
 Which formula a law uses is its :data:`repro.engine.LAWS` entry's
-``survival`` (``None`` for ``M_uo``, which has no product/shuffle
-structure).  These serve as ground truth for the calibration audit and
-sampler tests at sizes the exponential engines cannot reach, and as a
-small original extension of the paper's algorithmic toolbox (clearly
-flagged as such in DESIGN.md).
+``survival``.  Plain ``M_uo`` has none yet: on primary keys its blocks are
+independent too, but a block's chance of ending empty follows a recurrence
+over the block size rather than a uniform choice, and no closed form is
+implemented here.  These serve as ground truth for the calibration audit
+and sampler tests at sizes the exponential engines cannot reach; they are
+a small extension of the paper's algorithmic toolbox, not one of its
+results.
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from ..core.conflict_graph import ConflictGraph
 from ..core.database import Database
 from ..core.dependencies import FDSet
+from ..core.graphs import conflict_graph
 from ..core.queries import ConjunctiveQuery
 
 
@@ -29,7 +29,7 @@ def subset_repairs(database: Database, constraints: FDSet) -> Iterator[Database]
     always survive, and each non-trivial component contributes one of its
     maximal independent sets.
     """
-    graph = ConflictGraph.of(database, constraints)
+    graph = conflict_graph(database, constraints)
     isolated = graph.isolated_nodes()
     per_component = [
         list(graph.subgraph(component).maximal_independent_sets())
@@ -44,7 +44,7 @@ def subset_repairs(database: Database, constraints: FDSet) -> Iterator[Database]
 
 def count_subset_repairs(database: Database, constraints: FDSet) -> int:
     """``|SRep(D, Σ)|`` as the product of per-component maximal-IS counts."""
-    graph = ConflictGraph.of(database, constraints)
+    graph = conflict_graph(database, constraints)
     total = 1
     for component in graph.nontrivial_components():
         total *= sum(1 for _ in graph.subgraph(component).maximal_independent_sets())

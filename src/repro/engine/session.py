@@ -109,10 +109,10 @@ from ..chains.generators import (
     UniformSequences,
 )
 from ..core.blocks import BlockDecomposition, block_decomposition
-from ..core.conflict_graph import ConflictGraph
 from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.facts import Fact
+from ..core.graphs import conflict_graph
 from ..core.interning import InstanceIndex
 from ..core.queries import ConjunctiveQuery, _bind_answer
 from ..counting.survival import ground_survival_mur, ground_survival_mus
@@ -201,7 +201,7 @@ def _uo_bound(database: Database, constraints: FDSet, query) -> Fraction:
     """
     if constraints.is_primary_keys():
         return rrfreq_lower_bound(database, query)
-    degree = ConflictGraph.of(database, constraints).max_degree()
+    degree = conflict_graph(database, constraints).max_degree()
     return uo_keys_local_lower_bound(query.atom_count(), degree)
 
 

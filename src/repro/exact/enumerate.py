@@ -17,9 +17,9 @@ from itertools import product
 from math import prod
 from typing import Iterator
 
-from ..core.conflict_graph import ConflictGraph
 from ..core.database import Database
 from ..core.dependencies import FDSet
+from ..core.graphs import conflict_graph
 from ..core.operations import justified_operations
 from ..core.sequences import EMPTY_SEQUENCE, RepairingSequence
 
@@ -65,7 +65,7 @@ def candidate_repairs(
     ``singleton_only``).  The number of repairs is the product of the
     per-component counts, so enumeration is output-sensitive.
     """
-    graph = ConflictGraph.of(database, constraints)
+    graph = conflict_graph(database, constraints)
     isolated = graph.isolated_nodes()
     components = graph.nontrivial_components()
     per_component = []
@@ -92,7 +92,7 @@ def count_candidate_repairs(
     Component-wise product of independent-set counts; for a non-trivially
     connected database this is exactly Lemma 5.4 (resp. Lemma E.4).
     """
-    graph = ConflictGraph.of(database, constraints)
+    graph = conflict_graph(database, constraints)
     factors = []
     for component in graph.nontrivial_components():
         subgraph = graph.subgraph(component)

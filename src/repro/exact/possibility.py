@@ -22,11 +22,11 @@ The FPRAS wrappers use this to certify zeros without spending samples.
 
 from __future__ import annotations
 
-from ..core.conflict_graph import ConflictGraph
 from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.facts import Fact
-from ..core.queries import ConjunctiveQuery
+from ..core.graphs import conflict_graph
+from ..core.queries import ConjunctiveQuery, _bind_answer
 
 
 def consistent_image_exists(
@@ -43,11 +43,9 @@ def consistent_image_exists(
     """
     if len(answer) != len(query.answer_variables):
         return False
-    fixed = {}
-    for variable, constant in zip(query.answer_variables, answer):
-        if variable in fixed and fixed[variable] != constant:
-            return False
-        fixed[variable] = constant
+    fixed = _bind_answer(query.answer_variables, answer)
+    if fixed is None:
+        return False
     for homomorphism in query.homomorphisms(database, fixed=fixed):
         image = query.image(homomorphism)
         if image_is_consistent(image, constraints):
@@ -94,8 +92,10 @@ def witnessing_repair(
     """
     if len(answer) != len(query.answer_variables):
         return None
-    fixed = dict(zip(query.answer_variables, answer))
-    graph = ConflictGraph.of(database, constraints)
+    fixed = _bind_answer(query.answer_variables, answer)
+    if fixed is None:
+        return None
+    graph = conflict_graph(database, constraints)
     for homomorphism in query.homomorphisms(database, fixed=fixed):
         image = query.image(homomorphism)
         if not image <= database.facts:

@@ -6,14 +6,6 @@ from .fd_amplifier import (
     repair_count_via_rrfreq,
     singleton_repair_count_via_rrfreq1,
 )
-from .graphs import (
-    UndirectedGraph,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    relabel,
-    star_graph,
-)
 from .hcoloring import (
     H_GRAPH,
     HColoringInstance,
@@ -58,12 +50,9 @@ __all__ = [
     "PathologicalInstance",
     "Pos2DNF",
     "Pos2DNFInstance",
-    "UndirectedGraph",
     "VizingInstance",
     "amplify",
-    "complete_graph",
     "count_h_colorings",
-    "cycle_graph",
     "exact_centre_probability",
     "hcoloring_constraints",
     "hcoloring_instance",
@@ -73,19 +62,16 @@ __all__ = [
     "independent_set_database",
     "is_h_homomorphism",
     "misra_gries_edge_coloring",
-    "path_graph",
     "pathological_instance",
     "pos2dnf_constraints",
     "pos2dnf_instance",
     "pos2dnf_query",
     "pos2dnf_schema",
     "proposition_d6_upper_bound",
-    "relabel",
     "repair_count_via_rrfreq",
     "repair_to_assignment",
     "repair_to_mapping",
     "sat_count_via_oracle",
     "singleton_repair_count_via_rrfreq1",
-    "star_graph",
     "validate_edge_coloring",
 ]

@@ -27,9 +27,9 @@ from typing import Callable
 from ..core.database import Database
 from ..core.dependencies import FDSet, fd
 from ..core.facts import Fact, fact
+from ..core.graphs import UndirectedGraph
 from ..core.queries import ConjunctiveQuery, atom, boolean_cq, var
 from ..core.schema import Schema
-from .graphs import UndirectedGraph
 
 #: The paper's fixed target graph: all edges over {0, 1, ?} except the 1-loop.
 H_GRAPH = UndirectedGraph.of(
@@ -137,13 +137,8 @@ def repair_to_mapping(
 
 def is_h_homomorphism(graph: UndirectedGraph, mapping: dict) -> bool:
     """Whether a node map lands in ``H`` on every edge of ``G``."""
-    for edge in graph.edges:
-        u, v = tuple(edge) if len(edge) == 2 else (next(iter(edge)),) * 2
-        image = (
-            frozenset((mapping[u], mapping[v]))
-            if mapping[u] != mapping[v]
-            else frozenset((mapping[u],))
-        )
-        if image not in H_GRAPH.edges:
-            return False
-    return True
+    return all(
+        H_GRAPH.has_edge(mapping[u], mapping[v])
+        for u in graph.nodes
+        for v in graph.neighbours(u)
+    )

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from ..core.database import Database
 from ..core.dependencies import FDSet, FunctionalDependency
 from ..core.facts import Fact
+from ..core.graphs import Edge, Node, UndirectedGraph
 from ..core.schema import Schema
-from .graphs import Edge, Node, UndirectedGraph
 
 
 class EdgeColoringError(RuntimeError):
@@ -136,7 +136,7 @@ def validate_edge_coloring(graph: UndirectedGraph, colors: dict[Edge, int]) -> N
         if not 0 <= colour < bound:
             raise EdgeColoringError(f"edge {set(edge)} uses colour {colour} >= Δ+1")
     for u in graph.nodes:
-        incident = [colors[edge] for edge in graph.edges if u in edge]
+        incident = [colors[frozenset((u, v))] for v in graph.neighbours(u)]
         if len(incident) != len(set(incident)):
             raise EdgeColoringError(f"two edges at {u!r} share a colour")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from ..reductions.graphs import UndirectedGraph
+from ..core.graphs import UndirectedGraph
 from ..sampling.rng import resolve_rng
 
 

@@ -18,6 +18,7 @@ from repro.approx.bounds import (
 from repro.approx.fpras import FPRASUnavailable
 from repro.chains.generators import M_UO, M_UO1, M_UR, MarkovChainGenerator
 from repro.core import Database
+from repro.core.graphs import complete_graph, cycle_graph, path_graph, star_graph
 from repro.core.queries import atom, boolean_cq, cq, var
 from repro.engine import LAWS, EstimationSession
 from repro.exact import (
@@ -27,7 +28,6 @@ from repro.exact import (
     srfreq1,
     uniform_operations_answer_probability,
 )
-from repro.reductions.graphs import complete_graph, cycle_graph, path_graph, star_graph
 from repro.reductions.pathological import exact_centre_probability
 from repro.reductions.vizing import independent_set_database
 from repro.workloads import block_database, fd_star_database, multikey_database

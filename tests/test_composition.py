@@ -10,8 +10,8 @@ from repro.approx.composition import (
     count_repairs_composed,
     per_component_budget,
 )
+from repro.core.graphs import UndirectedGraph, cycle_graph, path_graph
 from repro.exact import count_candidate_repairs
-from repro.reductions.graphs import UndirectedGraph, cycle_graph, path_graph
 from repro.workloads import block_database
 
 

@@ -12,6 +12,7 @@ from repro.core.dependencies import (
 )
 from repro.core.facts import fact
 from repro.core.schema import Schema, SchemaError
+from repro.core.violations import violating_fact_pairs
 
 
 @pytest.fixture
@@ -117,7 +118,7 @@ class TestFDSet:
 
     def test_violating_pairs_unique_even_for_two_fds(self, running_example):
         database, constraints, (f1, f2, f3) = running_example
-        pairs = list(constraints.violating_pairs(database))
+        pairs = list(violating_fact_pairs(database, constraints))
         assert len(pairs) == 2
         as_sets = {frozenset(p) for p in pairs}
         assert as_sets == {frozenset({f1, f2}), frozenset({f2, f3})}
@@ -128,7 +129,7 @@ class TestFDSet:
         f = fact("R", 1, "x", "p")
         g = fact("R", 1, "y", "q")
         database = Database([f, g], schema=schema)
-        assert len(list(constraints.violating_pairs(database))) == 1
+        assert len(list(violating_fact_pairs(database, constraints))) == 1
 
     def test_fds_over(self, schema):
         constraints = FDSet(schema, [fd("R", "A", "B"), fd("S", "X", "Y")])

@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.conflict_graph import ConflictGraph
+from repro.core.graphs import conflict_graph, cycle_graph, path_graph
 from repro.exact import count_candidate_repairs, rrfreq, rrfreq1
 from repro.reductions.fd_amplifier import (
     amplify,
     repair_count_via_rrfreq,
     singleton_repair_count_via_rrfreq1,
 )
-from repro.reductions.graphs import cycle_graph, path_graph
 from repro.reductions.vizing import independent_set_database
 
 
@@ -29,7 +28,7 @@ class TestAmplifierConstruction:
 
     def test_apex_conflicts_with_everything(self, keys_instance):
         amplified = amplify(keys_instance.database, keys_instance.constraints)
-        graph = ConflictGraph.of(amplified.database, amplified.constraints)
+        graph = conflict_graph(amplified.database, amplified.constraints)
         assert graph.degree(amplified.apex) == len(amplified.database) - 1
         assert graph.is_nontrivially_connected()
 

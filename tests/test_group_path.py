@@ -16,6 +16,7 @@ import pytest
 
 from repro.chains.generators import M_UO, M_UR, M_UR1, M_US, M_US1
 from repro.core import Database, FDSet, Schema, fact, fd
+from repro.core.graphs import path_graph
 from repro.core.queries import atom, boolean_cq, cq, var
 from repro.engine import MODES, BatchRequest, EstimationSession, batch_estimate
 from repro.engine.batch import group_positions, run_group
@@ -32,7 +33,6 @@ from repro.service import (
     ServiceClientError,
     SessionRegistry,
 )
-from repro.reductions.graphs import path_graph
 from repro.reductions.vizing import independent_set_database
 from repro.workloads import figure2_database
 

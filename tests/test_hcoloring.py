@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.exact import rrfreq, srfreq, uniform_operations_answer_probability
-from repro.reductions.graphs import (
+from repro.core.graphs import (
     UndirectedGraph,
     complete_graph,
     cycle_graph,
     path_graph,
 )
+from repro.exact import rrfreq, srfreq, uniform_operations_answer_probability
 from repro.reductions.hcoloring import (
     H_GRAPH,
     count_h_colorings,

@@ -22,10 +22,10 @@ class TestConstruction:
         assert not instance.constraints.all_keys()
 
     def test_star_conflicts(self):
-        from repro.core.conflict_graph import ConflictGraph
+        from repro.core.graphs import conflict_graph
 
         instance = pathological_instance(5)
-        graph = ConflictGraph.of(instance.database, instance.constraints)
+        graph = conflict_graph(instance.database, instance.constraints)
         assert graph.degree(instance.centre) == 4
         assert graph.max_degree() == 4
         assert graph.edge_count() == 4

@@ -111,6 +111,20 @@ class TestWitness:
         assert witness is not None
         assert query.entails(witness, ("a1",))
 
+    def test_repeated_answer_variable_binds_one_constant(self, figure2):
+        database, constraints = figure2
+        query = cq((x, x), (atom("R", x, y),))
+        assert not answer_is_possible(database, constraints, query, ("a1", "a2"))
+        assert witnessing_repair(database, constraints, query, ("a1", "a2")) is None
+        witness = witnessing_repair(database, constraints, query, ("a1", "a1"))
+        assert witness is not None
+        assert query.entails(witness, ("a1", "a1"))
+
+    def test_wrong_arity_has_no_witness(self, figure2):
+        database, constraints = figure2
+        query = cq((x,), (atom("R", "a1", x),))
+        assert witnessing_repair(database, constraints, query, ("b1", "b2")) is None
+
 
 class TestFPRASIntegration:
     def test_fpras_certifies_zero_without_samples(self, figure2):

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from repro.chains.generators import M_UO, M_UR, M_US
 from repro.core.blocks import block_decomposition
-from repro.core.conflict_graph import ConflictGraph
 from repro.core.database import Database
 from repro.core.dependencies import FDSet, fd
 from repro.core.facts import fact
+from repro.core.graphs import conflict_graph
 from repro.core.queries import atom, boolean_cq
 from repro.core.schema import Schema
 from repro.counting import (
@@ -137,7 +137,7 @@ def test_singleton_repairs_match_bruteforce(instance):
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_repairs_are_independent_sets(instance):
     database, constraints = instance
-    graph = ConflictGraph.of(database, constraints)
+    graph = conflict_graph(database, constraints)
     for repair in candidate_repairs(database, constraints):
         assert graph.is_independent(repair.facts)
         assert graph.isolated_nodes() <= repair.facts

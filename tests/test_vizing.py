@@ -4,14 +4,16 @@ import random
 
 import pytest
 
-from repro.core.conflict_graph import ConflictGraph
-from repro.exact import count_candidate_repairs
-from repro.reductions.graphs import (
+from repro.core.graphs import (
+    UndirectedGraph,
     complete_graph,
+    conflict_graph,
     cycle_graph,
     path_graph,
+    relabel,
     star_graph,
 )
+from repro.exact import count_candidate_repairs
 from repro.reductions.vizing import (
     independent_set_database,
     misra_gries_edge_coloring,
@@ -51,8 +53,6 @@ class TestEdgeColoring:
         assert len(set(colors.values())) <= 3
 
     def test_rejects_loops(self):
-        from repro.reductions.graphs import UndirectedGraph
-
         with pytest.raises(ValueError):
             misra_gries_edge_coloring(UndirectedGraph.of([0], [(0, 0)]))
 
@@ -65,15 +65,9 @@ class TestIndependentSetDatabase:
     )
     def test_conflict_graph_isomorphic(self, graph):
         instance = independent_set_database(graph)
-        conflict = ConflictGraph.of(instance.database, instance.constraints)
-        expected_edges = {
-            frozenset(
-                {instance.node_to_fact[u], instance.node_to_fact[v]}
-            )
-            for edge in graph.edges
-            for u, v in [tuple(edge)]
-        }
-        assert conflict.edges() == expected_edges
+        assert conflict_graph(instance.database, instance.constraints) == relabel(
+            graph, instance.node_to_fact
+        )
 
     @pytest.mark.parametrize(
         "graph",

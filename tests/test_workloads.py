@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.blocks import block_decomposition
-from repro.core.conflict_graph import ConflictGraph
+from repro.core.graphs import conflict_graph
 from repro.workloads import (
     block_database,
     block_membership_query,
@@ -59,12 +59,12 @@ class TestMultikeyWorkloads:
         instance = multikey_database(6, max_degree=3, rng=random.Random(2))
         assert instance.constraints.all_keys()
         assert not instance.constraints.is_primary_keys()
-        graph = ConflictGraph.of(instance.database, instance.constraints)
+        graph = conflict_graph(instance.database, instance.constraints)
         assert graph.is_nontrivially_connected()
 
     def test_conflicts_match_generator_graph(self):
         instance = multikey_database(5, max_degree=3, rng=random.Random(3))
-        graph = ConflictGraph.of(instance.database, instance.constraints)
+        graph = conflict_graph(instance.database, instance.constraints)
         assert graph.edge_count() == instance.graph.edge_count()
 
 
@@ -72,7 +72,7 @@ class TestFDWorkloads:
     def test_fd_star_shape(self):
         database, constraints = fd_star_database(n_stars=3, spokes_per_star=2)
         assert len(database) == 9
-        graph = ConflictGraph.of(database, constraints)
+        graph = conflict_graph(database, constraints)
         assert len(graph.nontrivial_components()) == 3
         assert not constraints.all_keys()
 
