@@ -44,6 +44,12 @@ class UndirectedGraph:
             raise ValueError("duplicate nodes")
         if self.adjacency.keys() != set(self.nodes):
             raise ValueError("the adjacency map must have exactly the graph's nodes")
+        for u, found in self.adjacency.items():
+            for v in found:
+                if u not in self.adjacency.get(v, ()):
+                    raise ValueError(
+                        f"edge {{{u!r}, {v!r}}} mentions an unknown node or is one-sided"
+                    )
 
     @classmethod
     def of(cls, nodes: Iterable[Node], edges: Iterable[tuple[Node, Node]]) -> "UndirectedGraph":

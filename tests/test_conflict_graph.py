@@ -34,6 +34,19 @@ class TestConstruction:
         assert not graph.has_edge(f, h)
         assert graph.isolated_nodes() == frozenset({h})
 
+    @pytest.mark.parametrize(
+        "nodes, adjacency",
+        [
+            ((1, 2), {1: frozenset({2}), 2: frozenset()}),  # one-sided edge
+            ((1,), {1: frozenset({9})}),  # neighbour outside the graph
+            ((1, 1), {1: frozenset()}),  # duplicate node
+            ((1, 2), {1: frozenset()}),  # node without an adjacency entry
+        ],
+    )
+    def test_rejects_inconsistent_adjacency(self, nodes, adjacency):
+        with pytest.raises(ValueError):
+            UndirectedGraph(nodes, adjacency)
+
 
 class TestConnectivity:
     def test_components(self, figure2):
