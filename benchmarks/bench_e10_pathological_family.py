@@ -8,7 +8,8 @@ motivation for Theorem 7.5.
 
 import random
 
-from repro.exact import uniform_operations_answer_probability
+from repro.chains.generators import M_UO
+from repro.exact import exact_ocqa
 from repro.reductions.pathological import (
     exact_centre_probability,
     pathological_instance,
@@ -42,9 +43,7 @@ def test_e10_decay_table(benchmark):
     # Cross-check the closed form against the state-space DP at one point.
     instance = pathological_instance(8)
     assert (
-        uniform_operations_answer_probability(
-            instance.database, instance.constraints, instance.query
-        )
+        exact_ocqa(instance.database, instance.constraints, M_UO, instance.query)
         == exact_centre_probability(8)
     )
 

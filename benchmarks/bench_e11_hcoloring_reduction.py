@@ -9,8 +9,9 @@ computation on these instances (the ♯P-hardness shape).
 
 import time
 
+from repro.chains.generators import M_UO
 from repro.core.graphs import complete_graph, cycle_graph, path_graph
-from repro.exact import rrfreq, srfreq, uniform_operations_answer_probability
+from repro.exact import exact_ocqa, rrfreq, srfreq
 from repro.reductions.hcoloring import (
     count_h_colorings,
     hcoloring_instance,
@@ -61,9 +62,7 @@ def test_e11_cross_semantics_identities(benchmark):
         instance = hcoloring_instance(path_graph(3))
         r = rrfreq(instance.database, instance.constraints, instance.query)
         s = srfreq(instance.database, instance.constraints, instance.query)
-        u = uniform_operations_answer_probability(
-            instance.database, instance.constraints, instance.query
-        )
+        u = exact_ocqa(instance.database, instance.constraints, M_UO, instance.query)
         return r, s, u
 
     r, s, u = benchmark(all_semantics)

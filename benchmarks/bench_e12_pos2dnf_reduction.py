@@ -7,7 +7,8 @@ and the cross-semantics identities ``rrfreq¹ = srfreq¹ = P_{M_uo,1}`` on
 
 import random
 
-from repro.exact import rrfreq1, srfreq1, uniform_operations_answer_probability
+from repro.chains.generators import M_UO1
+from repro.exact import exact_ocqa, rrfreq1, srfreq1
 from repro.reductions.pos2dnf import pos2dnf_instance, sat_count_via_oracle
 from repro.workloads import random_pos2dnf
 
@@ -51,12 +52,7 @@ def test_e12_cross_semantics_identities(benchmark):
         instance = pos2dnf_instance(formula)
         r = rrfreq1(instance.database, instance.constraints, instance.query)
         s = srfreq1(instance.database, instance.constraints, instance.query)
-        u = uniform_operations_answer_probability(
-            instance.database,
-            instance.constraints,
-            instance.query,
-            singleton_only=True,
-        )
+        u = exact_ocqa(instance.database, instance.constraints, M_UO1, instance.query)
         return r, s, u
 
     r, s, u = benchmark(all_semantics)

@@ -12,14 +12,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from repro.chains.local import (
-    LocalChainSampler,
-    local_answer_probability,
-    local_repair_distribution,
-)
+from repro.analysis import repair_distribution
 from repro.chains.trust import TrustWeightedOperations
 from repro.core import Database, FDSet, Schema, fact, fd
 from repro.core.queries import atom, boolean_cq
+from repro.exact import exact_ocqa
+from repro.sampling import LocalChainSampler
 
 from bench_utils import emit
 
@@ -76,8 +74,8 @@ def test_e19_three_engines_agree(benchmark):
         chain.validate()
         return (
             chain.answer_probability(query),
-            local_answer_probability(database, constraints, generator, query),
-            local_repair_distribution(database, constraints, generator),
+            exact_ocqa(database, constraints, generator, query),
+            repair_distribution(database, constraints, generator),
             chain.repair_probabilities(),
         )
 
@@ -98,7 +96,7 @@ def test_e19_sampler_fidelity(benchmark):
     generator = TrustWeightedOperations.with_trust(
         {alice: Fraction(4, 5), tom: Fraction(2, 5)}
     )
-    exact = local_repair_distribution(database, constraints, generator)
+    exact = repair_distribution(database, constraints, generator)
     sampler = LocalChainSampler(database, constraints, generator, random.Random(903))
 
     def sample_block():

@@ -14,7 +14,7 @@ from repro.approx.bounds import uo_keys_lower_bound
 from repro.approx.fpras import fpras_ocqa
 from repro.chains.generators import M_UO
 from repro.core.queries import atom, boolean_cq
-from repro.exact import uniform_operations_answer_probability
+from repro.exact import exact_ocqa
 from repro.workloads import multikey_database
 
 from bench_utils import emit, relative_error
@@ -32,9 +32,7 @@ def run_sweep():
     for seed, n_nodes in ((300, 5), (301, 6), (302, 7)):
         instance, query = build_instance(seed, n_nodes)
         exact = float(
-            uniform_operations_answer_probability(
-                instance.database, instance.constraints, query
-            )
+            exact_ocqa(instance.database, instance.constraints, M_UO, query)
         )
         estimate = fpras_ocqa(
             instance.database,

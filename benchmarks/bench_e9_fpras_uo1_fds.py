@@ -12,7 +12,7 @@ from repro.approx.fpras import fpras_ocqa
 from repro.chains.generators import M_UO1
 from repro.core import Database, FDSet, Schema, fact, fd
 from repro.core.queries import atom, boolean_cq
-from repro.exact import uniform_operations_answer_probability
+from repro.exact import exact_ocqa
 from repro.workloads import fd_star_database
 
 from bench_utils import emit, relative_error
@@ -43,9 +43,7 @@ def run_sweep():
     results = []
     for name, database, constraints, query in instances():
         exact = float(
-            uniform_operations_answer_probability(
-                database, constraints, query, singleton_only=True
-            )
+            exact_ocqa(database, constraints, M_UO1, query)
         )
         estimate = fpras_ocqa(
             database,

@@ -18,18 +18,18 @@ from fractions import Fraction
 from repro import (
     Database,
     FDSet,
+    LocalChainGenerator,
     Schema,
     TrustWeightedOperations,
     compare_generators,
     fact,
     fd,
-    local_repair_distribution,
     M_UO,
     M_UR,
     M_US,
+    repair_distribution,
 )
 from repro.analysis import repair_distribution_entropy
-from repro.chains.local import LocalChainGenerator
 from repro.core.operations import justified_operations
 
 
@@ -52,7 +52,7 @@ def trust_weighted_demo() -> None:
     generator = TrustWeightedOperations.with_trust(
         {lab: Fraction(9, 10), field: Fraction(3, 10)}
     )
-    distribution = local_repair_distribution(database, constraints, generator)
+    distribution = repair_distribution(database, constraints, generator)
     print("  repair distribution (lab trusted 0.9, field 0.3):")
     for repair, probability in sorted(distribution.items(), key=lambda kv: str(kv[0])):
         print(f"    {str(repair):<50} p = {probability} (= {float(probability):.3f})")
@@ -90,7 +90,7 @@ def custom_generator_demo() -> None:
     generator = PreferPairs()
     chain = generator.chain(database, constraints)
     chain.validate()  # Definition 3.5 conditions hold
-    distribution = local_repair_distribution(database, constraints, generator)
+    distribution = repair_distribution(database, constraints, generator)
     print("  repair distribution under M_pairs:")
     for repair, probability in sorted(distribution.items(), key=lambda kv: str(kv[0])):
         print(f"    {str(repair):<50} p = {probability}")

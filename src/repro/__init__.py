@@ -35,6 +35,7 @@ from .chains import (
     M_UR1,
     M_US,
     M_US1,
+    LocalChainGenerator,
     MarkovChainGenerator,
     RepairingMarkovChain,
     UniformOperations,
@@ -80,12 +81,7 @@ from .engine import (
 )
 from .exact import exact_ocqa, rrfreq, rrfreq1, srfreq, srfreq1
 from .exact.possibility import answer_is_possible, witnessing_repair
-from .chains.local import (
-    LocalChainGenerator,
-    LocalChainSampler,
-    local_answer_probability,
-    local_repair_distribution,
-)
+from .sampling import LocalChainSampler
 from .chains.trust import TrustWeightedOperations
 from .analysis import (
     compare_generators,
@@ -126,8 +122,6 @@ __all__ = [
     "load_instance",
     "load_workload",
     "load_workload_spec",
-    "local_answer_probability",
-    "local_repair_distribution",
     "parse_query",
     "repair_distribution",
     "save_instance",

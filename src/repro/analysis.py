@@ -3,7 +3,10 @@
 Utilities a practitioner points at a dirty database before/after running
 OCQA: inconsistency metrics, repair-size expectations, and distribution
 summaries.  Exact versions use the library's exact engines (exponential
-worst case); sampled versions accept any repair sampler.
+worst case): :func:`repair_distribution` reads ``M_ur``'s off
+``CORep``, runs the state-space DP for ``M_uo``, ``M_uo,1`` and every
+other local generator, and builds the explicit chain otherwise.  Sampled
+versions accept any repair sampler.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .chains.generators import MarkovChainGenerator, UniformOperations
-from .chains.local import LocalChainGenerator, local_repair_distribution
+from .chains.generators import LocalChainGenerator, MarkovChainGenerator, UniformRepairs
 from .core.database import Database
 from .core.dependencies import FDSet
 from .core.graphs import conflict_graph
@@ -66,24 +68,17 @@ def repair_distribution(
     """``[[D]]_{M_Σ}`` exactly, dispatching to the cheapest engine.
 
     ``M_ur``/``M_ur,1`` are uniform over (singleton) candidate repairs;
-    ``M_uo`` variants use the state-space DP; other local generators use the
-    local DP; anything else materializes the explicit chain.
+    ``M_uo``, ``M_uo,1`` and every other local generator use the
+    state-space DP; anything else materializes the explicit chain.
     """
-    from .chains.generators import UniformRepairs
-
     if isinstance(generator, UniformRepairs):
         repairs = list(candidate_repairs(
             database, constraints, singleton_only=generator.singleton_only
         ))
         share = Fraction(1, len(repairs))
         return {repair: share for repair in repairs}
-    if isinstance(generator, UniformOperations):
-        engine = StateSpaceEngine(
-            database, constraints, singleton_only=generator.singleton_only
-        )
-        return engine.uniform_operations_repair_distribution()
     if isinstance(generator, LocalChainGenerator):
-        return local_repair_distribution(database, constraints, generator)
+        return StateSpaceEngine(database, constraints).repair_distribution(generator)
     chain = generator.chain(database, constraints)
     return chain.repair_probabilities()
 

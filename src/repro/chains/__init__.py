@@ -1,11 +1,5 @@
 """Explicit repairing Markov chains and the uniform generators."""
 
-from .local import (
-    LocalChainGenerator,
-    LocalChainSampler,
-    local_answer_probability,
-    local_repair_distribution,
-)
 from .trust import TrustWeightedOperations
 from .generators import (
     ALL_GENERATORS,
@@ -15,6 +9,7 @@ from .generators import (
     M_UR1,
     M_US,
     M_US1,
+    LocalChainGenerator,
     MarkovChainGenerator,
     UniformOperations,
     UniformRepairs,
@@ -33,10 +28,7 @@ __all__ = [
     "ChainError",
     "ChainNode",
     "LocalChainGenerator",
-    "LocalChainSampler",
     "TrustWeightedOperations",
-    "local_answer_probability",
-    "local_repair_distribution",
     "M_UO",
     "M_UO1",
     "M_UR",

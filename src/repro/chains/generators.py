@@ -1,4 +1,4 @@
-"""The uniform repairing Markov chain generators (Section 4, Appendix A).
+"""The repairing Markov chain generators (Section 4, Appendix A).
 
 Each generator is a function ``M_Σ`` assigning to every database a
 ``(D, Σ)``-repairing Markov chain:
@@ -9,17 +9,20 @@ Each generator is a function ``M_Σ`` assigning to every database a
 * :class:`UniformSequences` (``M_us``, Definition A.3) — ratios of
   complete-sequence counts, inducing the uniform distribution over
   ``CRS(D, Σ)``.
-* :class:`UniformOperations` (``M_uo``, Definition A.5) — the local chain:
-  ``1 / |Ops_s(D, Σ)|`` on every edge.
+* :class:`LocalChainGenerator` — any chain whose labels at a node depend
+  only on the node's database (Section 7's *local* generators), given by
+  ``operation_distribution``.  :class:`UniformOperations` (``M_uo``,
+  Definition A.5) is the paper's instance: ``1 / |Ops_s(D, Σ)|`` on every
+  edge; :mod:`repro.chains.trust` adds a non-uniform one.
 
 Every generator has a ``singleton_only`` variant (``M^{·,1}``, Section 7 and
 Appendix E): the chain is still defined over all of ``RS(D, Σ)``, but edges
-leaving the all-singleton region carry probability zero and the stranded
-subtrees receive an arbitrary uniform label, exactly as the paper prescribes
-for ``M^{uo,1}``.
+leaving the all-singleton region carry probability zero.  The stranded
+subtrees may carry any labels: the counting generators give them the
+uniform fallback, the local ones their own state-wise labels.
 
 These classes build *explicit* chains and are exponential in ``|D|``; they
-exist to realize the definitions verbatim and to cross-check the polynomial
+exist to realize the definitions verbatim and to cross-check the exact
 engines on small instances.
 """
 
@@ -32,6 +35,7 @@ from typing import Callable
 
 from ..core.database import Database
 from ..core.dependencies import FDSet
+from ..core.operations import Operation, justified_operations
 from ..core.sequences import RepairingSequence
 from .markov import ChainNode, RepairingMarkovChain, build_repairing_tree, default_child_order
 
@@ -127,59 +131,70 @@ class MarkovChainGenerator(ABC):
 
 
 @dataclass(frozen=True)
-class UniformOperations(MarkovChainGenerator):
+class LocalChainGenerator(MarkovChainGenerator):
+    """A generator whose edge labels depend only on the current state.
+
+    Section 7 puts ``M_uo``'s approximability down to this locality alone,
+    so every local generator shares one exact engine
+    (:meth:`~repro.exact.state_space.StateSpaceEngine.answer_probability`
+    and ``.repair_distribution``) and one walk sampler
+    (:class:`~repro.sampling.operations_sampler.LocalChainSampler`).
+    """
+
+    @abstractmethod
+    def operation_distribution(
+        self, state: Database, constraints: FDSet
+    ) -> dict[Operation, Fraction]:
+        """The probability of each justified operation at ``state``.
+
+        Must cover exactly the justified operations of ``state`` (pairs may
+        carry probability zero, e.g. in singleton variants) and sum to 1.
+        """
+
+    def _annotate(self, root: ChainNode, constraints: FDSet) -> None:
+        # The tree repeats each state many times; compute its labels once.
+        distributions: dict[Database, dict[Operation, Fraction]] = {}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                continue
+            distribution = distributions.get(node.state)
+            if distribution is None:
+                distribution = self.operation_distribution(node.state, constraints)
+                distributions[node.state] = distribution
+            for child in node.children:
+                child.edge_probability = distribution[child.operation]
+            stack.extend(node.children)
+
+
+@dataclass(frozen=True)
+class UniformOperations(LocalChainGenerator):
     """``M_uo`` / ``M_uo,1``: uniform over the available operations per step."""
 
     @property
     def base_name(self) -> str:
         return "M_uo"
 
-    def operation_distribution(self, state: Database, constraints: FDSet):
-        """``P(op | state) = 1/|Ops|`` — the local-generator view of ``M_uo``.
+    def operation_distribution(
+        self, state: Database, constraints: FDSet
+    ) -> dict[Operation, Fraction]:
+        """Definition A.5: ``1/|Ops|`` on every justified operation.
 
-        Exposed so the generic local-chain engines
-        (:mod:`repro.chains.local`) can treat ``M_uo`` like any other local
-        generator; the singleton variant spreads the mass over single-fact
-        removals and pins pair removals at zero.
+        The singleton variant spreads the mass over the single-fact
+        removals (every violating pair justifies two) and pins pair
+        removals at zero.
         """
-        from ..core.operations import justified_operations
-
         operations = justified_operations(state, constraints)
-        distribution = {op: Fraction(0) for op in operations}
-        if self.singleton_only:
-            singles = [op for op in operations if op.is_singleton]
-            chosen = singles if singles else sorted(operations)
-        else:
-            chosen = sorted(operations)
+        chosen = (
+            [op for op in operations if op.is_singleton]
+            if self.singleton_only
+            else operations
+        )
+        distribution = dict.fromkeys(operations, Fraction(0))
         for op in chosen:
             distribution[op] = Fraction(1, len(chosen))
         return distribution
-
-    def _annotate(self, root: ChainNode, constraints: FDSet) -> None:
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            eligible = not self.singleton_only or node.sequence.uses_only_singletons()
-            if eligible and self.singleton_only:
-                singles = [c for c in node.children if c.operation.is_singleton]
-                weight = Fraction(1, len(singles)) if singles else Fraction(0)
-                for child in node.children:
-                    child.edge_probability = (
-                        weight if child.operation.is_singleton else Fraction(0)
-                    )
-                if not singles:
-                    # Unreachable in practice: a violating pair always yields
-                    # two singleton removals.  Keep labels well-formed anyway.
-                    fallback = Fraction(1, len(node.children))
-                    for child in node.children:
-                        child.edge_probability = fallback
-            else:
-                uniform = Fraction(1, len(node.children))
-                for child in node.children:
-                    child.edge_probability = uniform
-            stack.extend(node.children)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ probability distribution over the justified operations.  With all trusts at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -31,7 +31,7 @@ from ..core.dependencies import FDSet
 from ..core.facts import Fact
 from ..core.operations import Operation, justified_operations
 from ..core.violations import violating_fact_pairs
-from .local import LocalChainGenerator
+from .generators import LocalChainGenerator
 
 Trust = Fraction
 
@@ -47,6 +47,11 @@ class TrustWeightedOperations(LocalChainGenerator):
 
     trust_items: tuple[tuple[Fact, Fraction], ...] = ()
     default_trust: Fraction = Fraction(1, 2)
+
+    def __post_init__(self) -> None:
+        for value in (*(value for _, value in self.trust_items), self.default_trust):
+            if not 0 <= value <= 1:
+                raise ValueError(f"trust values must lie in [0, 1], got {value}")
 
     @classmethod
     def with_trust(
@@ -122,9 +127,5 @@ class TrustWeightedOperations(LocalChainGenerator):
 
 def _as_fraction(value: Fraction | float) -> Fraction:
     if isinstance(value, Fraction):
-        result = value
-    else:
-        result = Fraction(value).limit_denominator(10**9)
-    if not 0 <= result <= 1:
-        raise ValueError(f"trust values must lie in [0, 1], got {result}")
-    return result
+        return value
+    return Fraction(value).limit_denominator(10**9)

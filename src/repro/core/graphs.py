@@ -40,6 +40,10 @@ class UndirectedGraph:
     adjacency: Mapping[Node, frozenset[Node]]
 
     def __post_init__(self) -> None:
+        # A private copy: the cached ``edges`` must not drift from the map.
+        object.__setattr__(
+            self, "adjacency", {u: frozenset(found) for u, found in self.adjacency.items()}
+        )
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate nodes")
         if self.adjacency.keys() != set(self.nodes):
@@ -61,7 +65,7 @@ class UndirectedGraph:
                 raise ValueError(f"edge {{{u!r}, {v!r}}} mentions unknown nodes")
             adjacency[u].add(v)
             adjacency[v].add(u)
-        return cls(nodes, {u: frozenset(found) for u, found in adjacency.items()})
+        return cls(nodes, adjacency)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UndirectedGraph):

@@ -14,7 +14,6 @@ from .state_space import (
     StateSpaceLimit,
     count_complete_sequences,
     count_sequences_with_answer,
-    uniform_operations_answer_probability,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "rrfreq1",
     "srfreq",
     "srfreq1",
-    "uniform_operations_answer_probability",
 ]

@@ -1,11 +1,12 @@
-"""Exact OCQA: ``P_{M_Σ,Q}(D, c̄)`` for the six uniform generators.
+"""Exact OCQA: ``P_{M_Σ,Q}(D, c̄)`` for the six uniform generators and more.
 
 Dispatches each generator to its most efficient exact engine:
 
 * ``M_ur`` / ``M_ur,1``  → repair relative frequency (Section 5 restatement);
 * ``M_us`` / ``M_us,1``  → sequence relative frequency (Section 6 restatement);
-* ``M_uo`` / ``M_uo,1``  → state-space dynamic programming over the local
-  chain (no frequency restatement exists — Section 7).
+* ``M_uo`` / ``M_uo,1`` and every other
+  :class:`~repro.chains.generators.LocalChainGenerator` → the state-space
+  DP over the local chain (no frequency restatement exists — Section 7).
 
 A generic fallback materializes the explicit chain for any other
 :class:`~repro.chains.generators.MarkovChainGenerator`, honouring the paper's
@@ -17,8 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..chains.generators import (
+    LocalChainGenerator,
     MarkovChainGenerator,
-    UniformOperations,
     UniformRepairs,
     UniformSequences,
 )
@@ -26,7 +27,7 @@ from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.queries import ConjunctiveQuery
 from .frequencies import rrfreq, srfreq
-from .state_space import uniform_operations_answer_probability
+from .state_space import StateSpaceEngine
 
 
 def exact_ocqa(
@@ -51,20 +52,11 @@ def exact_ocqa(
         return srfreq(
             database, constraints, query, answer, singleton_only=generator.singleton_only
         )
-    if isinstance(generator, UniformOperations):
-        return uniform_operations_answer_probability(
-            database,
-            constraints,
-            query,
-            answer,
-            singleton_only=generator.singleton_only,
-        )
-    from ..chains.local import LocalChainGenerator, local_answer_probability
-
     if isinstance(generator, LocalChainGenerator):
-        # Any local generator admits the state-space DP (Section 7's
-        # locality argument does not depend on uniformity).
-        return local_answer_probability(database, constraints, generator, query, answer)
+        # Section 7's locality argument does not depend on uniformity.
+        return StateSpaceEngine(database, constraints).answer_probability(
+            generator, lambda repair: query.entails(repair, answer)
+        )
     # Arbitrary generator: materialize the explicit chain (tiny instances).
     chain = generator.chain(database, constraints)
     return chain.answer_probability(query, answer)

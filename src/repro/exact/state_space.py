@@ -8,6 +8,15 @@ walking the (much larger) sequence tree.  Worst-case cost is exponential in
 ``|D|`` — as it must be, by the paper's ♯P-hardness results — but small and
 medium instances are handled comfortably, and the engines are exact
 (:class:`fractions.Fraction` arithmetic throughout).
+
+:class:`StateSpaceEngine` serves two families.  Counting
+(``count_complete_sequences``, ``candidate_repairs``) walks the justified
+operations, or the single-fact ones when ``singleton_only``: the
+``CRS``/``CORep`` side of ``M_us`` and ``M_ur``.  The probability DPs
+(``answer_probability``, ``repair_distribution``) walk the labelled
+transitions of any :class:`~repro.chains.generators.LocalChainGenerator`
+— ``M_uo``, ``M_uo,1`` and every other local chain alike.  Every per-state
+table counts against ``max_states``.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
+from ..chains.generators import LocalChainGenerator
 from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.facts import Fact
@@ -27,6 +37,7 @@ class StateSpaceLimit(RuntimeError):
 
 
 State = frozenset[Fact]
+Moves = tuple[tuple[State, Fraction], ...]
 
 
 class StateSpaceEngine:
@@ -45,27 +56,33 @@ class StateSpaceEngine:
         self.max_states = max_states
         self._children_cache: dict[State, tuple[State, ...]] = {}
         self._consistent_cache: dict[State, bool] = {}
+        self._transitions_cache: dict[LocalChainGenerator, dict[State, Moves]] = {}
 
     # -- state helpers ------------------------------------------------------------
 
     def _as_database(self, state: State) -> Database:
         return Database(state, schema=self.database.schema)
 
-    def is_consistent(self, state: State) -> bool:
-        if state not in self._consistent_cache:
-            self._consistent_cache[state] = self.constraints.satisfied_by(
-                self._as_database(state)
+    def _admit(self, cache: dict) -> None:
+        """Refuse to grow a per-state table past ``max_states`` entries."""
+        if len(cache) >= self.max_states:
+            raise StateSpaceLimit(
+                f"exact engine exceeded {self.max_states} states; "
+                "use the samplers for instances of this size"
             )
-        return self._consistent_cache[state]
+
+    def is_consistent(self, state: State) -> bool:
+        found = self._consistent_cache.get(state)
+        if found is None:
+            self._admit(self._consistent_cache)
+            found = self.constraints.satisfied_by(self._as_database(state))
+            self._consistent_cache[state] = found
+        return found
 
     def children(self, state: State) -> tuple[State, ...]:
         """Successor states under each justified operation (one per op)."""
         if state not in self._children_cache:
-            if len(self._children_cache) >= self.max_states:
-                raise StateSpaceLimit(
-                    f"exact engine exceeded {self.max_states} states; "
-                    "use the samplers for instances of this size"
-                )
+            self._admit(self._children_cache)
             operations = justified_operations(
                 self._as_database(state), self.constraints, self.singleton_only
             )
@@ -121,17 +138,45 @@ class StateSpaceEngine:
             self._as_database(state) for state in reachable(frozenset(self.database.facts))
         )
 
-    def uniform_operations_probability(
-        self, accept: Callable[[Database], bool]
-    ) -> Fraction:
-        """``P_{M_uo,Q}`` mass of leaves whose result satisfies ``accept``.
+    # -- local chains -----------------------------------------------------------------
 
-        Uses the locality of ``M_uo``: from state ``D'`` each of the ``k``
-        justified operations is taken with probability ``1/k``, so the
-        accepted-leaf mass satisfies
-        ``h(D') = [accept]`` at consistent states and
-        ``h(D') = (1/k) Σ h(child)`` otherwise.
+    def _transitions(self, generator: LocalChainGenerator) -> Callable[[State], Moves]:
+        """``state ↦ ((op(state), P(op | state)), …)`` under ``generator``.
+
+        Lists only the operations taken with non-zero probability.  The
+        tables are memoized per generator for the engine's lifetime, so
+        several queries against one engine build each state's row once.
         """
+        cache = self._transitions_cache.setdefault(generator, {})
+
+        def moves(state: State) -> Moves:
+            found = cache.get(state)
+            if found is None:
+                self._admit(cache)
+                distribution = generator.operation_distribution(
+                    self._as_database(state), self.constraints
+                )
+                found = tuple(
+                    (state - op.removed, probability)
+                    for op, probability in distribution.items()
+                    if probability
+                )
+                cache[state] = found
+            return found
+
+        return moves
+
+    def answer_probability(
+        self, generator: LocalChainGenerator, accept: Callable[[Database], bool]
+    ) -> Fraction:
+        """Leaf mass of ``generator``'s chain whose result satisfies ``accept``.
+
+        Backward DP on states: ``h(D') = [accept(D')]`` at consistent states
+        and ``h(D') = Σ_op P(op | D') · h(op(D'))`` otherwise — the whole of
+        Section 7's locality argument.  With ``accept = c̄ ∈ Q(·)`` this is
+        ``P_{M_Σ,Q}(D, c̄)``.
+        """
+        moves = self._transitions(generator)
         cache: dict[State, Fraction] = {}
 
         def mass(state: State) -> Fraction:
@@ -140,21 +185,22 @@ class StateSpaceEngine:
             if self.is_consistent(state):
                 result = Fraction(1) if accept(self._as_database(state)) else Fraction(0)
             else:
-                children = self.children(state)
-                share = Fraction(1, len(children))
-                result = sum((share * mass(child) for child in children), Fraction(0))
+                result = sum(
+                    (probability * mass(child) for child, probability in moves(state)),
+                    Fraction(0),
+                )
             cache[state] = result
             return result
 
         return mass(frozenset(self.database.facts))
 
-    def uniform_operations_repair_distribution(self) -> dict[Database, Fraction]:
-        """``[[D]]_{M_uo}``: probability of each operational repair.
+    def repair_distribution(self, generator: LocalChainGenerator) -> dict[Database, Fraction]:
+        """``[[D]]_{M_Σ}``: the probability of each operational repair.
 
-        Forward dynamic programming over states: total inbound probability
-        mass per state, pushed uniformly across justified operations.
-        Useful for small instances and for validating the samplers.
+        Forward DP on states: the inbound probability mass of each state,
+        pushed along ``generator``'s transitions in topological order.
         """
+        moves = self._transitions(generator)
         order: list[State] = []
         seen: set[State] = set()
 
@@ -163,26 +209,23 @@ class StateSpaceEngine:
                 return
             seen.add(state)
             if not self.is_consistent(state):
-                for child in self.children(state):
+                for child, _ in moves(state):
                     topological(child)
             order.append(state)
 
         start = frozenset(self.database.facts)
         topological(start)
-        mass: dict[State, Fraction] = {state: Fraction(0) for state in order}
+        mass: dict[State, Fraction] = dict.fromkeys(order, Fraction(0))
         mass[start] = Fraction(1)
         for state in reversed(order):  # reversed post-order = topological order
             inbound = mass[state]
-            if inbound == 0 or self.is_consistent(state):
-                continue
-            children = self.children(state)
-            share = inbound / len(children)
-            for child in children:
-                mass[child] += share
+            if inbound and not self.is_consistent(state):
+                for child, probability in moves(state):
+                    mass[child] += inbound * probability
         return {
             self._as_database(state): probability
             for state, probability in mass.items()
-            if probability > 0 and self.is_consistent(state)
+            if probability and self.is_consistent(state)
         }
 
 
@@ -207,14 +250,3 @@ def count_sequences_with_answer(
     engine = StateSpaceEngine(database, constraints, singleton_only)
     return engine.count_complete_sequences(accept=lambda db: query.entails(db, answer))
 
-
-def uniform_operations_answer_probability(
-    database: Database,
-    constraints: FDSet,
-    query: ConjunctiveQuery,
-    answer: tuple = (),
-    singleton_only: bool = False,
-) -> Fraction:
-    """Exact ``P_{M_uo,Q}(D, c̄)`` (or the ``M_uo,1`` variant)."""
-    engine = StateSpaceEngine(database, constraints, singleton_only)
-    return engine.uniform_operations_probability(lambda db: query.entails(db, answer))

@@ -6,6 +6,7 @@ plane (packed bitset matrices, Lemma 5.2/6.2 in whole batches) lives in
 """
 
 from .operations_sampler import (
+    LocalChainSampler,
     UniformOperationsSampler,
     WalkResult,
     sample_uniform_operations_repair,
@@ -22,6 +23,7 @@ from .sequence_sampler import SequenceSampler, sample_complete_sequence
 
 __all__ = [
     "CumulativeWeights",
+    "LocalChainSampler",
     "RepairSampler",
     "SequenceSampler",
     "UniformOperationsSampler",

@@ -21,13 +21,8 @@ from repro.core import Database
 from repro.core.graphs import complete_graph, cycle_graph, path_graph, star_graph
 from repro.core.queries import atom, boolean_cq, cq, var
 from repro.engine import LAWS, EstimationSession
-from repro.exact import (
-    rrfreq,
-    rrfreq1,
-    srfreq,
-    srfreq1,
-    uniform_operations_answer_probability,
-)
+from repro.exact import exact_ocqa, rrfreq, rrfreq1, srfreq, srfreq1
+from repro.exact.state_space import StateSpaceEngine
 from repro.reductions.pathological import exact_centre_probability
 from repro.reductions.vizing import independent_set_database
 from repro.workloads import block_database, fd_star_database, multikey_database
@@ -85,9 +80,7 @@ class TestUniformOperationsBounds:
     def test_lemma_d8_on_fd_stars(self):
         database, constraints = fd_star_database(n_stars=2, spokes_per_star=2)
         for query in block_queries(database):
-            value = uniform_operations_answer_probability(
-                database, constraints, query, singleton_only=True
-            )
+            value = exact_ocqa(database, constraints, M_UO1, query)
             bound = uo_singleton_fd_lower_bound(database, query)
             if value > 0:
                 assert value >= bound
@@ -96,7 +89,7 @@ class TestUniformOperationsBounds:
         instance = multikey_database(5, max_degree=3, rng=rng)
         database, constraints = instance.database, instance.constraints
         query = block_queries(database)[0]
-        value = uniform_operations_answer_probability(database, constraints, query)
+        value = exact_ocqa(database, constraints, M_UO, query)
         bound = uo_keys_lower_bound(database, constraints, query)
         assert 0 < bound < Fraction(1, 10**6)  # polynomial but tiny
         if value > 0:
@@ -181,16 +174,10 @@ class TestSessionPositivityFloor:
 
     @pytest.mark.parametrize("name", sorted(_key_instances()))
     def test_floor_is_below_every_exact_probability(self, name):
-        from repro.chains.generators import M_UO
-        from repro.engine import EstimationSession
-        from repro.exact.state_space import StateSpaceEngine
-
         instance = _key_instances()[name]
         database, constraints = instance.database, instance.constraints
         assert constraints.all_keys() and not constraints.is_primary_keys()
-        distribution = StateSpaceEngine(
-            database, constraints
-        ).uniform_operations_repair_distribution()
+        distribution = StateSpaceEngine(database, constraints).repair_distribution(M_UO)
 
         def survival(witness):
             return float(
@@ -218,14 +205,12 @@ class TestSessionPositivityFloor:
             assert 0 < floor <= survival(pair), sorted(map(str, pair))
 
     def test_local_bound_is_exact_on_stars(self):
-        from repro.exact.state_space import StateSpaceEngine
-
         for n in (3, 4):
             instance = independent_set_database(star_graph(n))
             database, constraints = instance.database, instance.constraints
             centre = instance.node_to_fact[0]
-            exact = StateSpaceEngine(database, constraints).uniform_operations_probability(
-                lambda repair: centre in repair
+            exact = StateSpaceEngine(database, constraints).answer_probability(
+                M_UO, lambda repair: centre in repair
             )
             assert uo_keys_local_lower_bound(1, n) == exact
         assert uo_keys_local_lower_bound(1, 0) == 1  # no conflicts: every fact stays

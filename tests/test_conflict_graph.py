@@ -47,6 +47,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             UndirectedGraph(nodes, adjacency)
 
+    def test_later_edits_to_the_source_map_do_not_leak_in(self):
+        adjacency = {1: set(), 2: set()}
+        graph = UndirectedGraph((1, 2), adjacency)
+        adjacency[1].add(2)
+        adjacency[2].add(1)
+        adjacency[1] = {2}
+        assert graph.edge_count() == 0
+        assert not graph.has_edge(1, 2)
+        assert len(graph.connected_components()) == 2
+        assert graph == UndirectedGraph.of((1, 2), ())
+
 
 class TestConnectivity:
     def test_components(self, figure2):

@@ -8,7 +8,8 @@ from repro.core.graphs import (
     cycle_graph,
     path_graph,
 )
-from repro.exact import rrfreq, srfreq, uniform_operations_answer_probability
+from repro.chains.generators import M_UO
+from repro.exact import exact_ocqa, rrfreq, srfreq
 from repro.reductions.hcoloring import (
     H_GRAPH,
     count_h_colorings,
@@ -101,9 +102,7 @@ class TestOracleIdentity:
         """Appendix D.1: the M_uo leaf distribution is uniform on D_G."""
         instance = hcoloring_instance(graph)
         r = rrfreq(instance.database, instance.constraints, instance.query)
-        p = uniform_operations_answer_probability(
-            instance.database, instance.constraints, instance.query
-        )
+        p = exact_ocqa(instance.database, instance.constraints, M_UO, instance.query)
         assert r == p
 
 

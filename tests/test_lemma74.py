@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from repro.chains.generators import M_UO
 from repro.core.queries import atom, boolean_cq
+from repro.exact import exact_ocqa
 from repro.exact.enumerate import complete_sequences
 from repro.exact.lemma74 import (
     MappingError,
@@ -113,12 +115,8 @@ class TestLemmaClaims:
         assert lambda_keep + lambda_remove == 1
         assert lambda_keep > 0
         # The target probability equals the DP value.
-        from repro.exact import uniform_operations_answer_probability
-
         query = boolean_cq(atom("R", *target.values))
-        assert uniform_operations_answer_probability(
-            database, constraints, query
-        ) == lambda_keep
+        assert exact_ocqa(database, constraints, M_UO, query) == lambda_keep
 
     def test_on_multikey_instance(self, rng):
         """The mapping also works with several keys per relation."""

@@ -6,17 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from repro.analysis import repair_distribution
 from repro.chains.generators import M_UO, M_UO1
-from repro.chains.local import (
-    LocalChainSampler,
-    local_answer_probability,
-    local_repair_distribution,
-)
 from repro.chains.trust import TrustWeightedOperations
 from repro.core.database import Database
+from repro.core.facts import fact
 from repro.core.queries import atom, boolean_cq
-from repro.exact import exact_ocqa, uniform_operations_answer_probability
-from repro.exact.state_space import StateSpaceEngine
+from repro.exact import exact_ocqa
+from repro.exact.state_space import StateSpaceEngine, StateSpaceLimit
+from repro.sampling import LocalChainSampler
 
 
 class TestUniformOperationsAsLocal:
@@ -89,10 +87,20 @@ class TestTrustWeighted:
         assert remove_tom > remove_alice  # distrusted facts go first
 
     def test_invalid_trust_rejected(self):
-        from repro.core.facts import fact
-
         with pytest.raises(ValueError):
             TrustWeightedOperations.with_trust({fact("R", 1): Fraction(3, 2)})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"trust_items": ((fact("R", 1), Fraction(3, 2)),)},
+            {"trust_items": ((fact("R", 1), Fraction(-1, 4)),)},
+            {"default_trust": Fraction(5, 4)},
+        ],
+    )
+    def test_direct_construction_rejects_invalid_trust(self, fields):
+        with pytest.raises(ValueError, match=r"trust values must lie in \[0, 1\]"):
+            TrustWeightedOperations(**fields)
 
     def test_explicit_chain_validates(self, running_example):
         database, constraints, _ = running_example
@@ -120,37 +128,45 @@ class TestLocalEngines:
         generator = TrustWeightedOperations()
         chain = generator.chain(database, constraints)
         query = boolean_cq(atom("R", "a1", "b1", "c1"))
-        assert local_answer_probability(
-            database, constraints, generator, query
+        engine = StateSpaceEngine(database, constraints)
+        assert engine.answer_probability(
+            generator, lambda repair: query.entails(repair, ())
         ) == chain.answer_probability(query)
 
     def test_repair_distribution_matches_chain(self, running_example):
         database, constraints, _ = running_example
         generator = TrustWeightedOperations()
         chain = generator.chain(database, constraints)
-        assert local_repair_distribution(
-            database, constraints, generator
+        assert StateSpaceEngine(database, constraints).repair_distribution(
+            generator
         ) == chain.repair_probabilities()
 
-    def test_local_dp_reproduces_uo_engine(self, figure2):
+    def test_engine_tables_are_per_generator(self, figure2):
         database, constraints = figure2
-        query = boolean_cq(atom("R", "a1", "b1"))
-        assert local_answer_probability(
-            database, constraints, M_UO, query
-        ) == uniform_operations_answer_probability(database, constraints, query)
+        engine = StateSpaceEngine(database, constraints)
+        for generator in (M_UO, M_UO1, TrustWeightedOperations()):
+            assert engine.repair_distribution(generator) == (
+                generator.chain(database, constraints).repair_probabilities()
+            )
+
+    def test_max_states_guard(self, running_example):
+        database, constraints, _ = running_example
+        engine = StateSpaceEngine(database, constraints, max_states=2)
+        with pytest.raises(StateSpaceLimit):
+            engine.repair_distribution(TrustWeightedOperations())
 
     def test_exact_ocqa_dispatches_local(self, running_example):
         database, constraints, _ = running_example
         generator = TrustWeightedOperations()
         query = boolean_cq(atom("R", "a1", "b1", "c1"))
         assert exact_ocqa(database, constraints, generator, query) == (
-            local_answer_probability(database, constraints, generator, query)
+            generator.chain(database, constraints).answer_probability(query)
         )
 
     def test_sampler_matches_distribution(self, two_fact_conflict):
         database, constraints, _ = two_fact_conflict
         generator = TrustWeightedOperations()
-        exact = local_repair_distribution(database, constraints, generator)
+        exact = repair_distribution(database, constraints, generator)
         sampler = LocalChainSampler(
             database, constraints, generator, rng=random.Random(7)
         )
@@ -184,6 +200,5 @@ class TestLocalEngines:
     def test_distribution_sums_on_random_states(self, figure2):
         database, constraints = figure2
         generator = TrustWeightedOperations()
-        engine = StateSpaceEngine(database, constraints)
         distribution = generator.operation_distribution(database, constraints)
         assert sum(distribution.values()) == 1

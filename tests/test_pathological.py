@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from repro.exact import uniform_operations_answer_probability
+from repro.chains.generators import M_UO
+from repro.exact import exact_ocqa
 from repro.reductions.pathological import (
     exact_centre_probability,
     pathological_instance,
@@ -48,8 +49,8 @@ class TestClosedForm:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_state_space_dp(self, n):
         instance = pathological_instance(n)
-        assert uniform_operations_answer_probability(
-            instance.database, instance.constraints, instance.query
+        assert exact_ocqa(
+            instance.database, instance.constraints, M_UO, instance.query
         ) == exact_centre_probability(n)
 
     @pytest.mark.parametrize("n", range(2, 14))

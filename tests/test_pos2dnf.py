@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.exact import (
-    rrfreq1,
-    srfreq1,
-    uniform_operations_answer_probability,
-)
+from repro.chains.generators import M_UO1
+from repro.exact import exact_ocqa, rrfreq1, srfreq1
 from repro.reductions.pos2dnf import (
     Pos2DNF,
     pos2dnf_instance,
@@ -68,11 +65,8 @@ class TestInstance:
     def test_identity_uo1(self, simple_formula):
         """Theorem E.11: the M_uo,1 probability also matches."""
         instance = pos2dnf_instance(simple_formula)
-        assert uniform_operations_answer_probability(
-            instance.database,
-            instance.constraints,
-            instance.query,
-            singleton_only=True,
+        assert exact_ocqa(
+            instance.database, instance.constraints, M_UO1, instance.query
         ) == rrfreq1(instance.database, instance.constraints, instance.query)
 
 

@@ -6,12 +6,14 @@ against exponential brute force, so instances stay within a few facts/blocks.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.chains.generators import M_UO, M_UR, M_US
+from repro.chains.generators import M_UO, M_UO1, M_UR, M_US
+from repro.chains.trust import TrustWeightedOperations
 from repro.core.blocks import block_decomposition
 from repro.core.database import Database
 from repro.core.dependencies import FDSet, fd
@@ -29,9 +31,9 @@ from repro.exact import (
     candidate_repairs_bruteforce,
     count_candidate_repairs,
     count_complete_sequences,
+    exact_ocqa,
     rrfreq,
     srfreq,
-    uniform_operations_answer_probability,
 )
 from repro.exact.state_space import StateSpaceEngine
 from repro.sampling.operations_sampler import UniformOperationsSampler
@@ -148,7 +150,7 @@ def test_repairs_are_independent_sets(instance):
 def test_probabilities_form_distribution(instance):
     database, constraints = instance
     engine = StateSpaceEngine(database, constraints)
-    distribution = engine.uniform_operations_repair_distribution()
+    distribution = engine.repair_distribution(M_UO)
     assert sum(distribution.values()) == Fraction(1)
     assert all(0 < p <= 1 for p in distribution.values())
 
@@ -162,24 +164,56 @@ def test_frequencies_lie_in_unit_interval(instance):
     for value in (
         rrfreq(database, constraints, query),
         srfreq(database, constraints, query),
-        uniform_operations_answer_probability(database, constraints, query),
+        exact_ocqa(database, constraints, M_UO, query),
     ):
         assert 0 <= value <= 1
 
 
-@given(instance=small_fd_databases())
+@given(
+    instance=small_fd_databases(),
+    trusts=st.lists(
+        st.fractions(min_value=0, max_value=1, max_denominator=4), min_size=5, max_size=5
+    ),
+)
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_exact_engines_match_explicit_chains(instance):
+def test_exact_engines_match_explicit_chains(instance, trusts):
     database, constraints = instance
     target = database.sorted_facts()[0]
     query = boolean_cq(atom("R", *target.values))
+    trust = TrustWeightedOperations.with_trust(dict(zip(database.sorted_facts(), trusts)))
     for generator, value in (
         (M_UR, rrfreq(database, constraints, query)),
         (M_US, srfreq(database, constraints, query)),
-        (M_UO, uniform_operations_answer_probability(database, constraints, query)),
+        (M_UO, exact_ocqa(database, constraints, M_UO, query)),
+        (M_UO1, exact_ocqa(database, constraints, M_UO1, query)),
+        (trust, exact_ocqa(database, constraints, trust, query)),
     ):
         chain = generator.chain(database, constraints, max_nodes=500_000)
         assert chain.answer_probability(query) == value, generator.name
+
+
+@given(instance=small_fd_databases(), data=st.data())
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_uniform_operations_labels_follow_definition_a5(instance, data):
+    """``M_uo`` puts ``1/|Ops|`` on every justified operation; ``M_uo,1``
+    spreads it over the single-fact removals only.  ``Ops`` is rebuilt
+    here from pairwise consistency checks, not from the library's own
+    ``justified_operations``."""
+    database, constraints = instance
+    kept = data.draw(st.lists(st.sampled_from(database.sorted_facts()), unique=True))
+    state = Database(kept, schema=database.schema)
+    conflicts = {
+        frozenset(pair)
+        for pair in combinations(state.sorted_facts(), 2)
+        if not constraints.satisfied_by(Database(pair, schema=database.schema))
+    }
+    singles = {frozenset((f,)) for pair in conflicts for f in pair}
+    for generator, chosen in ((M_UO, singles | conflicts), (M_UO1, singles)):
+        distribution = generator.operation_distribution(state, constraints)
+        assert {op.removed for op in distribution} == singles | conflicts
+        assert {op.removed: p for op, p in distribution.items() if p} == {
+            removed: Fraction(1, len(chosen)) for removed in chosen
+        }, generator.name
 
 
 # -- sampler properties ---------------------------------------------------------------------

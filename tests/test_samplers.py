@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from repro.analysis import repair_distribution
+from repro.chains.generators import M_UO, M_UO1
 from repro.exact.enumerate import candidate_repairs
 from repro.exact.state_space import StateSpaceEngine
 from repro.sampling.operations_sampler import UniformOperationsSampler
@@ -154,8 +156,7 @@ class TestUniformOperationsSampler:
 
     def test_repair_distribution_matches_exact(self, running_example, rng):
         database, constraints, _ = running_example
-        engine = StateSpaceEngine(database, constraints)
-        exact = engine.uniform_operations_repair_distribution()
+        exact = repair_distribution(database, constraints, M_UO)
         sampler = UniformOperationsSampler(database, constraints, rng=rng)
         freq = frequencies(sampler.sample() for _ in range(30_000))
         assert set(freq) == set(exact)
@@ -181,8 +182,7 @@ class TestUniformOperationsSampler:
 
     def test_singleton_distribution_matches_exact(self, running_example, rng):
         database, constraints, _ = running_example
-        engine = StateSpaceEngine(database, constraints, singleton_only=True)
-        exact = engine.uniform_operations_repair_distribution()
+        exact = repair_distribution(database, constraints, M_UO1)
         sampler = UniformOperationsSampler(
             database, constraints, singleton_only=True, rng=rng
         )

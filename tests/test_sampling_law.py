@@ -29,11 +29,9 @@ from repro.chains.generators import (
 from repro.core import Database, FDSet, Schema, fact, fd
 from repro.core.queries import Atom, atom, boolean_cq, cq, var
 from repro.engine import BatchRequest, EstimationSession, batch_estimate, sampling_law
+from repro.exact import exact_ocqa
 from repro.exact.frequencies import rrfreq1, srfreq1
-from repro.exact.state_space import (
-    StateSpaceEngine,
-    uniform_operations_answer_probability,
-)
+from repro.exact.state_space import StateSpaceEngine
 from repro.service import BackgroundServer, ServiceClient, SessionRegistry
 from repro.workloads import figure2_database
 
@@ -78,10 +76,10 @@ class TestExactLaw:
     @pytest.mark.parametrize("sizes", BLOCK_SIZES, ids=str)
     def test_muo1_is_one_uniform_survivor_per_block(self, sizes):
         database, constraints = keyed_blocks(sizes)
-        engine = StateSpaceEngine(database, constraints, singleton_only=True)
+        engine = StateSpaceEngine(database, constraints)
         distribution = {
             frozenset(repair.facts): probability
-            for repair, probability in engine.uniform_operations_repair_distribution().items()
+            for repair, probability in engine.repair_distribution(M_UO1).items()
         }
         free = fact("R", "free", "b0")
         expected = {
@@ -104,9 +102,7 @@ class TestExactLaw:
             atoms.append(Atom("R", (f"a{len(sizes) - 1}", "b1")))
             truth /= sizes[-1]
         query = boolean_cq(*atoms)
-        uo1 = uniform_operations_answer_probability(
-            database, constraints, query, singleton_only=True
-        )
+        uo1 = exact_ocqa(database, constraints, M_UO1, query)
         assert rrfreq1(database, constraints, query) == truth
         assert srfreq1(database, constraints, query) == truth
         assert uo1 == truth

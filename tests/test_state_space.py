@@ -6,13 +6,13 @@ import pytest
 
 from repro.chains.generators import M_UO, M_UO1, M_US, M_US1
 from repro.core.queries import atom, boolean_cq, var
+from repro.exact import exact_ocqa
 from repro.exact.enumerate import candidate_repairs_bruteforce, complete_sequences
 from repro.exact.state_space import (
     StateSpaceEngine,
     StateSpaceLimit,
     count_complete_sequences,
     count_sequences_with_answer,
-    uniform_operations_answer_probability,
 )
 from repro.workloads import block_database
 
@@ -88,43 +88,39 @@ class TestUniformOperationsDP:
     def test_probabilities_sum_to_one(self, running_example):
         database, constraints, _ = running_example
         engine = StateSpaceEngine(database, constraints)
-        distribution = engine.uniform_operations_repair_distribution()
+        distribution = engine.repair_distribution(M_UO)
         assert sum(distribution.values()) == 1
 
     def test_matches_explicit_chain(self, running_example):
         database, constraints, _ = running_example
         engine = StateSpaceEngine(database, constraints)
-        distribution = engine.uniform_operations_repair_distribution()
+        distribution = engine.repair_distribution(M_UO)
         chain = M_UO.chain(database, constraints)
         assert distribution == chain.repair_probabilities()
 
     def test_singleton_matches_explicit_chain(self, running_example):
         database, constraints, _ = running_example
-        engine = StateSpaceEngine(database, constraints, singleton_only=True)
-        distribution = engine.uniform_operations_repair_distribution()
+        engine = StateSpaceEngine(database, constraints)
+        distribution = engine.repair_distribution(M_UO1)
         chain = M_UO1.chain(database, constraints)
         assert distribution == chain.repair_probabilities()
 
     def test_answer_probability_matches_chain(self, figure2):
         database, constraints = figure2
         query = boolean_cq(atom("R", "a1", "b1"))
-        dp_value = uniform_operations_answer_probability(database, constraints, query)
+        dp_value = exact_ocqa(database, constraints, M_UO, query)
         chain = M_UO.chain(database, constraints, max_nodes=500_000)
         assert dp_value == chain.answer_probability(query)
 
     def test_certain_fact_probability_one(self, figure2):
         database, constraints = figure2
         query = boolean_cq(atom("R", "a2", "b1"))  # the isolated fact
-        assert uniform_operations_answer_probability(
-            database, constraints, query
-        ) == Fraction(1)
+        assert exact_ocqa(database, constraints, M_UO, query) == Fraction(1)
 
     def test_impossible_answer_probability_zero(self, figure2):
         database, constraints = figure2
         query = boolean_cq(atom("R", "zzz", "zzz"))
-        assert uniform_operations_answer_probability(
-            database, constraints, query
-        ) == Fraction(0)
+        assert exact_ocqa(database, constraints, M_UO, query) == Fraction(0)
 
 
 class TestAgainstExplicitSequenceChains:
