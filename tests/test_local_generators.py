@@ -9,7 +9,6 @@ import pytest
 from repro.analysis import repair_distribution
 from repro.chains.generators import M_UO, M_UO1
 from repro.chains.trust import TrustWeightedOperations
-from repro.core.database import Database
 from repro.core.facts import fact
 from repro.core.queries import atom, boolean_cq
 from repro.exact import exact_ocqa
