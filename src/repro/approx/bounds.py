@@ -26,7 +26,7 @@ Monte-Carlo FPRAS — is also provided.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, isqrt, nextafter
 
 from ..core.database import Database
 from ..core.dependencies import FDSet
@@ -35,6 +35,17 @@ from ..core.queries import ConjunctiveQuery
 #: A rational upper bound on Euler's number; dividing by it keeps the
 #: resulting expression a valid *lower* bound.
 E_UPPER = Fraction(2718281829, 1_000_000_000)
+
+
+def float_at_most(value: Fraction) -> float:
+    """The largest float not above ``value``, for casting a lower bound.
+
+    ``float(value)`` rounds to nearest, so it can exceed ``value`` by one
+    unit in the last place, and a Chernoff ``p_lower`` must never exceed
+    the probability it bounds (an exact survival bound *equals* it).
+    """
+    result = float(value)
+    return nextafter(result, 0.0) if result > value else result
 
 
 def rrfreq_lower_bound(database: Database, query: ConjunctiveQuery) -> Fraction:

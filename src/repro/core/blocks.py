@@ -11,6 +11,7 @@ result in Sections 5, 6 and Appendix E is phrased over them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import Iterator
 
@@ -79,11 +80,16 @@ class BlockDecomposition:
         """Facts in size-one blocks: they appear in every operational repair."""
         return frozenset(f for b in self.blocks if not b.has_conflicts for f in b.facts)
 
+    @cached_property
+    def _block_by_fact(self) -> dict[Fact, Block]:
+        return {f: block for block in self.blocks for f in block.facts}
+
     def block_of(self, fact: Fact) -> Block:
-        for block in self.blocks:
-            if fact in block.facts:
-                return block
-        raise BlockError(f"fact {fact} belongs to no block")
+        """The block holding ``fact`` (one map read; the map is built once)."""
+        block = self._block_by_fact.get(fact)
+        if block is None:
+            raise BlockError(f"fact {fact} belongs to no block")
+        return block
 
     def sizes(self) -> list[int]:
         """Sizes of the conflicting blocks (the DP state of Lemma C.1)."""

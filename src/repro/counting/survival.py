@@ -20,7 +20,11 @@ Which formula a law uses is its :data:`repro.engine.LAWS` entry's
 ``survival``.  Plain ``M_uo`` has none yet: on primary keys its blocks are
 independent too, but a block's chance of ending empty follows a recurrence
 over the block size rather than a uniform choice, and no closed form is
-implemented here.  These serve as ground truth for the calibration audit
+implemented here.  Estimation sessions read ``survival`` to size budgets:
+an answer is at least as likely as any of its conflict-free witnesses
+surviving, so the largest such survival is a valid Chernoff ``p_lower``
+(memoized by the sizes of the conflicting blocks hit, all either formula
+depends on).  The same values serve as ground truth for the calibration audit
 and sampler tests at sizes the exponential engines cannot reach; they are
 a small extension of the paper's algorithmic toolbox, not one of its
 results.
@@ -30,7 +34,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..core.blocks import BlockError, block_decomposition, blocks_of_facts
+from ..core.blocks import (
+    BlockDecomposition,
+    BlockError,
+    block_decomposition,
+    blocks_of_facts,
+)
 from ..core.database import Database
 from ..core.dependencies import FDSet
 from ..core.facts import Fact
@@ -38,8 +47,14 @@ from .block_counts import block_length_distribution, max_pair_removals, nonempty
 from .crs_count import _shuffle  # shared shuffle-product helper
 
 
-def _hit_blocks(database: Database, constraints: FDSet, facts: frozenset[Fact]):
-    decomposition = block_decomposition(database, constraints)
+def _hit_blocks(
+    database: Database,
+    constraints: FDSet,
+    facts: frozenset[Fact],
+    decomposition: BlockDecomposition | None,
+):
+    if decomposition is None:
+        decomposition = block_decomposition(database, constraints)
     missing = [f for f in sorted(facts, key=str) if f not in database]
     if missing:
         raise BlockError(f"facts not in the database: {missing}")
@@ -51,15 +66,17 @@ def ground_survival_mur(
     constraints: FDSet,
     facts: frozenset[Fact] | set[Fact],
     singleton_only: bool = False,
+    decomposition: BlockDecomposition | None = None,
 ) -> Fraction:
     """``P_{M_ur}(all of ``facts`` survive)`` in polynomial time.
 
     Facts sharing a block cannot survive together (probability 0); otherwise
-    independence across blocks gives the product formula.
+    independence across blocks gives the product formula.  ``decomposition``
+    is ``(D, Σ)``'s block decomposition when the caller already has it.
     """
     fact_set = frozenset(facts)
     try:
-        _, hit = _hit_blocks(database, constraints, fact_set)
+        _, hit = _hit_blocks(database, constraints, fact_set, decomposition)
     except BlockError as error:
         if "share a block" in str(error):
             return Fraction(0)
@@ -79,6 +96,7 @@ def ground_survival_mus(
     database: Database,
     constraints: FDSet,
     facts: frozenset[Fact] | set[Fact],
+    decomposition: BlockDecomposition | None = None,
 ) -> Fraction:
     """``P_{M_us}(all of ``facts`` survive)`` in polynomial time.
 
@@ -88,11 +106,12 @@ def ground_survival_mus(
     within-block symmetry, ``1/(|B_1|·..·|B_m|)`` of the sequences whose
     hit blocks end non-empty, and those are counted by shuffling the
     *non-empty* length distributions of the hit blocks with the full
-    distributions of the rest.
+    distributions of the rest.  ``decomposition`` is as for
+    :func:`ground_survival_mur`.
     """
     fact_set = frozenset(facts)
     try:
-        decomposition, hit = _hit_blocks(database, constraints, fact_set)
+        decomposition, hit = _hit_blocks(database, constraints, fact_set, decomposition)
     except BlockError as error:
         if "share a block" in str(error):
             return Fraction(0)

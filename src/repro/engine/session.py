@@ -16,8 +16,9 @@ share the same database.  :class:`EstimationSession` binds one
   contains one of the inclusion-minimal images, so per-sample evaluation
   drops from a fresh backtracking join to a few subset tests; ``P > 0``
   iff one of them is conflict-free.  One frozen record per ``(Q, c̄)``
-  holds what the witnesses decide: their id masks, the zero-test verdict
-  and their packed hit supports.
+  holds what the witnesses decide: their id masks, the zero-test verdict,
+  their packed hit supports and the answer's positivity bound, which
+  sizes every budget of a request for that answer.
 * **interned samples** — the session interns ``D`` once into an
   :class:`~repro.core.interning.InstanceIndex` (dense fact ids); samples
   are survivor id bitmasks packed into rows, with no ``Operation`` or
@@ -32,7 +33,7 @@ share the same database.  :class:`EstimationSession` binds one
   little-endian ``uint64`` bitset matrix, and witness hits are counted
   with column tests over the words each witness occupies.
 * **one law table** — the :func:`sampling_law`'s :data:`LAWS` entry
-  alone decides scope, positivity bound, plane and exact truth.  Every
+  alone decides scope, positivity bounds, plane and exact truth.  Every
   plane is built the same way, ``Law.plane(session, seed)``, draws with
   one ``draw_batch(batch_index, size)`` shape and carries its
   ``batch_size`` and ``label`` as class attributes: the block-structured
@@ -87,6 +88,7 @@ from typing import TYPE_CHECKING, Callable
 
 from ..approx.adaptive import AdaptiveResult, SequentialEstimator, adaptive_estimate
 from ..approx.bounds import (
+    float_at_most,
     rrfreq_lower_bound,
     singleton_frequency_lower_bound,
     srfreq_lower_bound,
@@ -173,15 +175,17 @@ class _WalkPlane:
 
 @dataclass(frozen=True)
 class Law:
-    """One sampling law: its scope, positivity bound, plane and exact truth.
+    """One sampling law: its scope, positivity bounds, plane and exact truth.
 
     Outside ``in_scope(Σ)`` sessions raise
     :class:`~repro.approx.fpras.FPRASUnavailable` with ``unavailable``;
-    ``bound(D, Σ, Q)`` sizes fixed budgets; ``plane(session, seed)`` builds
-    the law's plane — a vector plane for the block laws, :class:`_WalkPlane`
-    for the ``M_uo`` walks — whose ``batch_size`` and ``label`` are class
-    attributes; ``survival(D, Σ, facts)`` is the exact ground-survival
-    rational (``None``: no closed form).
+    ``bound(D, Σ, Q)`` is the paper's floor for every answer of ``Q``;
+    ``plane(session, seed)`` builds the law's plane — a vector plane for
+    the block laws, :class:`_WalkPlane` for the ``M_uo`` walks — whose
+    ``batch_size`` and ``label`` are class attributes; ``survival(D, Σ,
+    facts, decomposition=)`` is the exact ground-survival rational
+    (``None``: no closed form), and the largest survival of an answer's
+    conflict-free witnesses lifts that answer's bound above the floor.
     """
 
     name: str
@@ -189,7 +193,7 @@ class Law:
     unavailable: str
     bound: Callable[[Database, FDSet, ConjunctiveQuery], Fraction]
     plane: type
-    survival: Callable[[Database, FDSet, frozenset[Fact]], Fraction] | None = None
+    survival: Callable[..., Fraction] | None = None
 
 
 def _uo_bound(database: Database, constraints: FDSet, query) -> Fraction:
@@ -386,8 +390,9 @@ class RequestPlan:
 
     ``kind``: ``possibility-zero``, ``fixed`` (one count over ``budget``
     samples), ``dklr``, ``adaptive`` or ``budget`` (:meth:`fixed_budget_pooled`'s
-    count); ``mode`` picks the result type.  ``cap`` (≤ ``max_samples``) is
-    the most samples the run may read: the budget, the
+    count); ``mode`` picks the result type.  ``bound`` is the ``p_lower``
+    that sized the run: the caller's, else the answer's own.  ``cap`` (≤
+    ``max_samples``) is the most samples the run may read: the budget, the
     :class:`~repro.approx.adaptive.SequentialEstimator`'s ``sample_cap``,
     ``max_samples`` for ``dklr`` (``None``: uncapped), 0 for a certified zero.
     """
@@ -409,12 +414,15 @@ class _AnswerWitnesses:
     the session's index; ``possible``: the zero-test verdict (some witness
     is conflict-free, Lemmas 5.4 / E.4); ``packed``: the masks'
     :func:`~repro.sampling.vectorized.pack_witnesses` supports, the hit
-    test every pool evaluation reads.
+    test every pool evaluation reads; ``bound``: the ``p_lower`` sizing
+    the answer's budgets (``EstimationSession._witness_bound``), ``None``
+    when impossible.
     """
 
     masks: tuple[int, ...]
     possible: bool
     packed: tuple
+    bound: float | None
 
 
 class EstimationSession:
@@ -443,6 +451,7 @@ class EstimationSession:
         ] = {}
         self._answers: dict[tuple[ConjunctiveQuery, tuple], _AnswerWitnesses] = {}
         self._bounds: dict[ConjunctiveQuery, float] = {}
+        self._survivals: dict[tuple[int, ...], float] = {}
 
     # -- structural caches ---------------------------------------------------------
 
@@ -576,14 +585,42 @@ class EstimationSession:
     # -- per-(query, answer) caches --------------------------------------------------
 
     def positivity_bound(self, query: ConjunctiveQuery) -> float:
-        """The law's :attr:`Law.bound` for ``query``: per-call, pooled and
-        served runs of one request draw one budget."""
+        """The law's :attr:`Law.bound` for ``query`` (the paper's floor for
+        every answer), rounded down to a float."""
         cached = self._bounds.get(query)
         if cached is None:
             law = self.ensure_supported()
-            cached = float(law.bound(self.database, self.constraints, query))
+            cached = float_at_most(law.bound(self.database, self.constraints, query))
             self._bounds[query] = cached
         return cached
+
+    def _witness_bound(
+        self, query: ConjunctiveQuery, consistent: list[frozenset[Fact]]
+    ) -> float:
+        """``max(positivity_bound(query), max_w law.survival(w))`` over the
+        conflict-free witnesses ``consistent``, each rounded down.
+
+        ``P(answer) ≥ P(w survives)`` for every witness ``w``, so the largest
+        survival is a valid Chernoff ``p_lower`` for the answer.  Laws without
+        a :attr:`Law.survival` keep the paper's floor.  Survivals depend only
+        on the sorted sizes of the conflicting blocks ``w`` hits, so they are
+        memoized per session by that multiset.
+        """
+        bound = self.positivity_bound(query)
+        survival = self.ensure_supported().survival
+        if survival is None:
+            return bound
+        decomposition = self.decomposition()
+        for witness in consistent:
+            blocks = map(decomposition.block_of, witness)
+            key = tuple(sorted(len(block) for block in blocks if block.has_conflicts))
+            if key not in self._survivals:
+                exact = survival(
+                    self.database, self.constraints, witness, decomposition=decomposition
+                )
+                self._survivals[key] = float_at_most(exact)
+            bound = max(bound, self._survivals[key])
+        return bound
 
     def witnesses(
         self, query: ConjunctiveQuery, answer: tuple = ()
@@ -627,10 +664,14 @@ class EstimationSession:
         if record is None:
             witnesses = self.witnesses(query, answer)
             masks = tuple(map(self.index().mask_of, witnesses))
+            consistent = [
+                w for w in witnesses if image_is_consistent(w, self.constraints)
+            ]
             record = _AnswerWitnesses(
                 masks,
-                any(image_is_consistent(w, self.constraints) for w in witnesses),
+                bool(consistent),
                 vectorized_plane.pack_witnesses(masks),
+                self._witness_bound(query, consistent) if consistent else None,
             )
             self._answers[key] = record
         return record
@@ -673,8 +714,10 @@ class EstimationSession:
         In order: :meth:`ensure_supported`; the zero-test, so an impossible
         answer is certified whatever its parameters; one check of
         ``method`` (in both modes, though adaptive runs ignore it), ε, δ,
-        ``max_samples`` and ``p_lower`` (overriding :meth:`positivity_bound`);
-        the kind.  ``auto`` runs ``fixed`` when the budget is at most both
+        ``max_samples`` and ``p_lower`` (overriding the answer's own bound:
+        the larger of :meth:`positivity_bound` and its likeliest
+        conflict-free witness's exact survival); the kind.  ``auto`` runs
+        ``fixed`` when the budget is at most both
         :data:`~repro.approx.fpras.AUTO_FIXED_BUDGET` and ``max_samples``,
         and a ``fixed`` budget over ``max_samples`` is a ``ValueError``.
         """
@@ -694,7 +737,7 @@ class EstimationSession:
             raise ValueError("max_samples must be positive")
         if p_lower is not None and not 0 < p_lower <= 1:
             raise ValueError("p_lower must lie in (0, 1]")
-        bound = p_lower if p_lower is not None else self.positivity_bound(query)
+        bound = p_lower if p_lower is not None else self._answer(query, answer).bound
         if mode == "adaptive":
             cap = SequentialEstimator(
                 epsilon, delta, p_lower=bound, max_samples=max_samples

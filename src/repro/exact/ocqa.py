@@ -36,13 +36,17 @@ def exact_ocqa(
     generator: MarkovChainGenerator,
     query: ConjunctiveQuery,
     answer: tuple = (),
+    *,
+    engine: StateSpaceEngine | None = None,
 ) -> Fraction:
     """Exact ``P_{M_Σ,Q}(D, c̄)`` for ``generator``.
 
     For ``M_ur`` the value equals ``rrfreq`` *provided the canonical
     ordering covers every repair exactly once*, which holds by
     Proposition A.2 regardless of the ordering — so the ordering parameter
-    of :class:`UniformRepairs` does not influence the result.
+    of :class:`UniformRepairs` does not influence the result.  ``engine``
+    (a :class:`StateSpaceEngine` over ``(D, Σ)``) lets local generators
+    reuse one state space across calls.
     """
     if isinstance(generator, UniformRepairs):
         return rrfreq(
@@ -54,7 +58,9 @@ def exact_ocqa(
         )
     if isinstance(generator, LocalChainGenerator):
         # Section 7's locality argument does not depend on uniformity.
-        return StateSpaceEngine(database, constraints).answer_probability(
+        if engine is None:
+            engine = StateSpaceEngine(database, constraints)
+        return engine.answer_probability(
             generator, lambda repair: query.entails(repair, answer)
         )
     # Arbitrary generator: materialize the explicit chain (tiny instances).
@@ -72,12 +78,20 @@ def exact_operational_consistent_answers(
 
     Candidate answer tuples are harvested from ``Q`` evaluated over the
     *original* database — every repair is a subset of ``D``, so no repair can
-    produce an answer that ``D`` itself does not.
+    produce an answer that ``D`` itself does not.  Local generators share
+    one :class:`StateSpaceEngine`, so the state space is explored once.
     """
     candidates = query.answers(database)
+    engine = (
+        StateSpaceEngine(database, constraints)
+        if isinstance(generator, LocalChainGenerator)
+        else None
+    )
     answers: dict[tuple, Fraction] = {}
     for candidate in sorted(candidates, key=repr):
-        probability = exact_ocqa(database, constraints, generator, query, candidate)
+        probability = exact_ocqa(
+            database, constraints, generator, query, candidate, engine=engine
+        )
         if probability > 0:
             answers[candidate] = probability
     return answers

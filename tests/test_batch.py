@@ -6,11 +6,12 @@ import random
 
 import pytest
 
+from repro.approx.montecarlo import chernoff_sample_size
 from repro.chains.generators import M_UO1, M_UR, M_US
 from repro.cli import main
 from repro.core import Database, FDSet, Schema, fact, fd
 from repro.core.queries import atom, boolean_cq, cq, var
-from repro.engine import BatchRequest, batch_estimate
+from repro.engine import BatchRequest, EstimationSession, batch_estimate
 from repro.io import (
     InstanceFormatError,
     instance_to_dict,
@@ -71,11 +72,26 @@ class TestBatchEstimate:
         assert [r.result for r in serial] == [r.result for r in fanned]
 
     def test_groups_share_one_pool(self):
-        # All requests in one group use the same Chernoff budget here, so a
-        # shared pool means identical sample counts — and estimates that are
-        # bit-for-bit those of per-call runs re-seeded with the group seed.
-        results = batch_estimate(fig2_requests(), seed=17)
-        assert len({r.result.samples_used for r in results}) == 1
+        # Each request's Chernoff budget comes from its answer's likeliest
+        # witness: a1 (a block of 3) survives with 1/4, a2 (conflict-free)
+        # with 1 and a3 (a block of 2) with 1/3.  One pool serves the group,
+        # so every row is a prefix count of the same group-seeded stream.
+        from repro.engine.batch import group_seed_for
+
+        requests = fig2_requests()
+        results = batch_estimate(requests, seed=17)
+        budgets = [chernoff_sample_size(0.5, 0.2, p) for p in (1 / 4, 1.0, 1 / 3)]
+        assert [r.result.samples_used for r in results] == budgets
+        database, constraints = figure2_database()
+        session = EstimationSession(database, constraints, M_UR)
+        pool = session.pool_for_seed(group_seed_for(17, database, constraints, M_UR))
+        pooled = [
+            session.estimate_pooled(
+                pool, r.query, r.answer, epsilon=r.epsilon, delta=r.delta
+            )
+            for r in requests
+        ]
+        assert [r.result for r in results] == pooled
 
     def test_spawn_context_matches_serial(self, monkeypatch):
         from repro.engine.batch import START_METHOD_ENV

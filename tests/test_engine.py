@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.approx.adaptive import SequentialEstimator
+from repro.approx.bounds import float_at_most
 from repro.approx.fpras import (
     AUTO_FIXED_BUDGET,
     FPRASUnavailable,
@@ -19,7 +20,9 @@ from repro.approx.fpras import (
 )
 from repro.approx.montecarlo import chernoff_sample_size
 from repro.chains.generators import M_UO, M_UO1, M_UR, M_UR1, M_US, M_US1
+from repro.core.facts import fact
 from repro.core.interning import InstanceIndex
+from repro.counting.survival import ground_survival_mur, ground_survival_mus
 from repro.core.queries import QueryError, atom, boolean_cq, cq, var
 from repro.engine import MODES, BatchRequest, EstimationSession, SamplePool, batch_estimate
 from repro.engine.batch import run_group
@@ -34,6 +37,32 @@ x, y = var("x"), var("y")
 EPSILON, DELTA = 0.5, 0.2
 
 ALL_SIX = [M_UR, M_US, M_UO, M_UR1, M_US1, M_UO1]
+
+#: Exact ground survival per generator on primary keys (plain ``M_uo`` has
+#: no closed form); on keys the singleton generators share ``M_ur,1``'s.
+SURVIVAL = {
+    M_UR: ground_survival_mur,
+    M_US: ground_survival_mus,
+    M_UR1: lambda *args: ground_survival_mur(*args, singleton_only=True),
+    M_US1: lambda *args: ground_survival_mur(*args, singleton_only=True),
+    M_UO1: lambda *args: ground_survival_mur(*args, singleton_only=True),
+}
+
+
+def single_fact_bound(session, query, generator, target):
+    """The ``p_lower`` a plan for ``query``, whose one witness is the fact
+    ``target``, must read.
+
+    The answer's probability is ``target``'s exact survival, so the bound
+    is that survival, rounded down, whenever the law has a formula, and
+    the paper's floor otherwise.
+    """
+    floor = session.positivity_bound(query)
+    formula = SURVIVAL.get(generator)
+    if formula is None:
+        return floor
+    exact = formula(session.database, session.constraints, {target})
+    return max(floor, float_at_most(exact))
 
 
 @pytest.fixture
@@ -318,7 +347,9 @@ class TestRequestPlan:
         database, constraints = fig2
         session = EstimationSession(database, constraints, generator)
         pool = session.pool_for_seed(7)
-        bound = session.positivity_bound(survival_query)
+        bound = single_fact_bound(
+            session, survival_query, generator, fact("R", "a1", "b1")
+        )
         budget = chernoff_sample_size(EPSILON, DELTA, bound)
         cases = [({}, ("fixed", budget)), ({"method": "fixed"}, ("fixed", budget))]
         for cap in (None, 3, 10**9):
@@ -353,7 +384,9 @@ class TestRequestPlan:
         database, constraints = fig2
         session = EstimationSession(database, constraints, generator)
         pool = session.pool_for_seed(7)
-        bound = session.positivity_bound(survival_query)
+        bound = single_fact_bound(
+            session, survival_query, generator, fact("R", "a1", "b1")
+        )
         budget = chernoff_sample_size(EPSILON, DELTA, bound)
         for method in METHODS:
             for cap in (1, 3, budget - 1, budget, 10**9):

@@ -21,7 +21,9 @@ from repro.core import Database, FDSet, Schema, fact, fd
 from repro.core.blocks import block_decomposition
 from repro.core.interning import InstanceIndex, InterningError, mask_ids
 from repro.core.violations import is_consistent
+from repro.counting.survival import ground_survival_mur
 from repro.approx.adaptive import SequentialEstimator
+from repro.approx.bounds import float_at_most
 from repro.approx.montecarlo import (
     EstimateResult,
     fixed_sample_estimate,
@@ -299,9 +301,13 @@ class TestKernelOnOffParity:
         off = []
         for candidate in candidates:
             hit = object_hit(session, query, candidate)
-            estimator = SequentialEstimator(
-                EPSILON, DELTA, p_lower=session.positivity_bound(query)
+            # The answer's bound: its likeliest witness's exact survival.
+            survivals = (
+                float_at_most(ground_survival_mur(database, constraints, w))
+                for w in session.witnesses(query, candidate)
             )
+            p_lower = max(session.positivity_bound(query), *survivals)
+            estimator = SequentialEstimator(EPSILON, DELTA, p_lower=p_lower)
             position = 0
             while not estimator.decided:
                 while len(stream) <= position:

@@ -199,15 +199,17 @@ class TestWarmStart:
         assert [r.result for r in warm] == [r.result for r in plain]
 
     def test_longer_warm_run_extends_the_persisted_stream(self, tmp_path):
-        # A vector prefix (M_ur) resumes by batch index.
-        self.assert_warm_run_extends(tmp_path, M_UR)
+        # A vector prefix (M_ur) resumes by batch index.  Its budgets come
+        # from the witnesses (a1 survives with 1/4), so ε = 0.15 is what
+        # takes the longest one (1,598) past the cold run's one batch.
+        self.assert_warm_run_extends(tmp_path, M_UR, epsilon=0.15)
 
     def test_longer_warm_walk_run_extends_the_persisted_stream(self, tmp_path):
         # A walk prefix (M_uo) resumes by position too: no RNG state.
-        self.assert_warm_run_extends(tmp_path, M_UO)
+        self.assert_warm_run_extends(tmp_path, M_UO, epsilon=0.3)
 
     @staticmethod
-    def assert_warm_run_extends(tmp_path, generator):
+    def assert_warm_run_extends(tmp_path, generator, epsilon):
         requests = fig2_requests(generator)
         # Cold run with loose accuracy persists a short prefix ...
         batch_estimate(requests, seed=7, cache_dir=str(tmp_path))
@@ -221,7 +223,7 @@ class TestWarmStart:
                 r.generator,
                 r.query,
                 answer=r.answer,
-                epsilon=0.3,
+                epsilon=epsilon,
                 delta=0.1,
             )
             for r in requests
@@ -260,6 +262,7 @@ class TestWarmStart:
         session = EstimationSession(database, constraints, M_UR, cache=entry)
         bound = session.positivity_bound(query)
         assert session.is_possible(query, ("a1",)) is True
+        plan_bound = session.plan(query, ("a1",)).bound
         entry.save()
 
         calls = []
@@ -284,7 +287,11 @@ class TestWarmStart:
         assert calls == [1]
         assert fresh.is_possible(query, ("a1",)) is True
         assert fresh.is_possible(query, ("a1",)) is True
-        assert len(tests) == 1  # recomputed once, then the session memo
+        assert fresh.plan(query, ("a1",)).bound == plan_bound
+        assert calls == [1]
+        # One consistency test per witness, shared by the zero-test and the
+        # answer's bound, then the session memo.
+        assert len(tests) == len(fresh.witnesses(query, ("a1",))) == 3
 
 
 class TestCorruption:
@@ -1026,11 +1033,16 @@ def install_golden(tmp_path, name, generator, seed):
     return entry.path, written
 
 
-#: M_ur rows of ``golden_requests()`` at seed 11 — unchanged since the v4
-#: goldens were written (M_ur streams are stable across store versions).
+#: M_ur rows of ``golden_requests()`` at seed 11.  The stream is unchanged
+#: since the v4 goldens were written (M_ur streams are stable across store
+#: versions).  The two fixed rows are sized from their one witness:
+#: ``R(k1, v0)`` survives with 1/3 (a block of 2) and ``R(k2, v0)`` with
+#: 1/4 (a block of 3), so ε 0.9, δ 0.5 budgets are 16 and 21 samples, and
+#: the first 16 / 21 rows of ``golden_v7_vector.json`` hold 3 / 5 hits.
+#: The dklr rows need no bound and keep their values.
 MUR_SEED11_ROWS = [
-    (0.33004926108374383, 812),
-    (0.2315270935960591, 812),
+    (3 / 16, 16),
+    (5 / 21, 21),
     (0.5967860468843963, 210),
     (0.7688654591762161, 163),
 ]
@@ -1114,9 +1126,10 @@ class TestGoldenV7Entries:
 
     Each ``tests/data/golden_v7_*.json`` was written by a cold
     ``batch_estimate(golden_requests(generator), seed, cache_dir)``; the
-    expected rows below are what it returned.  A warm run must load it,
-    draw nothing, return the same rows and leave the file untouched — so
-    the on-disk v7 format and both planes' streams stay unchanged.
+    expected rows below are counts over its prefix (the ``M_ur`` fixed
+    rows read a shorter one, sized from their witnesses).  A warm run must
+    load it, draw nothing, return those rows and leave the file untouched
+    — so the on-disk v7 format and both planes' streams stay unchanged.
     """
 
     EXPECTED = {
